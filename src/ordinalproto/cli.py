@@ -207,7 +207,7 @@ def _prompt_config(cfg: dict, num_ranks: int, **overrides) -> promptmod.PromptCo
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
+    train_cfg = TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["learning_rate"],
@@ -219,7 +219,11 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
         temperature=cfg["temperature"],
         seed=seed,
         last_layer_lr_mult=cfg["last_layer_lr_mult"],
-    ).validate()
+    )
+    try:
+        return train_cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_seed: int,
@@ -227,18 +231,22 @@ def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_se
     prompt_cfg = None
     if method != BASELINE:
         prompt_cfg = _prompt_config(cfg, num_ranks, **prompt_overrides)
-    return training.build_model(
-        method,
-        num_ranks,
-        prompt_cfg=prompt_cfg,
-        input_dim=input_dim,
-        hidden_dim=cfg["hidden_dim"],
-        latent_dim=cfg["latent_dim"],
-        max_len=cfg["max_len"],
-        vocab_size=max(cfg["vocab_size"], num_ranks),
-        encoder_seed=cfg["encoder_seed"],
-        init_seed=init_seed,
-    )
+    # Every model-shape check build_model makes is a check on config values.
+    try:
+        return training.build_model(
+            method,
+            num_ranks,
+            prompt_cfg=prompt_cfg,
+            input_dim=input_dim,
+            hidden_dim=cfg["hidden_dim"],
+            latent_dim=cfg["latent_dim"],
+            max_len=cfg["max_len"],
+            vocab_size=max(cfg["vocab_size"], num_ranks),
+            encoder_seed=cfg["encoder_seed"],
+            init_seed=init_seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_cell(cfg: dict, method: str, train_ds, test_ds, seed: int,

@@ -6,11 +6,31 @@ values are computed eagerly and kept on the tape. :meth:`Tape.backward`
 walks the record once, in reverse, and returns gradients of a scalar loss
 for every named parameter.
 
+The tape does only the work a parameter gradient needs:
+
+- Pruning. Each node records whether any parameter reaches it. The
+  reverse sweep visits only such nodes, and tells each backward rule
+  which of its inputs want a gradient, so a rule never forms the
+  gradient of a constant operand.
+- Borrowed adjoints. The first contribution to a node's adjoint is
+  adopted as is; a copy is made only when a second contribution is
+  accumulated into a borrowed buffer. Returned gradients never alias
+  one another or any buffer of the tape.
+- Finiteness. Every recorded value is checked with one BLAS sum of
+  squares, which is non-finite whenever an entry is. Only a non-finite
+  sum, from such an entry or from overflow on huge finite entries, pays
+  for the full entrywise scan, so an op raises exactly when its value
+  has a non-finite entry.
+
+None of this changes a forward value or a parameter gradient, bitwise.
+
 A tape is single-threaded and is rebuilt for every forward pass. Distinct
 tapes share no mutable state and may live on distinct threads.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -34,9 +54,6 @@ OP_KINDS = (
     "tanh",
 )
 
-_LEAF_KINDS = ("constant", "parameter")
-
-
 def _as_matrix(array) -> np.ndarray:
     a = np.asarray(array, dtype=np.float64)
     if a.ndim != 2:
@@ -45,19 +62,30 @@ def _as_matrix(array) -> np.ndarray:
 
 
 def _check_finite(value: np.ndarray, op: str) -> None:
-    if not np.isfinite(value).all():
+    # vdot sets no numpy floating-point flag, so an overflowing sum of
+    # finite entries neither warns nor raises; it only falls through to
+    # the exact scan.
+    if not np.isfinite(np.vdot(value, value)) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "value", "meta", "name")
+    """One tape entry.
 
-    def __init__(self, op, inputs, value, meta=None, name=None):
+    `wants[k]` is whether input k needs a gradient (a parameter reaches
+    it); `needs_grad` is whether this node does.
+    """
+
+    __slots__ = ("op", "inputs", "value", "meta", "name", "wants", "needs_grad")
+
+    def __init__(self, op, inputs, value, meta=None, name=None, wants=(), needs_grad=False):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.meta = meta or {}
         self.name = name
+        self.wants = wants
+        self.needs_grad = needs_grad
 
 
 class Tape:
@@ -71,6 +99,9 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[str, int] = {}
+        # Indices of the op nodes some parameter reaches, ascending: the
+        # only nodes the reverse sweep visits.
+        self._grad_ops: list[int] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -85,7 +116,9 @@ class Tape:
         """A trainable leaf; its gradient appears in backward() under `name`."""
         if name in self._params:
             raise ValueError(f"parameter {name!r} registered twice on this tape")
-        idx = self._append(_Node("parameter", (), _as_matrix(array), name=name))
+        idx = self._append(
+            _Node("parameter", (), _as_matrix(array), name=name, needs_grad=True)
+        )
         self._params[name] = idx
         return idx
 
@@ -107,14 +140,20 @@ class Tape:
         """
         if op_kind not in OP_KINDS:
             raise ValueError(f"unknown op kind {op_kind!r}; valid kinds: {OP_KINDS}")
-        inputs = tuple(int(i) for i in inputs)
+        nodes = self._nodes
+        inputs = tuple(map(int, inputs))
         for i in inputs:
-            if not 0 <= i < len(self._nodes):
+            if not 0 <= i < len(nodes):
                 raise ValueError(f"input node {i} not on tape")
-        vals = [self._nodes[i].value for i in inputs]
-        value, meta = _FORWARD[op_kind](vals, params)
+        in_nodes = [nodes[i] for i in inputs]
+        value, meta = _FORWARD[op_kind]([n.value for n in in_nodes], params)
         _check_finite(value, op_kind)
-        return self._append(_Node(op_kind, inputs, value, meta))
+        wants = tuple([n.needs_grad for n in in_nodes])
+        needs_grad = True in wants
+        idx = self._append(_Node(op_kind, inputs, value, meta, wants=wants, needs_grad=needs_grad))
+        if needs_grad:
+            self._grad_ops.append(idx)
+        return idx
 
     # Convenience wrappers, one per primitive.
 
@@ -161,46 +200,53 @@ class Tape:
     def tanh(self, a: int) -> int:
         return self.record("tanh", (a,))
 
-    def sum_all(self, a: int) -> int:
-        """Sum of all entries as a 1x1 node (derived: two matmuls with ones)."""
-        rows, cols = self._nodes[a].value.shape
-        left = self.constant(np.ones((1, rows)))
-        right = self.constant(np.ones((cols, 1)))
-        return self.matmul(self.matmul(left, a), right)
-
     # -- reverse sweep ----------------------------------------------------
 
     def backward(self, loss_node: int) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every registered parameter.
 
         Parameters the loss does not reach get exact-zero gradients of the
-        parameter's shape. Each node is visited exactly once.
+        parameter's shape. Only op nodes some parameter reaches are
+        visited, each exactly once, and each backward rule forms only the
+        input gradients its node's `wants` flags ask for. An adjoint
+        adopts its first contribution without a copy and is copied on the
+        first accumulation into it; a gradient still borrowed at the end
+        is copied, so the returned arrays are the caller's own.
         """
-        loss = self._nodes[loss_node]
+        nodes = self._nodes
+        loss = nodes[loss_node]
         if loss.value.shape != (1, 1):
             raise ValueError(f"loss node must be 1x1, got shape {loss.value.shape}")
-        adjoint: list[np.ndarray | None] = [None] * len(self._nodes)
+        adjoint: list[np.ndarray | None] = [None] * len(nodes)
         adjoint[loss_node] = np.ones((1, 1))
-        for idx in range(loss_node, -1, -1):
+        owned = {loss_node}
+        ops = self._grad_ops
+        for idx in reversed(ops[:bisect_right(ops, loss_node)]):
             g = adjoint[idx]
             if g is None:
                 continue
-            node = self._nodes[idx]
-            if node.op in _LEAF_KINDS:
-                continue
-            in_vals = [self._nodes[i].value for i in node.inputs]
-            contribs = _BACKWARD[node.op](g, node.value, in_vals, node.meta)
+            node = nodes[idx]
+            in_vals = [nodes[i].value for i in node.inputs]
+            contribs = _BACKWARD[node.op](g, node.value, in_vals, node.meta, node.wants)
             for inp, contrib in zip(node.inputs, contribs):
                 if contrib is None:
                     continue
-                if adjoint[inp] is None:
-                    adjoint[inp] = contrib.copy()
+                prev = adjoint[inp]
+                if prev is None:
+                    adjoint[inp] = contrib
+                elif inp in owned:
+                    prev += contrib
                 else:
-                    adjoint[inp] += contrib
+                    adjoint[inp] = prev + contrib
+                    owned.add(inp)
         grads = {}
         for name, idx in self._params.items():
             g = adjoint[idx]
-            grads[name] = np.zeros_like(self._nodes[idx].value) if g is None else g
+            if g is None:
+                g = np.zeros_like(nodes[idx].value)
+            elif idx not in owned:
+                g = g.copy()
+            grads[name] = g
         return grads
 
 
@@ -326,79 +372,85 @@ _FORWARD = {
 
 
 # ---------------------------------------------------------------------------
-# backward rules: (upstream grad, forward value, input values, meta)
-#   -> one gradient (or None) per input
+# backward rules: (upstream grad, forward value, input values, meta, wants)
+#   -> one gradient (or None) per input. wants[k] says whether input k
+#   needs one; a rule forms no gradient for an input that does not. A
+#   rule runs only for a node that needs a gradient, so a single-input
+#   rule's input always does.
 
 
-def _bwd_matmul(g, out, ins, meta):
+def _bwd_matmul(g, out, ins, meta, wants):
     a, b = ins
-    return (g @ b.T, a.T @ g)
+    return (g @ b.T if wants[0] else None, a.T @ g if wants[1] else None)
 
 
-def _bwd_add(g, out, ins, meta):
+def _bwd_add(g, out, ins, meta, wants):
     if meta and meta.get("broadcast"):
-        return (g, g.sum(axis=0, keepdims=True))
-    return (g, g)
+        return (g if wants[0] else None, g.sum(axis=0, keepdims=True) if wants[1] else None)
+    return (g if wants[0] else None, g if wants[1] else None)
 
 
-def _bwd_mul(g, out, ins, meta):
+def _bwd_mul(g, out, ins, meta, wants):
     a, b = ins
-    return (g * b, g * a)
+    return (g * b if wants[0] else None, g * a if wants[1] else None)
 
 
-def _bwd_row_softmax(g, s, ins, meta):
+def _bwd_row_softmax(g, s, ins, meta, wants):
     t = meta["temperature"]
     inner = (g * s).sum(axis=1, keepdims=True)
     return (s * (g - inner) / t,)
 
 
-def _bwd_col_softmax(g, s, ins, meta):
+def _bwd_col_softmax(g, s, ins, meta, wants):
     t = meta["temperature"]
     inner = (g * s).sum(axis=0, keepdims=True)
     return (s * (g - inner) / t,)
 
 
-def _bwd_l2_normalize_rows(g, y, ins, meta):
+def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
     norms = meta["norms"]
     inner = (g * y).sum(axis=1, keepdims=True)
     return ((g - inner * y) / norms,)
 
 
-def _bwd_kl(g, out, ins, meta):
+def _bwd_kl(g, out, ins, meta, wants):
     p, q = ins
     support = meta["support"]
     scalar = g[0, 0]
-    dq = np.zeros_like(q)
-    dq[support] = -scalar * p[support] / q[support]
-    # d/dp is only defined on the target's support; elsewhere the 0*log 0
-    # convention makes the contribution identically zero.
-    dp = np.zeros_like(p)
-    dp[support] = scalar * (np.log(p[support]) - np.log(q[support]) + 1.0)
+    dp = dq = None
+    if wants[0]:
+        # d/dp is only defined on the target's support; elsewhere the 0*log 0
+        # convention makes the contribution identically zero.
+        dp = np.zeros_like(p)
+        dp[support] = scalar * (np.log(p[support]) - np.log(q[support]) + 1.0)
+    if wants[1]:
+        dq = np.zeros_like(q)
+        dq[support] = -scalar * p[support] / q[support]
     return (dp, dq)
 
 
-def _bwd_scale(g, out, ins, meta):
+def _bwd_scale(g, out, ins, meta, wants):
     return (g * meta["factor"],)
 
 
-def _bwd_concat_rows(g, out, ins, meta):
+def _bwd_concat_rows(g, out, ins, meta, wants):
     grads = []
     start = 0
-    for count in meta["row_counts"]:
-        grads.append(g[start:start + count])
+    for count, want in zip(meta["row_counts"], wants):
+        grads.append(g[start:start + count] if want else None)
         start += count
     return tuple(grads)
 
 
-def _bwd_weighted_sum(g, out, ins, meta):
-    return tuple(w * g for w in meta["weights"])
+def _bwd_weighted_sum(g, out, ins, meta, wants):
+    return tuple(w * g if want else None for w, want in zip(meta["weights"], wants))
 
 
-def _bwd_transpose(g, out, ins, meta):
+def _bwd_transpose(g, out, ins, meta, wants):
     return (g.T.copy(),)
 
 
-def _bwd_tanh(g, y, ins, meta):
+def _bwd_tanh(g, y, ins, meta, wants):
     return (g * (1.0 - y * y),)
 
 

@@ -126,6 +126,7 @@ class PseudoTextEncoder:
             raise ValueError("encode requires at least one sequence")
         mixing = tape.constant(self.mixing)
         projection = tape.constant(self.projection)
+        poolings = {}  # sequence length -> pooling row node
         rows = []
         for node in sequence_nodes:
             length = tape.value(node).shape[0]
@@ -135,8 +136,10 @@ class PseudoTextEncoder:
                 raise ValueError(
                     f"sequence length {length} exceeds encoder max_len {self.max_len}"
                 )
-            weights = self.position_weights[:length]
-            pooling = tape.constant((weights / weights.sum())[None, :])
+            pooling = poolings.get(length)
+            if pooling is None:
+                weights = self.position_weights[:length]
+                pooling = poolings[length] = tape.constant((weights / weights.sum())[None, :])
             pooled = tape.matmul(pooling, node)
             rows.append(tape.matmul(tape.matmul(pooled, mixing), projection))
         stacked = rows[0] if len(rows) == 1 else tape.concat_rows(rows)
@@ -213,13 +216,6 @@ class ImageEncoder:
         features = tape.add(tape.matmul(hidden, w2), b2)
         embeddings = tape.l2_normalize_rows(features) if normalize else None
         return features, embeddings
-
-
-def encode_text(encoder: PseudoTextEncoder, sequences) -> np.ndarray:
-    """Prototype matrix for plain ndarray sequences (throwaway tape)."""
-    tape = Tape()
-    nodes = [tape.constant(np.asarray(s, dtype=np.float64)) for s in sequences]
-    return tape.value(encoder.encode(tape, nodes)).copy()
 
 
 def encode_images(encoder: ImageEncoder, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

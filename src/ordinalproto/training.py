@@ -12,10 +12,10 @@ possible:
                features, the classification control.
 
 The image encoder trains in every method. Adam updates touch only the
-parameter groups enabled by tune_rank / tune_ctx; disabled groups report
-exact-zero gradients and stay bitwise identical. One seed drives
-everything (init, shuffling), so identical configs reproduce identical
-parameters.
+parameter groups enabled by tune_rank / tune_ctx. A disabled group enters
+the training tape as a constant, so backward neither computes nor returns
+its gradient, and it stays bitwise identical. One seed drives everything
+(init, shuffling), so identical configs reproduce identical parameters.
 """
 
 from __future__ import annotations
@@ -168,6 +168,11 @@ def build_model(
             init_ctx=prompt_cfg.init_ctx,
         )
     prompt_cfg.validate()
+    if prompt_cfg.num_context + 1 > max_len:
+        raise ValueError(
+            f"a prompt of num_context + 1 = {prompt_cfg.num_context + 1} tokens "
+            f"exceeds max_len {max_len}"
+        )
     text_encoder = PseudoTextEncoder.create(
         encoder_seed,
         word_dim=prompt_cfg.word_dim,
@@ -202,17 +207,20 @@ def build_model(
 
 
 def _prompt_nodes(state: ModelState, tape: Tape, trainable: bool) -> int:
-    """Prototype node for the current prompt parameters."""
-    if trainable:
-        ctx_node = (
-            tape.parameter(state.context, "context")
-            if state.context.shape[0] > 0
-            else None
-        )
-        base_node = tape.parameter(state.base_ranks, "base_ranks")
-    else:
-        ctx_node = tape.constant(state.context) if state.context.shape[0] > 0 else None
-        base_node = tape.constant(state.base_ranks)
+    """Prototype node for the current prompt parameters.
+
+    With trainable set, each group its tune gate enables is a named
+    parameter; every other group is a constant.
+    """
+
+    def leaf(array: np.ndarray, name: str, tuned: bool) -> int:
+        return tape.parameter(array, name) if trainable and tuned else tape.constant(array)
+
+    cfg = state.prompt_cfg
+    ctx_node = (
+        leaf(state.context, "context", cfg.tune_ctx) if state.context.shape[0] > 0 else None
+    )
+    base_node = leaf(state.base_ranks, "base_ranks", cfg.tune_rank)
     if state.interpolation is not None:
         ranks_node = prompt.interpolate_rank_embeddings(tape, state.interpolation, base_node)
     else:
@@ -308,16 +316,6 @@ class AdamState:
             params[name] -= rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
-def _gate_gradients(state: ModelState, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Exact-zero gradients for groups whose tuning is switched off."""
-    if state.uses_prompts:
-        if not state.prompt_cfg.tune_ctx and "context" in grads:
-            grads["context"] = np.zeros_like(grads["context"])
-        if not state.prompt_cfg.tune_rank and "base_ranks" in grads:
-            grads["base_ranks"] = np.zeros_like(grads["base_ranks"])
-    return grads
-
-
 def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
     mult = cfg.last_layer_lr_mult
     if mult == 1.0:
@@ -348,11 +346,10 @@ def train_step(
             f"non-finite values in forward pass ({exc}); parameter norms: {norms}"
         ) from exc
     loss_value = float(tape.value(loss_node)[0, 0])
-    grads = _gate_gradients(state, tape.backward(loss_node))
-    params = state.trainable_parameters()
+    # The tape's parameters are exactly the trainable groups.
     adam.update(
-        params,
-        {name: grads[name] for name in params},
+        state.trainable_parameters(),
+        tape.backward(loss_node),
         cfg.learning_rate if lr is None else lr,
         _lr_multipliers(state, cfg),
     )

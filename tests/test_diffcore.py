@@ -2,9 +2,14 @@
 checker itself. Every primitive's analytic gradient is compared against
 central finite differences on seeded inputs."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import reference_backward, sum_all
+from ordinalproto import diffcore
 from ordinalproto.diffcore import OP_KINDS, Tape, finite_difference_check
 
 H = 1e-5
@@ -19,7 +24,7 @@ def _scalarize(tape, node, rng):
     """
     shape = tape.value(node).shape
     weights = tape.constant(rng.uniform(0.5, 1.5, size=shape))
-    return tape.sum_all(tape.mul(node, weights))
+    return sum_all(tape, tape.mul(node, weights))
 
 
 class TestForwardValues:
@@ -128,7 +133,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         tape = Tape()
         p = tape.parameter(rng.normal(size=(2, 3)), "p")
-        grads = tape.backward(tape.sum_all(p))
+        grads = tape.backward(sum_all(tape, p))
         np.testing.assert_array_equal(grads["p"], np.ones((2, 3)))
 
     def test_half_squared_norm_gradient_equals_parameter(self):
@@ -136,7 +141,7 @@ class TestBackward:
         value = rng.normal(size=(3, 3))
         tape = Tape()
         p = tape.parameter(value, "p")
-        loss = tape.scale(tape.sum_all(tape.mul(p, p)), 0.5)
+        loss = tape.scale(sum_all(tape, tape.mul(p, p)), 0.5)
         np.testing.assert_allclose(tape.backward(loss)["p"], value, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -149,7 +154,7 @@ class TestBackward:
         tape = Tape()
         p = tape.parameter(np.ones((2, 2)), "used")
         q = tape.parameter(np.ones((3, 4)), "unused")
-        grads = tape.backward(tape.sum_all(p))
+        grads = tape.backward(sum_all(tape, p))
         np.testing.assert_array_equal(grads["unused"], np.zeros((3, 4)))
         assert grads["unused"].shape == tape.value(q).shape
 
@@ -161,8 +166,8 @@ class TestBackward:
         def grads_of(which):
             tape = Tape()
             p = tape.parameter(value, "p")
-            loss_a = tape.sum_all(tape.mul(p, p))
-            loss_b = tape.sum_all(tape.tanh(p))
+            loss_a = sum_all(tape, tape.mul(p, p))
+            loss_b = sum_all(tape, tape.tanh(p))
             if which == "a":
                 return tape.backward(loss_a)["p"]
             if which == "b":
@@ -190,6 +195,111 @@ class TestBackward:
         loss = tape.kl_div(tape.constant(y), tape.row_softmax(p, 0.5))
         analytic = tape.backward(loss)["p"]
         assert finite_difference_check(loss_of, logits, analytic, h=H) <= FD_TOL
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize(
+        "row", [[1.0, np.inf], [-np.inf, 2.0], [np.nan, 0.0], [np.inf, -np.inf]]
+    )
+    def test_non_finite_output_names_the_op(self, row):
+        tape = Tape()
+        a = tape.constant([row])
+        message = "non-finite values produced by op 'scalar-scale'"
+        with pytest.raises(FloatingPointError, match=message):
+            tape.scale(a, 2.0)
+
+    def test_single_nan_in_a_large_value_is_caught(self):
+        values = np.ones((16, 16))
+        values[11, 5] = np.nan
+        tape = Tape()
+        with pytest.raises(FloatingPointError, match="'add'"):
+            tape.add(tape.constant(values), tape.constant(np.ones((16, 16))))
+
+    def test_finite_value_whose_sum_overflows_is_accepted(self):
+        tape = Tape()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tape.scale(tape.constant([[1e308, 1e308]]), 1.0)
+        np.testing.assert_array_equal(tape.value(out), [[1e308, 1e308]])
+
+
+def _count_backward_rules(monkeypatch):
+    """Wrap every backward rule; returns (calls per op kind, call log)."""
+    calls = Counter()
+    log = []
+    for kind, rule in list(diffcore._BACKWARD.items()):
+
+        def counted(g, out, ins, meta, wants, rule=rule, kind=kind):
+            calls[kind] += 1
+            contribs = rule(g, out, ins, meta, wants)
+            log.append((kind, wants, contribs))
+            return contribs
+
+        monkeypatch.setitem(diffcore._BACKWARD, kind, counted)
+    return calls, log
+
+
+class TestPrunedBackward:
+    def test_no_rule_runs_for_a_node_no_parameter_reaches(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        tape = Tape()
+        p = tape.parameter(rng.normal(size=(3, 4)), "p")
+        frozen = tape.tanh(tape.scale(tape.constant(rng.normal(size=(3, 4))), 2.0))
+        loss = sum_all(tape, tape.mul(p, frozen))
+        calls, log = _count_backward_rules(monkeypatch)
+        tape.backward(loss)
+        assert calls == {"matmul": 2, "elementwise-mul": 1}
+        for kind, wants, contribs in log:
+            assert [c is not None for c in contribs] == list(wants), kind
+
+    def test_loss_no_parameter_reaches_runs_no_rule(self, monkeypatch):
+        tape = Tape()
+        p = tape.parameter(np.ones((2, 2)), "p")
+        loss = sum_all(tape, tape.tanh(tape.constant(np.ones((2, 2)))))
+        calls, _ = _count_backward_rules(monkeypatch)
+        grads = tape.backward(loss)
+        assert not calls
+        np.testing.assert_array_equal(grads["p"], np.zeros((2, 2)))
+        assert not np.shares_memory(grads["p"], tape.value(p))
+
+    def test_constant_operands_get_no_gradient_formed(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        tape = Tape()
+        x = tape.constant(rng.normal(size=(5, 3)))
+        w = tape.parameter(rng.normal(size=(3, 2)), "w")
+        target = tape.constant(np.full((5, 2), 0.5))
+        loss = tape.kl_div(target, tape.row_softmax(tape.matmul(x, w), 1.0))
+        _, log = _count_backward_rules(monkeypatch)
+        tape.backward(loss)
+        wants = {kind: w for kind, w, _ in log}
+        assert wants["matmul"] == (False, True)
+        assert wants["kl-divergence-rows"] == (False, True)
+
+    def test_aliased_adjoints_match_the_unpruned_sweep_bitwise(self):
+        """add hands one upstream buffer to both of its inputs. p then
+        takes a second contribution from tanh: accumulating in place would
+        change q's gradient too. a and b share their buffer to the end."""
+        rng = np.random.default_rng(32)
+        tape = Tape()
+        p, q, a, b = (tape.parameter(rng.normal(size=(3, 3)), n) for n in "pqab")
+        r = tape.tanh(p)
+        total = tape.add(tape.add(tape.add(p, q), r), tape.add(a, b))
+        loss = sum_all(tape, tape.mul(total, tape.constant(rng.uniform(0.5, 1.5, (3, 3)))))
+        grads = tape.backward(loss)
+        expected = reference_backward(tape, loss)
+        for name in "pqab":
+            np.testing.assert_array_equal(grads[name], expected[name])
+        arrays = list(grads.values())
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    def test_gradient_of_a_parameter_loss_is_a_fresh_array(self):
+        tape = Tape()
+        p = tape.parameter(np.array([[2.0]]), "p")
+        grads = tape.backward(p)
+        np.testing.assert_array_equal(grads["p"], [[1.0]])
+        assert not np.shares_memory(grads["p"], tape.value(p))
 
 
 def _fd_case(name, build, shapes, seed):

@@ -4,6 +4,7 @@ format with its checksum and error kinds."""
 import numpy as np
 import pytest
 
+from conftest import encode_text, sum_all
 from ordinalproto.diffcore import Tape, finite_difference_check
 from ordinalproto.encoders import (
     BadMagicError,
@@ -14,7 +15,6 @@ from ordinalproto.encoders import (
     PseudoTextEncoder,
     TruncatedPayloadError,
     encode_images,
-    encode_text,
     export_prototypes,
     fnv1a64,
     import_prototypes,
@@ -106,11 +106,11 @@ class TestImageEncoder:
             probe = ImageEncoder(w1, enc.b1, enc.w2, enc.b2)
             tape = Tape()
             _, emb = probe.encode(tape, batch)
-            return tape.value(tape.sum_all(emb))[0, 0]
+            return tape.value(sum_all(tape, emb))[0, 0]
 
         tape = Tape()
         _, emb = enc.encode(tape, batch)
-        analytic = tape.backward(tape.sum_all(emb))["image.w1"]
+        analytic = tape.backward(sum_all(tape, emb))["image.w1"]
         assert finite_difference_check(loss_with, enc.w1, analytic, h=1e-5) <= 1e-4
 
 

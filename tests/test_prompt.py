@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import sum_all
 from ordinalproto.diffcore import Tape
 from ordinalproto.prompt import (
     INVERSE_PROPORTION,
@@ -105,7 +106,7 @@ class TestInterpolateRankEmbeddings:
         tape = Tape()
         base = tape.parameter(rng.normal(size=(3, 4)), "base")
         node = interpolate_rank_embeddings(tape, weights, base)
-        grads = tape.backward(tape.sum_all(node))
+        grads = tape.backward(sum_all(tape, node))
         # d sum(W @ B) / dB = W^T @ ones
         np.testing.assert_allclose(grads["base"], weights.T @ np.ones((5, 4)), atol=1e-12)
 

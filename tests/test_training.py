@@ -1,0 +1,151 @@
+"""Model training: seeded determinism, the tune gates, the pruned reverse
+sweep against the unpruned reference, and finite differences through the
+whole loss."""
+
+import numpy as np
+import pytest
+
+from conftest import reference_backward
+from ordinalproto import data, training
+from ordinalproto.diffcore import finite_difference_check
+from ordinalproto.prompt import LINEAR, PromptConfig
+
+NUM_RANKS = 5
+TEMPERATURE = 0.07
+PROMPT_METHODS = (training.ORDINALCLIP, training.COOP)
+GATES = ((True, True), (False, True), (True, False), (False, False))
+
+
+def _dataset():
+    return data.generate_synthetic(NUM_RANKS, 8, 4, 0.25, 0)
+
+
+def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0):
+    prompt_cfg = None
+    if method != training.BASELINE:
+        prompt_cfg = PromptConfig(
+            NUM_RANKS, num_base_ranks=3, num_context=num_context, word_dim=6,
+            interpolation=LINEAR, tune_rank=tune_rank, tune_ctx=tune_ctx,
+        )
+    return training.build_model(
+        method, NUM_RANKS, prompt_cfg, input_dim=4, hidden_dim=5, latent_dim=6,
+        max_len=4, vocab_size=8, init_seed=init_seed,
+    )
+
+
+def _batch():
+    ds = _dataset()
+    idx = np.arange(0, len(ds), 4)
+    return ds.features[idx], ds.labels[idx]
+
+
+def _all_parameters(state):
+    out = dict(state.image_encoder.parameters())
+    if state.uses_prompts:
+        out["context"] = state.context
+        out["base_ranks"] = state.base_ranks
+    else:
+        out["head.weights"] = state.head_weights
+        out["head.bias"] = state.head_bias
+    return {name: value.copy() for name, value in out.items()}
+
+
+def _fit(state, seed=0):
+    cfg = training.TrainConfig(epochs=3, batch_size=16, seed=seed, decay_epochs=(2,))
+    return training.fit(state, _dataset(), cfg)
+
+
+class TestFit:
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_same_seed_gives_bitwise_equal_parameters(self, method):
+        runs = []
+        for _ in range(2):
+            state = _model(method)
+            trace = _fit(state)
+            runs.append((_all_parameters(state), trace.rows))
+        (params_a, rows_a), (params_b, rows_b) = runs
+        assert rows_a == rows_b
+        assert params_a.keys() == params_b.keys()
+        for name in params_a:
+            np.testing.assert_array_equal(params_a[name], params_b[name])
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS)
+    @pytest.mark.parametrize("tune_rank, tune_ctx", GATES[1:])
+    def test_gated_groups_stay_bitwise_unchanged(self, method, tune_rank, tune_ctx):
+        state = _model(method, tune_rank, tune_ctx)
+        before = _all_parameters(state)
+        _fit(state)
+        after = _all_parameters(state)
+        for name, tuned in (("base_ranks", tune_rank), ("context", tune_ctx)):
+            if tuned:
+                assert not np.array_equal(before[name], after[name]), name
+            else:
+                np.testing.assert_array_equal(before[name], after[name])
+        assert not np.array_equal(before["image.w1"], after["image.w1"])
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS)
+    @pytest.mark.parametrize("tune_rank, tune_ctx", GATES)
+    def test_gated_groups_are_absent_from_backward(self, method, tune_rank, tune_ctx):
+        state = _model(method, tune_rank, tune_ctx)
+        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
+        grads = tape.backward(loss)
+        assert ("base_ranks" in grads) == tune_rank
+        assert ("context" in grads) == tune_ctx
+        assert grads.keys() == state.trainable_parameters().keys()
+
+
+class TestBackwardOnTheTrainingTape:
+    @pytest.mark.parametrize(
+        "method, tune_rank, tune_ctx",
+        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
+    )
+    def test_matches_the_unpruned_sweep_bitwise(self, method, tune_rank, tune_ctx):
+        state = _model(method, tune_rank, tune_ctx)
+        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
+        grads = tape.backward(loss)
+        expected = reference_backward(tape, loss)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], expected[name])
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_two_backward_calls_return_equal_unshared_arrays(self, method):
+        state = _model(method)
+        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
+        first = tape.backward(loss)
+        second = tape.backward(loss)
+        live = state.trainable_parameters()
+        assert first.keys() == second.keys() == live.keys()
+        arrays = list(first.values()) + list(second.values()) + list(live.values())
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name])
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+class TestWholeLossFiniteDifferences:
+    """Gradients of the whole forward_loss against central differences."""
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS)
+    @pytest.mark.parametrize("name", ["context", "base_ranks", "image.w1"])
+    def test_gradient_matches_finite_differences(self, method, name):
+        state = _model(method)
+        batch_x, batch_y = _batch()
+
+        def set_param(value):
+            if name == "image.w1":
+                state.image_encoder.w1 = value
+            else:
+                setattr(state, name, value)
+
+        def loss_at(value):
+            set_param(value)
+            tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
+            return tape.value(loss)[0, 0]
+
+        point = state.trainable_parameters()[name].copy()
+        tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
+        analytic = tape.backward(loss)[name]
+        assert np.abs(analytic).max() > 0
+        assert finite_difference_check(loss_at, point, analytic, h=1e-5) <= 1e-4
