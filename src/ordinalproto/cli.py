@@ -176,9 +176,14 @@ def _format_value(value) -> str:
 def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
     if cfg["data_source"] == "csv":
         return datamod.load_csv(cfg["csv_path"])
-    return datamod.generate_synthetic(
-        cfg["num_ranks"], cfg["per_rank"], cfg["input_dim"], cfg["noise_sigma"], cfg["data_seed"]
-    )
+    # Every check generate_synthetic makes is a check on config values.
+    try:
+        return datamod.generate_synthetic(
+            cfg["num_ranks"], cfg["per_rank"], cfg["input_dim"], cfg["noise_sigma"],
+            cfg["data_seed"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _split(cfg: dict, ds: datamod.OrdinalDataset):
@@ -187,6 +192,10 @@ def _split(cfg: dict, ds: datamod.OrdinalDataset):
         test_fraction=1.0 - cfg["train_fraction"],
         seed=cfg["data_seed"],
     )
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return datamod.train_test_split(ds, spec)
 
 

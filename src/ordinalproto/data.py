@@ -200,13 +200,16 @@ def load_csv(path) -> OrdinalDataset:
                 f"line {lineno}: expected {dim + 1} cells, got {len(cells)}"
             )
         try:
-            raw_labels.append(int(float(cells[0])))
+            rank = float(cells[0])
             features.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             bad = next(
                 i for i, c in enumerate(cells) if not _is_number(c)
             )
             raise ValueError(f"line {lineno}, column {bad}: non-numeric cell {cells[bad]!r}") from exc
+        if not rank.is_integer():
+            raise ValueError(f"line {lineno}, column 0: rank {cells[0]!r} is not an integer")
+        raw_labels.append(int(rank))
     if not raw_labels:
         raise ValueError(f"no samples in dataset file: {path}")
     distinct = sorted(set(raw_labels))

@@ -16,11 +16,15 @@ The tape does only the work a parameter gradient needs:
   adopted as is; a copy is made only when a second contribution is
   accumulated into a borrowed buffer. Returned gradients never alias
   one another or any buffer of the tape.
+- Cheap recording. `Tape.record` finds the forward rule with one dict
+  lookup, checks each input index while gathering the input nodes, and
+  stores no per-node metadata an op does not produce.
 - Finiteness. Every recorded value is checked with one BLAS sum of
-  squares, which is non-finite whenever an entry is. Only a non-finite
-  sum, from such an entry or from overflow on huge finite entries, pays
-  for the full entrywise scan, so an op raises exactly when its value
-  has a non-finite entry.
+  squares, tested as a Python float with `math.isfinite`; the sum is
+  non-finite whenever an entry is. Only a non-finite sum, from such an
+  entry or from overflow on huge finite entries, pays for the full
+  entrywise scan, so an op raises exactly when its value has a
+  non-finite entry.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
@@ -30,6 +34,7 @@ tapes share no mutable state and may live on distinct threads.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -64,8 +69,9 @@ def _as_matrix(array) -> np.ndarray:
 def _check_finite(value: np.ndarray, op: str) -> None:
     # vdot sets no numpy floating-point flag, so an overflowing sum of
     # finite entries neither warns nor raises; it only falls through to
-    # the exact scan.
-    if not np.isfinite(np.vdot(value, value)) and not np.isfinite(value).all():
+    # the exact scan. Its result is a float64 scalar, which math.isfinite
+    # tests without a ufunc call.
+    if not math.isfinite(np.vdot(value, value)) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -73,7 +79,8 @@ class _Node:
     """One tape entry.
 
     `wants[k]` is whether input k needs a gradient (a parameter reaches
-    it); `needs_grad` is whether this node does.
+    it); `needs_grad` is whether this node does. `meta` is whatever the
+    forward rule returned for its backward rule, or None.
     """
 
     __slots__ = ("op", "inputs", "value", "meta", "name", "wants", "needs_grad")
@@ -82,7 +89,7 @@ class _Node:
         self.op = op
         self.inputs = inputs
         self.value = value
-        self.meta = meta or {}
+        self.meta = meta
         self.name = name
         self.wants = wants
         self.needs_grad = needs_grad
@@ -138,19 +145,22 @@ class Tape:
         temperature (softmaxes), factor (scalar-scale), weights
         (weighted-sum).
         """
-        if op_kind not in OP_KINDS:
+        forward = _FORWARD.get(op_kind)
+        if forward is None:
             raise ValueError(f"unknown op kind {op_kind!r}; valid kinds: {OP_KINDS}")
         nodes = self._nodes
+        idx = len(nodes)
         inputs = tuple(map(int, inputs))
+        in_nodes = []
         for i in inputs:
-            if not 0 <= i < len(nodes):
+            if not 0 <= i < idx:
                 raise ValueError(f"input node {i} not on tape")
-        in_nodes = [nodes[i] for i in inputs]
-        value, meta = _FORWARD[op_kind]([n.value for n in in_nodes], params)
+            in_nodes.append(nodes[i])
+        value, meta = forward([n.value for n in in_nodes], params)
         _check_finite(value, op_kind)
         wants = tuple([n.needs_grad for n in in_nodes])
         needs_grad = True in wants
-        idx = self._append(_Node(op_kind, inputs, value, meta, wants=wants, needs_grad=needs_grad))
+        nodes.append(_Node(op_kind, inputs, value, meta, None, wants, needs_grad))
         if needs_grad:
             self._grad_ops.append(idx)
         return idx
@@ -304,7 +314,9 @@ def _fwd_col_softmax(vals, params):
 
 def _fwd_l2_normalize_rows(vals, params):
     (a,) = vals
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    # What np.linalg.norm(a, axis=1, keepdims=True) computes for real
+    # input, without its dispatch.
+    norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
     zero = np.flatnonzero(norms.ravel() == 0.0)
     if zero.size:
         raise ValueError(f"l2-normalize-rows: row {zero[0]} is the zero vector")
@@ -318,9 +330,11 @@ def _fwd_kl(vals, params):
     if (p < 0).any():
         raise ValueError("kl-divergence-rows: target has negative entries")
     support = p > 0
-    if (q[support] <= 0).any():
+    p_s = p[support]
+    q_s = q[support]
+    if (q_s <= 0).any():
         raise ValueError("kl-divergence-rows: prediction is zero on the target support")
-    total = float(np.sum(p[support] * (np.log(p[support]) - np.log(q[support]))))
+    total = float(np.sum(p_s * (np.log(p_s) - np.log(q_s))))
     return np.array([[total]]), {"support": support}
 
 
@@ -332,7 +346,7 @@ def _fwd_concat_rows(vals, params):
     cols = {v.shape[1] for v in vals}
     if len(vals) == 0 or len(cols) != 1:
         raise _shape_err("concat-rows", [v.shape for v in vals])
-    return np.vstack(vals), {"row_counts": [v.shape[0] for v in vals]}
+    return np.concatenate(vals), {"row_counts": [v.shape[0] for v in vals]}
 
 
 def _fwd_weighted_sum(vals, params):

@@ -289,11 +289,20 @@ def evaluate(
 
 
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moment estimates per parameter plus the step counter.
+
+    An update works in place: every temporary lands in one of two scratch
+    buffers per parameter group, allocated once. It performs the same float
+    operations in the same order as the textbook expressions
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (rate*(m/bias1)) / (sqrt(v/bias2) + eps), so the result is
+    bitwise the same.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.step = 0
         self.beta1 = cfg.beta1
         self.beta2 = cfg.beta2
@@ -302,18 +311,29 @@ class AdamState:
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                lr: float, lr_mults: dict[str, float] | None = None) -> None:
         self.step += 1
-        bias1 = 1.0 - self.beta1**self.step
-        bias2 = 1.0 - self.beta2**self.step
+        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        bias1 = 1.0 - beta1**self.step
+        bias2 = 1.0 - beta2**self.step
+        mults = lr_mults or {}
         for name in sorted(params):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            rate = lr * (lr_mults or {}).get(name, 1.0)
-            params[name] -= rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            a, b = self._scratch[name]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=a)
+            m += a
+            v *= beta2
+            np.multiply(g, 1.0 - beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bias1, out=a)
+            a *= lr * mults.get(name, 1.0)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            params[name] -= a
 
 
 def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
@@ -445,7 +465,11 @@ def save_state(state: ModelState, path) -> None:
 
 
 def load_state_into(state: ModelState, path) -> ModelState:
-    """Restore parameters saved by save_state into a freshly built model."""
+    """Restore parameters saved by save_state into a freshly built model.
+
+    Every block's shape is checked against the model before anything is
+    assigned, so a checkpoint that does not fit leaves the model as it was.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(5)
         fh.seek(0)
@@ -457,16 +481,30 @@ def load_state_into(state: ModelState, path) -> ModelState:
                 raise ValueError(
                     f"checkpoint num_ranks {num_ranks} != model num_ranks {state.num_ranks}"
                 )
-            state.context = ctx
-            state.base_ranks = base
+            blocks = {"context": ctx, "base_ranks": base}
         elif magic == BASELINE_MAGIC:
             if state.uses_prompts:
                 raise ValueError("checkpoint holds a baseline head; model uses prompts")
             fh.read(5)
             rows, cols = struct.unpack("<2Q", fh.read(16))
-            state.head_weights = prompt.read_matrix(fh, rows, cols, "head weights")
-            state.head_bias = prompt.read_matrix(fh, 1, rows, "head bias")
+            blocks = {
+                "head_weights": prompt.read_matrix(fh, rows, cols, "head weights"),
+                "head_bias": prompt.read_matrix(fh, 1, rows, "head bias"),
+            }
         else:
             raise ValueError(f"unrecognized checkpoint magic {magic!r}")
-        state.image_encoder = _read_image_block(fh)
+        image = _read_image_block(fh)
+    checks = [(name, array, getattr(state, name)) for name, array in blocks.items()]
+    checks += [
+        (f"image {name}", getattr(image, name), getattr(state.image_encoder, name))
+        for name in ("w1", "b1", "w2", "b2")
+    ]
+    for name, loaded, current in checks:
+        if loaded.shape != current.shape:
+            raise ValueError(
+                f"checkpoint {name} has shape {loaded.shape}; the model expects {current.shape}"
+            )
+    for name, array in blocks.items():
+        setattr(state, name, array)
+    state.image_encoder = image
     return state

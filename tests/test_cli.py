@@ -14,6 +14,10 @@ from ordinalproto import cli
         ("num_context = 16", "max_len"),
         ("batch_size = 0", "batch_size"),
         ("temperature = 0", "temperature"),
+        ("num_ranks = 1", "2 ranks"),
+        ("per_rank = 0", "per_rank"),
+        ("train_fraction = 1.5", "train fraction"),
+        ("noise_sigma = -1", "noise_sigma"),
     ],
 )
 def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):

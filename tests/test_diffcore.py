@@ -7,6 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import reference_backward, sum_all
 from ordinalproto import diffcore
@@ -93,6 +96,14 @@ class TestRecordContract:
         a = tape.constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="unknown op kind"):
             tape.record("outer-product", (a, a))
+
+    @pytest.mark.parametrize("bad", [-1, 1, 7])
+    def test_input_off_the_tape_rejected_before_recording(self, bad):
+        tape = Tape()
+        a = tape.constant(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=rf"^input node {bad} not on tape$"):
+            tape.add(a, bad)
+        assert len(tape) == 1
 
     def test_shape_mismatch_reports_shapes(self):
         tape = Tape()
@@ -399,6 +410,170 @@ class TestPrimitiveGradients:
             return t.value(l)[0, 0]
 
         assert finite_difference_check(f, q0, analytic, h=H) <= FD_TOL
+
+
+# ---------------------------------------------------------------------------
+# property tests: every op kind over random small shapes, input roles and
+# op parameters. Hypothesis draws the structure; a seeded generator draws
+# the values, well away from zero and from the kinks of each op's domain,
+# so the finite-difference comparison stays well conditioned.
+
+PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+_dims = st.integers(1, 4)
+
+
+def _signed(rng, shape):
+    return rng.uniform(0.25, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+
+
+@st.composite
+def _op_cases(draw, kind):
+    """(build, input values) for one op kind; build(tape, nodes) -> node."""
+    rows, cols = draw(_dims), draw(_dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "matmul":
+        shapes = [(rows, cols), (cols, draw(_dims))]
+        build = lambda t, n: t.matmul(*n)
+    elif kind == "add":
+        shapes = [(rows, cols), draw(st.sampled_from([(rows, cols), (1, cols)]))]
+        build = lambda t, n: t.add(*n)
+    elif kind == "elementwise-mul":
+        shapes = [(rows, cols)] * 2
+        build = lambda t, n: t.mul(*n)
+    elif kind in ("row-softmax-with-temperature", "col-softmax-with-temperature"):
+        temperature = draw(st.floats(0.5, 2.0))
+        method = "row_softmax" if kind.startswith("row") else "col_softmax"
+        shapes = [(rows, cols)]
+        build = lambda t, n: getattr(t, method)(n[0], temperature)
+    elif kind == "l2-normalize-rows":
+        shapes = [(rows, cols)]
+        build = lambda t, n: t.l2_normalize_rows(n[0])
+    elif kind == "kl-divergence-rows":
+        p = rng.uniform(0.25, 1.0, size=(rows, cols))
+        q = rng.uniform(0.5, 2.0, size=(rows, cols))
+        return (lambda t, n: t.kl_div(*n)), [p, q]
+    elif kind == "scalar-scale":
+        factor = draw(st.floats(-3.0, 3.0))
+        shapes = [(rows, cols)]
+        build = lambda t, n: t.scale(n[0], factor)
+    elif kind == "concat-rows":
+        shapes = [(draw(_dims), cols) for _ in range(draw(st.integers(1, 3)))]
+        build = lambda t, n: t.concat_rows(n)
+    elif kind == "weighted-sum":
+        weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+        shapes = [(rows, cols)] * len(weights)
+        build = lambda t, n: t.weighted_sum(n, weights)
+    elif kind == "transpose":
+        shapes = [(rows, cols)]
+        build = lambda t, n: t.transpose(n[0])
+    elif kind == "tanh":
+        shapes = [(rows, cols)]
+        build = lambda t, n: t.tanh(n[0])
+    else:
+        raise AssertionError(f"no property case for op kind {kind!r}")
+    return build, [_signed(rng, shape) for shape in shapes]
+
+
+def _wiring(draw, kind, values):
+    """For each input, the leaf it reads: itself, or an earlier input of the
+    same shape (one leaf feeding several operands, so adjoints accumulate);
+    and for each leaf, whether it is a parameter. At least one is."""
+    sources = []
+    for i, v in enumerate(values):
+        same = [j for j in range(i) if values[j].shape == v.shape and sources[j] == j]
+        shared = kind != "kl-divergence-rows" and same and draw(st.booleans())
+        sources.append(draw(st.sampled_from(same)) if shared else i)
+    leaves = sorted(set(sources))
+    params = [leaf for leaf in leaves if draw(st.booleans())] or [draw(st.sampled_from(leaves))]
+    return sources, params
+
+
+def _property_tape(build, values, sources, params, weight_seed):
+    """Leaf i is parameter p{i} or a constant; the op output is reduced to a
+    1x1 loss through fixed positive weights."""
+    tape = Tape()
+    leaf = {
+        i: tape.parameter(values[i], f"p{i}") if i in params else tape.constant(values[i])
+        for i in sorted(set(sources))
+    }
+    out = build(tape, [leaf[i] for i in sources])
+    return tape, _scalarize(tape, out, np.random.default_rng(weight_seed))
+
+
+@pytest.mark.parametrize("kind", OP_KINDS)
+class TestOpProperties:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_backward_matches_the_unpruned_sweep_bitwise(self, kind, data):
+        build, values = data.draw(_op_cases(kind))
+        sources, params = _wiring(data.draw, kind, values)
+        tape, loss = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
+        grads = tape.backward(loss)
+        expected = reference_backward(tape, loss)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], expected[name])
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_backward_agrees_with_finite_differences(self, kind, data):
+        build, values = data.draw(_op_cases(kind))
+        sources, params = _wiring(data.draw, kind, values)
+        weight_seed = data.draw(st.integers(0, 99))
+        tape, loss = _property_tape(build, values, sources, params, weight_seed)
+        grads = tape.backward(loss)
+        for target in params:
+
+            def f(point, target=target):
+                moved = list(values)
+                moved[target] = point
+                t, l = _property_tape(build, moved, sources, params, weight_seed)
+                return t.value(l)[0, 0]
+
+            err = finite_difference_check(f, values[target], grads[f"p{target}"], h=H)
+            assert err <= FD_TOL, f"input {target}: relative error {err}"
+
+
+_finite = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+    elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+class TestForwardFormulas:
+    """The forward rules against the plain numpy formulas they replace,
+    bitwise, on arbitrary finite values."""
+
+    @PROPERTY_SETTINGS
+    @given(a=_finite)
+    def test_l2_normalize_equals_linalg_norm(self, a):
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        assume((norms > 0).all())
+        tape = Tape()
+        out = tape.l2_normalize_rows(tape.constant(a))
+        np.testing.assert_array_equal(tape.value(out), a / norms)
+
+    @PROPERTY_SETTINGS
+    @given(parts=st.lists(_finite, min_size=1, max_size=3))
+    def test_concat_rows_equals_vstack(self, parts):
+        parts = [p[:, :1] for p in parts]
+        tape = Tape()
+        out = tape.concat_rows([tape.constant(p) for p in parts])
+        np.testing.assert_array_equal(tape.value(out), np.vstack(parts))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_kl_equals_the_two_gather_formula(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
+        p = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        q = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-3, 1.0)))
+        s = p > 0
+        expected = float(np.sum(p[s] * (np.log(p[s]) - np.log(q[s]))))
+        tape = Tape()
+        out = tape.kl_div(tape.constant(p), tape.constant(q))
+        assert tape.value(out)[0, 0] == expected
 
 
 class TestFiniteDifferenceCheck:

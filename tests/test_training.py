@@ -1,6 +1,6 @@
 """Model training: seeded determinism, the tune gates, the pruned reverse
-sweep against the unpruned reference, and finite differences through the
-whole loss."""
+sweep against the unpruned reference, finite differences through the
+whole loss, the in-place Adam step, and checkpoint loading."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ def _dataset():
     return data.generate_synthetic(NUM_RANKS, 8, 4, 0.25, 0)
 
 
-def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0):
+def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0, hidden_dim=5):
     prompt_cfg = None
     if method != training.BASELINE:
         prompt_cfg = PromptConfig(
@@ -28,7 +28,7 @@ def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0):
             interpolation=LINEAR, tune_rank=tune_rank, tune_ctx=tune_ctx,
         )
     return training.build_model(
-        method, NUM_RANKS, prompt_cfg, input_dim=4, hidden_dim=5, latent_dim=6,
+        method, NUM_RANKS, prompt_cfg, input_dim=4, hidden_dim=hidden_dim, latent_dim=6,
         max_len=4, vocab_size=8, init_seed=init_seed,
     )
 
@@ -149,3 +149,72 @@ class TestWholeLossFiniteDifferences:
         analytic = tape.backward(loss)[name]
         assert np.abs(analytic).max() > 0
         assert finite_difference_check(loss_at, point, analytic, h=1e-5) <= 1e-4
+
+
+class TestAdam:
+    def test_in_place_update_matches_the_textbook_expressions_bitwise(self):
+        rng = np.random.default_rng(40)
+        cfg = training.TrainConfig(beta1=0.85, beta2=0.995, adam_eps=1e-7)
+        params = {name: rng.normal(size=(3, 4)) for name in ("a", "b")}
+        expected = {name: value.copy() for name, value in params.items()}
+        m = {name: np.zeros((3, 4)) for name in params}
+        v = {name: np.zeros((3, 4)) for name in params}
+        adam = training.AdamState(params, cfg)
+        mults = {"b": 0.5}
+        for step in range(1, 6):
+            grads = {name: rng.normal(size=(3, 4)) for name in params}
+            adam.update(params, grads, 0.01, mults)
+            bias1 = 1.0 - cfg.beta1**step
+            bias2 = 1.0 - cfg.beta2**step
+            for name, g in grads.items():
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+                rate = 0.01 * mults.get(name, 1.0)
+                expected[name] = expected[name] - rate * (m[name] / bias1) / (
+                    np.sqrt(v[name] / bias2) + cfg.adam_eps
+                )
+            for name in params:
+                np.testing.assert_array_equal(params[name], expected[name])
+                np.testing.assert_array_equal(adam.m[name], m[name])
+                np.testing.assert_array_equal(adam.v[name], v[name])
+
+
+class TestLoadState:
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_round_trip_restores_every_group_bitwise(self, tmp_path, method):
+        trained = _model(method)
+        _fit(trained)
+        training.save_state(trained, tmp_path / "ckpt.bin")
+        fresh = training.load_state_into(_model(method, init_seed=1), tmp_path / "ckpt.bin")
+        saved, loaded = _all_parameters(trained), _all_parameters(fresh)
+        assert saved.keys() == loaded.keys()
+        for name in saved:
+            np.testing.assert_array_equal(saved[name], loaded[name])
+
+    @pytest.mark.parametrize(
+        "method, saved_kwargs, block",
+        [
+            (training.ORDINALCLIP, {"num_context": 3}, "checkpoint context"),
+            (training.COOP, {"num_context": 1}, "checkpoint context"),
+            (training.ORDINALCLIP, {"hidden_dim": 7}, "checkpoint image w1"),
+            (training.BASELINE, {"hidden_dim": 7}, "checkpoint image w1"),
+        ],
+    )
+    def test_mismatched_block_is_named_and_nothing_is_assigned(
+        self, tmp_path, method, saved_kwargs, block
+    ):
+        training.save_state(_model(method, **saved_kwargs), tmp_path / "ckpt.bin")
+        target = _model(method, init_seed=1)
+        before = _all_parameters(target)
+        with pytest.raises(ValueError, match=block):
+            training.load_state_into(target, tmp_path / "ckpt.bin")
+        after = _all_parameters(target)
+        for name in before:
+            np.testing.assert_array_equal(before[name], after[name])
+
+    def test_base_ranks_of_another_count_are_rejected(self, tmp_path):
+        state = _model(training.ORDINALCLIP)
+        training.save_state(state, tmp_path / "ckpt.bin")
+        coop = _model(training.COOP)
+        with pytest.raises(ValueError, match="checkpoint base_ranks"):
+            training.load_state_into(coop, tmp_path / "ckpt.bin")
