@@ -3,6 +3,9 @@
 Subcommands cover the full desk-scale experiment matrix: single
 train/eval runs, the interpolation-type sweep, the tuning/init ablation
 grid, few-shot curves, distribution-shift grids, and run verification.
+Each subcommand registers its handler with the parser, and `main` calls
+it. The four grid commands (sweep, ablation, few-shot, distribution
+shift) share one runner, `_run_grid`, over methods x cells x seeds.
 Every command is a pure function of (config, seed): rerunning a command
 into a fresh directory reproduces byte-identical outputs, and each run
 directory carries a manifest (resolved config plus FNV-1a file checksums)
@@ -175,7 +178,10 @@ def _format_value(value) -> str:
 
 def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
     if cfg["data_source"] == "csv":
-        return datamod.load_csv(cfg["csv_path"])
+        try:
+            return datamod.load_csv(cfg["csv_path"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"csv_path {cfg['csv_path']!r}: {exc}") from exc
     # Every check generate_synthetic makes is a check on config values.
     try:
         return datamod.generate_synthetic(
@@ -186,17 +192,19 @@ def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
         raise ConfigError(str(exc)) from exc
 
 
-def _split(cfg: dict, ds: datamod.OrdinalDataset):
-    spec = datamod.SplitSpec(
-        train_fraction=cfg["train_fraction"],
-        test_fraction=1.0 - cfg["train_fraction"],
-        seed=cfg["data_seed"],
-    )
+def _prepare(cfg: dict, out_dir: str):
+    """Create the output directory, then load and split the data;
+    returns (out, train_ds, test_ds)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ds = _load_dataset(cfg)
+    fraction = cfg["train_fraction"]
+    spec = datamod.SplitSpec(fraction, 1.0 - fraction, seed=cfg["data_seed"])
+    # Every check train_test_split makes is a check on config values.
     try:
-        spec.validate()
+        return (out, *datamod.train_test_split(ds, spec))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return datamod.train_test_split(ds, spec)
 
 
 def _prompt_config(cfg: dict, num_ranks: int, **overrides) -> promptmod.PromptConfig:
@@ -273,21 +281,40 @@ def _run_cell(cfg: dict, method: str, train_ds, test_ds, seed: int,
     return report, state, trace
 
 
-def _mean_over_seeds(cfg: dict, method: str, make_train_ds, test_ds, **prompt_overrides):
-    """Mean (mae, ordinality) over eval_seeds training repetitions.
+def _whole(ds: datamod.OrdinalDataset, seed: int) -> datamod.OrdinalDataset:
+    """The column subsample that keeps every training sample."""
+    return ds
 
-    make_train_ds(rep_seed) supplies the (possibly subsampled) training
-    split so all methods see identically seeded subsamples per repetition.
+
+def _eval_seeds(cfg: dict) -> range:
+    return range(cfg["seed"], cfg["seed"] + cfg["eval_seeds"])
+
+
+def _run_grid(cfg: dict, train_ds, test_ds, rows, cols, seeds):
+    """(mean MAE table, mean ordinality table), one row per `rows` entry
+    and one column per `cols` entry.
+
+    A row is (method, prompt overrides); a column is (subsample, prompt
+    overrides), where subsample(train_ds, seed) supplies the cell's
+    training split. Each cell trains once per seed, and that seed drives
+    both the subsample and the model, so all methods see identically
+    seeded subsamples per repetition.
     """
-    maes, ords = [], []
-    for rep in range(cfg["eval_seeds"]):
-        rep_seed = cfg["seed"] + rep
-        report, _, _ = _run_cell(
-            cfg, method, make_train_ds(rep_seed), test_ds, rep_seed, **prompt_overrides
-        )
-        maes.append(report.mae)
-        ords.append(report.ordinality)
-    return float(np.mean(maes)), float(np.mean(ords))
+    mae_table, ord_table = [], []
+    for method, row_overrides in rows:
+        cells = [
+            [_run_cell(cfg, method, subsample(train_ds, seed), test_ds, seed,
+                       **row_overrides, **col_overrides)[0] for seed in seeds]
+            for subsample, col_overrides in cols
+        ]
+        mae_table.append([float(np.mean([r.mae for r in cell])) for cell in cells])
+        ord_table.append([float(np.mean([r.ordinality for r in cell])) for cell in cells])
+    return mae_table, ord_table
+
+
+def _labelled(labels, *tables) -> list[list]:
+    """Each label tuple followed by its row of every table, in order."""
+    return [list(label) + sum(rows, []) for label, *rows in zip(labels, *tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +386,20 @@ def _write_table_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # commands
 
 
-def cmd_train(config_path: str | None, out_dir: str) -> int:
-    cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_tables(out: Path, cfg: dict, header: list[str], tables: dict,
+                  extra: dict | None = None) -> int:
+    """Write each named table and the manifest; print the first table."""
+    for name, rows in tables.items():
+        _write_table_csv(out / name, header, rows)
+    _write_manifest(out, cfg, ORDINALCLIP, extra)
+    _print_table(header, next(iter(tables.values())))
+    return 0
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     method = cfg["method"]
-    train_ds, test_ds = _split(cfg, _load_dataset(cfg))
+    out, train_ds, test_ds = _prepare(cfg, args.out)
     report, state, trace = _run_cell(cfg, method, train_ds, test_ds, cfg["seed"])
 
     training.save_state(state, out / "checkpoint.bin")
@@ -389,31 +424,24 @@ def cmd_train(config_path: str | None, out_dir: str) -> int:
     return 0
 
 
-def cmd_sweep_interpolation(config_path: str | None, out_dir: str,
-                            counts: tuple[int, ...], kinds: tuple[str, ...]) -> int:
-    cfg = load_config(config_path)
+def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
+    """One ordinalclip fit per (interpolation type, base-rank count) at
+    the config seed."""
+    counts = _parse_int_list(args.counts)
+    kinds = tuple(k.strip() for k in args.types.split(",") if k.strip())
+    cfg = load_config(args.config)
     for kind in kinds:
         if kind not in promptmod.INTERPOLATION_KINDS:
             raise ConfigError(f"unknown interpolation type {kind!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _split(cfg, _load_dataset(cfg))
-    rows = []
-    for kind in kinds:
-        row = [kind]
-        for count in counts:
-            report, _, _ = _run_cell(
-                cfg, ORDINALCLIP, train_ds, test_ds, cfg["seed"],
-                interpolation=kind, num_base_ranks=count,
-            )
-            row.append(report.mae)
-        rows.append(row)
+    out, train_ds, test_ds = _prepare(cfg, args.out)
+    maes, _ = _run_grid(cfg, train_ds, test_ds,
+                        [(ORDINALCLIP, {"interpolation": kind}) for kind in kinds],
+                        [(_whole, {"num_base_ranks": count}) for count in counts],
+                        [cfg["seed"]])
     header = ["interpolation"] + [f"base_{c}" for c in counts]
-    _write_table_csv(out / "interpolation_sweep.csv", header, rows)
-    _write_manifest(out, cfg, ORDINALCLIP,
-                    {"sweep_counts": counts, "sweep_types": ",".join(kinds)})
-    _print_table(header, rows)
-    return 0
+    tables = {"interpolation_sweep.csv": _labelled([(kind,) for kind in kinds], maes)}
+    return _write_tables(out, cfg, header, tables,
+                         {"sweep_counts": counts, "sweep_types": ",".join(kinds)})
 
 
 ABLATION_CELLS = (
@@ -427,56 +455,44 @@ ABLATION_CELLS = (
 )
 
 
-def cmd_ablation(config_path: str | None, out_dir: str) -> int:
-    cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _split(cfg, _load_dataset(cfg))
-    rows = []
-    for method in (COOP, ORDINALCLIP):
-        for tune_rank, tune_ctx, init_ctx in ABLATION_CELLS:
-            mean_mae, mean_ord = _mean_over_seeds(
-                cfg, method, lambda rep_seed: train_ds, test_ds,
-                tune_rank=tune_rank, tune_ctx=tune_ctx, init_ctx=init_ctx,
-            )
-            rows.append([
-                method, _format_value(tune_rank), _format_value(tune_ctx),
-                _format_value(init_ctx), mean_mae, mean_ord,
-            ])
-    header = ["method", "tune_rank", "tune_ctx", "init_ctx", "mae", "ordinality"]
-    _write_table_csv(out / "ablation.csv", header, rows)
-    _write_manifest(out, cfg, ORDINALCLIP)
-    _print_table(header, rows)
-    return 0
+def cmd_ablation(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    out, train_ds, test_ds = _prepare(cfg, args.out)
+    cells = [(method, cell) for method in (COOP, ORDINALCLIP) for cell in ABLATION_CELLS]
+    keys = ("tune_rank", "tune_ctx", "init_ctx")
+    maes, ords = _run_grid(cfg, train_ds, test_ds,
+                           [(method, dict(zip(keys, cell))) for method, cell in cells],
+                           [(_whole, {})], _eval_seeds(cfg))
+    labels = [(method, *map(_format_value, cell)) for method, cell in cells]
+    header = ["method", *keys, "mae", "ordinality"]
+    return _write_tables(out, cfg, header, {"ablation.csv": _labelled(labels, maes, ords)})
 
 
 TABLE_METHODS = (BASELINE, COOP, ORDINALCLIP)
 
 
-def cmd_fewshot(config_path: str | None, out_dir: str, shots: tuple[int, ...]) -> int:
-    cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _split(cfg, _load_dataset(cfg))
-    mae_rows, ord_rows = [], []
-    for method in TABLE_METHODS:
-        mae_row, ord_row = [method], [method]
-        for shot in shots:
-            mean_mae, mean_ord = _mean_over_seeds(
-                cfg, method,
-                lambda rep_seed, s=shot: datamod.few_shot_subsample(train_ds, s, rep_seed),
-                test_ds,
-            )
-            mae_row.append(mean_mae)
-            ord_row.append(mean_ord)
-        mae_rows.append(mae_row)
-        ord_rows.append(ord_row)
-    header = ["method"] + [f"shot_{s}" for s in shots]
-    _write_table_csv(out / "fewshot_mae.csv", header, mae_rows)
-    _write_table_csv(out / "fewshot_ordinality.csv", header, ord_rows)
-    _write_manifest(out, cfg, ORDINALCLIP, {"shots": shots})
-    _print_table(header, mae_rows)
-    return 0
+def _method_tables(cfg: dict, out_dir: str, name: str, subsamples, headers: list[str],
+                   extra: dict) -> int:
+    """Every table method on every subsample column, into
+    <name>_mae.csv and <name>_ordinality.csv."""
+    out, train_ds, test_ds = _prepare(cfg, out_dir)
+    maes, ords = _run_grid(cfg, train_ds, test_ds, [(m, {}) for m in TABLE_METHODS],
+                           [(s, {}) for s in subsamples], _eval_seeds(cfg))
+    labels = [(method,) for method in TABLE_METHODS]
+    tables = {f"{name}_mae.csv": _labelled(labels, maes),
+              f"{name}_ordinality.csv": _labelled(labels, ords)}
+    return _write_tables(out, cfg, ["method"] + headers, tables, extra)
+
+
+def cmd_fewshot(args: argparse.Namespace) -> int:
+    shots = _parse_int_list(args.shots)
+    cfg = load_config(args.config)
+    return _method_tables(
+        cfg, args.out, "fewshot",
+        [lambda ds, seed, s=s: datamod.few_shot_subsample(ds, s, seed) for s in shots],
+        [f"shot_{s}" for s in shots],
+        {"shots": shots},
+    )
 
 
 def _parse_grid(raw: str) -> tuple[tuple[int, float], ...]:
@@ -497,36 +513,20 @@ def _parse_grid(raw: str) -> tuple[tuple[int, float], ...]:
     return tuple(cells)
 
 
-def cmd_distshift(config_path: str | None, out_dir: str, grid: str) -> int:
-    cfg = load_config(config_path)
-    cells = _parse_grid(grid)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _split(cfg, _load_dataset(cfg))
-    mae_rows, ord_rows = [], []
-    for method in TABLE_METHODS:
-        mae_row, ord_row = [method], [method]
-        for reduce_classes, reduce_fraction in cells:
-            mean_mae, mean_ord = _mean_over_seeds(
-                cfg, method,
-                lambda rep_seed, c=reduce_classes, f=reduce_fraction:
-                    datamod.distribution_shift_subsample(train_ds, c, f, rep_seed),
-                test_ds,
-            )
-            mae_row.append(mean_mae)
-            ord_row.append(mean_ord)
-        mae_rows.append(mae_row)
-        ord_rows.append(ord_row)
-    header = ["method"] + [f"{c}-{int(round(f * 100))}" for c, f in cells]
-    _write_table_csv(out / "distshift_mae.csv", header, mae_rows)
-    _write_table_csv(out / "distshift_ordinality.csv", header, ord_rows)
-    _write_manifest(out, cfg, ORDINALCLIP, {"grid": grid})
-    _print_table(header, mae_rows)
-    return 0
+def cmd_distshift(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    cells = _parse_grid(args.grid)
+    return _method_tables(
+        cfg, args.out, "distshift",
+        [lambda ds, seed, c=c, f=f: datamod.distribution_shift_subsample(ds, c, f, seed)
+         for c, f in cells],
+        [f"{c}-{int(round(f * 100))}" for c, f in cells],
+        {"grid": args.grid},
+    )
 
 
-def cmd_report(run_dir: str) -> int:
-    out = Path(run_dir)
+def cmd_report(args: argparse.Namespace) -> int:
+    out = Path(args.run_dir)
     try:
         config, files = _read_manifest(out)
     except VerificationError as exc:
@@ -578,6 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one model and write a run directory")
     train.add_argument("--config", default=None, help="key = value config file")
     train.add_argument("--out", required=True, help="output run directory")
+    train.set_defaults(handler=cmd_train)
 
     sweep = sub.add_parser("sweep-interpolation", help="base-rank count x type sweep")
     sweep.add_argument("--config", default=None)
@@ -586,24 +587,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated base-rank counts")
     sweep.add_argument("--types", default=",".join(promptmod.INTERPOLATION_KINDS),
                        help="comma-separated interpolation types")
+    sweep.set_defaults(handler=cmd_sweep_interpolation)
 
     ablation = sub.add_parser("ablation", help="tune/init grid for coop and ordinalclip")
     ablation.add_argument("--config", default=None)
     ablation.add_argument("--out", required=True)
+    ablation.set_defaults(handler=cmd_ablation)
 
     fewshot = sub.add_parser("fewshot", help="few-shot curves for all methods")
     fewshot.add_argument("--config", default=None)
     fewshot.add_argument("--out", required=True)
     fewshot.add_argument("--shots", default="1,2,4,8", help="comma-separated shot counts")
+    fewshot.set_defaults(handler=cmd_fewshot)
 
     distshift = sub.add_parser("distshift", help="distribution-shift grid for all methods")
     distshift.add_argument("--config", default=None)
     distshift.add_argument("--out", required=True)
     distshift.add_argument("--grid", default="8:0.9",
                            help="comma-separated classes:fraction cells")
+    distshift.set_defaults(handler=cmd_distshift)
 
     report = sub.add_parser("report", help="verify and summarize a run directory")
     report.add_argument("run_dir")
+    report.set_defaults(handler=cmd_report)
 
     return parser
 
@@ -611,24 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args.config, args.out)
-        if args.command == "sweep-interpolation":
-            counts = _parse_int_list(args.counts)
-            kinds = tuple(k.strip() for k in args.types.split(",") if k.strip())
-            return cmd_sweep_interpolation(args.config, args.out, counts, kinds)
-        if args.command == "ablation":
-            return cmd_ablation(args.config, args.out)
-        if args.command == "fewshot":
-            return cmd_fewshot(args.config, args.out, _parse_int_list(args.shots))
-        if args.command == "distshift":
-            return cmd_distshift(args.config, args.out, args.grid)
-        if args.command == "report":
-            return cmd_report(args.run_dir)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -106,6 +106,8 @@ def generate_synthetic(
         raise ValueError(f"need at least 2 ranks, got {num_ranks}")
     if per_rank < 1:
         raise ValueError(f"per_rank must be >= 1, got {per_rank}")
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
@@ -125,6 +127,10 @@ def train_test_split(ds: OrdinalDataset, spec: SplitSpec) -> tuple[OrdinalDatase
     spec.validate()
     perm = np.random.default_rng(spec.seed).permutation(len(ds))
     cut = int(len(ds) * spec.train_fraction)
+    if cut == 0:
+        raise ValueError(
+            f"train fraction {spec.train_fraction} of {len(ds)} samples leaves the train split empty"
+        )
     return ds.subset(perm[:cut]), ds.subset(perm[cut:])
 
 

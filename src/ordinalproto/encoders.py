@@ -188,12 +188,6 @@ class ImageEncoder:
             "image.b2": self.b2,
         }
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        self.w1 = np.asarray(params["image.w1"], dtype=np.float64)
-        self.b1 = np.asarray(params["image.b1"], dtype=np.float64)
-        self.w2 = np.asarray(params["image.w2"], dtype=np.float64)
-        self.b2 = np.asarray(params["image.b2"], dtype=np.float64)
-
     def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:
         """(pre-normalization features, unit-norm embeddings) nodes.
 

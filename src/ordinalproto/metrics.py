@@ -77,7 +77,7 @@ def prototype_similarity(prototypes: np.ndarray, temperature: float) -> np.ndarr
     return probs / probs.max()
 
 
-def ordinality_score(prototypes: np.ndarray, temperature: float = 1.0) -> float:
+def ordinality_score(prototypes: np.ndarray) -> float:
     """Fraction of prototype pairs whose similarity decays with rank gap.
 
     Counts, over all i <= j <= C-2, whether prototype i is strictly more
@@ -85,14 +85,11 @@ def ordinality_score(prototypes: np.ndarray, temperature: float = 1.0) -> float:
     Comparisons happen within one row, and both the row softmax (any
     positive temperature) and the global max-normalization are strictly
     increasing there, so the count over raw cosines equals the count over
-    the normalized table exactly. The raw form is used; `temperature` is
-    accepted for interface symmetry and cannot change the result.
+    the normalized table exactly. The raw form is used.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if prototypes.shape[0] < 2:
         raise ValueError("ordinality needs at least two prototypes")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     return ordinality_from_matrix(prototypes @ prototypes.T)
 
 
@@ -122,13 +119,13 @@ class MetricReport:
         return self
 
 
-def metric_report(predicted, truth, prototypes, num_ranks: int, temperature: float = 1.0) -> MetricReport:
+def metric_report(predicted, truth, prototypes, num_ranks: int) -> MetricReport:
     truth = np.asarray(truth, dtype=np.int64)
     counts = np.bincount(truth, minlength=num_ranks)
     return MetricReport(
         mae=mae(predicted, truth),
         accuracy=accuracy(predicted, truth),
-        ordinality=ordinality_score(prototypes, temperature),
+        ordinality=ordinality_score(prototypes),
         per_rank_counts=tuple(int(c) for c in counts),
     ).validate()
 

@@ -21,7 +21,7 @@ its gradient, and it stays bitwise identical. One seed drives everything
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,17 +156,7 @@ def build_model(
     if method in (COOP, ZEROSHOT):
         # Free per-rank embeddings: carried in the base-rank slot with one
         # row per rank and no interpolation.
-        prompt_cfg = PromptConfig(
-            num_ranks=num_ranks,
-            num_base_ranks=num_ranks,
-            num_context=prompt_cfg.num_context,
-            word_dim=prompt_cfg.word_dim,
-            interpolation=prompt_cfg.interpolation,
-            epsilon=prompt_cfg.epsilon,
-            tune_rank=prompt_cfg.tune_rank,
-            tune_ctx=prompt_cfg.tune_ctx,
-            init_ctx=prompt_cfg.init_ctx,
-        )
+        prompt_cfg = replace(prompt_cfg, num_base_ranks=num_ranks)
     prompt_cfg.validate()
     if prompt_cfg.num_context + 1 > max_len:
         raise ValueError(
@@ -263,25 +253,22 @@ def prototypes_of(state: ModelState) -> np.ndarray:
     return state.head_weights / norms
 
 
-def score_matrix(state: ModelState, batch_x: np.ndarray) -> np.ndarray:
-    """Raw per-rank scores for prediction (similarities, or logits)."""
-    features, embeddings = encode_images(state.image_encoder, batch_x)
-    if state.uses_prompts:
-        return embeddings @ prototypes_of(state).T
-    return features @ state.head_weights.T + state.head_bias
-
-
 def evaluate(
     state: ModelState,
     ds: OrdinalDataset,
     rule: str = ARGMAX,
     temperature: float = 1.0,
 ) -> MetricReport:
-    scores = score_matrix(state, ds.features)
+    """Predict a rank per sample from raw per-rank scores (similarities to
+    the prototypes, or the baseline's logits) and report the metrics."""
+    features, embeddings = encode_images(state.image_encoder, ds.features)
+    protos = prototypes_of(state)
+    if state.uses_prompts:
+        scores = embeddings @ protos.T
+    else:
+        scores = features @ state.head_weights.T + state.head_bias
     predictions = predict(scores, rule=rule, temperature=temperature)
-    return metric_report(
-        predictions, ds.labels, prototypes_of(state), ds.num_ranks, temperature
-    )
+    return metric_report(predictions, ds.labels, protos, ds.num_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +369,6 @@ class LossTrace:
 
     def append(self, epoch: int, mean_loss: float, lr: float) -> None:
         self.rows.append((epoch, mean_loss, lr))
-
-    @property
-    def epoch_losses(self) -> list[float]:
-        return [row[1] for row in self.rows]
 
     def to_csv(self, path) -> None:
         lines = ["epoch,mean_loss,lr"]

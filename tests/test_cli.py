@@ -1,9 +1,41 @@
-"""Command-line exit codes: a config that parses but holds an invalid
-value is a config error (exit 2), never a traceback."""
+"""Command-line behaviour, run in-process through `cli.main`.
 
+Exit codes: a config that parses but holds an invalid value is a config
+error (exit 2), never a traceback. Run directories: a rerun is
+byte-identical, and `report` verifies them (exit 0) or names what does not
+match (exit 1). Grid commands: with one evaluation seed, a grid cell that
+keeps every training sample and the default prompt equals `train`.
+"""
+
+import shutil
+
+import numpy as np
 import pytest
 
-from ordinalproto import cli
+from ordinalproto import cli, data
+
+TINY = {
+    "num_ranks": 5,
+    "per_rank": 8,
+    "epochs": 6,
+    "batch_size": 8,
+    "eval_seeds": 1,
+}
+
+
+def _write_config(path, **overrides):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items()))
+    return str(path)
+
+
+def _csv(path):
+    """(header line, rows as lists of cells) of a comma-separated table."""
+    header, *rows = path.read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def _metrics(run_dir):
+    return dict(row for row in _csv(run_dir / "metrics.csv")[1])
 
 
 @pytest.mark.parametrize(
@@ -18,6 +50,12 @@ from ordinalproto import cli
         ("per_rank = 0", "per_rank"),
         ("train_fraction = 1.5", "train fraction"),
         ("noise_sigma = -1", "noise_sigma"),
+        ("input_dim = 0", "input_dim"),
+        pytest.param(
+            "num_ranks = 3\nper_rank = 1\ntrain_fraction = 0.3\nnum_base_ranks = 2",
+            "train fraction 0.3 of 3 samples leaves the train split empty",
+            id="empty-train-split",
+        ),
     ],
 )
 def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
@@ -29,3 +67,155 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     assert err.startswith("config error: ")
     assert needle in err
     assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        (None, "No such file"),
+        ("rank,f0\n1,abc\n", "non-numeric cell 'abc'"),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_unreadable_csv_exits_with_config_error(tmp_path, capsys, content, needle):
+    csv_path = tmp_path / "data.csv"
+    if content is not None:
+        csv_path.write_text(content)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data_source = csv\ncsv_path = {csv_path}\n")
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: csv_path '{csv_path}': ")
+    assert needle in err
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Tiny train runs of three methods and of two non-default prompts, a
+    second ordinalclip run into a fresh directory, and one run of every
+    grid command."""
+    root = tmp_path_factory.mktemp("cli")
+    out = {}
+    trains = {
+        "baseline": {"method": "baseline"},
+        "coop": {"method": "coop"},
+        "inverse-2": {"interpolation": "inverse-proportion", "num_base_ranks": 2},
+        "inverse-3": {"interpolation": "inverse-proportion"},
+        "ordinalclip": {"method": "ordinalclip"},
+    }
+    for name, overrides in trains.items():
+        config = _write_config(root / f"{name}.cfg", **overrides)
+        out[name] = root / name
+        assert cli.main(["train", "--config", config, "--out", str(out[name])]) == 0
+    config = str(root / "ordinalclip.cfg")
+    commands = {
+        "rerun": ["train"],
+        "sweep": ["sweep-interpolation", "--counts", "2,3", "--types",
+                  "linear,inverse-proportion"],
+        "ablation": ["ablation"],
+        "fewshot": ["fewshot", "--shots", str(TINY["per_rank"])],
+        "distshift": ["distshift", "--grid", "0:0.5"],
+    }
+    for name, argv in commands.items():
+        out[name] = root / name
+        assert cli.main(argv + ["--config", config, "--out", str(out[name])]) == 0
+    return out
+
+
+def _files(run_dir):
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+def test_train_rerun_is_byte_identical(runs):
+    assert _files(runs["rerun"]) == _files(runs["ordinalclip"])
+
+
+@pytest.mark.parametrize("name", ["ordinalclip", "coop", "baseline", "sweep", "ablation",
+                                  "fewshot", "distshift"])
+def test_report_accepts_an_untouched_run(runs, capsys, name):
+    assert cli.main(["report", str(runs[name])]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _tamper(run_dir):
+    data = bytearray((run_dir / "metrics.csv").read_bytes())
+    data[-2] ^= 1
+    (run_dir / "metrics.csv").write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "damage, needle",
+    [
+        (_tamper, "checksum mismatch: metrics.csv"),
+        (lambda d: (d / "checkpoint.bin").unlink(), "missing file: checkpoint.bin"),
+        (lambda d: (d / "manifest.txt").unlink(), "missing manifest: "),
+    ],
+    ids=["changed-byte", "deleted-file", "missing-manifest"],
+)
+def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle):
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    damage(run_dir)
+    assert cli.main(["report", str(run_dir)]) == 1
+    assert needle in capsys.readouterr().err
+
+
+def test_grid_commands_write_their_tables_and_headers(runs):
+    expected = {
+        "sweep": {"interpolation_sweep.csv": "interpolation,base_2,base_3"},
+        "ablation": {"ablation.csv": "method,tune_rank,tune_ctx,init_ctx,mae,ordinality"},
+        "fewshot": {"fewshot_mae.csv": "method,shot_8", "fewshot_ordinality.csv": "method,shot_8"},
+        "distshift": {
+            "distshift_mae.csv": "method,0-50",
+            "distshift_ordinality.csv": "method,0-50",
+        },
+    }
+    for name, tables in expected.items():
+        assert sorted(p.name for p in runs[name].iterdir()) == sorted([*tables, "manifest.txt"])
+        for table, header in tables.items():
+            assert _csv(runs[name] / table)[0] == header
+
+
+def test_sweep_cells_equal_train_with_that_prompt(runs):
+    _, rows = _csv(runs["sweep"] / "interpolation_sweep.csv")
+    assert [row[0] for row in rows] == ["linear", "inverse-proportion"]
+    assert rows[0][2] == _metrics(runs["ordinalclip"])["mae"]
+    assert rows[1][1] == _metrics(runs["inverse-2"])["mae"]
+    assert rows[1][2] == _metrics(runs["inverse-3"])["mae"]
+
+
+def test_ablation_rows_and_default_cell_equal_train(runs):
+    _, rows = _csv(runs["ablation"] / "ablation.csv")
+    assert [row[:4] for row in rows] == [
+        [method, *(cli._format_value(v) for v in cell)]
+        for method in ("coop", "ordinalclip")
+        for cell in cli.ABLATION_CELLS
+    ]
+    train = _metrics(runs["ordinalclip"])
+    assert ["ordinalclip", "true", "true", "false", train["mae"], train["ordinality"]] in rows
+
+
+@pytest.mark.parametrize("name", ["fewshot", "distshift"])
+def test_full_training_set_column_equals_train(runs, name):
+    methods = ("baseline", "coop", "ordinalclip")
+    for metric in ("mae", "ordinality"):
+        _, rows = _csv(runs[name] / f"{name}_{metric}.csv")
+        assert rows == [[m, _metrics(runs[m])[metric]] for m in methods]
+
+
+def test_fewshot_cell_is_the_mean_over_identically_seeded_subsamples(tmp_path):
+    """Repetition k trains every method on few_shot_subsample(train, shots,
+    seed + k) with model seed seed + k."""
+    config = _write_config(tmp_path / "run.cfg", eval_seeds=2, seed=3)
+    argv = ["fewshot", "--config", config, "--out", str(tmp_path / "out"), "--shots", "2"]
+    assert cli.main(argv) == 0
+    cfg = cli.load_config(config)
+    _, train_ds, test_ds = cli._prepare(cfg, tmp_path / "data")
+    _, rows = _csv(tmp_path / "out" / "fewshot_mae.csv")
+    for method, mae in rows:
+        reports = [
+            cli._run_cell(cfg, method, data.few_shot_subsample(train_ds, 2, seed), test_ds, seed)[0]
+            for seed in (3, 4)
+        ]
+        assert mae == f"{np.mean([r.mae for r in reports]):.12g}"
