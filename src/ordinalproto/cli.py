@@ -55,6 +55,13 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(","))
 
 
+def _int_flag(raw: str, flag: str) -> tuple[int, ...]:
+    try:
+        return _parse_int_list(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} value {raw!r}: {exc}") from exc
+
+
 # key -> (parser, default). The manifest echoes every resolved key, so new
 # knobs must be added here to stay reproducible.
 CONFIG_SCHEMA = {
@@ -269,12 +276,13 @@ def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_se
 def _run_cell(cfg: dict, method: str, train_ds, test_ds, seed: int,
               **prompt_overrides):
     """Train one model and evaluate it; returns (report, state, trace)."""
+    train_cfg = _train_config(cfg, seed)  # zeroshot too: it evaluates at its temperature
     state = _build_model(
         cfg, method, train_ds.num_ranks, train_ds.input_dim, seed, **prompt_overrides
     )
     trace = training.LossTrace()
     if method != ZEROSHOT:
-        trace = training.fit(state, train_ds, _train_config(cfg, seed))
+        trace = training.fit(state, train_ds, train_cfg)
     report = training.evaluate(
         state, test_ds, rule=cfg["prediction_rule"], temperature=cfg["temperature"]
     )
@@ -298,14 +306,23 @@ def _run_grid(cfg: dict, train_ds, test_ds, rows, cols, seeds):
     overrides), where subsample(train_ds, seed) supplies the cell's
     training split. Each cell trains once per seed, and that seed drives
     both the subsample and the model, so all methods see identically
-    seeded subsamples per repetition.
+    seeded subsamples per repetition. Every split and model shape is
+    checked before the first cell trains.
     """
+    try:
+        splits = [[subsample(train_ds, seed) for seed in seeds] for subsample, _ in cols]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for method, row_overrides in rows:
+        for _, col_overrides in cols:
+            _build_model(cfg, method, train_ds.num_ranks, train_ds.input_dim, seeds[0],
+                         **row_overrides, **col_overrides)
     mae_table, ord_table = [], []
     for method, row_overrides in rows:
         cells = [
-            [_run_cell(cfg, method, subsample(train_ds, seed), test_ds, seed,
-                       **row_overrides, **col_overrides)[0] for seed in seeds]
-            for subsample, col_overrides in cols
+            [_run_cell(cfg, method, split, test_ds, seed, **row_overrides, **col_overrides)[0]
+             for split, seed in zip(col_splits, seeds)]
+            for col_splits, (_, col_overrides) in zip(splits, cols)
         ]
         mae_table.append([float(np.mean([r.mae for r in cell])) for cell in cells])
         ord_table.append([float(np.mean([r.ordinality for r in cell])) for cell in cells])
@@ -427,7 +444,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
     """One ordinalclip fit per (interpolation type, base-rank count) at
     the config seed."""
-    counts = _parse_int_list(args.counts)
+    counts = _int_flag(args.counts, "--counts")
     kinds = tuple(k.strip() for k in args.types.split(",") if k.strip())
     cfg = load_config(args.config)
     for kind in kinds:
@@ -485,7 +502,7 @@ def _method_tables(cfg: dict, out_dir: str, name: str, subsamples, headers: list
 
 
 def cmd_fewshot(args: argparse.Namespace) -> int:
-    shots = _parse_int_list(args.shots)
+    shots = _int_flag(args.shots, "--shots")
     cfg = load_config(args.config)
     return _method_tables(
         cfg, args.out, "fewshot",

@@ -1,4 +1,4 @@
-"""Frozen text-side encoder, trainable image-side encoder, prototype I/O.
+"""Frozen text-side encoder, trainable image-side encoder, block-file I/O.
 
 The text encoder is a small frozen stand-in for a pretrained language
 model: position-weighted mean pooling, a token-mixing matrix, and a
@@ -31,16 +31,24 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-class PrototypeFileError(Exception):
-    """Base class for prototype-file import failures."""
+class BlockFileError(ValueError):
+    """Base class for block-file read failures (see write_blocks)."""
 
 
-class BadMagicError(PrototypeFileError):
+class BadMagicError(BlockFileError):
     pass
 
 
-class TruncatedPayloadError(PrototypeFileError):
+class TruncatedPayloadError(BlockFileError):
     pass
+
+
+class ChecksumMismatchError(BlockFileError):
+    pass
+
+
+class PrototypeFileError(BlockFileError):
+    """A prototype file whose blocks read back but whose values are unusable."""
 
 
 class NonFiniteEntryError(PrototypeFileError):
@@ -48,10 +56,6 @@ class NonFiniteEntryError(PrototypeFileError):
         super().__init__(f"non-finite prototype entry at row {row}, col {col}")
         self.row = row
         self.col = col
-
-
-class ChecksumMismatchError(PrototypeFileError):
-    pass
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -153,7 +157,7 @@ class ImageEncoder:
     one reverse sweep yields their gradients alongside the prompt ones.
     """
 
-    PARAM_NAMES = ("image.w1", "image.b1", "image.w2", "image.b2")
+    WEIGHTS = ("w1", "b1", "w2", "b2")
 
     def __init__(self, w1, b1, w2, b2):
         self.w1 = np.asarray(w1, dtype=np.float64)
@@ -181,12 +185,7 @@ class ImageEncoder:
         return cls(w1, b1, w2, b2)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "image.w1": self.w1,
-            "image.b1": self.b1,
-            "image.w2": self.w2,
-            "image.b2": self.b2,
-        }
+        return {f"image.{name}": getattr(self, name) for name in self.WEIGHTS}
 
     def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:
         """(pre-normalization features, unit-norm embeddings) nodes.
@@ -220,20 +219,58 @@ def encode_images(encoder: ImageEncoder, batch: np.ndarray) -> tuple[np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# prototype file: magic, C and latent_dim as little-endian uint64, row-major
-# little-endian float64 payload, then a 64-bit FNV-1a checksum of the payload.
+# block files: a magic, then for each block its rows and cols as
+# little-endian uint64 and its row-major little-endian float64 payload, then
+# a 64-bit FNV-1a checksum over the payloads in order. prototypes.bin is one
+# block, the C x latent_dim prototype matrix; checkpoint.bin holds a
+# model's parameter groups (training.save_state).
+
+
+def write_blocks(path, magic: bytes, blocks) -> None:
+    blocks = [np.ascontiguousarray(block, dtype="<f8") for block in blocks]
+    for block in blocks:
+        if block.ndim != 2:
+            raise ValueError(f"a block must be a matrix, got shape {block.shape}")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        for block in blocks:
+            fh.write(struct.pack("<2Q", *block.shape))
+            fh.write(block.tobytes())
+        fh.write(struct.pack("<Q", fnv1a64(b"".join(block.tobytes() for block in blocks))))
+
+
+def read_blocks(path, magic: bytes, count: int) -> list[np.ndarray]:
+    """The `count` blocks of a block file, after checking its magic, each
+    block's length and the checksum."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[: len(magic)] != magic:
+        raise BadMagicError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+    offset = len(magic)
+    payloads, blocks = [], []
+    for index in range(count):
+        if len(blob) < offset + 16:
+            raise TruncatedPayloadError(f"{path}: header of block {index} truncated")
+        rows, cols = struct.unpack_from("<2Q", blob, offset)
+        offset += 16
+        payload = blob[offset : offset + rows * cols * 8]
+        if len(payload) != rows * cols * 8:
+            raise TruncatedPayloadError(
+                f"{path}: payload of block {index} truncated: header says {rows}x{cols}"
+            )
+        offset += len(payload)
+        payloads.append(payload)
+        blocks.append(np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy())
+    if len(blob) < offset + 8:
+        raise TruncatedPayloadError(f"{path}: checksum truncated")
+    (stored,) = struct.unpack_from("<Q", blob, offset)
+    if fnv1a64(b"".join(payloads)) != stored:
+        raise ChecksumMismatchError(f"{path}: payload checksum mismatch")
+    return blocks
 
 
 def export_prototypes(path, prototypes: np.ndarray) -> None:
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    if prototypes.ndim != 2:
-        raise ValueError(f"prototypes must be a matrix, got shape {prototypes.shape}")
-    payload = np.ascontiguousarray(prototypes, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(PROTOTYPE_MAGIC)
-        fh.write(struct.pack("<2Q", prototypes.shape[0], prototypes.shape[1]))
-        fh.write(payload)
-        fh.write(struct.pack("<Q", fnv1a64(payload)))
+    write_blocks(path, PROTOTYPE_MAGIC, [prototypes])
 
 
 def import_prototypes(path) -> np.ndarray:
@@ -243,25 +280,7 @@ def import_prototypes(path) -> np.ndarray:
     within 1e-9 are left untouched so that export/import of normalized
     prototypes round-trips bitwise.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(PROTOTYPE_MAGIC)] != PROTOTYPE_MAGIC:
-        raise BadMagicError(f"bad prototype magic {blob[:len(PROTOTYPE_MAGIC)]!r}")
-    offset = len(PROTOTYPE_MAGIC)
-    if len(blob) < offset + 16:
-        raise TruncatedPayloadError("prototype header truncated")
-    rows, cols = struct.unpack_from("<2Q", blob, offset)
-    offset += 16
-    need = rows * cols * 8
-    payload = blob[offset : offset + need]
-    if len(payload) != need or len(blob) < offset + need + 8:
-        raise TruncatedPayloadError(
-            f"prototype payload truncated: header says {rows}x{cols}"
-        )
-    (stored,) = struct.unpack_from("<Q", blob, offset + need)
-    if fnv1a64(payload) != stored:
-        raise ChecksumMismatchError("prototype payload checksum mismatch")
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    (matrix,) = read_blocks(path, PROTOTYPE_MAGIC, 1)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         raise NonFiniteEntryError(int(bad[0, 0]), int(bad[0, 1]))

@@ -99,10 +99,8 @@ def ordinality_from_matrix(similarities: np.ndarray) -> float:
     c = similarities.shape[0]
     if similarities.shape != (c, c) or c < 2:
         raise ValueError(f"need a square table with C >= 2, got shape {similarities.shape}")
-    hits = 0
-    for i in range(c - 1):
-        row = similarities[i]
-        hits += int(np.sum(row[i : c - 1] > row[i + 1 : c]))
+    # Entry (i, j) of the upper triangle compares s[i, j] > s[i, j + 1].
+    hits = int(np.triu(similarities[:, :-1] > similarities[:, 1:]).sum())
     return hits / (c * (c - 1) / 2)
 
 

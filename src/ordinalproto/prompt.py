@@ -9,7 +9,6 @@ neighboring ranks and injects the ordinal structure.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ INVERSE_PROPORTION = "inverse-proportion"
 INTERPOLATION_KINDS = (LINEAR, INVERSE_PROPORTION)
 
 INIT_SCALE = 0.02
-CHECKPOINT_MAGIC = b"OPRM1"
 
 
 @dataclass
@@ -166,45 +164,3 @@ def init_parameters(
     base = rng.normal(0.0, INIT_SCALE, size=(cfg.num_base_ranks, cfg.word_dim))
     return ctx, base
 
-
-# ---------------------------------------------------------------------------
-# checkpoint format: magic, then C, C', m, word_dim as little-endian uint64,
-# then context rows, then base rank rows as little-endian float64, row-major.
-
-
-def write_prompt_block(fh, num_ranks: int, ctx: np.ndarray, base: np.ndarray) -> None:
-    fh.write(CHECKPOINT_MAGIC)
-    fh.write(struct.pack("<4Q", num_ranks, base.shape[0], ctx.shape[0], base.shape[1]))
-    fh.write(np.ascontiguousarray(ctx, dtype="<f8").tobytes())
-    fh.write(np.ascontiguousarray(base, dtype="<f8").tobytes())
-
-
-def read_prompt_block(fh) -> tuple[int, np.ndarray, np.ndarray]:
-    magic = fh.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad prompt checkpoint magic {magic!r}")
-    header = fh.read(32)
-    if len(header) != 32:
-        raise ValueError("truncated prompt checkpoint header")
-    num_ranks, num_base, num_ctx, word_dim = struct.unpack("<4Q", header)
-    ctx = read_matrix(fh, num_ctx, word_dim, "context")
-    base = read_matrix(fh, num_base, word_dim, "base ranks")
-    return num_ranks, ctx, base
-
-
-def read_matrix(fh, rows: int, cols: int, label: str) -> np.ndarray:
-    need = rows * cols * 8
-    raw = fh.read(need)
-    if len(raw) != need:
-        raise ValueError(f"truncated checkpoint payload while reading {label}")
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-
-
-def save_checkpoint(path, num_ranks: int, ctx: np.ndarray, base: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_prompt_block(fh, num_ranks, ctx, base)
-
-
-def load_checkpoint(path) -> tuple[int, np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        return read_prompt_block(fh)

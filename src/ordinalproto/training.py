@@ -20,7 +20,6 @@ its gradient, and it stays bitwise identical. One seed drives everything
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import matching, prompt
 from .data import OrdinalDataset
 from .diffcore import Tape
-from .encoders import ImageEncoder, PseudoTextEncoder, encode_images
+from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, read_blocks, write_blocks
 from .metrics import ARGMAX, MetricReport, metric_report, predict
 from .prompt import PromptConfig
 
@@ -39,7 +38,8 @@ BASELINE = "baseline"
 ZEROSHOT = "zeroshot"
 METHODS = (ORDINALCLIP, COOP, BASELINE, ZEROSHOT)
 
-BASELINE_MAGIC = b"OPBH1"
+PROMPT_MAGIC = b"OPRM2"
+BASELINE_MAGIC = b"OPBH2"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -413,81 +413,51 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: the prompt block (or a baseline head block with its own
-# magic), followed by the image encoder in the same binary convention.
+# checkpoints: one block file (encoders.write_blocks) per model, with a magic
+# per model family
 
 
-def _write_image_block(fh, enc: ImageEncoder) -> None:
-    fh.write(struct.pack("<3Q", enc.w1.shape[0], enc.w1.shape[1], enc.w2.shape[1]))
-    for arr in (enc.w1, enc.b1, enc.w2, enc.b2):
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_image_block(fh) -> ImageEncoder:
-    header = fh.read(24)
-    if len(header) != 24:
-        raise ValueError("truncated image-encoder checkpoint header")
-    input_dim, hidden_dim, latent_dim = struct.unpack("<3Q", header)
-    w1 = prompt.read_matrix(fh, input_dim, hidden_dim, "image w1")
-    b1 = prompt.read_matrix(fh, 1, hidden_dim, "image b1")
-    w2 = prompt.read_matrix(fh, hidden_dim, latent_dim, "image w2")
-    b2 = prompt.read_matrix(fh, 1, latent_dim, "image b2")
-    return ImageEncoder(w1, b1, w2, b2)
+def _checkpoint_blocks(state: ModelState) -> tuple[bytes, dict[str, np.ndarray]]:
+    """(magic, named blocks in file order) of the model's checkpoint:
+    num_ranks as a 1x1 block, the prompt or head groups, then the image
+    encoder's w1, b1, w2, b2."""
+    if state.uses_prompts:
+        magic, groups = PROMPT_MAGIC, ("context", "base_ranks")
+    else:
+        magic, groups = BASELINE_MAGIC, ("head_weights", "head_bias")
+    blocks = {"num_ranks": np.array([[float(state.num_ranks)]])}
+    blocks.update((name, getattr(state, name)) for name in groups)
+    blocks.update((f"image {n}", getattr(state.image_encoder, n)) for n in ImageEncoder.WEIGHTS)
+    return magic, blocks
 
 
 def save_state(state: ModelState, path) -> None:
-    with open(path, "wb") as fh:
-        if state.uses_prompts:
-            prompt.write_prompt_block(fh, state.num_ranks, state.context, state.base_ranks)
-        else:
-            fh.write(BASELINE_MAGIC)
-            fh.write(struct.pack("<2Q", *state.head_weights.shape))
-            fh.write(np.ascontiguousarray(state.head_weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(state.head_bias, dtype="<f8").tobytes())
-        _write_image_block(fh, state.image_encoder)
+    magic, blocks = _checkpoint_blocks(state)
+    write_blocks(path, magic, blocks.values())
 
 
 def load_state_into(state: ModelState, path) -> ModelState:
     """Restore parameters saved by save_state into a freshly built model.
 
-    Every block's shape is checked against the model before anything is
-    assigned, so a checkpoint that does not fit leaves the model as it was.
+    A checkpoint of the other model family fails on its magic. num_ranks
+    and every block's shape are checked against the model before anything
+    is assigned, so a checkpoint that does not fit leaves the model as it
+    was.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        fh.seek(0)
-        if magic == prompt.CHECKPOINT_MAGIC:
-            if not state.uses_prompts:
-                raise ValueError("checkpoint holds prompt parameters; model is a baseline")
-            num_ranks, ctx, base = prompt.read_prompt_block(fh)
-            if num_ranks != state.num_ranks:
-                raise ValueError(
-                    f"checkpoint num_ranks {num_ranks} != model num_ranks {state.num_ranks}"
-                )
-            blocks = {"context": ctx, "base_ranks": base}
-        elif magic == BASELINE_MAGIC:
-            if state.uses_prompts:
-                raise ValueError("checkpoint holds a baseline head; model uses prompts")
-            fh.read(5)
-            rows, cols = struct.unpack("<2Q", fh.read(16))
-            blocks = {
-                "head_weights": prompt.read_matrix(fh, rows, cols, "head weights"),
-                "head_bias": prompt.read_matrix(fh, 1, rows, "head bias"),
-            }
-        else:
-            raise ValueError(f"unrecognized checkpoint magic {magic!r}")
-        image = _read_image_block(fh)
-    checks = [(name, array, getattr(state, name)) for name, array in blocks.items()]
-    checks += [
-        (f"image {name}", getattr(image, name), getattr(state.image_encoder, name))
-        for name in ("w1", "b1", "w2", "b2")
-    ]
-    for name, loaded, current in checks:
-        if loaded.shape != current.shape:
+    magic, current = _checkpoint_blocks(state)
+    loaded = dict(zip(current, read_blocks(path, magic, len(current))))
+    for name, array in loaded.items():
+        expected = current[name].shape
+        if array.shape != expected:
             raise ValueError(
-                f"checkpoint {name} has shape {loaded.shape}; the model expects {current.shape}"
+                f"checkpoint {name} has shape {array.shape}; the model expects {expected}"
             )
-    for name, array in blocks.items():
-        setattr(state, name, array)
-    state.image_encoder = image
+        if name == "num_ranks" and array[0, 0] != state.num_ranks:
+            raise ValueError(
+                f"checkpoint num_ranks {array[0, 0]:g} != model num_ranks {state.num_ranks}"
+            )
+    del loaded["num_ranks"]
+    for name, array in loaded.items():
+        owner = state.image_encoder if name.startswith("image ") else state
+        setattr(owner, name.removeprefix("image "), array)
     return state

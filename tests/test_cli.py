@@ -1,9 +1,11 @@
 """Command-line behaviour, run in-process through `cli.main`.
 
-Exit codes: a config that parses but holds an invalid value is a config
-error (exit 2), never a traceback. Run directories: a rerun is
-byte-identical, and `report` verifies them (exit 0) or names what does not
-match (exit 1). Grid commands: with one evaluation seed, a grid cell that
+Exit codes: a config or a grid flag that parses but holds an invalid
+value is a config error (exit 2), never a traceback, and a grid command
+rejects it before any cell trains. Run directories: a rerun is
+byte-identical, `checkpoint.bin` restores the prototypes in
+`prototypes.bin`, and `report` verifies them (exit 0) or names what does
+not match (exit 1). Grid commands: with one evaluation seed, a grid cell that
 keeps every training sample and the default prompt equals `train`.
 """
 
@@ -12,7 +14,8 @@ import shutil
 import numpy as np
 import pytest
 
-from ordinalproto import cli, data
+from ordinalproto import cli, data, training
+from ordinalproto.encoders import import_prototypes
 
 TINY = {
     "num_ranks": 5,
@@ -46,6 +49,7 @@ def _metrics(run_dir):
         ("num_context = 16", "max_len"),
         ("batch_size = 0", "batch_size"),
         ("temperature = 0", "temperature"),
+        ("method = zeroshot\ntemperature = 0", "temperature must be positive"),
         ("num_ranks = 1", "2 ranks"),
         ("per_rank = 0", "per_rank"),
         ("train_fraction = 1.5", "train fraction"),
@@ -67,6 +71,33 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     assert err.startswith("config error: ")
     assert needle in err
     assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["fewshot", "--shots", "2,0"], "shots must be >= 1, got 0"),
+        (["fewshot", "--shots", "x"], "bad --shots value 'x'"),
+        (["sweep-interpolation", "--counts", "a"], "bad --counts value 'a'"),
+        (["sweep-interpolation", "--counts", "2,30"], "num_base_ranks must be in [2, num_ranks=4]"),
+        (["distshift", "--grid", "2:0.5,30:0.5"], "reduce_classes must be in [0, 4], got 30"),
+        (["distshift", "--grid", "2:1.5"], "reduce_fraction must be in [0, 1), got 1.5"),
+    ],
+    ids=["shots-0", "shots-x", "counts-a", "counts-30", "grid-30-classes", "grid-fraction-1.5"],
+)
+def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
+    tmp_path, capsys, monkeypatch, argv, needle
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a grid cell trained before the bad value was rejected")
+
+    monkeypatch.setattr(cli.training, "fit", no_training)
+    config = _write_config(tmp_path / "run.cfg", num_ranks=4, per_rank=4, epochs=1)
+    code = cli.main(argv + ["--config", config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert needle in err
 
 
 @pytest.mark.parametrize(
@@ -136,6 +167,18 @@ def test_train_rerun_is_byte_identical(runs):
 def test_report_accepts_an_untouched_run(runs, capsys, name):
     assert cli.main(["report", str(runs[name])]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["ordinalclip", "coop", "baseline"])
+def test_checkpoint_restores_the_exported_prototypes(runs, name):
+    """checkpoint.bin loads into a model rebuilt from the run's config, and
+    that model's prototypes are bitwise the ones in prototypes.bin."""
+    cfg = cli.load_config(str(runs[name].parent / f"{name}.cfg"))
+    state = cli._build_model(cfg, cfg["method"], cfg["num_ranks"], cfg["input_dim"], cfg["seed"])
+    exported = import_prototypes(runs[name] / "prototypes.bin")
+    assert not np.array_equal(training.prototypes_of(state), exported)
+    training.load_state_into(state, runs[name] / "checkpoint.bin")
+    np.testing.assert_array_equal(training.prototypes_of(state), exported)
 
 
 def _tamper(run_dir):

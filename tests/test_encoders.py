@@ -1,5 +1,7 @@
-"""Frozen text encoder, trainable image encoder, and the prototype file
-format with its checksum and error kinds."""
+"""Frozen text encoder, trainable image encoder, and the block-file
+format of prototypes.bin with its checksum and error kinds."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from ordinalproto.encoders import (
     export_prototypes,
     fnv1a64,
     import_prototypes,
+    read_blocks,
+    write_blocks,
 )
 
 
@@ -178,8 +182,45 @@ class TestPrototypeFile:
         with pytest.raises(PrototypeFileError, match="zero"):
             import_prototypes(path)
 
+    def test_file_is_magic_shape_payload_checksum(self, tmp_path):
+        protos = self._unit_rows(2, 3, 7)
+        payload = b"".join(struct.pack("<d", v) for v in protos.ravel())
+        checksum = struct.pack("<Q", fnv1a64(payload))
+        expected = b"OPRO1" + struct.pack("<2Q", 2, 3) + payload + checksum
+        path = tmp_path / "protos.bin"
+        export_prototypes(path, protos)
+        assert path.read_bytes() == expected
+
     def test_fnv1a64_reference_values(self):
         # published FNV-1a test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+class TestBlockFile:
+    BLOCKS = (np.arange(6.0).reshape(2, 3), np.zeros((0, 4)), np.array([[-1.5]]))
+
+    def test_round_trip_keeps_order_shapes_and_bits(self, tmp_path):
+        path = tmp_path / "blocks.bin"
+        write_blocks(path, b"TEST1", self.BLOCKS)
+        loaded = read_blocks(path, b"TEST1", len(self.BLOCKS))
+        assert [b.shape for b in loaded] == [(2, 3), (0, 4), (1, 1)]
+        for got, want in zip(loaded, self.BLOCKS):
+            np.testing.assert_array_equal(got, want)
+
+    def test_checksum_covers_every_payload_in_order(self, tmp_path):
+        path = tmp_path / "blocks.bin"
+        write_blocks(path, b"TEST1", self.BLOCKS)
+        payload = np.arange(6.0).tobytes() + np.array([-1.5]).tobytes()
+        assert path.read_bytes()[-8:] == struct.pack("<Q", fnv1a64(payload))
+
+    def test_a_block_the_file_does_not_hold_is_truncation(self, tmp_path):
+        path = tmp_path / "blocks.bin"
+        write_blocks(path, b"TEST1", self.BLOCKS)
+        with pytest.raises(TruncatedPayloadError):
+            read_blocks(path, b"TEST1", len(self.BLOCKS) + 1)
+
+    def test_non_matrix_block_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="matrix"):
+            write_blocks(tmp_path / "blocks.bin", b"TEST1", [np.zeros(3)])

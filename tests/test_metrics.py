@@ -124,6 +124,20 @@ class TestOrdinalityScore:
         s[0, 1], s[0, 2], s[0, 3] = 0.9, 0.8, 0.85
         assert ordinality_from_matrix(s) == pytest.approx(4 / 6)
 
+    @pytest.mark.parametrize("c", [2, 3, 5, 20, 100])
+    def test_equals_the_per_row_loop_on_random_and_tied_tables(self, c):
+        def by_rows(s):
+            # reference: count row i's hits over j in [i, C-2] one row at a time
+            hits = sum(int(np.sum(s[i, i : c - 1] > s[i, i + 1 : c])) for i in range(c - 1))
+            return hits / (c * (c - 1) / 2)
+
+        rng = np.random.default_rng(c)
+        for _ in range(25):
+            random_table = rng.normal(size=(c, c))
+            tied_table = rng.integers(0, 3, size=(c, c)).astype(np.float64)
+            for s in (random_table, tied_table):
+                assert ordinality_from_matrix(s) == by_rows(s)
+
 
 class TestPrototypeSimilarity:
     def test_global_maximum_is_one(self):

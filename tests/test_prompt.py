@@ -1,7 +1,4 @@
-"""Interpolation matrix contract, sequence assembly, parameter init, and
-the prompt checkpoint format."""
-
-import io
+"""Interpolation matrix contract, sequence assembly, and parameter init."""
 
 import numpy as np
 import pytest
@@ -16,9 +13,6 @@ from ordinalproto.prompt import (
     build_interpolation_matrix,
     init_parameters,
     interpolate_rank_embeddings,
-    load_checkpoint,
-    read_prompt_block,
-    save_checkpoint,
     template_token_ids,
 )
 
@@ -196,29 +190,3 @@ class TestInitParameters:
         with pytest.raises(ValueError):
             template_token_ids(10, 4)
 
-
-class TestCheckpointFormat:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        rng = np.random.default_rng(7)
-        ctx, base = rng.normal(size=(3, 6)), rng.normal(size=(4, 6))
-        path = tmp_path / "prompt.bin"
-        save_checkpoint(path, 9, ctx, base)
-        num_ranks, ctx2, base2 = load_checkpoint(path)
-        assert num_ranks == 9
-        assert np.array_equal(ctx, ctx2) and np.array_equal(base, base2)
-
-    def test_magic_prefix(self, tmp_path):
-        path = tmp_path / "prompt.bin"
-        save_checkpoint(path, 3, np.zeros((1, 2)), np.zeros((2, 2)))
-        assert path.read_bytes()[:5] == b"OPRM1"
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            read_prompt_block(io.BytesIO(b"XXXXX" + b"\0" * 64))
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "prompt.bin"
-        save_checkpoint(path, 3, np.ones((2, 4)), np.ones((2, 4)))
-        blob = path.read_bytes()
-        with pytest.raises(ValueError, match="truncated"):
-            read_prompt_block(io.BytesIO(blob[:-8]))

@@ -2,12 +2,20 @@
 sweep against the unpruned reference, finite differences through the
 whole loss, the in-place Adam step, and checkpoint loading."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import reference_backward
 from ordinalproto import data, training
 from ordinalproto.diffcore import finite_difference_check
+from ordinalproto.encoders import (
+    BadMagicError,
+    ChecksumMismatchError,
+    TruncatedPayloadError,
+    fnv1a64,
+)
 from ordinalproto.prompt import LINEAR, PromptConfig
 
 NUM_RANKS = 5
@@ -20,15 +28,16 @@ def _dataset():
     return data.generate_synthetic(NUM_RANKS, 8, 4, 0.25, 0)
 
 
-def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0, hidden_dim=5):
+def _model(method, tune_rank=True, tune_ctx=True, num_context=2, init_seed=0, hidden_dim=5,
+           num_ranks=NUM_RANKS):
     prompt_cfg = None
     if method != training.BASELINE:
         prompt_cfg = PromptConfig(
-            NUM_RANKS, num_base_ranks=3, num_context=num_context, word_dim=6,
+            num_ranks, num_base_ranks=3, num_context=num_context, word_dim=6,
             interpolation=LINEAR, tune_rank=tune_rank, tune_ctx=tune_ctx,
         )
     return training.build_model(
-        method, NUM_RANKS, prompt_cfg, input_dim=4, hidden_dim=hidden_dim, latent_dim=6,
+        method, num_ranks, prompt_cfg, input_dim=4, hidden_dim=hidden_dim, latent_dim=6,
         max_len=4, vocab_size=8, init_seed=init_seed,
     )
 
@@ -179,6 +188,16 @@ class TestAdam:
                 np.testing.assert_array_equal(adam.v[name], v[name])
 
 
+def _assert_rejected(target, path, error, match=None):
+    """Loading `path` raises `error` and leaves every group of `target` as it was."""
+    before = _all_parameters(target)
+    with pytest.raises(error, match=match):
+        training.load_state_into(target, path)
+    after = _all_parameters(target)
+    for name in before:
+        np.testing.assert_array_equal(before[name], after[name])
+
+
 class TestLoadState:
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
     def test_round_trip_restores_every_group_bitwise(self, tmp_path, method):
@@ -190,6 +209,29 @@ class TestLoadState:
         assert saved.keys() == loaded.keys()
         for name in saved:
             np.testing.assert_array_equal(saved[name], loaded[name])
+
+    @pytest.mark.parametrize(
+        "method, magic, groups",
+        [
+            (training.ORDINALCLIP, b"OPRM2", ("context", "base_ranks")),
+            (training.COOP, b"OPRM2", ("context", "base_ranks")),
+            (training.BASELINE, b"OPBH2", ("head_weights", "head_bias")),
+        ],
+    )
+    def test_file_is_magic_then_blocks_then_checksum(self, tmp_path, method, magic, groups):
+        """The family magic, num_ranks as a 1x1 block, the family's groups,
+        the image encoder, then FNV-1a over the payloads."""
+        state = _model(method)
+        enc = state.image_encoder
+        blocks = [np.array([[float(NUM_RANKS)]])]
+        blocks += [getattr(state, name) for name in groups]
+        blocks += [enc.w1, enc.b1, enc.w2, enc.b2]
+        payloads = [b.astype("<f8").tobytes() for b in blocks]
+        expected = magic + b"".join(
+            struct.pack("<2Q", *b.shape) + payload for b, payload in zip(blocks, payloads)
+        ) + struct.pack("<Q", fnv1a64(b"".join(payloads)))
+        training.save_state(state, tmp_path / "ckpt.bin")
+        assert (tmp_path / "ckpt.bin").read_bytes() == expected
 
     @pytest.mark.parametrize(
         "method, saved_kwargs, block",
@@ -204,17 +246,42 @@ class TestLoadState:
         self, tmp_path, method, saved_kwargs, block
     ):
         training.save_state(_model(method, **saved_kwargs), tmp_path / "ckpt.bin")
-        target = _model(method, init_seed=1)
-        before = _all_parameters(target)
-        with pytest.raises(ValueError, match=block):
-            training.load_state_into(target, tmp_path / "ckpt.bin")
-        after = _all_parameters(target)
-        for name in before:
-            np.testing.assert_array_equal(before[name], after[name])
+        _assert_rejected(_model(method, init_seed=1), tmp_path / "ckpt.bin", ValueError, block)
 
     def test_base_ranks_of_another_count_are_rejected(self, tmp_path):
         state = _model(training.ORDINALCLIP)
         training.save_state(state, tmp_path / "ckpt.bin")
         coop = _model(training.COOP)
-        with pytest.raises(ValueError, match="checkpoint base_ranks"):
-            training.load_state_into(coop, tmp_path / "ckpt.bin")
+        _assert_rejected(coop, tmp_path / "ckpt.bin", ValueError, "checkpoint base_ranks")
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_another_num_ranks_is_rejected(self, tmp_path, method):
+        training.save_state(_model(method, num_ranks=NUM_RANKS + 1), tmp_path / "ckpt.bin")
+        _assert_rejected(_model(method), tmp_path / "ckpt.bin", ValueError,
+                         f"checkpoint num_ranks {NUM_RANKS + 1} != model num_ranks {NUM_RANKS}")
+
+    @pytest.mark.parametrize(
+        "saved, target",
+        [(training.BASELINE, training.ORDINALCLIP), (training.ORDINALCLIP, training.BASELINE)],
+    )
+    def test_a_checkpoint_of_the_other_family_is_rejected(self, tmp_path, saved, target):
+        training.save_state(_model(saved), tmp_path / "ckpt.bin")
+        _assert_rejected(_model(target), tmp_path / "ckpt.bin", BadMagicError, "bad magic")
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda blob: b"XXXXX" + blob[5:], BadMagicError),
+            (lambda blob: blob[:-8], TruncatedPayloadError),
+            (lambda blob: blob[:-1], TruncatedPayloadError),
+            (lambda blob: blob[:40], TruncatedPayloadError),
+            (lambda blob: blob[:60] + bytes([blob[60] ^ 1]) + blob[61:], ChecksumMismatchError),
+        ],
+        ids=["bad-magic", "no-checksum", "cut-checksum", "cut-payload", "flipped-payload-byte"],
+    )
+    @pytest.mark.parametrize("method", (training.ORDINALCLIP, training.BASELINE))
+    def test_damaged_file_is_rejected(self, tmp_path, method, damage, error):
+        path = tmp_path / "ckpt.bin"
+        training.save_state(_model(method), path)
+        path.write_bytes(damage(path.read_bytes()))
+        _assert_rejected(_model(method, init_seed=1), path, error)
