@@ -56,10 +56,14 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
 
 
 def _int_flag(raw: str, flag: str) -> tuple[int, ...]:
+    """A grid axis: one or more comma-separated integers."""
     try:
-        return _parse_int_list(raw)
+        values = _parse_int_list(raw)
     except ValueError as exc:
         raise ConfigError(f"bad {flag} value {raw!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{flag} is empty; give at least one value")
+    return values
 
 
 # key -> (parser, default). The manifest echoes every resolved key, so new
@@ -446,6 +450,8 @@ def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
     the config seed."""
     counts = _int_flag(args.counts, "--counts")
     kinds = tuple(k.strip() for k in args.types.split(",") if k.strip())
+    if not kinds:
+        raise ConfigError("--types is empty; give at least one value")
     cfg = load_config(args.config)
     for kind in kinds:
         if kind not in promptmod.INTERPOLATION_KINDS:
@@ -526,7 +532,7 @@ def _parse_grid(raw: str) -> tuple[tuple[int, float], ...]:
                 f"bad distribution-shift cell {token!r}; expected classes:fraction"
             ) from exc
     if not cells:
-        raise ConfigError("distribution-shift grid is empty")
+        raise ConfigError("--grid is empty; give at least one classes:fraction cell")
     return tuple(cells)
 
 

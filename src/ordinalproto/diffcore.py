@@ -19,6 +19,14 @@ The tape does only the work a parameter gradient needs:
 - Cheap recording. `Tape.record` finds the forward rule with one dict
   lookup, checks each input index while gathering the input nodes, and
   stores no per-node metadata an op does not produce.
+- Fused losses. The two training objectives are single op kinds with
+  closed-form gradients, not chains of softmax, KL and scale nodes.
+  `clip-kl` is CLIP's symmetric image-text objective with KL in place of
+  cross-entropy; `softmax-xent` is the mean row-wise KL of a softmax
+  against targets, which for one-hot targets is the cross-entropy. Both
+  take log-probabilities as `shifted - log(sum(exp(shifted)))`, which is
+  finite wherever the scores are, so no probability that underflows to
+  zero can make the loss undefined.
 - Finiteness. Every recorded value is checked with one BLAS sum of
   squares, tested as a Python float with `math.isfinite`; the sum is
   non-finite whenever an entry is. Only a non-finite sum, from such an
@@ -39,11 +47,15 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["Tape", "OP_KINDS", "finite_difference_check"]
+__all__ = ["Tape", "OP_KINDS", "finite_difference_check", "softmax"]
 
 # Op kinds accepted by Tape.record. "tanh" and "transpose" extend the core
 # matrix set: the first for the image-encoder nonlinearity, the second so a
-# similarity of the form X @ Y.T is expressible.
+# similarity of the form X @ Y.T is expressible. "clip-kl" and
+# "softmax-xent" are whole losses, each one node with a closed-form
+# gradient (see _fwd_clip_kl and _fwd_softmax_xent). No package path
+# records the softmax, KL, scalar-scale or weighted-sum kinds; the tests
+# build the unfused loss chains, their oracle, from them.
 OP_KINDS = (
     "matmul",
     "add",
@@ -57,6 +69,8 @@ OP_KINDS = (
     "weighted-sum",
     "transpose",
     "tanh",
+    "clip-kl",
+    "softmax-xent",
 )
 
 def _as_matrix(array) -> np.ndarray:
@@ -142,8 +156,8 @@ class Tape:
         """Record one primitive, computing and storing its forward value.
 
         `inputs` is a sequence of node references. Extra op parameters:
-        temperature (softmaxes), factor (scalar-scale), weights
-        (weighted-sum).
+        temperature (softmaxes, clip-kl), factor (scalar-scale), weights
+        (weighted-sum), targets (clip-kl, softmax-xent).
         """
         forward = _FORWARD.get(op_kind)
         if forward is None:
@@ -209,6 +223,23 @@ class Tape:
 
     def tanh(self, a: int) -> int:
         return self.record("tanh", (a,))
+
+    def clip_kl(self, scores: int, targets, temperature: float) -> int:
+        """Symmetric KL loss of a score table against targets, a 1x1 node.
+
+        0.5/B * sum_i KL(Y_i || softmax_row(S/t)_i)
+          + 0.5/nz * sum_j KL(Yc_j || softmax_col(S/t)_j)
+
+        over the B rows and the nz non-zero columns of the non-negative
+        B x C `targets` Y, where Yc is Y with each non-zero column scaled
+        to sum 1. Targets are a fixed matrix, not a tape node.
+        """
+        return self.record("clip-kl", (scores,), targets=targets, temperature=temperature)
+
+    def softmax_xent(self, logits: int, targets) -> int:
+        """Mean over the B rows of KL(Y_i || softmax(L_i)), a 1x1 node; the
+        cross-entropy when every target row is one-hot."""
+        return self.record("softmax-xent", (logits,), targets=targets)
 
     # -- reverse sweep ----------------------------------------------------
 
@@ -292,35 +323,63 @@ def _fwd_mul(vals, params):
     return a * b, None
 
 
-def _softmax(x, axis):
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of a plain array along `axis`, as the softmax ops compute it."""
     shifted = x - x.max(axis=axis, keepdims=True)  # overflow guard, value-identical
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _fwd_row_softmax(vals, params):
+def _log_softmax(x, axis):
+    """(log softmax, softmax) along `axis`. The log is taken of the sum
+    only, so it is finite wherever x is, even where the softmax itself
+    underflows to zero; the softmax is the same array softmax returns."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=axis, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
+def _temperature(params):
     t = float(params["temperature"])
     if t <= 0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
-    return _softmax(vals[0] / t, axis=1), {"temperature": t}
+    return t
+
+
+def _fwd_row_softmax(vals, params):
+    t = _temperature(params)
+    return softmax(vals[0] / t, axis=1), {"temperature": t}
 
 
 def _fwd_col_softmax(vals, params):
-    t = float(params["temperature"])
-    if t <= 0:
-        raise ValueError(f"softmax temperature must be positive, got {t}")
-    return _softmax(vals[0] / t, axis=0), {"temperature": t}
+    t = _temperature(params)
+    return softmax(vals[0] / t, axis=0), {"temperature": t}
 
 
 def _fwd_l2_normalize_rows(vals, params):
     (a,) = vals
     # What np.linalg.norm(a, axis=1, keepdims=True) computes for real
-    # input, without its dispatch.
-    norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
-    zero = np.flatnonzero(norms.ravel() == 0.0)
+    # input, without its dispatch. A row whose sum of squares overflows to
+    # inf, or underflows to 0 without being zero, is redone below; the
+    # norm of every other row is exactly this one.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+    if norms.min() > 0.0 and norms.max() < np.inf:
+        return a / norms, {"norms": norms}
+    bad = np.flatnonzero((norms.ravel() == 0.0) | (norms.ravel() == np.inf))
+    rows = a[bad]
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    zero = np.flatnonzero(scale.ravel() == 0.0)
     if zero.size:
-        raise ValueError(f"l2-normalize-rows: row {zero[0]} is the zero vector")
-    return a / norms, {"norms": norms}
+        raise ValueError(f"l2-normalize-rows: row {bad[zero[0]]} is the zero vector")
+    rows = rows / scale
+    unit_norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        norms[bad] = scale * unit_norms  # inf when the norm itself overflows
+    out = a / norms
+    out[bad] = rows / unit_norms
+    return out, {"norms": norms}
 
 
 def _fwd_kl(vals, params):
@@ -336,6 +395,58 @@ def _fwd_kl(vals, params):
         raise ValueError("kl-divergence-rows: prediction is zero on the target support")
     total = float(np.sum(p_s * (np.log(p_s) - np.log(q_s))))
     return np.array([[total]]), {"support": support}
+
+
+def _targets(op, params, scores):
+    y = _as_matrix(params["targets"])
+    if y.shape != scores.shape:
+        raise _shape_err(op, (scores.shape, y.shape))
+    if not np.isfinite(y).all() or (y < 0).any():
+        raise ValueError(f"{op}: targets must be finite and non-negative")
+    return y
+
+
+def _kl_total(y, log_q):
+    """sum of y * (log y - log_q) over the entries where y > 0."""
+    support = y > 0
+    y_s = y[support]
+    return float(np.sum(y_s * (np.log(y_s) - log_q[support])))
+
+
+def _fwd_clip_kl(vals, params):
+    """See Tape.clip_kl. Gradient with respect to the scores S:
+
+        (0.5/(B t)) (P_row * r - Y) + (0.5/(nz t)) (P_col * mask - Yc)
+
+    where r holds the row sums of Y (1 for one-hot rows) and mask marks
+    the non-zero columns, whose Yc columns sum to 1.
+    """
+    (s,) = vals
+    t = _temperature(params)
+    y = _targets("clip-kl", params, s)
+    col_sums = y.sum(axis=0, keepdims=True)
+    mask = col_sums > 0
+    nonzero_cols = int(np.count_nonzero(mask))
+    if nonzero_cols == 0:
+        raise ValueError("clip-kl: targets are all zero")
+    y_col = np.divide(y, col_sums, out=np.zeros_like(y), where=mask)
+    z = s / t
+    log_row, p_row = _log_softmax(z, axis=1)
+    log_col, p_col = _log_softmax(z, axis=0)
+    w_row = 0.5 / s.shape[0]
+    w_col = 0.5 / nonzero_cols
+    total = w_row * _kl_total(y, log_row) + w_col * _kl_total(y_col, log_col)
+    meta = (t, w_row, w_col, y, y_col, mask, p_row, p_col)
+    return np.array([[total]]), meta
+
+
+def _fwd_softmax_xent(vals, params):
+    """See Tape.softmax_xent. Gradient: (P * r - Y) / B, r the row sums of Y."""
+    (logits,) = vals
+    y = _targets("softmax-xent", params, logits)
+    log_p, p = _log_softmax(logits, axis=1)
+    weight = 1.0 / logits.shape[0]
+    return np.array([[_kl_total(y, log_p) * weight]]), (weight, y, p)
 
 
 def _fwd_scale(vals, params):
@@ -382,6 +493,8 @@ _FORWARD = {
     "weighted-sum": _fwd_weighted_sum,
     "transpose": _fwd_transpose,
     "tanh": _fwd_tanh,
+    "clip-kl": _fwd_clip_kl,
+    "softmax-xent": _fwd_softmax_xent,
 }
 
 
@@ -443,6 +556,24 @@ def _bwd_kl(g, out, ins, meta, wants):
     return (dp, dq)
 
 
+def _bwd_clip_kl(g, out, ins, meta, wants):
+    t, w_row, w_col, y, y_col, mask, p_row, p_col = meta
+    scale = g[0, 0] / t
+    row = p_row * y.sum(axis=1, keepdims=True)
+    row -= y
+    col = p_col * mask
+    col -= y_col
+    return ((scale * w_row) * row + (scale * w_col) * col,)
+
+
+def _bwd_softmax_xent(g, out, ins, meta, wants):
+    weight, y, p = meta
+    grad = p * y.sum(axis=1, keepdims=True)
+    grad -= y
+    grad *= g[0, 0] * weight
+    return (grad,)
+
+
 def _bwd_scale(g, out, ins, meta, wants):
     return (g * meta["factor"],)
 
@@ -481,6 +612,8 @@ _BACKWARD = {
     "weighted-sum": _bwd_weighted_sum,
     "transpose": _bwd_transpose,
     "tanh": _bwd_tanh,
+    "clip-kl": _bwd_clip_kl,
+    "softmax-xent": _bwd_softmax_xent,
 }
 
 

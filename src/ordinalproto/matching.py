@@ -1,11 +1,19 @@
 """Similarity matrices and the two training objectives.
 
-The contrastive objective compares a batch-by-rank similarity table
-against one-hot labels in both directions: row-normalized scores against
-the label rows, and column-normalized scores against the label matrix
-with its non-zero columns normalized. Both directions use KL divergence
-with the target as the first argument. The classification baseline is a
-plain linear head with cross-entropy.
+The contrastive objective compares a batch-by-rank score table S against
+one-hot labels Y in both directions, CLIP's symmetric image-text loss
+with KL in place of cross-entropy (several images in a batch may share a
+rank). With P_row = softmax_row(S/t), P_col = softmax_col(S/t), Yc the
+labels with each non-zero column scaled to sum 1, B the batch size and
+nz the number of non-zero label columns:
+
+    loss   = 0.5/B * sum_i KL(Y_i || P_row_i) + 0.5/nz * sum_j KL(Yc_j || P_col_j)
+    dL/dS  = 0.5/(B t) * (P_row - Y) + 0.5/(nz t) * (P_col * mask - Yc)
+
+where mask keeps the non-zero label columns. The classification baseline
+is a linear head with cross-entropy, loss = mean_i KL(Y_i || softmax(L_i))
+with gradient (softmax(L) - Y)/B. Each loss is one fused tape node with
+that closed-form gradient.
 
 All functions are pure in their inputs and safe to evaluate concurrently
 on distinct tapes.
@@ -17,17 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Tape
+from .diffcore import Tape, softmax
 
 
 @dataclass
 class SimilarityMatrix:
-    """Raw, row-normalized, and column-normalized score nodes on one tape."""
+    """The raw score node on one tape, and the temperature its row- and
+    column-normalized tables use. Those tables are computed from the raw
+    values on request and are not tape nodes; the loss normalizes inside
+    its own node."""
 
     tape: Tape
     raw: int
-    row_normalized: int
-    col_normalized: int
     temperature: float
 
     @property
@@ -36,11 +45,11 @@ class SimilarityMatrix:
 
     @property
     def row_value(self) -> np.ndarray:
-        return self.tape.value(self.row_normalized)
+        return softmax(self.raw_value / self.temperature, axis=1)
 
     @property
     def col_value(self) -> np.ndarray:
-        return self.tape.value(self.col_normalized)
+        return softmax(self.raw_value / self.temperature, axis=0)
 
 
 def similarity(tape: Tape, images_node: int, prototypes_node: int, temperature: float) -> SimilarityMatrix:
@@ -59,13 +68,7 @@ def similarity(tape: Tape, images_node: int, prototypes_node: int, temperature: 
             f"latent dims differ: images {images.shape} vs prototypes {prototypes.shape}"
         )
     raw = tape.matmul(images_node, tape.transpose(prototypes_node))
-    return SimilarityMatrix(
-        tape=tape,
-        raw=raw,
-        row_normalized=tape.row_softmax(raw, temperature),
-        col_normalized=tape.col_softmax(raw, temperature),
-        temperature=temperature,
-    )
+    return SimilarityMatrix(tape=tape, raw=raw, temperature=temperature)
 
 
 def one_hot_labels(labels, num_ranks: int) -> np.ndarray:
@@ -80,7 +83,8 @@ def one_hot_labels(labels, num_ranks: int) -> np.ndarray:
 
 
 def column_normalized_labels(y: np.ndarray) -> np.ndarray:
-    """Labels with every non-zero column scaled to sum 1; zero columns stay."""
+    """Labels with every non-zero column scaled to sum 1; zero columns stay.
+    The Yc of the contrastive loss, which its tape node forms itself."""
     sums = y.sum(axis=0, keepdims=True)
     out = y.copy()
     nonzero = sums.ravel() > 0
@@ -89,29 +93,18 @@ def column_normalized_labels(y: np.ndarray) -> np.ndarray:
 
 
 def contrastive_loss(sim: SimilarityMatrix, labels, num_ranks: int) -> int:
-    """Bidirectional KL loss node on the similarity's tape.
-
-    0.5 * [ mean over rows of KL(Y_row, rownorm_row)
-          + mean over non-zero label columns of KL(Ynorm_col, colnorm_col) ].
+    """Bidirectional KL loss node on the similarity's tape (module docstring).
 
     The column average runs over the non-zero label columns only; a batch
     smaller than the rank count always leaves some columns empty and an
     all-column average would be undefined there.
     """
-    tape = sim.tape
     y = one_hot_labels(labels, num_ranks)
     if y.shape != sim.raw_value.shape:
         raise ValueError(
             f"label matrix {y.shape} does not match similarity {sim.raw_value.shape}"
         )
-    y_col = column_normalized_labels(y)
-    batch = y.shape[0]
-    nonzero_cols = int((y.sum(axis=0) > 0).sum())
-    row_term = tape.kl_div(tape.constant(y), sim.row_normalized)
-    col_term = tape.kl_div(tape.constant(y_col), sim.col_normalized)
-    return tape.weighted_sum(
-        [row_term, col_term], [0.5 / batch, 0.5 / nonzero_cols]
-    )
+    return sim.tape.clip_kl(sim.raw, y, sim.temperature)
 
 
 def baseline_logits(tape: Tape, weights_node: int, bias_node: int, features_node: int) -> int:
@@ -139,5 +132,4 @@ def cross_entropy_loss(tape: Tape, logits_node: int, labels, num_ranks: int) -> 
             f"label matrix {y.shape} does not match logits "
             f"{tape.value(logits_node).shape}"
         )
-    probs = tape.row_softmax(logits_node, 1.0)
-    return tape.scale(tape.kl_div(tape.constant(y), probs), 1.0 / y.shape[0])
+    return tape.softmax_xent(logits_node, y)

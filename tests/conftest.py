@@ -4,6 +4,7 @@ import numpy as np
 
 from ordinalproto import diffcore
 from ordinalproto.diffcore import Tape
+from ordinalproto.matching import column_normalized_labels
 
 
 def sum_all(tape: Tape, node: int) -> int:
@@ -45,3 +46,21 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
         name: np.zeros_like(nodes[idx].value) if adjoint[idx] is None else adjoint[idx]
         for name, idx in tape._params.items()
     }
+
+
+def unfused_clip_kl(tape: Tape, scores: int, targets: np.ndarray, temperature: float) -> int:
+    """The clip-kl loss as the chain of primitives it replaces: row and
+    column softmaxes, one KL per direction, and their weighted sum."""
+    nonzero_cols = int((targets.sum(axis=0) > 0).sum())
+    col_targets = column_normalized_labels(targets)
+    row_term = tape.kl_div(tape.constant(targets), tape.row_softmax(scores, temperature))
+    col_term = tape.kl_div(tape.constant(col_targets), tape.col_softmax(scores, temperature))
+    return tape.weighted_sum(
+        [row_term, col_term], [0.5 / targets.shape[0], 0.5 / nonzero_cols]
+    )
+
+
+def unfused_softmax_xent(tape: Tape, logits: int, targets: np.ndarray) -> int:
+    """The softmax-xent loss as softmax, KL and scale nodes."""
+    kl = tape.kl_div(tape.constant(targets), tape.row_softmax(logits, 1.0))
+    return tape.scale(kl, 1.0 / targets.shape[0])

@@ -82,8 +82,13 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
         (["sweep-interpolation", "--counts", "2,30"], "num_base_ranks must be in [2, num_ranks=4]"),
         (["distshift", "--grid", "2:0.5,30:0.5"], "reduce_classes must be in [0, 4], got 30"),
         (["distshift", "--grid", "2:1.5"], "reduce_fraction must be in [0, 1), got 1.5"),
+        (["fewshot", "--shots", ""], "--shots is empty"),
+        (["sweep-interpolation", "--counts", ""], "--counts is empty"),
+        (["sweep-interpolation", "--types", ""], "--types is empty"),
+        (["distshift", "--grid", ""], "--grid is empty"),
     ],
-    ids=["shots-0", "shots-x", "counts-a", "counts-30", "grid-30-classes", "grid-fraction-1.5"],
+    ids=["shots-0", "shots-x", "counts-a", "counts-30", "grid-30-classes", "grid-fraction-1.5",
+         "shots-empty", "counts-empty", "types-empty", "grid-empty"],
 )
 def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     tmp_path, capsys, monkeypatch, argv, needle
@@ -98,6 +103,8 @@ def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     assert code == 2
     assert err.startswith("config error: ")
     assert needle in err
+    if needle.endswith("is empty"):  # needs no data, so it is rejected before any output
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -119,6 +126,24 @@ def test_unreadable_csv_exits_with_config_error(tmp_path, capsys, content, needl
     assert code == 2
     assert err.startswith(f"config error: csv_path '{csv_path}': ")
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"method": "baseline", "learning_rate": 1000}, {"temperature": 0.0001}],
+    ids=["baseline-lr-1000", "temperature-1e-4"],
+)
+def test_a_softmax_that_underflows_on_a_label_still_trains(tmp_path, capsys, overrides):
+    """Both configs drive the softmax of some label to exactly 0. The loss
+    is taken from log-probabilities, which stay finite, so the run
+    completes with a finite loss in every epoch."""
+    config = _write_config(tmp_path / "run.cfg", num_ranks=6, per_rank=8, epochs=3, **overrides)
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    header, rows = _csv(tmp_path / "run" / "loss_trace.csv")
+    assert header == "epoch,mean_loss,lr"
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(np.isfinite(float(row[1])) for row in rows)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import reference_backward, sum_all
+from conftest import reference_backward, sum_all, unfused_clip_kl, unfused_softmax_xent
 from ordinalproto import diffcore
 from ordinalproto.diffcore import OP_KINDS, Tape, finite_difference_check
 
@@ -82,6 +82,22 @@ class TestForwardValues:
         out = tape.kl_div(tape.constant(p), tape.constant(p))
         assert abs(tape.value(out)[0, 0]) < 1e-15
 
+    def test_fused_losses_stay_finite_where_the_softmax_underflows(self):
+        """At t = 1e-4 the row softmax of [1, -1] is exp(-2e4) = 0 on the
+        label, which the unfused chain rejects as a zero prediction on the
+        target support. The log-sum-exp form gives the exact loss."""
+        tape = Tape()
+        s = tape.parameter([[1.0, -1.0]], "s")
+        loss = tape.clip_kl(s, [[0.0, 1.0]], 1e-4)
+        assert tape.value(loss)[0, 0] == 1e4  # 0.5 * 2e4 + 0.5 * 0
+        np.testing.assert_allclose(tape.backward(loss)["s"], [[5e3, -5e3]], rtol=1e-15)
+
+        tape = Tape()
+        logits = tape.parameter([[1000.0, -1000.0]], "logits")
+        loss = tape.softmax_xent(logits, [[0.0, 1.0]])
+        assert tape.value(loss)[0, 0] == 2000.0
+        np.testing.assert_array_equal(tape.backward(loss)["logits"], [[1.0, -1.0]])
+
     def test_kl_zero_rows_contribute_nothing(self):
         p = np.array([[0.0, 0.0], [1.0, 0.0]])
         q = np.array([[0.3, 0.7], [0.5, 0.5]])
@@ -136,6 +152,7 @@ class TestRecordContract:
             "matmul", "add", "elementwise-mul", "row-softmax-with-temperature",
             "col-softmax-with-temperature", "l2-normalize-rows",
             "kl-divergence-rows", "scalar-scale", "concat-rows", "weighted-sum",
+            "clip-kl", "softmax-xent",
         }
 
 
@@ -225,6 +242,29 @@ class TestFiniteCheck:
         tape = Tape()
         with pytest.raises(FloatingPointError, match="'add'"):
             tape.add(tape.constant(values), tape.constant(np.ones((16, 16))))
+
+    def test_l2_normalize_rows_whose_sum_of_squares_overflows_or_underflows(self):
+        """Rows whose sum of squares overflows to inf or underflows to 0 are
+        normalized after scaling by their largest entry, without a warning;
+        the norm of every other row is the plain one, bitwise."""
+        a = np.array([[1e200, 1e200], [3.0, 4.0], [1e-200, -1e-200], [1.7e308, 1.7e308]])
+        tape = Tape()
+        p = tape.parameter(a, "p")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tape.l2_normalize_rows(p)
+            grads = tape.backward(_scalarize(tape, out, np.random.default_rng(0)))
+        half = np.sqrt(0.5)
+        np.testing.assert_allclose(tape.value(out), [[half, half], [0.6, 0.8], [half, -half],
+                                                     [half, half]], rtol=1e-15)
+        np.testing.assert_array_equal(tape.value(out)[1], a[1] / np.linalg.norm(a[1]))
+        assert np.isfinite(grads["p"]).all()
+
+    def test_zero_row_after_a_rescaled_row_is_named(self):
+        tape = Tape()
+        a = tape.constant(np.array([[1e-200, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="row 1 is the zero vector"):
+            tape.l2_normalize_rows(a)
 
     def test_finite_value_whose_sum_overflows_is_accepted(self):
         tape = Tape()
@@ -427,6 +467,22 @@ def _signed(rng, shape):
     return rng.uniform(0.25, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape)
 
 
+def _loss_targets(draw, rng):
+    """B x C targets for the fused losses: one-hot labels, one-hot labels
+    with B < C (so some label columns are empty), or soft non-negative
+    targets whose rows need not sum to 1, some of them all zero."""
+    kind = draw(st.sampled_from(["one-hot", "one-hot, B < C", "soft"]))
+    rows = draw(_dims)
+    cols = rows + draw(_dims) if kind == "one-hot, B < C" else draw(_dims)
+    if kind == "soft":
+        targets = rng.uniform(0.25, 1.0, size=(rows, cols)) * (rng.random((rows, cols)) < 0.6)
+        targets[0, 0] = 1.0  # no loss is defined on all-zero targets
+    else:
+        targets = np.zeros((rows, cols))
+        targets[np.arange(rows), rng.integers(0, cols, size=rows)] = 1.0
+    return targets
+
+
 @st.composite
 def _op_cases(draw, kind):
     """(build, input values) for one op kind; build(tape, nodes) -> node."""
@@ -464,6 +520,14 @@ def _op_cases(draw, kind):
         weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
         shapes = [(rows, cols)] * len(weights)
         build = lambda t, n: t.weighted_sum(n, weights)
+    elif kind in ("clip-kl", "softmax-xent"):
+        targets = _loss_targets(draw, rng)
+        shapes = [targets.shape]
+        if kind == "clip-kl":
+            temperature = draw(st.floats(0.5, 2.0))
+            build = lambda t, n: t.clip_kl(n[0], targets, temperature)
+        else:
+            build = lambda t, n: t.softmax_xent(n[0], targets)
     elif kind == "transpose":
         shapes = [(rows, cols)]
         build = lambda t, n: t.transpose(n[0])
@@ -574,6 +638,58 @@ class TestForwardFormulas:
         tape = Tape()
         out = tape.kl_div(tape.constant(p), tape.constant(q))
         assert tape.value(out)[0, 0] == expected
+
+
+class TestFusedLosses:
+    """clip-kl and softmax-xent against the chains of primitives they
+    replace (tests/conftest.py): value and gradient within 1e-12, and the
+    closed-form gradient against central differences."""
+
+    @pytest.mark.parametrize("kind", ["clip-kl", "softmax-xent"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_fused_loss_matches_the_unfused_chain(self, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        targets = _loss_targets(data.draw, rng)
+        scores = _signed(rng, targets.shape)
+        temperature = data.draw(st.floats(0.5, 2.0))
+
+        def loss(point, fused):
+            tape = Tape()
+            s = tape.parameter(point, "s")
+            if kind == "clip-kl":
+                node = (tape.clip_kl(s, targets, temperature) if fused
+                        else unfused_clip_kl(tape, s, targets, temperature))
+            else:
+                node = tape.softmax_xent(s, targets) if fused else unfused_softmax_xent(tape, s, targets)
+            return tape, node
+
+        tape, node = loss(scores, fused=True)
+        ref_tape, ref_node = loss(scores, fused=False)
+        assert len(tape) == 2
+        value = tape.value(node)[0, 0]
+        assert abs(value - ref_tape.value(ref_node)[0, 0]) <= 1e-12
+        grad = tape.backward(node)["s"]
+        np.testing.assert_allclose(grad, ref_tape.backward(ref_node)["s"], rtol=0, atol=1e-12)
+
+        def f(point):
+            t, n = loss(point, fused=True)
+            return t.value(n)[0, 0]
+
+        assert finite_difference_check(f, scores, grad, h=H) <= FD_TOL
+
+    def test_bad_targets_or_temperature_are_rejected_before_recording(self):
+        tape = Tape()
+        s = tape.constant(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"clip-kl: incompatible shapes \(\(2, 3\), \(3, 2\)\)"):
+            tape.clip_kl(s, np.zeros((3, 2)), 1.0)
+        with pytest.raises(ValueError, match="softmax-xent: targets must be finite and non-negative"):
+            tape.softmax_xent(s, -np.ones((2, 3)))
+        with pytest.raises(ValueError, match="clip-kl: targets are all zero"):
+            tape.clip_kl(s, np.zeros((2, 3)), 1.0)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            tape.clip_kl(s, np.ones((2, 3)), 0.0)
+        assert len(tape) == 1
 
 
 class TestFiniteDifferenceCheck:

@@ -38,6 +38,18 @@ class TestPseudoTextEncoder:
         with pytest.raises(ValueError):
             enc.mixing[0, 0] = 1.0
 
+    def test_mixing_and_projection_are_multiplied_once_into_a_frozen_matrix(self):
+        enc = PseudoTextEncoder.create(4, word_dim=6, latent_dim=8)
+        np.testing.assert_array_equal(enc.mixed_projection, enc.mixing @ enc.projection)
+        with pytest.raises(ValueError):
+            enc.mixed_projection[0, 0] = 1.0
+        seq = np.random.default_rng(4).normal(size=(3, 6))
+        weights = enc.position_weights[:3]
+        row = (weights / weights.sum()) @ seq @ enc.mixing @ enc.projection
+        np.testing.assert_allclose(
+            encode_text(enc, [seq])[0], row / np.linalg.norm(row), rtol=0, atol=1e-12
+        )
+
     def test_identical_sequences_give_identical_prototypes(self):
         enc = PseudoTextEncoder.create(1, word_dim=6, latent_dim=8)
         rng = np.random.default_rng(0)

@@ -136,17 +136,16 @@ class TestBackwardOnTheTrainingTape:
 class TestWholeLossFiniteDifferences:
     """Gradients of the whole forward_loss against central differences."""
 
-    @pytest.mark.parametrize("method", PROMPT_METHODS)
-    @pytest.mark.parametrize("name", ["context", "base_ranks", "image.w1"])
-    def test_gradient_matches_finite_differences(self, method, name):
+    @staticmethod
+    def _check(method, name):
         state = _model(method)
         batch_x, batch_y = _batch()
 
         def set_param(value):
-            if name == "image.w1":
-                state.image_encoder.w1 = value
+            if name.startswith("image."):
+                setattr(state.image_encoder, name.removeprefix("image."), value)
             else:
-                setattr(state, name, value)
+                setattr(state, name.replace(".", "_"), value)
 
         def loss_at(value):
             set_param(value)
@@ -158,6 +157,43 @@ class TestWholeLossFiniteDifferences:
         analytic = tape.backward(loss)[name]
         assert np.abs(analytic).max() > 0
         assert finite_difference_check(loss_at, point, analytic, h=1e-5) <= 1e-4
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS)
+    @pytest.mark.parametrize("name", ["context", "base_ranks", "image.w1"])
+    def test_gradient_matches_finite_differences(self, method, name):
+        self._check(method, name)
+
+    @pytest.mark.parametrize("name", ["head.weights", "head.bias", "image.w1"])
+    def test_baseline_gradient_matches_finite_differences(self, name):
+        self._check(training.BASELINE, name)
+
+
+class TestGraphSize:
+    """Nodes forward_loss puts on the tape. A prompt model records five per
+    rank: a selector constant, its matmul and the concat with the context
+    (prompt.assemble_sequences), then the pooling and the folded
+    mixing-projection matmuls (PseudoTextEncoder.encode). Everything else,
+    each loss included, is one fixed set of nodes, so no count depends on
+    the batch size."""
+
+    @pytest.mark.parametrize(
+        "method, num_ranks, expected",
+        [
+            (training.ORDINALCLIP, 6, 52),
+            (training.ORDINALCLIP, 20, 122),
+            (training.COOP, 6, 50),
+            (training.COOP, 20, 120),
+            (training.BASELINE, 6, 16),
+            (training.BASELINE, 20, 16),
+        ],
+    )
+    def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected):
+        state = _model(method, num_ranks=num_ranks)
+        rng = np.random.default_rng(50)
+        for batch in (4, 16):
+            labels = np.arange(batch) % num_ranks
+            tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
+            assert len(tape) == expected, f"batch {batch}"
 
 
 class TestAdam:
