@@ -12,7 +12,8 @@ directory carries a manifest (resolved config plus FNV-1a file checksums)
 sufficient to rerun or audit it.
 
 Config files are plain text `key = value` lines; `#` starts a comment.
-Exit codes: 0 success, 1 verification failure, 2 config error.
+Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
+error.
 """
 
 from __future__ import annotations
@@ -644,6 +645,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except training.TrainingDivergedError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

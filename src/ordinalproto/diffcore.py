@@ -20,7 +20,7 @@ The tape does only the work a parameter gradient needs:
   lookup, checks each input index while gathering the input nodes, and
   stores no per-node metadata an op does not produce.
 - Fused losses. The two training objectives are single op kinds with
-  closed-form gradients, not chains of softmax, KL and scale nodes.
+  closed-form gradients; the tape has no softmax, KL or scale node.
   `clip-kl` is CLIP's symmetric image-text objective with KL in place of
   cross-entropy; `softmax-xent` is the mean row-wise KL of a softmax
   against targets, which for one-hot targets is the cross-entropy. Both
@@ -53,25 +53,20 @@ __all__ = ["Tape", "OP_KINDS", "finite_difference_check", "softmax"]
 # matrix set: the first for the image-encoder nonlinearity, the second so a
 # similarity of the form X @ Y.T is expressible. "clip-kl" and
 # "softmax-xent" are whole losses, each one node with a closed-form
-# gradient (see _fwd_clip_kl and _fwd_softmax_xent). No package path
-# records the softmax, KL, scalar-scale or weighted-sum kinds; the tests
-# build the unfused loss chains, their oracle, from them.
+# gradient (see _fwd_clip_kl and _fwd_softmax_xent). Every kind is one the
+# model records; a test runs forward_loss for each method and checks that
+# the kinds it records are exactly these.
 OP_KINDS = (
     "matmul",
     "add",
-    "elementwise-mul",
-    "row-softmax-with-temperature",
-    "col-softmax-with-temperature",
     "l2-normalize-rows",
-    "kl-divergence-rows",
-    "scalar-scale",
     "concat-rows",
-    "weighted-sum",
     "transpose",
     "tanh",
     "clip-kl",
     "softmax-xent",
 )
+
 
 def _as_matrix(array) -> np.ndarray:
     a = np.asarray(array, dtype=np.float64)
@@ -156,8 +151,7 @@ class Tape:
         """Record one primitive, computing and storing its forward value.
 
         `inputs` is a sequence of node references. Extra op parameters:
-        temperature (softmaxes, clip-kl), factor (scalar-scale), weights
-        (weighted-sum), targets (clip-kl, softmax-xent).
+        temperature (clip-kl) and targets (clip-kl, softmax-xent).
         """
         forward = _FORWARD.get(op_kind)
         if forward is None:
@@ -187,36 +181,11 @@ class Tape:
     def add(self, a: int, b: int) -> int:
         return self.record("add", (a, b))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.record("elementwise-mul", (a, b))
-
-    def row_softmax(self, a: int, temperature: float) -> int:
-        return self.record("row-softmax-with-temperature", (a,), temperature=temperature)
-
-    def col_softmax(self, a: int, temperature: float) -> int:
-        return self.record("col-softmax-with-temperature", (a,), temperature=temperature)
-
     def l2_normalize_rows(self, a: int) -> int:
         return self.record("l2-normalize-rows", (a,))
 
-    def kl_div(self, target: int, prediction: int) -> int:
-        """Total KL divergence, a 1x1 node.
-
-        Sums p * log(p / q) over all entries with the 0 * log 0 = 0
-        convention, so all-zero rows (or columns) of the target contribute
-        nothing. Summing over entries makes the same primitive serve both
-        row-wise and column-wise divergence terms.
-        """
-        return self.record("kl-divergence-rows", (target, prediction))
-
-    def scale(self, a: int, factor: float) -> int:
-        return self.record("scalar-scale", (a,), factor=factor)
-
     def concat_rows(self, nodes) -> int:
         return self.record("concat-rows", tuple(nodes))
-
-    def weighted_sum(self, nodes, weights) -> int:
-        return self.record("weighted-sum", tuple(nodes), weights=tuple(float(w) for w in weights))
 
     def transpose(self, a: int) -> int:
         return self.record("transpose", (a,))
@@ -316,15 +285,9 @@ def _fwd_add(vals, params):
     raise _shape_err("add", (a.shape, b.shape))
 
 
-def _fwd_mul(vals, params):
-    a, b = vals
-    if a.shape != b.shape:
-        raise _shape_err("elementwise-mul", (a.shape, b.shape))
-    return a * b, None
-
-
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax of a plain array along `axis`, as the softmax ops compute it."""
+    """Softmax of a plain array along `axis`: the probabilities the fused
+    losses form, and the one softmax the package computes."""
     shifted = x - x.max(axis=axis, keepdims=True)  # overflow guard, value-identical
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
@@ -338,23 +301,6 @@ def _log_softmax(x, axis):
     e = np.exp(shifted)
     total = e.sum(axis=axis, keepdims=True)
     return shifted - np.log(total), e / total
-
-
-def _temperature(params):
-    t = float(params["temperature"])
-    if t <= 0:
-        raise ValueError(f"softmax temperature must be positive, got {t}")
-    return t
-
-
-def _fwd_row_softmax(vals, params):
-    t = _temperature(params)
-    return softmax(vals[0] / t, axis=1), {"temperature": t}
-
-
-def _fwd_col_softmax(vals, params):
-    t = _temperature(params)
-    return softmax(vals[0] / t, axis=0), {"temperature": t}
 
 
 def _fwd_l2_normalize_rows(vals, params):
@@ -382,21 +328,6 @@ def _fwd_l2_normalize_rows(vals, params):
     return out, {"norms": norms}
 
 
-def _fwd_kl(vals, params):
-    p, q = vals
-    if p.shape != q.shape:
-        raise _shape_err("kl-divergence-rows", (p.shape, q.shape))
-    if (p < 0).any():
-        raise ValueError("kl-divergence-rows: target has negative entries")
-    support = p > 0
-    p_s = p[support]
-    q_s = q[support]
-    if (q_s <= 0).any():
-        raise ValueError("kl-divergence-rows: prediction is zero on the target support")
-    total = float(np.sum(p_s * (np.log(p_s) - np.log(q_s))))
-    return np.array([[total]]), {"support": support}
-
-
 def _targets(op, params, scores):
     y = _as_matrix(params["targets"])
     if y.shape != scores.shape:
@@ -422,7 +353,9 @@ def _fwd_clip_kl(vals, params):
     the non-zero columns, whose Yc columns sum to 1.
     """
     (s,) = vals
-    t = _temperature(params)
+    t = float(params["temperature"])
+    if t <= 0:
+        raise ValueError(f"softmax temperature must be positive, got {t}")
     y = _targets("clip-kl", params, s)
     col_sums = y.sum(axis=0, keepdims=True)
     mask = col_sums > 0
@@ -449,27 +382,11 @@ def _fwd_softmax_xent(vals, params):
     return np.array([[_kl_total(y, log_p) * weight]]), (weight, y, p)
 
 
-def _fwd_scale(vals, params):
-    return vals[0] * float(params["factor"]), {"factor": float(params["factor"])}
-
-
 def _fwd_concat_rows(vals, params):
     cols = {v.shape[1] for v in vals}
     if len(vals) == 0 or len(cols) != 1:
         raise _shape_err("concat-rows", [v.shape for v in vals])
     return np.concatenate(vals), {"row_counts": [v.shape[0] for v in vals]}
-
-
-def _fwd_weighted_sum(vals, params):
-    weights = params["weights"]
-    if len(weights) != len(vals) or not vals:
-        raise ValueError("weighted-sum: need one weight per input")
-    if len({v.shape for v in vals}) != 1:
-        raise _shape_err("weighted-sum", [v.shape for v in vals])
-    out = np.zeros_like(vals[0])
-    for w, v in zip(weights, vals):
-        out += w * v
-    return out, {"weights": weights}
 
 
 def _fwd_transpose(vals, params):
@@ -483,14 +400,8 @@ def _fwd_tanh(vals, params):
 _FORWARD = {
     "matmul": _fwd_matmul,
     "add": _fwd_add,
-    "elementwise-mul": _fwd_mul,
-    "row-softmax-with-temperature": _fwd_row_softmax,
-    "col-softmax-with-temperature": _fwd_col_softmax,
     "l2-normalize-rows": _fwd_l2_normalize_rows,
-    "kl-divergence-rows": _fwd_kl,
-    "scalar-scale": _fwd_scale,
     "concat-rows": _fwd_concat_rows,
-    "weighted-sum": _fwd_weighted_sum,
     "transpose": _fwd_transpose,
     "tanh": _fwd_tanh,
     "clip-kl": _fwd_clip_kl,
@@ -517,43 +428,10 @@ def _bwd_add(g, out, ins, meta, wants):
     return (g if wants[0] else None, g if wants[1] else None)
 
 
-def _bwd_mul(g, out, ins, meta, wants):
-    a, b = ins
-    return (g * b if wants[0] else None, g * a if wants[1] else None)
-
-
-def _bwd_row_softmax(g, s, ins, meta, wants):
-    t = meta["temperature"]
-    inner = (g * s).sum(axis=1, keepdims=True)
-    return (s * (g - inner) / t,)
-
-
-def _bwd_col_softmax(g, s, ins, meta, wants):
-    t = meta["temperature"]
-    inner = (g * s).sum(axis=0, keepdims=True)
-    return (s * (g - inner) / t,)
-
-
 def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
     norms = meta["norms"]
     inner = (g * y).sum(axis=1, keepdims=True)
     return ((g - inner * y) / norms,)
-
-
-def _bwd_kl(g, out, ins, meta, wants):
-    p, q = ins
-    support = meta["support"]
-    scalar = g[0, 0]
-    dp = dq = None
-    if wants[0]:
-        # d/dp is only defined on the target's support; elsewhere the 0*log 0
-        # convention makes the contribution identically zero.
-        dp = np.zeros_like(p)
-        dp[support] = scalar * (np.log(p[support]) - np.log(q[support]) + 1.0)
-    if wants[1]:
-        dq = np.zeros_like(q)
-        dq[support] = -scalar * p[support] / q[support]
-    return (dp, dq)
 
 
 def _bwd_clip_kl(g, out, ins, meta, wants):
@@ -574,10 +452,6 @@ def _bwd_softmax_xent(g, out, ins, meta, wants):
     return (grad,)
 
 
-def _bwd_scale(g, out, ins, meta, wants):
-    return (g * meta["factor"],)
-
-
 def _bwd_concat_rows(g, out, ins, meta, wants):
     grads = []
     start = 0
@@ -585,10 +459,6 @@ def _bwd_concat_rows(g, out, ins, meta, wants):
         grads.append(g[start:start + count] if want else None)
         start += count
     return tuple(grads)
-
-
-def _bwd_weighted_sum(g, out, ins, meta, wants):
-    return tuple(w * g if want else None for w, want in zip(meta["weights"], wants))
 
 
 def _bwd_transpose(g, out, ins, meta, wants):
@@ -602,14 +472,8 @@ def _bwd_tanh(g, y, ins, meta, wants):
 _BACKWARD = {
     "matmul": _bwd_matmul,
     "add": _bwd_add,
-    "elementwise-mul": _bwd_mul,
-    "row-softmax-with-temperature": _bwd_row_softmax,
-    "col-softmax-with-temperature": _bwd_col_softmax,
     "l2-normalize-rows": _bwd_l2_normalize_rows,
-    "kl-divergence-rows": _bwd_kl,
-    "scalar-scale": _bwd_scale,
     "concat-rows": _bwd_concat_rows,
-    "weighted-sum": _bwd_weighted_sum,
     "transpose": _bwd_transpose,
     "tanh": _bwd_tanh,
     "clip-kl": _bwd_clip_kl,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .diffcore import softmax
+
 ARGMAX = "argmax"
 EXPECTATION = "expectation"
 PREDICTION_RULES = (ARGMAX, EXPECTATION)
@@ -30,10 +32,7 @@ def predict(scores: np.ndarray, rule: str = ARGMAX, temperature: float = 1.0) ->
     if rule == EXPECTATION:
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        shifted = scores / temperature
-        shifted -= shifted.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = softmax(scores / temperature, axis=1)
         expect = probs @ np.arange(scores.shape[1], dtype=np.float64)
         return np.clip(np.floor(expect + 0.5).astype(np.int64), 0, scores.shape[1] - 1)
     raise ValueError(f"unknown prediction rule {rule!r}; valid rules: {PREDICTION_RULES}")
@@ -70,10 +69,7 @@ def prototype_similarity(prototypes: np.ndarray, temperature: float) -> np.ndarr
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    scores = (prototypes @ prototypes.T) / temperature
-    scores -= scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax((prototypes @ prototypes.T) / temperature, axis=1)
     return probs / probs.max()
 
 

@@ -334,6 +334,15 @@ def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
     return out
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm as max|x| * ||x / max|x|||, finite for every finite x,
+    however large its entries."""
+    scale = float(np.abs(x).max(initial=0.0))
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(x / scale))
+
+
 def train_step(
     state: ModelState,
     batch_x: np.ndarray,
@@ -348,7 +357,7 @@ def train_step(
     try:
         tape, loss_node = forward_loss(state, batch_x, batch_y, cfg.temperature)
     except FloatingPointError as exc:
-        norms = {k: float(np.linalg.norm(v)) for k, v in state.trainable_parameters().items()}
+        norms = {k: _norm(v) for k, v in state.trainable_parameters().items()}
         raise TrainingDivergedError(
             f"non-finite values in forward pass ({exc}); parameter norms: {norms}"
         ) from exc
@@ -377,11 +386,14 @@ class LossTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTrace:
     """epochs x ceil(n / B) steps with a seeded shuffle per epoch.
 
     The learning rate is multiplied by the decay factor at the start of
-    each epoch listed in decay_epochs (0-based).
+    each epoch listed in decay_epochs (0-based). A fit that goes
+    non-finite raises TrainingDivergedError; numpy's overflow and invalid
+    warnings, which would only repeat that, are off while it runs.
     """
     cfg.validate()
     if len(train_ds) == 0:

@@ -1,4 +1,7 @@
-"""Helpers shared by the tests. The package itself does not need them."""
+"""Helpers shared by the tests. The package itself does not need them.
+
+`unfused_clip_kl` and `unfused_softmax_xent` are the oracle for the two
+fused loss ops: plain numpy, no tape, each returning (value, gradient)."""
 
 import numpy as np
 
@@ -48,19 +51,35 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
     }
 
 
-def unfused_clip_kl(tape: Tape, scores: int, targets: np.ndarray, temperature: float) -> int:
-    """The clip-kl loss as the chain of primitives it replaces: row and
-    column softmaxes, one KL per direction, and their weighted sum."""
+def _kl_of_softmax(scores, targets, temperature, axis, weight):
+    """weight * KL(targets || softmax(scores / t)) along `axis`, and its
+    gradient in the scores, by the chain rule: the KL adjoint -w * Y / P on
+    the targets' support, then the softmax VJP P * (g - sum(g * P)) / t."""
+    z = scores / temperature
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+    support = targets > 0
+    y = targets[support]
+    value = weight * np.sum(y * (np.log(y) - np.log(p[support])))
+    g = np.zeros_like(p)
+    g[support] = -weight * y / p[support]
+    return value, p * (g - (g * p).sum(axis=axis, keepdims=True)) / temperature
+
+
+def unfused_clip_kl(scores, targets, temperature):
+    """(value, gradient) of the clip-kl loss, as the plain-numpy chain it
+    fuses: a row softmax and a column softmax, one KL per direction, and
+    their weighted sum. The probabilities are formed first and their log
+    taken after, not in the fused op's log-sum-exp form."""
     nonzero_cols = int((targets.sum(axis=0) > 0).sum())
-    col_targets = column_normalized_labels(targets)
-    row_term = tape.kl_div(tape.constant(targets), tape.row_softmax(scores, temperature))
-    col_term = tape.kl_div(tape.constant(col_targets), tape.col_softmax(scores, temperature))
-    return tape.weighted_sum(
-        [row_term, col_term], [0.5 / targets.shape[0], 0.5 / nonzero_cols]
+    row_value, row_grad = _kl_of_softmax(scores, targets, temperature, 1, 0.5 / targets.shape[0])
+    col_value, col_grad = _kl_of_softmax(
+        scores, column_normalized_labels(targets), temperature, 0, 0.5 / nonzero_cols
     )
+    return row_value + col_value, row_grad + col_grad
 
 
-def unfused_softmax_xent(tape: Tape, logits: int, targets: np.ndarray) -> int:
-    """The softmax-xent loss as softmax, KL and scale nodes."""
-    kl = tape.kl_div(tape.constant(targets), tape.row_softmax(logits, 1.0))
-    return tape.scale(kl, 1.0 / targets.shape[0])
+def unfused_softmax_xent(logits, targets):
+    """(value, gradient) of the softmax-xent loss: the mean row-wise KL of
+    the row softmax against the targets."""
+    return _kl_of_softmax(logits, targets, 1.0, 1, 1.0 / targets.shape[0])

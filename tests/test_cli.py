@@ -9,6 +9,7 @@ not match (exit 1). Grid commands: with one evaluation seed, a grid cell that
 keeps every training sample and the default prompt equals `train`.
 """
 
+import re
 import shutil
 
 import numpy as np
@@ -144,6 +145,24 @@ def test_a_softmax_that_underflows_on_a_label_still_trains(tmp_path, capsys, ove
     assert [row[0] for row in rows] == ["0", "1", "2"]
     assert all(np.isfinite(float(row[1])) for row in rows)
     assert capsys.readouterr().err == ""
+
+
+def test_a_diverged_fit_exits_1_with_one_line_and_finite_norms(tmp_path, capsys):
+    """At learning_rate = 1e300 one Adam step sends the baseline's
+    parameters to ~1e300, still finite, and the next forward pass
+    overflows. The error names the op and a finite norm for every group."""
+    config = _write_config(tmp_path / "run.cfg", method="baseline", learning_rate="1e300",
+                           num_ranks=6, per_rank=8, epochs=3)
+    code = cli.main(["train", "--config", config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("training diverged: non-finite values in forward pass "
+                          "(non-finite values produced by op 'matmul')")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    norms = dict(re.findall(r"'([\w.]+)': ([^,}]+)", err.split("parameter norms: ", 1)[1]))
+    assert set(norms) == {"head.weights", "head.bias", "image.w1", "image.b1", "image.w2",
+                          "image.b2"}
+    assert all(np.isfinite(float(v)) and float(v) > 1e299 for v in norms.values())
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ CSV/PGM heatmap exports."""
 import numpy as np
 import pytest
 
+from ordinalproto.diffcore import softmax
 from ordinalproto.metrics import (
     accuracy,
     export_heatmap,
@@ -145,6 +146,31 @@ class TestPrototypeSimilarity:
         table = prototype_similarity(protos, 0.07)
         assert table.max() == 1.0
         assert table.shape == (8, 8)
+
+
+@pytest.mark.parametrize("c", [2, 20, 100])
+def test_softmax_rules_equal_the_inline_formulas_bitwise(c):
+    """predict's expectation rule and prototype_similarity take their row
+    softmax from diffcore.softmax; both equal the shift, exp and
+    normalize written out here, bit for bit."""
+
+    def row_softmax(scores):
+        scores = scores - scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs
+
+    rng = np.random.default_rng(c)
+    for temperature in (0.07, 1.0):
+        scores = rng.normal(size=(16, c))
+        np.testing.assert_array_equal(softmax(scores / temperature, axis=1),
+                                      row_softmax(scores / temperature))
+        expect = row_softmax(scores / temperature) @ np.arange(c, dtype=np.float64)
+        old = np.clip(np.floor(expect + 0.5).astype(np.int64), 0, c - 1)
+        np.testing.assert_array_equal(predict(scores, "expectation", temperature), old)
+        protos = _line_prototypes(c, seed=c)
+        probs = row_softmax((protos @ protos.T) / temperature)
+        np.testing.assert_array_equal(prototype_similarity(protos, temperature), probs / probs.max())
 
 
 class TestHeatmapExport:

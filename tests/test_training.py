@@ -9,7 +9,7 @@ import pytest
 
 from conftest import reference_backward
 from ordinalproto import data, training
-from ordinalproto.diffcore import finite_difference_check
+from ordinalproto.diffcore import OP_KINDS, Tape, finite_difference_check
 from ordinalproto.encoders import (
     BadMagicError,
     ChecksumMismatchError,
@@ -194,6 +194,22 @@ class TestGraphSize:
             labels = np.arange(batch) % num_ranks
             tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
             assert len(tape) == expected, f"batch {batch}"
+
+
+def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
+    """The op kinds forward_loss records over the three trained methods are
+    exactly diffcore.OP_KINDS: a kind no model records is dead code."""
+    recorded = set()
+    record = Tape.record
+
+    def spy(self, op_kind, inputs, **params):
+        recorded.add(op_kind)
+        return record(self, op_kind, inputs, **params)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    for method in PROMPT_METHODS + (training.BASELINE,):
+        training.forward_loss(_model(method), *_batch(), TEMPERATURE)
+    assert recorded == set(OP_KINDS)
 
 
 class TestAdam:
