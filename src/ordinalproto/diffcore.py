@@ -32,7 +32,9 @@ The tape does only the work a parameter gradient needs:
   non-finite whenever an entry is. Only a non-finite sum, from such an
   entry or from overflow on huge finite entries, pays for the full
   entrywise scan, so an op raises exactly when its value has a
-  non-finite entry.
+  non-finite entry. The fused losses check their scores the same way:
+  a non-finite score in a row with no target weight leaves the loss
+  finite but would make its gradient NaN.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
@@ -329,6 +331,7 @@ def _fwd_l2_normalize_rows(vals, params):
 
 
 def _targets(op, params, scores):
+    _check_finite(scores, op)
     y = _as_matrix(params["targets"])
     if y.shape != scores.shape:
         raise _shape_err(op, (scores.shape, y.shape))
@@ -354,7 +357,7 @@ def _fwd_clip_kl(vals, params):
     """
     (s,) = vals
     t = float(params["temperature"])
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
     y = _targets("clip-kl", params, s)
     col_sums = y.sum(axis=0, keepdims=True)

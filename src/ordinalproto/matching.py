@@ -59,7 +59,7 @@ def similarity(tape: Tape, images_node: int, prototypes_node: int, temperature: 
     distribution over ranks, the column-normalized table a per-rank
     distribution over the batch. Temperature must be positive.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     images = tape.value(images_node)
     prototypes = tape.value(prototypes_node)

@@ -30,7 +30,7 @@ def predict(scores: np.ndarray, rule: str = ARGMAX, temperature: float = 1.0) ->
     if rule == ARGMAX:
         return np.argmax(scores, axis=1)
     if rule == EXPECTATION:
-        if temperature <= 0:
+        if not temperature > 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
         probs = softmax(scores / temperature, axis=1)
         expect = probs @ np.arange(scores.shape[1], dtype=np.float64)
@@ -67,7 +67,7 @@ def prototype_similarity(prototypes: np.ndarray, temperature: float) -> np.ndarr
     maximum is exactly 1. This is the similarity table the heatmaps show.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     probs = softmax((prototypes @ prototypes.T) / temperature, axis=1)
     return probs / probs.max()

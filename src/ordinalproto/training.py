@@ -68,7 +68,7 @@ class TrainConfig:
         # 0 is allowed so a no-op step can be probed; negative rates are not.
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         return self
 

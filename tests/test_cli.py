@@ -50,6 +50,7 @@ def _metrics(run_dir):
         ("num_context = 16", "max_len"),
         ("batch_size = 0", "batch_size"),
         ("temperature = 0", "temperature"),
+        ("temperature = nan", "temperature must be positive, got nan"),
         ("method = zeroshot\ntemperature = 0", "temperature must be positive"),
         ("num_ranks = 1", "2 ranks"),
         ("per_rank = 0", "per_rank"),

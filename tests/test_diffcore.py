@@ -43,6 +43,23 @@ class TestForwardValues:
         out = tape.matmul(tape.constant(np.eye(2)), tape.constant(m))
         np.testing.assert_array_equal(tape.value(out), m)
 
+    def test_row_softmax_direct_evaluation(self):
+        # softmax([0, ln 3]) = [1, 3] / 4
+        out = diffcore.softmax(np.array([[0.0, np.log(3.0)]]), axis=1)
+        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-15)
+
+    def test_row_softmax_rows_sum_to_one(self):
+        # cosine-scale inputs: the operating range of the similarity tables
+        rng = np.random.default_rng(1)
+        value = diffcore.softmax(rng.uniform(-1, 1, size=(6, 8)) / 0.07, axis=1)
+        np.testing.assert_allclose(value.sum(axis=1), 1.0, atol=1e-12)
+        assert (value > 0).all() and (value < 1).all()
+
+    def test_col_softmax_cols_sum_to_one(self):
+        rng = np.random.default_rng(2)
+        value = diffcore.softmax(rng.normal(size=(6, 8)) / 0.5, axis=0)
+        np.testing.assert_allclose(value.sum(axis=0), 1.0, atol=1e-12)
+
     def test_l2_normalize_unit_rows(self):
         rng = np.random.default_rng(3)
         tape = Tape()
@@ -50,6 +67,28 @@ class TestForwardValues:
         np.testing.assert_allclose(
             np.linalg.norm(tape.value(out), axis=1), 1.0, atol=1e-12
         )
+
+    def test_kl_of_identical_distributions_is_zero(self):
+        """softmax-xent against targets equal to the softmax of its logits:
+        zero loss and zero gradient, up to rounding."""
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(3, 4))
+        tape = Tape()
+        s = tape.parameter(logits, "s")
+        loss = tape.softmax_xent(s, diffcore.softmax(logits, axis=1))
+        assert abs(tape.value(loss)[0, 0]) < 1e-15
+        np.testing.assert_allclose(tape.backward(loss)["s"], 0.0, atol=1e-15)
+
+    def test_kl_zero_rows_contribute_nothing(self):
+        """An all-zero target row adds nothing to the KL sum and gets an
+        exact-zero gradient; it still counts in the mean over rows."""
+        p = np.array([[0.0, 0.0], [1.0, 0.0]])
+        q = np.array([[0.3, 0.7], [0.5, 0.5]])
+        tape = Tape()
+        s = tape.parameter(np.log(q), "s")
+        loss = tape.softmax_xent(s, p)
+        assert tape.value(loss)[0, 0] == pytest.approx(np.log(2.0) / 2, abs=1e-15)
+        np.testing.assert_array_equal(tape.backward(loss)["s"][0], [0.0, 0.0])
 
     def test_fused_losses_stay_finite_where_the_softmax_underflows(self):
         """At t = 1e-4 the row softmax of [1, -1] is exp(-2e4) = 0 on the
@@ -96,6 +135,14 @@ class TestRecordContract:
         with pytest.raises(ValueError, match="row 1"):
             tape.l2_normalize_rows(a)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_temperature_rejected(self, temperature):
+        tape = Tape()
+        a = tape.constant(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            tape.clip_kl(a, np.eye(2), temperature)
+        assert len(tape) == 1
+
     def test_all_listed_op_kinds_are_recordable(self):
         assert set(OP_KINDS) == set(diffcore._FORWARD) == set(diffcore._BACKWARD) == {
             "matmul", "add", "l2-normalize-rows", "concat-rows", "transpose", "tanh",
@@ -110,6 +157,16 @@ class TestBackward:
         p = tape.parameter(rng.normal(size=(2, 3)), "p")
         grads = tape.backward(sum_all(tape, p))
         np.testing.assert_array_equal(grads["p"], np.ones((2, 3)))
+
+    def test_half_squared_norm_gradient_equals_parameter(self):
+        """0.5 * p @ p.T for a row p: the two matmul operands each carry
+        half of the gradient p, one of them back through transpose."""
+        rng = np.random.default_rng(6)
+        value = rng.normal(size=(1, 9))
+        tape = Tape()
+        p = tape.parameter(value, "p")
+        loss = tape.matmul(tape.constant([[0.5]]), tape.matmul(p, tape.transpose(p)))
+        np.testing.assert_allclose(tape.backward(loss)["p"], value, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
@@ -144,6 +201,23 @@ class TestBackward:
         np.testing.assert_allclose(
             grads_of("sum"), grads_of("a") + grads_of("b"), atol=1e-12
         )
+
+    def test_kl_of_softmax_gradient_matches_finite_differences(self):
+        """clip-kl of one-hot labels at t = 0.5, at logits peaked toward
+        the labels."""
+        labels = np.array([0, 2, 1])
+        y = np.zeros((3, 3))
+        y[np.arange(3), labels] = 1.0
+        logits = 2.0 * y
+
+        def loss_of(p):
+            tape = Tape()
+            return tape.value(tape.clip_kl(tape.parameter(p, "p"), y, 0.5))[0, 0]
+
+        tape = Tape()
+        loss = tape.clip_kl(tape.parameter(logits, "p"), y, 0.5)
+        analytic = tape.backward(loss)["p"]
+        assert finite_difference_check(loss_of, logits, analytic, h=H) <= FD_TOL
 
 
 class TestFiniteCheck:
@@ -329,6 +403,17 @@ class TestPrimitiveGradients:
     def test_tanh(self):
         _fd_case("tanh", lambda t, n: t.tanh(n[0]), [(8, 8)], 21)
 
+    def test_clip_kl(self):
+        # label 5 is empty: a zero column, left out of the column term
+        targets = np.eye(8)[[0, 2, 2, 7, 1, 3]]
+        _fd_case("clip-kl", lambda t, n: t.clip_kl(n[0], targets, 0.7), [(6, 8)], 22)
+
+    def test_softmax_xent(self):
+        rng = np.random.default_rng(23)
+        targets = rng.uniform(0.0, 1.0, size=(4, 5))
+        targets[0, :] = 0.0  # an all-zero target row must stay differentiable
+        _fd_case("softmax-xent", lambda t, n: t.softmax_xent(n[0], targets), [(4, 5)], 24)
+
 
 # ---------------------------------------------------------------------------
 # property tests: every op kind over random small shapes, input roles and
@@ -456,6 +541,40 @@ class TestOpProperties:
             err = finite_difference_check(f, values[target], grads[f"p{target}"], h=H)
             assert err <= FD_TOL, f"input {target}: relative error {err}"
 
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_backward_leaves_the_tape_unchanged_and_its_gradients_unshared(self, kind, data):
+        """A second sweep returns the same gradients bitwise, every tape
+        value is as recorded, and no gradient shares memory with another
+        gradient or with any tape value."""
+        build, values = data.draw(_op_cases(kind))
+        sources, params = _wiring(data.draw, values)
+        tape, loss = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
+        recorded = [tape.value(i).copy() for i in range(len(tape))]
+        grads = tape.backward(loss)
+        again = tape.backward(loss)
+        for name in grads:
+            np.testing.assert_array_equal(again[name], grads[name])
+        for i, value in enumerate(recorded):
+            np.testing.assert_array_equal(tape.value(i), value)
+        arrays = list(grads.values())
+        for i, g in enumerate(arrays):
+            assert not any(np.shares_memory(g, other) for other in arrays[i + 1:])
+            assert not any(np.shares_memory(g, tape.value(j)) for j in range(len(tape)))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_a_nan_input_raises_naming_the_op_and_records_nothing(self, kind, data):
+        build, values = data.draw(_op_cases(kind))
+        which = data.draw(st.integers(0, len(values) - 1))
+        rows, cols = values[which].shape
+        values[which][data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = np.nan
+        tape = Tape()
+        nodes = [tape.constant(v) for v in values]
+        with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
+            build(tape, nodes)
+        assert len(tape) == len(values)
+
 
 _finite = hnp.arrays(
     np.float64,
@@ -484,6 +603,23 @@ class TestForwardFormulas:
         tape = Tape()
         out = tape.concat_rows([tape.constant(p) for p in parts])
         np.testing.assert_array_equal(tape.value(out), np.vstack(parts))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_kl_equals_the_two_gather_formula(self, data):
+        """softmax-xent: the KL sum gathered on the targets' support, with
+        log-probabilities in log-sum-exp form, over the B rows."""
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
+        y = data.draw(hnp.arrays(np.float64, shape,
+                                 elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+        x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-30.0, 30.0)))
+        shifted = x - x.max(axis=1, keepdims=True)
+        log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        s = y > 0
+        expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / shape[0])
+        tape = Tape()
+        out = tape.softmax_xent(tape.constant(x), y)
+        assert tape.value(out)[0, 0] == expected
 
 
 class TestFusedLosses:
