@@ -8,8 +8,8 @@ it. The four grid commands (sweep, ablation, few-shot, distribution
 shift) share one runner, `_run_grid`, over methods x cells x seeds.
 Every command is a pure function of (config, seed): rerunning a command
 into a fresh directory reproduces byte-identical outputs, and each run
-directory carries a manifest (resolved config plus FNV-1a file checksums)
-sufficient to rerun or audit it.
+directory carries a manifest (a format line, the resolved config and
+each file's size and FNV-1a checksum) sufficient to rerun or audit it.
 
 Config files are plain text `key = value` lines; `#` starts a comment.
 Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
@@ -19,6 +19,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -131,7 +132,10 @@ def load_config(path: str | None) -> dict:
     """Resolve a config file against the schema defaults."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -343,8 +347,18 @@ def _labelled(labels, *tables) -> list[list]:
 # manifest
 
 
+# The first line of every manifest. `report` refuses a manifest that does
+# not start with it, so one of another format fails on this line rather
+# than as a checksum mismatch per file.
+MANIFEST_FORMAT = "# run manifest"
+
+# A [files] entry: a plain file name, its size and its hex digest. 20
+# digits hold any 64-bit size and stay far below int()'s digit limit.
+_FILE_ENTRY = re.compile(r"(.+) ([0-9]{1,20}) ([0-9a-f]{16})")
+
+
 def _write_manifest(out_dir: Path, cfg: dict, method: str, extra: dict | None = None) -> None:
-    lines = ["# run manifest"]
+    lines = [MANIFEST_FORMAT]
     skip = set() if method != BASELINE else set(PROMPT_KEYS)
     for key in sorted(CONFIG_SCHEMA):
         if key in skip:
@@ -362,24 +376,45 @@ def _write_manifest(out_dir: Path, cfg: dict, method: str, extra: dict | None = 
 
 
 def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
+    """(config, [(name, size, digest)]) of a run's manifest. Anything that
+    does not parse, and a file entry that is not a plain name in the run
+    directory, raises VerificationError naming the line."""
     path = out_dir / "manifest.txt"
-    if not path.exists():
+    if not path.is_file():
         raise VerificationError(f"missing manifest: {path}")
+    blob = path.read_bytes()
+    try:
+        lines = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise VerificationError(f"{path}:{lineno}: not UTF-8 text") from exc
+    if lines[0] != MANIFEST_FORMAT:
+        raise VerificationError(
+            f"{path}:1: unknown manifest format {lines[0]!r}; expected {MANIFEST_FORMAT!r}"
+        )
     config, files = {}, []
     in_files = False
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[files]":
             in_files = True
-            continue
-        if in_files:
-            name, size, digest = line.rsplit(" ", 2)
+        elif in_files:
+            entry = _FILE_ENTRY.fullmatch(line)
+            if entry is None:
+                raise VerificationError(
+                    f"{path}:{lineno}: expected 'name size digest', got {line!r}"
+                )
+            name, size, digest = entry.groups()
+            if name in (".", "..") or "/" in name:
+                raise VerificationError(f"{path}:{lineno}: {name!r} is not a plain file name")
             files.append((name, int(size), digest))
-        else:
+        elif "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
             config[key] = value
+        else:
+            raise VerificationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
     return config, files
 
 
@@ -567,7 +602,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     failures = []
     for name, size, digest in files:
         path = out / name
-        if not path.exists():
+        if not path.is_file():
             failures.append(f"missing file: {name}")
             print(f"{name}  MISSING")
             continue

@@ -108,7 +108,7 @@ def generate_synthetic(
         raise ValueError(f"per_rank must be >= 1, got {per_rank}")
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=input_dim)

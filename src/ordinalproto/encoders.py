@@ -182,6 +182,10 @@ class ImageEncoder:
     def create(
         cls, seed: int, input_dim: int = 16, hidden_dim: int = 32, latent_dim: int = 64
     ) -> "ImageEncoder":
+        dims = {"input_dim": input_dim, "hidden_dim": hidden_dim, "latent_dim": latent_dim}
+        for name, dim in dims.items():
+            if dim < 1:
+                raise ValueError(f"{name} must be >= 1, got {dim}")
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, 1.0 / np.sqrt(input_dim), (input_dim, hidden_dim))
         b1 = np.zeros((1, hidden_dim))

@@ -9,6 +9,7 @@ neighboring ranks and injects the ordinal structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class PromptConfig:
             raise ValueError(f"num_context must be >= 0, got {self.num_context}")
         if self.word_dim < 1:
             raise ValueError(f"word_dim must be >= 1, got {self.word_dim}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.interpolation not in INTERPOLATION_KINDS:
             raise ValueError(
                 f"interpolation must be one of {INTERPOLATION_KINDS}, "

@@ -20,6 +20,7 @@ its gradient, and it stays bitwise identical. One seed drives everything
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -66,10 +67,21 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         # 0 is allowed so a no-op step can be probed; negative rates are not.
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("lr_decay_factor", "last_layer_lr_mult"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # Adam divides by sqrt(v) + adam_eps, which must stay positive.
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.temperature == math.inf:
+            raise ValueError("temperature must be finite, got inf")
         return self
 
 
@@ -260,13 +272,24 @@ def evaluate(
     temperature: float = 1.0,
 ) -> MetricReport:
     """Predict a rank per sample from raw per-rank scores (similarities to
-    the prototypes, or the baseline's logits) and report the metrics."""
-    features, embeddings = encode_images(state.image_encoder, ds.features)
-    protos = prototypes_of(state)
-    if state.uses_prompts:
-        scores = embeddings @ protos.T
-    else:
-        scores = features @ state.head_weights.T + state.head_bias
+    the prototypes, or the baseline's logits) and report the metrics.
+
+    A forward pass that goes non-finite raises TrainingDivergedError, as
+    in train_step.
+    """
+    # Overflow here is reported as divergence below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            features, embeddings = encode_images(state.image_encoder, ds.features)
+            protos = prototypes_of(state)
+        except FloatingPointError as exc:
+            raise _diverged(state, exc) from exc
+        if state.uses_prompts:
+            scores = embeddings @ protos.T
+        else:
+            scores = features @ state.head_weights.T + state.head_bias
+    if not np.isfinite(scores).all():
+        raise _diverged(state, "non-finite scores")
     predictions = predict(scores, rule=rule, temperature=temperature)
     return metric_report(predictions, ds.labels, protos, ds.num_ranks)
 
@@ -343,6 +366,15 @@ def _norm(x: np.ndarray) -> float:
     return scale * float(np.linalg.norm(x / scale))
 
 
+def _diverged(state: ModelState, cause) -> TrainingDivergedError:
+    """The error for a non-finite forward pass: its cause and the norm of
+    every trainable group."""
+    norms = {k: _norm(v) for k, v in state.trainable_parameters().items()}
+    return TrainingDivergedError(
+        f"non-finite values in forward pass ({cause}); parameter norms: {norms}"
+    )
+
+
 def train_step(
     state: ModelState,
     batch_x: np.ndarray,
@@ -357,10 +389,7 @@ def train_step(
     try:
         tape, loss_node = forward_loss(state, batch_x, batch_y, cfg.temperature)
     except FloatingPointError as exc:
-        norms = {k: _norm(v) for k, v in state.trainable_parameters().items()}
-        raise TrainingDivergedError(
-            f"non-finite values in forward pass ({exc}); parameter norms: {norms}"
-        ) from exc
+        raise _diverged(state, exc) from exc
     loss_value = float(tape.value(loss_node)[0, 0])
     # The tape's parameters are exactly the trainable groups.
     adam.update(

@@ -42,6 +42,9 @@ def _metrics(run_dir):
     return dict(row for row in _csv(run_dir / "metrics.csv")[1])
 
 
+FLOAT_KEYS = [key for key, (parser, _) in cli.CONFIG_SCHEMA.items() if parser is float]
+
+
 @pytest.mark.parametrize(
     "line, needle",
     [
@@ -57,6 +60,16 @@ def _metrics(run_dir):
         ("train_fraction = 1.5", "train fraction"),
         ("noise_sigma = -1", "noise_sigma"),
         ("input_dim = 0", "input_dim"),
+        ("hidden_dim = 0", "hidden_dim must be >= 1, got 0"),
+        ("latent_dim = 0", "latent_dim must be >= 1, got 0"),
+        *[(f"{key} = nan", "got nan") for key in FLOAT_KEYS],
+        ("beta1 = 1", "beta1 must be in [0, 1), got 1.0"),
+        ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
+        ("learning_rate = inf", "learning_rate must be finite and >= 0, got inf"),
+        ("adam_eps = -1", "adam_eps must be finite and > 0, got -1.0"),
+        ("adam_eps = 0", "adam_eps must be finite and > 0, got 0.0"),
+        ("temperature = inf", "temperature must be finite, got inf"),
+        pytest.param(None, "cannot read config", id="missing-config-file"),
         pytest.param(
             "num_ranks = 3\nper_rank = 1\ntrain_fraction = 0.3\nnum_base_ranks = 2",
             "train fraction 0.3 of 3 samples leaves the train split empty",
@@ -66,7 +79,8 @@ def _metrics(run_dir):
 )
 def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     config = tmp_path / "run.cfg"
-    config.write_text(line + "\n")
+    if line is not None:  # None: the config file does not exist
+        config.write_text(line + "\n")
     code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 2
@@ -160,10 +174,41 @@ def test_a_diverged_fit_exits_1_with_one_line_and_finite_norms(tmp_path, capsys)
     assert err.startswith("training diverged: non-finite values in forward pass "
                           "(non-finite values produced by op 'matmul')")
     assert err.count("\n") == 1 and "Traceback" not in err
-    norms = dict(re.findall(r"'([\w.]+)': ([^,}]+)", err.split("parameter norms: ", 1)[1]))
+    norms = _norms(err)
     assert set(norms) == {"head.weights", "head.bias", "image.w1", "image.b1", "image.w2",
                           "image.b2"}
-    assert all(np.isfinite(float(v)) and float(v) > 1e299 for v in norms.values())
+    assert all(np.isfinite(v) and v > 1e299 for v in norms.values())
+
+
+def _norms(err):
+    """The parameter norms a `training diverged` line lists, by group."""
+    pairs = re.findall(r"'([\w.]+)': ([^,}]+)", err.split("parameter norms: ", 1)[1])
+    return {name: float(value) for name, value in pairs}
+
+
+@pytest.mark.parametrize(
+    "method, learning_rate, finite",
+    [("ordinalclip", "1e308", False), ("baseline", "1e308", False), ("baseline", "1e300", True)],
+)
+def test_a_fit_that_diverges_on_its_last_step_exits_1_with_one_line(
+    tmp_path, capsys, method, learning_rate, finite
+):
+    """Twelve training samples in a batch of 64 make one step, so the
+    first forward pass after the Adam step is the evaluation. At 1e308
+    that step writes entries at or past the float64 range, and a norm
+    reads inf. At 1e300 every parameter and norm stays finite, while the
+    baseline's scores overflow."""
+    config = _write_config(tmp_path / "run.cfg", method=method, learning_rate=learning_rate,
+                           num_ranks=4, per_rank=4, epochs=1, batch_size=64)
+    code = cli.main(["train", "--config", config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("training diverged: non-finite values in forward pass (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    norms = _norms(err)
+    assert "image.w1" in norms and all(v > 1e299 for v in norms.values())
+    assert all(np.isfinite(v) for v in norms.values()) == finite
+    assert not (tmp_path / "run" / "manifest.txt").exists()
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +292,46 @@ def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle):
     damage(run_dir)
     assert cli.main(["report", str(run_dir)]) == 1
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pattern, repl, needle",
+    [
+        (re.escape(cli.MANIFEST_FORMAT) + "\n", "", "unknown manifest format 'adam_eps = "),
+        (re.escape(cli.MANIFEST_FORMAT), "# run manifest v9",
+         "unknown manifest format '# run manifest v9'"),
+        ("epochs = 6", "epochs 6", "expected 'key = value', got 'epochs 6'"),
+        (r"metrics\.csv (\d+) \w+", r"metrics.csv \1", "expected 'name size digest'"),
+        (r"metrics\.csv \d+", "metrics.csv x", "expected 'name size digest'"),
+        (r"metrics\.csv \d+", "metrics.csv " + "9" * 5000, "expected 'name size digest'"),
+        (r"\Z", "\xff", "not UTF-8 text"),
+        (r"metrics\.csv", "../c.cfg", "'../c.cfg' is not a plain file name"),
+        (r"metrics\.csv", "{outside}", "c.cfg' is not a plain file name"),
+        (r"metrics\.csv", ".", "'.' is not a plain file name"),
+        (r"metrics\.csv", "..", "'..' is not a plain file name"),
+    ],
+    ids=["format-line-missing", "format-line-unknown", "config-line-without-equals",
+         "entry-with-two-fields", "entry-size-x", "entry-size-5000-digits", "trailing-0xff",
+         "entry-in-parent-dir", "entry-absolute", "entry-dot", "entry-dotdot"],
+)
+def test_report_refuses_a_damaged_manifest_in_one_line(runs, tmp_path, capsys, pattern,
+                                                       repl, needle):
+    """The first match of pattern is on the damaged line, whose number the
+    error names. The entries naming c.cfg would verify if report read
+    them, since it holds the bytes of metrics.csv."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    shutil.copy(run_dir / "metrics.csv", tmp_path / "c.cfg")
+    manifest = run_dir / "manifest.txt"
+    text = manifest.read_bytes().decode("latin-1")
+    lineno = text.count("\n", 0, re.search(pattern, text).start()) + 1
+    damaged = re.sub(pattern, repl.format(outside=tmp_path / "c.cfg"), text, count=1)
+    manifest.write_bytes(damaged.encode("latin-1"))
+    assert cli.main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{manifest}:{lineno}: ")
+    assert needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_grid_commands_write_their_tables_and_headers(runs):
