@@ -9,10 +9,10 @@ package ships its own small reverse-mode tape so every gradient is exact
 and finite-difference checkable.
 """
 
-from .data import OrdinalDataset, RankSpace, SplitSpec, generate_synthetic
+from .data import OrdinalDataset, SplitSpec, generate_synthetic
 from .diffcore import Tape, finite_difference_check
 from .encoders import ImageEncoder, PseudoTextEncoder, import_prototypes, export_prototypes
-from .matching import SimilarityMatrix, contrastive_loss, cross_entropy_loss, similarity
+from .matching import contrastive_loss, cross_entropy_loss, similarity
 from .metrics import MetricReport, accuracy, mae, ordinality_score, predict
 from .prompt import PromptConfig, build_interpolation_matrix, init_parameters
 from .training import ModelState, TrainConfig, build_model, evaluate, fit
@@ -26,8 +26,6 @@ __all__ = [
     "OrdinalDataset",
     "PromptConfig",
     "PseudoTextEncoder",
-    "RankSpace",
-    "SimilarityMatrix",
     "SplitSpec",
     "Tape",
     "TrainConfig",

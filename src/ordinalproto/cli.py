@@ -12,6 +12,10 @@ directory carries a manifest (a format line, the resolved config and
 each file's size and FNV-1a checksum) sufficient to rerun or audit it.
 
 Config files are plain text `key = value` lines; `#` starts a comment.
+A key that names a PromptConfig or TrainConfig field takes that field's
+default and is copied into it by name. Every table a command writes goes
+through metrics.write_csv.
+
 Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
 error.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +87,14 @@ CONFIG_SCHEMA = {
     "train_fraction": (float, 0.8),
     # method and prompt
     "method": (str, ORDINALCLIP),
-    "num_base_ranks": (int, 3),
-    "num_context": (int, 4),
-    "word_dim": (int, 32),
-    "interpolation": (str, promptmod.LINEAR),
-    "epsilon": (float, 1e-5),
-    "tune_rank": (_parse_bool, True),
-    "tune_ctx": (_parse_bool, True),
-    "init_ctx": (_parse_bool, False),
+    "num_base_ranks": (int, promptmod.PromptConfig.num_base_ranks),
+    "num_context": (int, promptmod.PromptConfig.num_context),
+    "word_dim": (int, promptmod.PromptConfig.word_dim),
+    "interpolation": (str, promptmod.PromptConfig.interpolation),
+    "epsilon": (float, promptmod.PromptConfig.epsilon),
+    "tune_rank": (_parse_bool, promptmod.PromptConfig.tune_rank),
+    "tune_ctx": (_parse_bool, promptmod.PromptConfig.tune_ctx),
+    "init_ctx": (_parse_bool, promptmod.PromptConfig.init_ctx),
     # encoders
     "latent_dim": (int, 64),
     "hidden_dim": (int, 32),
@@ -97,35 +102,28 @@ CONFIG_SCHEMA = {
     "vocab_size": (int, 64),
     "encoder_seed": (int, 7),
     # training
-    "epochs": (int, 50),
-    "batch_size": (int, 64),
-    "learning_rate": (float, 1.2e-3),
-    "lr_decay_factor": (float, 0.1),
-    "decay_epochs": (_parse_int_list, (30,)),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "temperature": (float, 0.07),
-    "seed": (int, 0),
-    "last_layer_lr_mult": (float, 1.0),
+    "epochs": (int, TrainConfig.epochs),
+    "batch_size": (int, TrainConfig.batch_size),
+    "learning_rate": (float, TrainConfig.learning_rate),
+    "lr_decay_factor": (float, TrainConfig.lr_decay_factor),
+    "decay_epochs": (_parse_int_list, TrainConfig.decay_epochs),
+    "beta1": (float, TrainConfig.beta1),
+    "beta2": (float, TrainConfig.beta2),
+    "adam_eps": (float, TrainConfig.adam_eps),
+    "temperature": (float, TrainConfig.temperature),
+    "seed": (int, TrainConfig.seed),
+    "last_layer_lr_mult": (float, TrainConfig.last_layer_lr_mult),
     # evaluation
     "prediction_rule": (str, metricsmod.ARGMAX),
     "eval_seeds": (int, 3),
 }
 
+# The PromptConfig keys, copied into it by name, except num_ranks, which
+# comes from the dataset.
+_PROMPT_FIELDS = tuple(f.name for f in fields(promptmod.PromptConfig) if f.name != "num_ranks")
+
 # Echoed in the manifest only for prompt-based methods.
-PROMPT_KEYS = (
-    "num_base_ranks",
-    "num_context",
-    "word_dim",
-    "interpolation",
-    "epsilon",
-    "tune_rank",
-    "tune_ctx",
-    "init_ctx",
-    "max_len",
-    "vocab_size",
-)
+PROMPT_KEYS = _PROMPT_FIELDS + ("max_len", "vocab_size")
 
 
 def load_config(path: str | None) -> dict:
@@ -224,35 +222,13 @@ def _prepare(cfg: dict, out_dir: str):
 
 
 def _prompt_config(cfg: dict, num_ranks: int, **overrides) -> promptmod.PromptConfig:
-    merged = dict(
-        num_ranks=num_ranks,
-        num_base_ranks=cfg["num_base_ranks"],
-        num_context=cfg["num_context"],
-        word_dim=cfg["word_dim"],
-        interpolation=cfg["interpolation"],
-        epsilon=cfg["epsilon"],
-        tune_rank=cfg["tune_rank"],
-        tune_ctx=cfg["tune_ctx"],
-        init_ctx=cfg["init_ctx"],
-    )
-    merged.update(overrides)
-    return promptmod.PromptConfig(**merged)
+    merged = {key: cfg[key] for key in _PROMPT_FIELDS} | overrides
+    return promptmod.PromptConfig(num_ranks, **merged)
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        lr_decay_factor=cfg["lr_decay_factor"],
-        decay_epochs=cfg["decay_epochs"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        adam_eps=cfg["adam_eps"],
-        temperature=cfg["temperature"],
-        seed=seed,
-        last_layer_lr_mult=cfg["last_layer_lr_mult"],
-    )
+    """The TrainConfig keys, copied into it by name, with the cell's seed."""
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)} | {"seed": seed})
     try:
         return train_cfg.validate()
     except ValueError as exc:
@@ -418,27 +394,6 @@ def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
     return config, files
 
 
-def _write_metrics_csv(report: metricsmod.MetricReport, path: Path) -> None:
-    lines = [
-        "metric,value",
-        f"mae,{report.mae:.12g}",
-        f"accuracy,{report.accuracy:.12g}",
-        f"ordinality,{report.ordinality:.12g}",
-    ]
-    for rank, count in enumerate(report.per_rank_counts):
-        lines.append(f"count_{rank},{count}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_table_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -447,7 +402,7 @@ def _write_tables(out: Path, cfg: dict, header: list[str], tables: dict,
                   extra: dict | None = None) -> int:
     """Write each named table and the manifest; print the first table."""
     for name, rows in tables.items():
-        _write_table_csv(out / name, header, rows)
+        metricsmod.write_csv(out / name, header, rows)
     _write_manifest(out, cfg, ORDINALCLIP, extra)
     _print_table(header, next(iter(tables.values())))
     return 0
@@ -461,7 +416,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     training.save_state(state, out / "checkpoint.bin")
     trace.to_csv(out / "loss_trace.csv")
-    _write_metrics_csv(report, out / "metrics.csv")
+    metricsmod.write_csv(
+        out / "metrics.csv", ("metric", "value"),
+        [("mae", report.mae), ("accuracy", report.accuracy), ("ordinality", report.ordinality)]
+        + [(f"count_{rank}", count) for rank, count in enumerate(report.per_rank_counts)],
+    )
     protos = training.prototypes_of(state)
     export_prototypes(out / "prototypes.bin", protos)
     metricsmod.export_heatmap(

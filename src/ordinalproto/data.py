@@ -1,5 +1,8 @@
 """Synthetic ordinal datasets, CSV ingestion, and protocol samplers.
 
+A dataset is a feature matrix, integer rank labels and the rank count C;
+labels lie in 0..C-1, and C >= 2.
+
 The generator places all rank signal along one seeded unit direction:
 rank j sits at j/(C-1) along it, with isotropic Gaussian noise on top.
 noise_sigma is the single difficulty knob and sets the expected Euclidean
@@ -23,29 +26,17 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RankSpace:
-    """The ordered label set: consecutive integers 0..C-1."""
+@dataclass
+class OrdinalDataset:
+    """Samples with rank labels in 0..num_ranks-1."""
 
+    features: np.ndarray
+    labels: np.ndarray
     num_ranks: int
 
     def __post_init__(self):
         if self.num_ranks < 2:
             raise ValueError(f"need at least 2 ranks, got {self.num_ranks}")
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.num_ranks)
-
-
-@dataclass
-class OrdinalDataset:
-    features: np.ndarray
-    labels: np.ndarray
-    rank_space: RankSpace
-    seed: int = 0
-
-    def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
@@ -54,19 +45,11 @@ class OrdinalDataset:
             )
         if not np.isfinite(self.features).all():
             raise ValueError("dataset features must be finite")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.rank_space.num_ranks
-        ):
-            raise ValueError(
-                f"labels must lie in [0, {self.rank_space.num_ranks})"
-            )
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_ranks):
+            raise ValueError(f"labels must lie in [0, {self.num_ranks})")
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def num_ranks(self) -> int:
-        return self.rank_space.num_ranks
 
     @property
     def input_dim(self) -> int:
@@ -75,10 +58,7 @@ class OrdinalDataset:
     def subset(self, indices) -> "OrdinalDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return OrdinalDataset(
-            self.features[indices].copy(),
-            self.labels[indices].copy(),
-            self.rank_space,
-            self.seed,
+            self.features[indices].copy(), self.labels[indices].copy(), self.num_ranks
         )
 
 
@@ -119,7 +99,7 @@ def generate_synthetic(
     scores = labels / (num_ranks - 1)
     features = scores[:, None] * direction[None, :]
     features = features + rng.normal(0.0, 1.0, size=(n, input_dim)) * coord_sigma
-    return OrdinalDataset(features, labels, RankSpace(num_ranks), seed)
+    return OrdinalDataset(features, labels, num_ranks)
 
 
 def train_test_split(ds: OrdinalDataset, spec: SplitSpec) -> tuple[OrdinalDataset, OrdinalDataset]:
@@ -224,7 +204,7 @@ def load_csv(path) -> OrdinalDataset:
         log.info("remapped rank labels: %s", mapping)
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     num_ranks = max(len(distinct), 2)
-    return OrdinalDataset(np.array(features), labels, RankSpace(num_ranks))
+    return OrdinalDataset(np.array(features), labels, num_ranks)
 
 
 def _is_number(cell: str) -> bool:

@@ -115,11 +115,10 @@ class PseudoTextEncoder:
         latent_dim: int = 64,
         max_len: int = 16,
         vocab_size: int = 64,
-        uniform_positions: bool = False,
     ) -> "PseudoTextEncoder":
         rng = np.random.default_rng(seed)
         mixing = np.eye(word_dim) + rng.normal(0.0, 0.5 / np.sqrt(word_dim), (word_dim, word_dim))
-        positions = np.ones(max_len) if uniform_positions else rng.uniform(0.5, 1.5, max_len)
+        positions = rng.uniform(0.5, 1.5, max_len)
         projection = rng.normal(0.0, 1.0 / np.sqrt(word_dim), (word_dim, latent_dim))
         table = rng.normal(0.0, 0.02, (vocab_size, word_dim))
         return cls(mixing, positions, projection, table)

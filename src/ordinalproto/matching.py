@@ -1,4 +1,4 @@
-"""Similarity matrices and the two training objectives.
+"""Image-prototype scores and the two training objectives.
 
 The contrastive objective compares a batch-by-rank score table S against
 one-hot labels Y in both directions, CLIP's symmetric image-text loss
@@ -21,54 +21,25 @@ on distinct tapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .diffcore import Tape, softmax
+from .diffcore import Tape
 
 
-@dataclass
-class SimilarityMatrix:
-    """The raw score node on one tape, and the temperature its row- and
-    column-normalized tables use. Those tables are computed from the raw
-    values on request and are not tape nodes; the loss normalizes inside
-    its own node."""
+def similarity(tape: Tape, images_node: int, prototypes_node: int) -> int:
+    """Score node of image embeddings against prototypes, S = I P^T.
 
-    tape: Tape
-    raw: int
-    temperature: float
-
-    @property
-    def raw_value(self) -> np.ndarray:
-        return self.tape.value(self.raw)
-
-    @property
-    def row_value(self) -> np.ndarray:
-        return softmax(self.raw_value / self.temperature, axis=1)
-
-    @property
-    def col_value(self) -> np.ndarray:
-        return softmax(self.raw_value / self.temperature, axis=0)
-
-
-def similarity(tape: Tape, images_node: int, prototypes_node: int, temperature: float) -> SimilarityMatrix:
-    """Inner-product scores of image embeddings against prototypes.
-
-    raw[i, j] = I_i . p_j; the row-normalized table is a per-image
-    distribution over ranks, the column-normalized table a per-rank
-    distribution over the batch. Temperature must be positive.
+    S[i, j] = I_i . p_j. The losses softmax it along rows (a per-image
+    distribution over ranks) and columns (a per-rank distribution over
+    the batch) inside their own node.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     images = tape.value(images_node)
     prototypes = tape.value(prototypes_node)
     if images.shape[1] != prototypes.shape[1]:
         raise ValueError(
             f"latent dims differ: images {images.shape} vs prototypes {prototypes.shape}"
         )
-    raw = tape.matmul(images_node, tape.transpose(prototypes_node))
-    return SimilarityMatrix(tape=tape, raw=raw, temperature=temperature)
+    return tape.matmul(images_node, tape.transpose(prototypes_node))
 
 
 def one_hot_labels(labels, num_ranks: int) -> np.ndarray:
@@ -82,29 +53,22 @@ def one_hot_labels(labels, num_ranks: int) -> np.ndarray:
     return y
 
 
-def column_normalized_labels(y: np.ndarray) -> np.ndarray:
-    """Labels with every non-zero column scaled to sum 1; zero columns stay.
-    The Yc of the contrastive loss, which its tape node forms itself."""
-    sums = y.sum(axis=0, keepdims=True)
-    out = y.copy()
-    nonzero = sums.ravel() > 0
-    out[:, nonzero] /= sums[:, nonzero]
-    return out
-
-
-def contrastive_loss(sim: SimilarityMatrix, labels, num_ranks: int) -> int:
-    """Bidirectional KL loss node on the similarity's tape (module docstring).
+def contrastive_loss(tape: Tape, scores_node: int, labels, num_ranks: int,
+                     temperature: float) -> int:
+    """Bidirectional KL loss node of a score table (module docstring).
 
     The column average runs over the non-zero label columns only; a batch
     smaller than the rank count always leaves some columns empty and an
-    all-column average would be undefined there.
+    all-column average would be undefined there. Temperature must be
+    positive.
     """
     y = one_hot_labels(labels, num_ranks)
-    if y.shape != sim.raw_value.shape:
+    if y.shape != tape.value(scores_node).shape:
         raise ValueError(
-            f"label matrix {y.shape} does not match similarity {sim.raw_value.shape}"
+            f"label matrix {y.shape} does not match scores "
+            f"{tape.value(scores_node).shape}"
         )
-    return sim.tape.clip_kl(sim.raw, y, sim.temperature)
+    return tape.clip_kl(scores_node, y, temperature)
 
 
 def baseline_logits(tape: Tape, weights_node: int, bias_node: int, features_node: int) -> int:

@@ -1,5 +1,5 @@
-"""Prediction rules, error metrics, the prototype ordinality score, and
-matrix exports (CSV plus 8-bit grayscale PGM)."""
+"""Prediction rules, error metrics, the prototype ordinality score, the
+one CSV table writer, and matrix exports (CSV plus 8-bit grayscale PGM)."""
 
 from __future__ import annotations
 
@@ -128,22 +128,12 @@ def metric_report(predicted, truth, prototypes, num_ranks: int) -> MetricReport:
 # exports
 
 
-def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    """CSV with a `rows,cols` header line, 12 significant digits."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    lines = [f"{matrix.shape[0]},{matrix.shape[1]}"]
-    for row in matrix:
-        lines.append(",".join(f"{v:.12g}" for v in row))
+def write_csv(path, header, rows) -> None:
+    """Comma-separated lines: the header, then each row. Floats take 12
+    significant digits and every other cell its str."""
+    lines = [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+             for row in [header, *rows]]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    rows, cols = (int(v) for v in text[0].split(","))
-    matrix = np.array([[float(v) for v in line.split(",")] for line in text[1 : 1 + rows]])
-    if matrix.shape != (rows, cols):
-        raise ValueError(f"CSV body {matrix.shape} does not match header ({rows}, {cols})")
-    return matrix
 
 
 def write_matrix_pgm(matrix: np.ndarray, path) -> bool:
@@ -177,7 +167,7 @@ def export_heatmap(matrix: np.ndarray, path_prefix) -> list[Path]:
     prefix = Path(path_prefix)
     csv_path = prefix.with_suffix(prefix.suffix + ".csv")
     pgm_path = prefix.with_suffix(prefix.suffix + ".pgm")
-    write_matrix_csv(matrix, csv_path)
+    write_csv(csv_path, matrix.shape, matrix)
     written = [csv_path, pgm_path]
     if not write_matrix_pgm(matrix, pgm_path):
         note = Path(str(pgm_path) + ".txt")

@@ -135,17 +135,14 @@ def template_token_ids(length: int, vocab_size: int) -> tuple[int, ...]:
 
 
 def init_parameters(
-    cfg: PromptConfig,
-    seed: int,
-    token_table: np.ndarray | None = None,
-    template: tuple[int, ...] | None = None,
+    cfg: PromptConfig, seed: int, token_table: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (context, base rank) matrices.
 
     Without init_ctx both groups are Gaussian(0, 0.02). With init_ctx the
-    leading context rows are copied from the token table at the template
-    ids (remaining rows, if the template is shorter than m, stay
-    Gaussian). The same seed always yields bitwise-identical parameters.
+    context rows are copied from the token table at the template ids
+    (template_token_ids). The same seed always yields bitwise-identical
+    parameters.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -153,15 +150,6 @@ def init_parameters(
     if cfg.init_ctx:
         if token_table is None:
             raise ValueError("init_ctx requires the encoder token table")
-        if template is None:
-            template = template_token_ids(cfg.num_context, token_table.shape[0])
-        if len(template) > cfg.num_context:
-            raise ValueError(
-                f"template of length {len(template)} does not fit "
-                f"num_context={cfg.num_context}"
-            )
-        for i, tok in enumerate(template):
-            ctx[i] = token_table[tok]
+        ctx[:] = token_table[list(template_token_ids(cfg.num_context, token_table.shape[0]))]
     base = rng.normal(0.0, INIT_SCALE, size=(cfg.num_base_ranks, cfg.word_dim))
     return ctx, base
-

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from . import matching, prompt
 from .data import OrdinalDataset
 from .diffcore import Tape
 from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, read_blocks, write_blocks
-from .metrics import ARGMAX, MetricReport, metric_report, predict
+from .metrics import ARGMAX, MetricReport, metric_report, predict, write_csv
 from .prompt import PromptConfig
 
 ORDINALCLIP = "ordinalclip"
@@ -102,19 +101,24 @@ class ModelState:
     def uses_prompts(self) -> bool:
         return self.method != BASELINE
 
-    def trainable_parameters(self) -> dict[str, np.ndarray]:
-        """Live arrays Adam is allowed to update, honoring the tune gates."""
-        out = {}
+    def parameter_groups(self) -> dict[str, np.ndarray]:
+        """Every live parameter array, in checkpoint order, under its tape
+        name: the prompt or head groups, then the image encoder's."""
         if self.uses_prompts:
-            if self.prompt_cfg.tune_ctx and self.context.shape[0] > 0:
-                out["context"] = self.context
-            if self.prompt_cfg.tune_rank:
-                out["base_ranks"] = self.base_ranks
+            groups = {"context": self.context, "base_ranks": self.base_ranks}
         else:
-            out["head.weights"] = self.head_weights
-            out["head.bias"] = self.head_bias
-        out.update(self.image_encoder.parameters())
-        return out
+            groups = {"head.weights": self.head_weights, "head.bias": self.head_bias}
+        return groups | self.image_encoder.parameters()
+
+    def trainable_parameters(self) -> dict[str, np.ndarray]:
+        """The groups Adam is allowed to update, honoring the tune gates."""
+        groups = self.parameter_groups()
+        if self.uses_prompts:
+            if not (self.prompt_cfg.tune_ctx and self.context.shape[0] > 0):
+                del groups["context"]
+            if not self.prompt_cfg.tune_rank:
+                del groups["base_ranks"]
+        return groups
 
 
 def rank_token_ids(num_ranks: int, vocab_size: int) -> tuple[int, ...]:
@@ -239,8 +243,8 @@ def forward_loss(
     if state.uses_prompts:
         protos = _prompt_nodes(state, tape, trainable=True)
         _, embeddings = state.image_encoder.encode(tape, batch_x)
-        sim = matching.similarity(tape, embeddings, protos, temperature)
-        loss = matching.contrastive_loss(sim, batch_y, state.num_ranks)
+        scores = matching.similarity(tape, embeddings, protos)
+        loss = matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
     else:
         features, _ = state.image_encoder.encode(tape, batch_x, normalize=False)
         w = tape.parameter(state.head_weights, "head.weights")
@@ -283,13 +287,13 @@ def evaluate(
             features, embeddings = encode_images(state.image_encoder, ds.features)
             protos = prototypes_of(state)
         except FloatingPointError as exc:
-            raise _diverged(state, exc) from exc
+            raise _diverged(state, f"in forward pass ({exc})") from exc
         if state.uses_prompts:
             scores = embeddings @ protos.T
         else:
             scores = features @ state.head_weights.T + state.head_bias
     if not np.isfinite(scores).all():
-        raise _diverged(state, "non-finite scores")
+        raise _diverged(state, "in forward pass (non-finite scores)")
     predictions = predict(scores, rule=rule, temperature=temperature)
     return metric_report(predictions, ds.labels, protos, ds.num_ranks)
 
@@ -366,13 +370,17 @@ def _norm(x: np.ndarray) -> float:
     return scale * float(np.linalg.norm(x / scale))
 
 
-def _diverged(state: ModelState, cause) -> TrainingDivergedError:
-    """The error for a non-finite forward pass: its cause and the norm of
-    every trainable group."""
+def _diverged(state: ModelState, what: str) -> TrainingDivergedError:
+    """The error for a fit gone non-finite: what went non-finite, and the
+    norm of every trainable group."""
     norms = {k: _norm(v) for k, v in state.trainable_parameters().items()}
-    return TrainingDivergedError(
-        f"non-finite values in forward pass ({cause}); parameter norms: {norms}"
-    )
+    return TrainingDivergedError(f"non-finite values {what}; parameter norms: {norms}")
+
+
+def _finite(x: np.ndarray) -> bool:
+    # As diffcore's finiteness check: vdot raises no floating-point flag,
+    # and only an overflowing or non-finite sum falls through to the scan.
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def train_step(
@@ -383,21 +391,29 @@ def train_step(
     adam: AdamState,
     lr: float | None = None,
 ) -> float:
-    """One forward/backward/update; returns the batch loss value."""
+    """One forward/backward/update; returns the batch loss value.
+
+    A non-finite forward pass, or an update that leaves a group
+    non-finite, raises TrainingDivergedError at this step.
+    """
     if len(batch_y) == 0:
         raise ValueError("train_step requires a non-empty batch")
     try:
         tape, loss_node = forward_loss(state, batch_x, batch_y, cfg.temperature)
     except FloatingPointError as exc:
-        raise _diverged(state, exc) from exc
+        raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])
     # The tape's parameters are exactly the trainable groups.
+    params = state.trainable_parameters()
     adam.update(
-        state.trainable_parameters(),
+        params,
         tape.backward(loss_node),
         cfg.learning_rate if lr is None else lr,
         _lr_multipliers(state, cfg),
     )
+    bad = [name for name, value in params.items() if not _finite(value)]
+    if bad:
+        raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
     return loss_value
 
 
@@ -409,10 +425,7 @@ class LossTrace:
         self.rows.append((epoch, mean_loss, lr))
 
     def to_csv(self, path) -> None:
-        lines = ["epoch,mean_loss,lr"]
-        for epoch, mean_loss, lr in self.rows:
-            lines.append(f"{epoch},{mean_loss:.12g},{lr:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, ("epoch", "mean_loss", "lr"), self.rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -460,16 +473,9 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
 
 def _checkpoint_blocks(state: ModelState) -> tuple[bytes, dict[str, np.ndarray]]:
     """(magic, named blocks in file order) of the model's checkpoint:
-    num_ranks as a 1x1 block, the prompt or head groups, then the image
-    encoder's w1, b1, w2, b2."""
-    if state.uses_prompts:
-        magic, groups = PROMPT_MAGIC, ("context", "base_ranks")
-    else:
-        magic, groups = BASELINE_MAGIC, ("head_weights", "head_bias")
-    blocks = {"num_ranks": np.array([[float(state.num_ranks)]])}
-    blocks.update((name, getattr(state, name)) for name in groups)
-    blocks.update((f"image {n}", getattr(state.image_encoder, n)) for n in ImageEncoder.WEIGHTS)
-    return magic, blocks
+    num_ranks as a 1x1 block, then every parameter group."""
+    magic = PROMPT_MAGIC if state.uses_prompts else BASELINE_MAGIC
+    return magic, {"num_ranks": np.array([[float(state.num_ranks)]]), **state.parameter_groups()}
 
 
 def save_state(state: ModelState, path) -> None:
@@ -482,8 +488,8 @@ def load_state_into(state: ModelState, path) -> ModelState:
 
     A checkpoint of the other model family fails on its magic. num_ranks
     and every block's shape are checked against the model before anything
-    is assigned, so a checkpoint that does not fit leaves the model as it
-    was.
+    is copied into its arrays, so a checkpoint that does not fit leaves the
+    model as it was.
     """
     magic, current = _checkpoint_blocks(state)
     loaded = dict(zip(current, read_blocks(path, magic, len(current))))
@@ -499,6 +505,5 @@ def load_state_into(state: ModelState, path) -> ModelState:
             )
     del loaded["num_ranks"]
     for name, array in loaded.items():
-        owner = state.image_encoder if name.startswith("image ") else state
-        setattr(owner, name.removeprefix("image "), array)
+        current[name][...] = array
     return state

@@ -7,7 +7,6 @@ import numpy as np
 
 from ordinalproto import diffcore
 from ordinalproto.diffcore import Tape
-from ordinalproto.matching import column_normalized_labels
 
 
 def sum_all(tape: Tape, node: int) -> int:
@@ -49,6 +48,16 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
         name: np.zeros_like(nodes[idx].value) if adjoint[idx] is None else adjoint[idx]
         for name, idx in tape._params.items()
     }
+
+
+def column_normalized_labels(y: np.ndarray) -> np.ndarray:
+    """Labels with every non-zero column scaled to sum 1; zero columns stay.
+    The Yc of the contrastive loss, which its tape node forms itself."""
+    sums = y.sum(axis=0, keepdims=True)
+    out = y.copy()
+    nonzero = sums.ravel() > 0
+    out[:, nonzero] /= sums[:, nonzero]
+    return out
 
 
 def _kl_of_softmax(scores, targets, temperature, axis, weight):

@@ -187,23 +187,28 @@ def _norms(err):
 
 
 @pytest.mark.parametrize(
-    "method, learning_rate, finite",
-    [("ordinalclip", "1e308", False), ("baseline", "1e308", False), ("baseline", "1e300", True)],
+    "method, learning_rate, cause, finite",
+    [
+        ("ordinalclip", "1e308", "after Adam step 1 in context, base_ranks;", False),
+        ("baseline", "1e308", "in forward pass (", False),
+        ("baseline", "1e300", "in forward pass (", True),
+    ],
 )
 def test_a_fit_that_diverges_on_its_last_step_exits_1_with_one_line(
-    tmp_path, capsys, method, learning_rate, finite
+    tmp_path, capsys, method, learning_rate, cause, finite
 ):
     """Twelve training samples in a batch of 64 make one step, so the
     first forward pass after the Adam step is the evaluation. At 1e308
-    that step writes entries at or past the float64 range, and a norm
-    reads inf. At 1e300 every parameter and norm stays finite, while the
-    baseline's scores overflow."""
+    that step overflows ordinalclip's prompt groups, and the step itself
+    names them; the baseline's groups reach ~1e308, still finite, but a
+    norm reads inf and its evaluation overflows. At 1e300 every parameter
+    and norm stays finite, while the baseline's scores overflow."""
     config = _write_config(tmp_path / "run.cfg", method=method, learning_rate=learning_rate,
                            num_ranks=4, per_rank=4, epochs=1, batch_size=64)
     code = cli.main(["train", "--config", config, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("training diverged: non-finite values in forward pass (")
+    assert err.startswith("training diverged: non-finite values " + cause)
     assert err.count("\n") == 1 and "Traceback" not in err
     norms = _norms(err)
     assert "image.w1" in norms and all(v > 1e299 for v in norms.values())

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from ordinalproto import data
-from ordinalproto.data import OrdinalDataset, RankSpace, SplitSpec
+from ordinalproto.data import OrdinalDataset, SplitSpec
 
 
 def _indexed(num_ranks=5, per_rank=10):
     """Rank-major dataset whose single feature is the sample's index."""
     n = num_ranks * per_rank
     labels = np.repeat(np.arange(num_ranks), per_rank)
-    return OrdinalDataset(np.arange(n, dtype=np.float64)[:, None], labels, RankSpace(num_ranks))
+    return OrdinalDataset(np.arange(n, dtype=np.float64)[:, None], labels, num_ranks)
 
 
 def _ids(ds):
@@ -23,6 +23,16 @@ def _ids(ds):
 
 def _counts(ds):
     return Counter(ds.labels.tolist())
+
+
+class TestOrdinalDataset:
+    @pytest.mark.parametrize(
+        "labels, num_ranks, needle",
+        [([0, 0], 1, "at least 2 ranks, got 1"), ([0, 3], 3, r"labels must lie in \[0, 3\)")],
+    )
+    def test_bad_rank_count_or_label_is_rejected(self, labels, num_ranks, needle):
+        with pytest.raises(ValueError, match=needle):
+            OrdinalDataset(np.zeros((2, 1)), labels, num_ranks)
 
 
 class TestTrainTestSplit:

@@ -76,9 +76,9 @@ class TestPseudoTextEncoder:
             encode_text(enc, [np.ones((5, 6))])
 
     def test_scaling_a_sequence_leaves_the_direction_unchanged(self):
-        """Linear pooling then normalization: 2x input, same prototype.
-        Verified under uniform position weights, per the contract."""
-        enc = PseudoTextEncoder.create(5, word_dim=6, latent_dim=8, uniform_positions=True)
+        """Linear pooling then normalization: 2x input, same prototype,
+        whatever the position weights."""
+        enc = PseudoTextEncoder.create(5, word_dim=6, latent_dim=8)
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(3, 6))
         a = encode_text(enc, [seq])

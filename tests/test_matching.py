@@ -4,10 +4,10 @@ cross-entropy baseline."""
 import numpy as np
 import pytest
 
-from ordinalproto.diffcore import Tape
+from conftest import column_normalized_labels
+from ordinalproto.diffcore import Tape, softmax
 from ordinalproto.matching import (
     baseline_logits,
-    column_normalized_labels,
     contrastive_loss,
     cross_entropy_loss,
     one_hot_labels,
@@ -26,52 +26,47 @@ def _orthonormal_pair():
     return protos.copy(), protos.copy()  # images aligned with prototypes
 
 
-def _sim(images, protos, temperature):
+def _scores(images, protos):
     tape = Tape()
-    return similarity(tape, tape.constant(images), tape.constant(protos), temperature)
+    return tape.value(similarity(tape, tape.constant(images), tape.constant(protos)))
 
 
 class TestSimilarity:
+    """The score table, and the row and column softmaxes the contrastive
+    loss takes of it."""
+
     def test_self_similarity_diagonal_is_one(self):
         protos = _unit_rows(4, 6, 0)
-        sim = _sim(protos, protos, 1.0)
-        np.testing.assert_allclose(np.diag(sim.raw_value), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.diag(_scores(protos, protos)), 1.0, atol=1e-9)
 
     def test_entries_are_valid_cosines(self):
-        sim = _sim(_unit_rows(5, 8, 1), _unit_rows(7, 8, 2), 0.07)
-        assert (np.abs(sim.raw_value) <= 1.0 + 1e-9).all()
+        assert (np.abs(_scores(_unit_rows(5, 8, 1), _unit_rows(7, 8, 2))) <= 1.0 + 1e-9).all()
 
     def test_single_row_softmax_direct_evaluation(self):
         # a = [1, 0] at T=1: softmax = [e, 1] / (e + 1)
-        images = np.array([[1.0, 0.0]])
-        protos = np.eye(2)
-        sim = _sim(images, protos, 1.0)
+        raw = _scores(np.array([[1.0, 0.0]]), np.eye(2))
         e = np.e
-        np.testing.assert_allclose(sim.row_value, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
+        np.testing.assert_allclose(softmax(raw / 1.0, axis=1), [[e / (e + 1), 1 / (e + 1)]],
+                                   atol=1e-12)
 
     def test_small_temperature_approaches_one_hot(self):
-        sim = _sim(np.array([[1.0, 0.0]]), np.eye(2), 0.01)
-        assert sim.row_value.max() > 0.999
+        raw = _scores(np.array([[1.0, 0.0]]), np.eye(2))
+        assert softmax(raw / 0.01, axis=1).max() > 0.999
 
     def test_normalization_marginals(self):
-        sim = _sim(_unit_rows(6, 8, 3), _unit_rows(9, 8, 4), 0.07)
-        np.testing.assert_allclose(sim.row_value.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(sim.col_value.sum(axis=0), 1.0, atol=1e-12)
+        raw = _scores(_unit_rows(6, 8, 3), _unit_rows(9, 8, 4))
+        np.testing.assert_allclose(softmax(raw / 0.07, axis=1).sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(softmax(raw / 0.07, axis=0).sum(axis=0), 1.0, atol=1e-12)
 
     def test_row_argmax_is_temperature_invariant(self):
-        images, protos = _unit_rows(10, 8, 5), _unit_rows(7, 8, 6)
-        raw_argmax = np.argmax(_sim(images, protos, 1.0).raw_value, axis=1)
+        raw = _scores(_unit_rows(10, 8, 5), _unit_rows(7, 8, 6))
+        raw_argmax = np.argmax(raw, axis=1)
         for t in (0.01, 0.07, 1.0):
-            sim = _sim(images, protos, t)
-            np.testing.assert_array_equal(np.argmax(sim.row_value, axis=1), raw_argmax)
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            _sim(np.eye(2), np.eye(2), -1.0)
+            np.testing.assert_array_equal(np.argmax(softmax(raw / t, axis=1), axis=1), raw_argmax)
 
     def test_latent_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="latent dims"):
-            _sim(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+            _scores(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestLabelMatrices:
@@ -96,9 +91,13 @@ class TestLabelMatrices:
 class TestContrastiveLoss:
     def _loss_value(self, images, protos, labels, temperature):
         tape = Tape()
-        sim = similarity(tape, tape.constant(images), tape.constant(protos), temperature)
-        node = contrastive_loss(sim, labels, protos.shape[0])
+        scores = similarity(tape, tape.constant(images), tape.constant(protos))
+        node = contrastive_loss(tape, scores, labels, protos.shape[0], temperature)
         return tape.value(node)[0, 0]
+
+    def test_nonpositive_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature"):
+            self._loss_value(np.eye(2), np.eye(2), [0, 1], -1.0)
 
     def test_orthogonal_matched_pairs_evaluate_to_log1p_e_minus_1(self):
         """B = C = 2 with identity labels at T = 1: both directions give
@@ -146,8 +145,8 @@ class TestContrastiveLoss:
         tape = Tape()
         images = tape.parameter(_unit_rows(3, 6, 13), "images")
         protos = tape.parameter(_unit_rows(4, 6, 14), "protos")
-        sim = similarity(tape, images, protos, 0.07)
-        grads = tape.backward(contrastive_loss(sim, rng.integers(0, 4, size=3), 4))
+        scores = similarity(tape, images, protos)
+        grads = tape.backward(contrastive_loss(tape, scores, rng.integers(0, 4, size=3), 4, 0.07))
         assert np.abs(grads["images"]).max() > 0
         assert np.abs(grads["protos"]).max() > 0
 

@@ -169,16 +169,8 @@ class TestInitParameters:
         table = rng.normal(size=(16, 8))
         cfg = PromptConfig(num_ranks=4, num_base_ranks=2, num_context=3,
                            word_dim=8, init_ctx=True)
-        template = (5, 9, 2)
-        ctx, _ = init_parameters(cfg, seed=0, token_table=table, template=template)
-        np.testing.assert_array_equal(ctx, table[list(template)])
-
-    def test_template_longer_than_context_rejected(self):
-        table = np.zeros((16, 8))
-        cfg = PromptConfig(num_ranks=4, num_base_ranks=2, num_context=2,
-                           word_dim=8, init_ctx=True)
-        with pytest.raises(ValueError, match="template"):
-            init_parameters(cfg, seed=0, token_table=table, template=(1, 2, 3))
+        ctx, _ = init_parameters(cfg, seed=0, token_table=table)
+        np.testing.assert_array_equal(ctx, table[[15, 14, 13]])
 
     def test_init_ctx_without_table_rejected(self):
         cfg = PromptConfig(num_ranks=4, num_base_ranks=2, init_ctx=True)

@@ -49,14 +49,7 @@ def _batch():
 
 
 def _all_parameters(state):
-    out = dict(state.image_encoder.parameters())
-    if state.uses_prompts:
-        out["context"] = state.context
-        out["base_ranks"] = state.base_ranks
-    else:
-        out["head.weights"] = state.head_weights
-        out["head.bias"] = state.head_bias
-    return {name: value.copy() for name, value in out.items()}
+    return {name: value.copy() for name, value in state.parameter_groups().items()}
 
 
 def _fit(state, seed=0):
@@ -141,14 +134,8 @@ class TestWholeLossFiniteDifferences:
         state = _model(method)
         batch_x, batch_y = _batch()
 
-        def set_param(value):
-            if name.startswith("image."):
-                setattr(state.image_encoder, name.removeprefix("image."), value)
-            else:
-                setattr(state, name.replace(".", "_"), value)
-
         def loss_at(value):
-            set_param(value)
+            state.parameter_groups()[name][...] = value
             tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
             return tape.value(loss)[0, 0]
 
@@ -290,8 +277,8 @@ class TestLoadState:
         [
             (training.ORDINALCLIP, {"num_context": 3}, "checkpoint context"),
             (training.COOP, {"num_context": 1}, "checkpoint context"),
-            (training.ORDINALCLIP, {"hidden_dim": 7}, "checkpoint image w1"),
-            (training.BASELINE, {"hidden_dim": 7}, "checkpoint image w1"),
+            (training.ORDINALCLIP, {"hidden_dim": 7}, "checkpoint image.w1"),
+            (training.BASELINE, {"hidden_dim": 7}, "checkpoint image.w1"),
         ],
     )
     def test_mismatched_block_is_named_and_nothing_is_assigned(
