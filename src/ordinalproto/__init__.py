@@ -10,7 +10,7 @@ and finite-difference checkable.
 """
 
 from .data import OrdinalDataset, SplitSpec, generate_synthetic
-from .diffcore import Tape, finite_difference_check
+from .diffcore import Tape
 from .encoders import ImageEncoder, PseudoTextEncoder, import_prototypes, export_prototypes
 from .matching import contrastive_loss, cross_entropy_loss, similarity
 from .metrics import MetricReport, accuracy, mae, ordinality_score, predict
@@ -36,7 +36,6 @@ __all__ = [
     "cross_entropy_loss",
     "evaluate",
     "export_prototypes",
-    "finite_difference_check",
     "fit",
     "generate_synthetic",
     "import_prototypes",

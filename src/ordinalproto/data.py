@@ -156,16 +156,6 @@ def distribution_shift_subsample(
     return ds.subset(np.flatnonzero(mask))
 
 
-def save_csv(ds: OrdinalDataset, path) -> None:
-    """Header `rank,f0,...,f{d-1}`, one sample per line, 17 significant
-    digits so features round-trip exactly."""
-    dim = ds.input_dim
-    lines = ["rank," + ",".join(f"f{i}" for i in range(dim))]
-    for label, row in zip(ds.labels, ds.features):
-        lines.append(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_csv(path) -> OrdinalDataset:
     """Parse a dataset CSV; rank labels are remapped to contiguous 0..C-1
     preserving their order, and the mapping is logged."""

@@ -38,8 +38,11 @@ The tape does only the work a parameter gradient needs:
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
-A tape is single-threaded and is rebuilt for every forward pass. Distinct
-tapes share no mutable state and may live on distinct threads.
+A recorded tape can be run again: `Tape.rerun` rebinds named leaves and
+op params and re-evaluates every op in place, in recorded order, giving
+bitwise the values and gradients of a tape recorded on the new values. A
+tape is single-threaded; distinct tapes share no mutable state and may
+live on distinct threads.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["Tape", "OP_KINDS", "finite_difference_check", "softmax"]
+__all__ = ["Tape", "OP_KINDS", "softmax"]
 
 # Op kinds accepted by Tape.record. "tanh" and "transpose" extend the core
 # matrix set: the first for the image-encoder nonlinearity, the second so a
@@ -91,12 +94,14 @@ class _Node:
 
     `wants[k]` is whether input k needs a gradient (a parameter reaches
     it); `needs_grad` is whether this node does. `meta` is whatever the
-    forward rule returned for its backward rule, or None.
+    forward rule returned for its backward rule, or None; `params` are the
+    op's extra params, kept for a re-run.
     """
 
-    __slots__ = ("op", "inputs", "value", "meta", "name", "wants", "needs_grad")
+    __slots__ = ("op", "inputs", "value", "meta", "name", "wants", "needs_grad", "params")
 
-    def __init__(self, op, inputs, value, meta=None, name=None, wants=(), needs_grad=False):
+    def __init__(self, op, inputs, value, meta=None, name=None, wants=(), needs_grad=False,
+                 params=None):
         self.op = op
         self.inputs = inputs
         self.value = value
@@ -104,6 +109,7 @@ class _Node:
         self.name = name
         self.wants = wants
         self.needs_grad = needs_grad
+        self.params = params
 
 
 class Tape:
@@ -117,6 +123,8 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[str, int] = {}
+        # Every named leaf, parameter or constant, by name: what rerun rebinds.
+        self._leaves: dict[str, int] = {}
         # Indices of the op nodes some parameter reaches, ascending: the
         # only nodes the reverse sweep visits.
         self._grad_ops: list[int] = []
@@ -126,14 +134,13 @@ class Tape:
 
     # -- leaves ----------------------------------------------------------
 
-    def constant(self, array) -> int:
-        """A node that never receives a gradient."""
-        return self._append(_Node("constant", (), _as_matrix(array)))
+    def constant(self, array, name: str | None = None) -> int:
+        """A node that never receives a gradient; a named one can be rebound
+        by rerun."""
+        return self._append(_Node("constant", (), _as_matrix(array), name=name))
 
     def parameter(self, array, name: str) -> int:
         """A trainable leaf; its gradient appears in backward() under `name`."""
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} registered twice on this tape")
         idx = self._append(
             _Node("parameter", (), _as_matrix(array), name=name, needs_grad=True)
         )
@@ -144,8 +151,13 @@ class Tape:
         return self._nodes[node].value
 
     def _append(self, node: _Node) -> int:
+        idx = len(self._nodes)
+        if node.name is not None:
+            if node.name in self._leaves:
+                raise ValueError(f"leaf {node.name!r} registered twice on this tape")
+            self._leaves[node.name] = idx
         self._nodes.append(node)
-        return len(self._nodes) - 1
+        return idx
 
     # -- recording -------------------------------------------------------
 
@@ -170,10 +182,36 @@ class Tape:
         _check_finite(value, op_kind)
         wants = tuple([n.needs_grad for n in in_nodes])
         needs_grad = True in wants
-        nodes.append(_Node(op_kind, inputs, value, meta, None, wants, needs_grad))
+        nodes.append(_Node(op_kind, inputs, value, meta, None, wants, needs_grad, params))
         if needs_grad:
             self._grad_ops.append(idx)
         return idx
+
+    def rerun(self, leaves: dict, op_params: dict | None = None) -> None:
+        """Evaluate the recorded ops again, in place, on new leaf values.
+
+        `leaves` maps leaf names (parameters, named constants) to values of
+        the recorded shapes; `op_params` maps an op node to extra params
+        that update its recorded ones. Every other leaf and param is kept.
+        Each op then reruns the forward rule and finiteness check of
+        `record`, in recorded order. A failed re-run leaves the tape
+        part-updated. The graph is unchanged, so backward needs no change.
+        """
+        nodes = self._nodes
+        for name, array in leaves.items():
+            node, value = nodes[self._leaves[name]], _as_matrix(array)
+            if value.shape != node.value.shape:
+                raise ValueError(f"leaf {name!r} has shape {value.shape}; "
+                                 f"the tape recorded {node.value.shape}")
+            node.value = value
+        for idx, params in (op_params or {}).items():
+            nodes[idx].params = {**nodes[idx].params, **params}
+        for node in nodes:
+            if node.inputs:
+                node.value, node.meta = _FORWARD[node.op](
+                    [nodes[i].value for i in node.inputs], node.params
+                )
+                _check_finite(node.value, node.op)
 
     # Convenience wrappers, one per primitive.
 
@@ -482,41 +520,3 @@ _BACKWARD = {
     "clip-kl": _bwd_clip_kl,
     "softmax-xent": _bwd_softmax_xent,
 }
-
-
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_check(f, point, analytic, h: float = 1e-5) -> float:
-    """Max relative error between `analytic` and central differences of `f`.
-
-    `f` maps a matrix to a scalar; `analytic` is the gradient to check,
-    with the same shape as `point`. The error for each entry is
-    |analytic - central| / (|central| + 1e-12); the max over entries is
-    returned. A non-finite value of `f` at a perturbed point is an error,
-    reported with the entry being perturbed.
-    """
-    point = _as_matrix(point)
-    analytic = _as_matrix(analytic)
-    if analytic.shape != point.shape:
-        raise ValueError(f"gradient shape {analytic.shape} != parameter shape {point.shape}")
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    worst = 0.0
-    perturbed = point.copy()
-    for i in range(point.shape[0]):
-        for j in range(point.shape[1]):
-            orig = perturbed[i, j]
-            perturbed[i, j] = orig + h
-            f_plus = float(f(perturbed))
-            perturbed[i, j] = orig - h
-            f_minus = float(f(perturbed))
-            perturbed[i, j] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise FloatingPointError(
-                    f"f returned a non-finite value when perturbing entry ({i}, {j})"
-                )
-            central = (f_plus - f_minus) / (2.0 * h)
-            err = abs(analytic[i, j] - central) / (abs(central) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -162,6 +162,8 @@ class ImageEncoder:
     """
 
     WEIGHTS = ("w1", "b1", "w2", "b2")
+    # Tape name of the batch constant, which Tape.rerun rebinds.
+    BATCH = "image.batch"
 
     def __init__(self, w1, b1, w2, b2):
         self.w1 = np.asarray(w1, dtype=np.float64)
@@ -195,12 +197,8 @@ class ImageEncoder:
     def parameters(self) -> dict[str, np.ndarray]:
         return {f"image.{name}": getattr(self, name) for name in self.WEIGHTS}
 
-    def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:
-        """(pre-normalization features, unit-norm embeddings) nodes.
-
-        With normalize=False the second element is None; the baseline path
-        consumes raw features only.
-        """
+    def checked_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The batch as float64, checked finite and input_dim wide."""
         batch = np.asarray(batch, dtype=np.float64)
         if not np.isfinite(batch).all():
             raise ValueError("image batch contains non-finite values")
@@ -208,7 +206,15 @@ class ImageEncoder:
             raise ValueError(
                 f"batch shape {batch.shape} does not match input_dim {self.input_dim}"
             )
-        x = tape.constant(batch)
+        return batch
+
+    def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:
+        """(pre-normalization features, unit-norm embeddings) nodes.
+
+        With normalize=False the second element is None; the baseline path
+        consumes raw features only. The batch is the constant named BATCH.
+        """
+        x = tape.constant(self.checked_batch(batch), self.BATCH)
         w1 = tape.parameter(self.w1, "image.w1")
         b1 = tape.parameter(self.b1, "image.b1")
         w2 = tape.parameter(self.w2, "image.w2")

@@ -361,10 +361,11 @@ def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
     return out
 
 
-def _norm(x: np.ndarray) -> float:
-    """Frobenius norm as max|x| * ||x / max|x|||, finite for every finite x,
-    however large its entries."""
-    scale = float(np.abs(x).max(initial=0.0))
+def _norm(x: np.ndarray, scale: float) -> float:
+    """Frobenius norm of x given scale = max|x|, as scale * ||x / scale||.
+    The sum of squares cannot overflow, so the norm is finite whenever it
+    fits in a float64; that of a group with several entries near the
+    float64 maximum does not, and reads inf."""
     if scale == 0.0 or not np.isfinite(scale):
         return scale
     return scale * float(np.linalg.norm(x / scale))
@@ -372,9 +373,15 @@ def _norm(x: np.ndarray) -> float:
 
 def _diverged(state: ModelState, what: str) -> TrainingDivergedError:
     """The error for a fit gone non-finite: what went non-finite, and the
-    norm of every trainable group."""
-    norms = {k: _norm(v) for k, v in state.trainable_parameters().items()}
-    return TrainingDivergedError(f"non-finite values {what}; parameter norms: {norms}")
+    norm and max|x| of every trainable group. max|x| is finite for every
+    finite group, however large its norm."""
+    groups = []
+    for name, value in state.trainable_parameters().items():
+        peak = float(np.abs(value).max(initial=0.0))
+        groups.append(f"{name} {_norm(value, peak):.6g} (max|x| {peak:.6g})")
+    return TrainingDivergedError(
+        f"non-finite values {what}; parameter norms: {', '.join(groups)}"
+    )
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -389,28 +396,37 @@ def train_step(
     batch_y: np.ndarray,
     cfg: TrainConfig,
     adam: AdamState,
-    lr: float | None = None,
+    lr: float,
+    tapes: dict[int, tuple[Tape, int]],
 ) -> float:
-    """One forward/backward/update; returns the batch loss value.
+    """One forward/backward/update at rate lr; returns the batch loss value.
 
-    A non-finite forward pass, or an update that leaves a group
-    non-finite, raises TrainingDivergedError at this step.
+    `tapes` maps a batch row count to the (tape, loss node) forward_loss
+    recorded for it. A step whose row count is there re-runs that tape on
+    this batch, labels and parameters, with the batch, label and
+    finiteness checks the recording ran; any other step records a tape and
+    stores it there. A non-finite forward pass, or an update that leaves a
+    group non-finite, raises TrainingDivergedError at this step.
     """
     if len(batch_y) == 0:
         raise ValueError("train_step requires a non-empty batch")
+    # The tape's parameters are exactly the trainable groups.
+    params = state.trainable_parameters()
+    recorded = tapes.get(len(batch_y))
     try:
-        tape, loss_node = forward_loss(state, batch_x, batch_y, cfg.temperature)
+        if recorded is None:
+            tape, loss_node = tapes[len(batch_y)] = forward_loss(
+                state, batch_x, batch_y, cfg.temperature
+            )
+        else:
+            tape, loss_node = recorded
+            batch = state.image_encoder.checked_batch(batch_x)
+            targets = matching.one_hot_labels(batch_y, state.num_ranks)
+            tape.rerun({ImageEncoder.BATCH: batch, **params}, {loss_node: {"targets": targets}})
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])
-    # The tape's parameters are exactly the trainable groups.
-    params = state.trainable_parameters()
-    adam.update(
-        params,
-        tape.backward(loss_node),
-        cfg.learning_rate if lr is None else lr,
-        _lr_multipliers(state, cfg),
-    )
+    adam.update(params, tape.backward(loss_node), lr, _lr_multipliers(state, cfg))
     bad = [name for name, value in params.items() if not _finite(value)]
     if bad:
         raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
@@ -433,9 +449,14 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
     """epochs x ceil(n / B) steps with a seeded shuffle per epoch.
 
     The learning rate is multiplied by the decay factor at the start of
-    each epoch listed in decay_epochs (0-based). A fit that goes
-    non-finite raises TrainingDivergedError; numpy's overflow and invalid
-    warnings, which would only repeat that, are off while it runs.
+    each epoch listed in decay_epochs (0-based). The graph of a step
+    depends only on its batch row count, so the first step of each row
+    count (the full batch, and the remainder when B does not divide n)
+    records its tape, and every later step of that row count re-runs it
+    (train_step); parameters and losses are bitwise those of recording
+    every step. A fit that goes non-finite raises TrainingDivergedError;
+    numpy's overflow and invalid warnings, which would only repeat that,
+    are off while it runs.
     """
     cfg.validate()
     if len(train_ds) == 0:
@@ -447,6 +468,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
     trace = LossTrace()
     lr = cfg.learning_rate
     n = len(train_ds)
+    tapes: dict[int, tuple[Tape, int]] = {}
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.lr_decay_factor
@@ -456,7 +478,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
             idx = perm[start : start + cfg.batch_size]
             losses.append(
                 train_step(
-                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, lr
+                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, lr, tapes
                 )
             )
         mean_loss = float(np.mean(losses))

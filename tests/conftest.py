@@ -1,7 +1,8 @@
 """Helpers shared by the tests. The package itself does not need them.
 
 `unfused_clip_kl` and `unfused_softmax_xent` are the oracle for the two
-fused loss ops: plain numpy, no tape, each returning (value, gradient)."""
+fused loss ops: plain numpy, no tape, each returning (value, gradient).
+`finite_difference_check` is the central-difference gradient check."""
 
 import numpy as np
 
@@ -92,3 +93,38 @@ def unfused_softmax_xent(logits, targets):
     """(value, gradient) of the softmax-xent loss: the mean row-wise KL of
     the row softmax against the targets."""
     return _kl_of_softmax(logits, targets, 1.0, 1, 1.0 / targets.shape[0])
+
+
+def finite_difference_check(f, point, analytic, h: float = 1e-5) -> float:
+    """Max relative error between `analytic` and central differences of `f`.
+
+    `f` maps a matrix to a scalar; `analytic` is the gradient to check,
+    with the same shape as `point`. The error for each entry is
+    |analytic - central| / (|central| + 1e-12); the max over entries is
+    returned. A non-finite value of `f` at a perturbed point is an error,
+    reported with the entry being perturbed.
+    """
+    point = diffcore._as_matrix(point)
+    analytic = diffcore._as_matrix(analytic)
+    if analytic.shape != point.shape:
+        raise ValueError(f"gradient shape {analytic.shape} != parameter shape {point.shape}")
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    worst = 0.0
+    perturbed = point.copy()
+    for i in range(point.shape[0]):
+        for j in range(point.shape[1]):
+            orig = perturbed[i, j]
+            perturbed[i, j] = orig + h
+            f_plus = float(f(perturbed))
+            perturbed[i, j] = orig - h
+            f_minus = float(f(perturbed))
+            perturbed[i, j] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise FloatingPointError(
+                    f"f returned a non-finite value when perturbing entry ({i}, {j})"
+                )
+            central = (f_plus - f_minus) / (2.0 * h)
+            err = abs(analytic[i, j] - central) / (abs(central) + 1e-12)
+            worst = max(worst, err)
+    return worst

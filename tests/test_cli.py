@@ -177,13 +177,15 @@ def test_a_diverged_fit_exits_1_with_one_line_and_finite_norms(tmp_path, capsys)
     norms = _norms(err)
     assert set(norms) == {"head.weights", "head.bias", "image.w1", "image.b1", "image.w2",
                           "image.b2"}
-    assert all(np.isfinite(v) and v > 1e299 for v in norms.values())
+    assert all(np.isfinite(v) and v > 1e299 for v, _ in norms.values())
+    assert all(np.isfinite(peak) and 0 < peak <= v for v, peak in norms.values())
 
 
 def _norms(err):
-    """The parameter norms a `training diverged` line lists, by group."""
-    pairs = re.findall(r"'([\w.]+)': ([^,}]+)", err.split("parameter norms: ", 1)[1])
-    return {name: float(value) for name, value in pairs}
+    """The (norm, max|x|) a `training diverged` line lists, by group."""
+    groups = re.findall(r"([\w.]+) (\S+) \(max\|x\| ([^)]+)\)",
+                        err.split("parameter norms: ", 1)[1])
+    return {name: (float(norm), float(peak)) for name, norm, peak in groups}
 
 
 @pytest.mark.parametrize(
@@ -211,9 +213,47 @@ def test_a_fit_that_diverges_on_its_last_step_exits_1_with_one_line(
     assert err.startswith("training diverged: non-finite values " + cause)
     assert err.count("\n") == 1 and "Traceback" not in err
     norms = _norms(err)
-    assert "image.w1" in norms and all(v > 1e299 for v in norms.values())
-    assert all(np.isfinite(v) for v in norms.values()) == finite
+    assert "image.w1" in norms and all(v > 1e299 for v, _ in norms.values())
+    assert all(np.isfinite(v) for v, _ in norms.values()) == finite
+    if method == "baseline":
+        # Every group is finite, so is every max|x|, even where a norm reads inf.
+        assert all(np.isfinite(peak) and peak > 1e299 for _, peak in norms.values())
     assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("learning_rate", ["1e300", "1e160"])
+def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
+    tmp_path, capsys, monkeypatch, learning_rate
+):
+    """The baseline's first step sends its parameters to ~1e300 or ~1e160,
+    and its second, of the batch row count the first recorded, re-runs
+    that tape and overflows. The line, exit code and op are those of the
+    same fit with a fresh tape recorded every step."""
+    config = _write_config(tmp_path / "run.cfg", method="baseline", learning_rate=learning_rate,
+                           num_ranks=6, per_rank=8, epochs=3)
+    train_step = training.train_step
+    steps = []
+
+    def spied(state, batch_x, batch_y, *args):
+        steps.append(len(batch_y))
+        return train_step(state, batch_x, batch_y, *args)
+
+    def recording(state, batch_x, batch_y, cfg, adam, lr, tapes):
+        return spied(state, batch_x, batch_y, cfg, adam, lr, {})
+
+    errs = []
+    for step in (spied, recording):
+        steps.clear()
+        monkeypatch.setattr(training, "train_step", step)
+        out = str(tmp_path / step.__name__)
+        assert cli.main(["train", "--config", config, "--out", out]) == 1
+        assert steps == [8, 8]
+        errs.append(capsys.readouterr().err)
+    rerun_err, recorded_err = errs
+    assert rerun_err == recorded_err
+    assert rerun_err.startswith("training diverged: non-finite values in forward pass "
+                                "(non-finite values produced by op 'matmul')")
+    assert rerun_err.count("\n") == 1 and "Traceback" not in rerun_err
 
 
 @pytest.fixture(scope="module")

@@ -85,11 +85,20 @@ class TestDistributionShift:
             data.distribution_shift_subsample(_indexed(), 1, 1.0, seed=0)
 
 
+def _save_csv(ds, path):
+    """The format load_csv reads: header `rank,f0,...,f{d-1}`, one sample
+    per line, 17 significant digits so features round-trip exactly."""
+    lines = ["rank," + ",".join(f"f{i}" for i in range(ds.input_dim))]
+    for label, row in zip(ds.labels, ds.features):
+        lines.append(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         ds = data.generate_synthetic(4, 3, 5, 0.25, seed=2)
         path = tmp_path / "ds.csv"
-        data.save_csv(ds, path)
+        _save_csv(ds, path)
         back = data.load_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)

@@ -11,9 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import reference_backward, sum_all, unfused_clip_kl, unfused_softmax_xent
+from conftest import (
+    finite_difference_check,
+    reference_backward,
+    sum_all,
+    unfused_clip_kl,
+    unfused_softmax_xent,
+)
 from ordinalproto import diffcore
-from ordinalproto.diffcore import OP_KINDS, Tape, finite_difference_check
+from ordinalproto.diffcore import OP_KINDS, Tape
 
 H = 1e-5
 FD_TOL = 1e-4
@@ -466,11 +472,12 @@ def _op_cases(draw, kind):
     elif kind in ("clip-kl", "softmax-xent"):
         targets = _loss_targets(draw, rng)
         shapes = [targets.shape]
+        # A loss's build takes other targets of the same shape as y.
         if kind == "clip-kl":
             temperature = draw(st.floats(0.5, 2.0))
-            build = lambda t, n: t.clip_kl(n[0], targets, temperature)
+            build = lambda t, n, y=targets: t.clip_kl(n[0], y, temperature)
         else:
-            build = lambda t, n: t.softmax_xent(n[0], targets)
+            build = lambda t, n, y=targets: t.softmax_xent(n[0], y)
     elif kind == "transpose":
         shapes = [(rows, cols)]
         build = lambda t, n: t.transpose(n[0])
@@ -496,12 +503,16 @@ def _wiring(draw, values):
     return sources, params
 
 
+def _leaf_name(i, params):
+    return f"p{i}" if i in params else f"c{i}"
+
+
 def _property_tape(build, values, sources, params, weight_seed):
-    """Leaf i is parameter p{i} or a constant; the op output is reduced to a
-    1x1 loss through fixed positive weights."""
+    """Leaf i is parameter p{i} or constant c{i}; the op output is reduced
+    to a 1x1 loss through fixed positive weights."""
     tape = Tape()
     leaf = {
-        i: tape.parameter(values[i], f"p{i}") if i in params else tape.constant(values[i])
+        i: (tape.parameter if i in params else tape.constant)(values[i], _leaf_name(i, params))
         for i in sorted(set(sources))
     }
     out = build(tape, [leaf[i] for i in sources])
@@ -574,6 +585,80 @@ class TestOpProperties:
         with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
             build(tape, nodes)
         assert len(tape) == len(values)
+
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_rerun_on_fresh_leaves_equals_a_fresh_recording_bitwise(self, kind, data):
+        """A tape re-run on fresh leaf values (and, for a loss, fresh
+        one-hot targets) holds bitwise the node values and backward
+        gradients of a tape recorded on them, after a sweep of the old."""
+        build, values = data.draw(_op_cases(kind))
+        sources, params = _wiring(data.draw, values)
+        weight_seed = data.draw(st.integers(0, 99))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fresh = [_signed(rng, v.shape) for v in values]
+        leaves = sorted(set(sources))
+        fresh_build, op_params = build, {}
+        if kind in ("clip-kl", "softmax-xent"):
+            rows, cols = values[0].shape
+            y = np.zeros((rows, cols))
+            y[np.arange(rows), rng.integers(0, cols, size=rows)] = 1.0
+            fresh_build = lambda t, n: build(t, n, y=y)
+            op_params = {len(leaves): {"targets": y}}  # the op follows its leaves
+        tape, loss = _property_tape(build, values, sources, params, weight_seed)
+        tape.backward(loss)
+        tape.rerun({_leaf_name(i, params): fresh[i] for i in leaves}, op_params)
+        expected, expected_loss = _property_tape(fresh_build, fresh, sources, params, weight_seed)
+        assert len(tape) == len(expected)
+        for i in range(len(tape)):
+            np.testing.assert_array_equal(tape.value(i), expected.value(i))
+        grads, want = tape.backward(loss), expected.backward(expected_loss)
+        assert grads.keys() == want.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], want[name])
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_a_nan_leaf_on_rerun_raises_naming_the_op(self, kind, data):
+        build, values = data.draw(_op_cases(kind))
+        tape = Tape()
+        build(tape, [tape.constant(v, f"c{i}") for i, v in enumerate(values)])
+        which = data.draw(st.integers(0, len(values) - 1))
+        rows, cols = values[which].shape
+        bad = values[which].copy()
+        bad[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = np.nan
+        with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
+            tape.rerun({f"c{which}": bad})
+
+
+class TestRerun:
+    def test_a_leaf_of_another_shape_is_rejected(self):
+        tape = Tape()
+        tape.matmul(tape.constant(np.ones((2, 3)), "x"), tape.parameter(np.ones((3, 1)), "w"))
+        recorded = r"leaf 'x' has shape \(4, 3\); the tape recorded \(2, 3\)"
+        with pytest.raises(ValueError, match=recorded):
+            tape.rerun({"x": np.ones((4, 3))})
+        with pytest.raises(ValueError, match="leaf 'w' has shape"):
+            tape.rerun({"w": np.ones((3, 2))})
+
+    def test_a_leaf_name_registered_twice_is_rejected(self):
+        tape = Tape()
+        tape.constant(np.ones((1, 1)), "x")
+        with pytest.raises(ValueError, match="leaf 'x' registered twice"):
+            tape.parameter(np.ones((1, 1)), "x")
+
+    def test_leaves_and_params_not_listed_keep_their_recorded_values(self):
+        tape = Tape()
+        x = tape.constant(np.array([[1.0, 2.0]]), "x")
+        w = tape.parameter(np.array([[3.0], [4.0]]), "w")
+        scores = tape.matmul(x, w)
+        loss = tape.clip_kl(scores, np.ones((1, 1)), 0.5)
+        tape.rerun({"x": np.array([[5.0, 6.0]])}, {loss: {"targets": np.full((1, 1), 2.0)}})
+        assert tape.value(scores)[0, 0] == 5.0 * 3.0 + 6.0 * 4.0
+        fresh = Tape()
+        fresh_loss = fresh.clip_kl(fresh.constant(tape.value(scores)), np.full((1, 1), 2.0), 0.5)
+        np.testing.assert_array_equal(tape.value(loss), fresh.value(fresh_loss))
 
 
 _finite = hnp.arrays(

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import encode_text, sum_all
-from ordinalproto.diffcore import Tape, finite_difference_check
+from conftest import encode_text, finite_difference_check, sum_all
+from ordinalproto.diffcore import Tape
 from ordinalproto.encoders import (
     BadMagicError,
     ChecksumMismatchError,

@@ -1,22 +1,26 @@
-"""Model training: seeded determinism, the tune gates, the pruned reverse
-sweep against the unpruned reference, finite differences through the
-whole loss, the in-place Adam step, and checkpoint loading."""
+"""Model training: seeded determinism, the tune gates, fit's re-run tapes
+against a fresh recording every step, the pruned reverse sweep against the
+unpruned reference, finite differences through the whole loss, the rank
+of the prototypes, the in-place Adam step, and checkpoint loading."""
 
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_backward
+from conftest import finite_difference_check, reference_backward
 from ordinalproto import data, training
-from ordinalproto.diffcore import OP_KINDS, Tape, finite_difference_check
+from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import (
     BadMagicError,
     ChecksumMismatchError,
     TruncatedPayloadError,
     fnv1a64,
 )
-from ordinalproto.prompt import LINEAR, PromptConfig
+from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
 NUM_RANKS = 5
 TEMPERATURE = 0.07
@@ -52,9 +56,37 @@ def _all_parameters(state):
     return {name: value.copy() for name, value in state.parameter_groups().items()}
 
 
+def _fit_config(seed=0, batch_size=16):
+    # 40 samples in batches of 16 leave a remainder batch of 8.
+    return training.TrainConfig(epochs=3, batch_size=batch_size, seed=seed, decay_epochs=(2,))
+
+
 def _fit(state, seed=0):
-    cfg = training.TrainConfig(epochs=3, batch_size=16, seed=seed, decay_epochs=(2,))
-    return training.fit(state, _dataset(), cfg)
+    return training.fit(state, _dataset(), _fit_config(seed))
+
+
+def _eager_fit(state, ds, cfg):
+    """fit as a plain loop that records a fresh tape every step: forward_loss,
+    backward, AdamState.update, then the finiteness check. Its loss trace rows."""
+    rng = np.random.default_rng(cfg.seed)
+    adam = training.AdamState(state.trainable_parameters(), cfg)
+    rows, lr = [], cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        if epoch in cfg.decay_epochs:
+            lr *= cfg.lr_decay_factor
+        perm = rng.permutation(len(ds))
+        losses = []
+        for start in range(0, len(ds), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            tape, loss = training.forward_loss(
+                state, ds.features[idx], ds.labels[idx], cfg.temperature
+            )
+            losses.append(float(tape.value(loss)[0, 0]))
+            params = state.trainable_parameters()
+            adam.update(params, tape.backward(loss), lr)
+            assert all(np.isfinite(value).all() for value in params.values())
+        rows.append((epoch, float(np.mean(losses)), lr))
+    return rows
 
 
 class TestFit:
@@ -94,6 +126,40 @@ class TestFit:
         assert ("base_ranks" in grads) == tune_rank
         assert ("context" in grads) == tune_ctx
         assert grads.keys() == state.trainable_parameters().keys()
+
+
+class TestRerunTapes:
+    @pytest.mark.parametrize(
+        "method, tune_rank, tune_ctx",
+        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
+    )
+    def test_fit_equals_recording_every_step_bitwise(self, method, tune_rank, tune_ctx):
+        """The baseline has no tune gates; its every group trains."""
+        fitted, eager = _model(method, tune_rank, tune_ctx), _model(method, tune_rank, tune_ctx)
+        trace = training.fit(fitted, _dataset(), _fit_config())
+        assert trace.rows == _eager_fit(eager, _dataset(), _fit_config())
+        after, expected = _all_parameters(fitted), _all_parameters(eager)
+        assert after.keys() == expected.keys()
+        for name in after:
+            np.testing.assert_array_equal(after[name], expected[name])
+
+    @pytest.mark.parametrize(
+        "batch_size, recorded", [(16, {16: 1, 8: 1}), (8, {8: 1}), (64, {40: 1})]
+    )
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_forward_loss_runs_once_per_batch_row_count(
+        self, monkeypatch, method, batch_size, recorded
+    ):
+        calls = Counter()
+        forward_loss = training.forward_loss
+
+        def counted(state, batch_x, batch_y, temperature):
+            calls[len(batch_y)] += 1
+            return forward_loss(state, batch_x, batch_y, temperature)
+
+        monkeypatch.setattr(training, "forward_loss", counted)
+        training.fit(_model(method), _dataset(), _fit_config(batch_size=batch_size))
+        assert calls == recorded
 
 
 class TestBackwardOnTheTrainingTape:
@@ -153,6 +219,36 @@ class TestWholeLossFiniteDifferences:
     @pytest.mark.parametrize("name", ["head.weights", "head.bias", "image.w1"])
     def test_baseline_gradient_matches_finite_differences(self, name):
         self._check(training.BASELINE, name)
+
+
+class TestCompactPrototypes:
+    """An ordinalclip prototype matrix has rank at most C': every rank row
+    is a convex combination of the C' base rows, and the prompt pipeline
+    is affine up to a row scaling, so each prototype is a multiple of a
+    convex combination of C' fixed vectors."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        num_ranks=st.integers(2, 40),
+        data=st.data(),
+        num_context=st.integers(0, 4),
+        interpolation=st.sampled_from(INTERPOLATION_KINDS),
+        scale=st.sampled_from([0.02, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_numerical_rank_is_at_most_the_base_rank_count(
+        self, num_ranks, data, num_context, interpolation, scale, seed
+    ):
+        num_base = data.draw(st.integers(2, min(num_ranks, 6)))
+        cfg = PromptConfig(num_ranks, num_base_ranks=num_base, num_context=num_context,
+                           word_dim=8, interpolation=interpolation)
+        state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
+                                     max_len=5, vocab_size=8, init_seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for group in (state.context, state.base_ranks):
+            group[...] = rng.normal(0.0, scale, group.shape)
+        singular = np.linalg.svd(training.prototypes_of(state), compute_uv=False)
+        assert np.count_nonzero(singular > 1e-9 * singular[0]) <= num_base
 
 
 class TestGraphSize:
