@@ -52,25 +52,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["Tape", "OP_KINDS", "softmax"]
-
-# Op kinds accepted by Tape.record. "tanh" and "transpose" extend the core
-# matrix set: the first for the image-encoder nonlinearity, the second so a
-# similarity of the form X @ Y.T is expressible. "clip-kl" and
-# "softmax-xent" are whole losses, each one node with a closed-form
-# gradient (see _fwd_clip_kl and _fwd_softmax_xent). Every kind is one the
-# model records; a test runs forward_loss for each method and checks that
-# the kinds it records are exactly these.
-OP_KINDS = (
-    "matmul",
-    "add",
-    "l2-normalize-rows",
-    "concat-rows",
-    "transpose",
-    "tanh",
-    "clip-kl",
-    "softmax-xent",
-)
+__all__ = ["Tape", "OP_KINDS", "all_finite", "softmax"]
 
 
 def _as_matrix(array) -> np.ndarray:
@@ -80,12 +62,17 @@ def _as_matrix(array) -> np.ndarray:
     return a
 
 
-def _check_finite(value: np.ndarray, op: str) -> None:
+def all_finite(value: np.ndarray) -> bool:
+    """Whether every entry of value is finite."""
     # vdot sets no numpy floating-point flag, so an overflowing sum of
     # finite entries neither warns nor raises; it only falls through to
     # the exact scan. Its result is a float64 scalar, which math.isfinite
     # tests without a ufunc call.
-    if not math.isfinite(np.vdot(value, value)) and not np.isfinite(value).all():
+    return math.isfinite(np.vdot(value, value)) or bool(np.isfinite(value).all())
+
+
+def _check_finite(value: np.ndarray, op: str) -> None:
+    if not all_finite(value):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
 
@@ -328,15 +315,13 @@ def _fwd_add(vals, params):
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax of a plain array along `axis`: the probabilities the fused
     losses form, and the one softmax the package computes."""
-    shifted = x - x.max(axis=axis, keepdims=True)  # overflow guard, value-identical
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _log_softmax(x, axis)[1]
 
 
 def _log_softmax(x, axis):
     """(log softmax, softmax) along `axis`. The log is taken of the sum
     only, so it is finite wherever x is, even where the softmax itself
-    underflows to zero; the softmax is the same array softmax returns."""
+    underflows to zero; softmax returns the second."""
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=axis, keepdims=True)
@@ -448,6 +433,15 @@ _FORWARD = {
     "clip-kl": _fwd_clip_kl,
     "softmax-xent": _fwd_softmax_xent,
 }
+
+# Op kinds accepted by Tape.record. "tanh" and "transpose" extend the core
+# matrix set: the first for the image-encoder nonlinearity, the second so a
+# similarity of the form X @ Y.T is expressible. "clip-kl" and
+# "softmax-xent" are whole losses, each one node with a closed-form
+# gradient (see _fwd_clip_kl and _fwd_softmax_xent). Every kind is one the
+# model records; a test runs forward_loss for each method and checks that
+# the kinds it records are exactly these.
+OP_KINDS = tuple(_FORWARD)
 
 
 # ---------------------------------------------------------------------------

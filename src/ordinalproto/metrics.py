@@ -81,7 +81,10 @@ def ordinality_score(prototypes: np.ndarray) -> float:
     Comparisons happen within one row, and both the row softmax (any
     positive temperature) and the global max-normalization are strictly
     increasing there, so the count over raw cosines equals the count over
-    the normalized table exactly. The raw form is used.
+    the normalized table exactly. The raw form is used. On the linear
+    stand-in text encoder the score saturates for OrdinalCLIP: with two
+    base ranks (and word_dim >= 2) it is exactly 1 for every parameter
+    value, and trained runs with more base ranks have read 1 as well.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if prototypes.shape[0] < 2:

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import matching, prompt
 from .data import OrdinalDataset
-from .diffcore import Tape
-from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, read_blocks, write_blocks
+from .diffcore import Tape, all_finite
+from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, write_blocks
 from .metrics import ARGMAX, MetricReport, metric_report, predict, write_csv
 from .prompt import PromptConfig
 
@@ -212,25 +212,20 @@ def build_model(
 # forward graphs
 
 
-def _prompt_nodes(state: ModelState, tape: Tape, trainable: bool) -> int:
-    """Prototype node for the current prompt parameters.
+def _prompt_nodes(state: ModelState, tape: Tape) -> int:
+    """Prototype node for the current prompt parameters. A group is a
+    named parameter exactly when trainable_parameters(), which applies the
+    tune gates, holds it; every other group is a constant."""
+    trainable = state.trainable_parameters()
 
-    With trainable set, each group its tune gate enables is a named
-    parameter; every other group is a constant.
-    """
+    def leaf(name: str, array: np.ndarray) -> int:
+        return tape.parameter(array, name) if name in trainable else tape.constant(array)
 
-    def leaf(array: np.ndarray, name: str, tuned: bool) -> int:
-        return tape.parameter(array, name) if trainable and tuned else tape.constant(array)
-
-    cfg = state.prompt_cfg
-    ctx_node = (
-        leaf(state.context, "context", cfg.tune_ctx) if state.context.shape[0] > 0 else None
-    )
-    base_node = leaf(state.base_ranks, "base_ranks", cfg.tune_rank)
+    ctx_node = leaf("context", state.context) if state.context.shape[0] > 0 else None
+    base_node = leaf("base_ranks", state.base_ranks)
+    ranks_node = base_node
     if state.interpolation is not None:
         ranks_node = prompt.interpolate_rank_embeddings(tape, state.interpolation, base_node)
-    else:
-        ranks_node = base_node
     seqs = prompt.assemble_sequences(tape, ctx_node, ranks_node)
     return state.text_encoder.encode(tape, seqs)
 
@@ -241,7 +236,7 @@ def forward_loss(
     """Build the full training graph for one batch; returns (tape, loss)."""
     tape = Tape()
     if state.uses_prompts:
-        protos = _prompt_nodes(state, tape, trainable=True)
+        protos = _prompt_nodes(state, tape)
         _, embeddings = state.image_encoder.encode(tape, batch_x)
         scores = matching.similarity(tape, embeddings, protos)
         loss = matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
@@ -255,18 +250,17 @@ def forward_loss(
 
 
 def prototypes_of(state: ModelState) -> np.ndarray:
-    """Unit-norm prototype rows used for prediction and ordinality.
-
-    The baseline has no language prototypes; its normalized head weight
-    rows play that role so its ordinality is measurable the same way.
-    """
+    """Unit-norm prototype rows used for prediction and ordinality: the
+    prompt graph's output on a throwaway tape. The baseline has no
+    language prototypes; its head weight rows, put through the same
+    l2-normalize-rows op, play that role so its ordinality is measurable
+    the same way."""
+    tape = Tape()
     if state.uses_prompts:
-        tape = Tape()
-        return tape.value(_prompt_nodes(state, tape, trainable=False)).copy()
-    norms = np.linalg.norm(state.head_weights, axis=1, keepdims=True)
-    if (norms == 0).any():
-        raise ValueError("baseline head has a zero weight row; cannot normalize")
-    return state.head_weights / norms
+        node = _prompt_nodes(state, tape)
+    else:
+        node = tape.l2_normalize_rows(tape.constant(state.head_weights))
+    return tape.value(node).copy()
 
 
 def evaluate(
@@ -292,7 +286,7 @@ def evaluate(
             scores = embeddings @ protos.T
         else:
             scores = features @ state.head_weights.T + state.head_bias
-    if not np.isfinite(scores).all():
+    if not all_finite(scores):
         raise _diverged(state, "in forward pass (non-finite scores)")
     predictions = predict(scores, rule=rule, temperature=temperature)
     return metric_report(predictions, ds.labels, protos, ds.num_ranks)
@@ -384,12 +378,6 @@ def _diverged(state: ModelState, what: str) -> TrainingDivergedError:
     )
 
 
-def _finite(x: np.ndarray) -> bool:
-    # As diffcore's finiteness check: vdot raises no floating-point flag,
-    # and only an overflowing or non-finite sum falls through to the scan.
-    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
-
-
 def train_step(
     state: ModelState,
     batch_x: np.ndarray,
@@ -427,7 +415,7 @@ def train_step(
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])
     adam.update(params, tape.backward(loss_node), lr, _lr_multipliers(state, cfg))
-    bad = [name for name, value in params.items() if not _finite(value)]
+    bad = [name for name, value in params.items() if not all_finite(value)]
     if bad:
         raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
     return loss_value
@@ -503,29 +491,3 @@ def _checkpoint_blocks(state: ModelState) -> tuple[bytes, dict[str, np.ndarray]]
 def save_state(state: ModelState, path) -> None:
     magic, blocks = _checkpoint_blocks(state)
     write_blocks(path, magic, blocks.values())
-
-
-def load_state_into(state: ModelState, path) -> ModelState:
-    """Restore parameters saved by save_state into a freshly built model.
-
-    A checkpoint of the other model family fails on its magic. num_ranks
-    and every block's shape are checked against the model before anything
-    is copied into its arrays, so a checkpoint that does not fit leaves the
-    model as it was.
-    """
-    magic, current = _checkpoint_blocks(state)
-    loaded = dict(zip(current, read_blocks(path, magic, len(current))))
-    for name, array in loaded.items():
-        expected = current[name].shape
-        if array.shape != expected:
-            raise ValueError(
-                f"checkpoint {name} has shape {array.shape}; the model expects {expected}"
-            )
-        if name == "num_ranks" and array[0, 0] != state.num_ranks:
-            raise ValueError(
-                f"checkpoint num_ranks {array[0, 0]:g} != model num_ranks {state.num_ranks}"
-            )
-    del loaded["num_ranks"]
-    for name, array in loaded.items():
-        current[name][...] = array
-    return state

@@ -3,9 +3,10 @@
 Exit codes: a config or a grid flag that parses but holds an invalid
 value is a config error (exit 2), never a traceback, and a grid command
 rejects it before any cell trains. Run directories: a rerun is
-byte-identical, `checkpoint.bin` restores the prototypes in
-`prototypes.bin`, and `report` verifies them (exit 0) or names what does
-not match (exit 1). Grid commands: with one evaluation seed, a grid cell that
+byte-identical, `checkpoint.bin` holds the parameters behind the prototypes
+in `prototypes.bin`, its image blocks and those prototypes alone reproduce
+`metrics.csv`, and `report` verifies a run (exit 0) or names what does not
+match (exit 1). Grid commands: with one evaluation seed, a grid cell that
 keeps every training sample and the default prompt equals `train`.
 """
 
@@ -15,8 +16,8 @@ import shutil
 import numpy as np
 import pytest
 
-from ordinalproto import cli, data, training
-from ordinalproto.encoders import import_prototypes
+from ordinalproto import cli, data, encoders, metrics, prompt, training
+from ordinalproto.encoders import ImageEncoder, encode_images, import_prototypes, read_blocks
 
 TINY = {
     "num_ranks": 5,
@@ -256,21 +257,27 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
     assert rerun_err.count("\n") == 1 and "Traceback" not in rerun_err
 
 
+TRAIN_RUNS = {
+    "baseline": {"method": "baseline"},
+    "baseline-lr-mult": {"method": "baseline", "last_layer_lr_mult": 0.5},
+    "coop": {"method": "coop"},
+    "coop-init": {"method": "coop", "init_ctx": "true"},
+    "expectation": {"tune_rank": "false", "prediction_rule": "expectation"},
+    "inverse-2": {"interpolation": "inverse-proportion", "num_base_ranks": 2},
+    "inverse-3": {"interpolation": "inverse-proportion"},
+    "ordinalclip": {"method": "ordinalclip"},
+    "zeroshot": {"method": "zeroshot"},
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Tiny train runs of three methods and of two non-default prompts, a
-    second ordinalclip run into a fresh directory, and one run of every
-    grid command."""
+    """Tiny train runs (TRAIN_RUNS) of every method and of non-default
+    prompts and prediction rule, a second ordinalclip run into a fresh
+    directory, and one run of every grid command."""
     root = tmp_path_factory.mktemp("cli")
     out = {}
-    trains = {
-        "baseline": {"method": "baseline"},
-        "coop": {"method": "coop"},
-        "inverse-2": {"interpolation": "inverse-proportion", "num_base_ranks": 2},
-        "inverse-3": {"interpolation": "inverse-proportion"},
-        "ordinalclip": {"method": "ordinalclip"},
-    }
-    for name, overrides in trains.items():
+    for name, overrides in TRAIN_RUNS.items():
         config = _write_config(root / f"{name}.cfg", **overrides)
         out[name] = root / name
         assert cli.main(["train", "--config", config, "--out", str(out[name])]) == 0
@@ -304,16 +311,60 @@ def test_report_accepts_an_untouched_run(runs, capsys, name):
     assert capsys.readouterr().err == ""
 
 
+def _checkpoint(run_dir, state) -> dict:
+    """The blocks of a run's checkpoint.bin by name, read with the magic and
+    block names of state's model family."""
+    magic, names = training._checkpoint_blocks(state)
+    return dict(zip(names, read_blocks(run_dir / "checkpoint.bin", magic, len(names))))
+
+
 @pytest.mark.parametrize("name", ["ordinalclip", "coop", "baseline"])
 def test_checkpoint_restores_the_exported_prototypes(runs, name):
-    """checkpoint.bin loads into a model rebuilt from the run's config, and
-    that model's prototypes are bitwise the ones in prototypes.bin."""
+    """The blocks of checkpoint.bin, copied into a model rebuilt from the
+    run's config, give bitwise the prototypes in prototypes.bin."""
     cfg = cli.load_config(str(runs[name].parent / f"{name}.cfg"))
     state = cli._build_model(cfg, cfg["method"], cfg["num_ranks"], cfg["input_dim"], cfg["seed"])
     exported = import_prototypes(runs[name] / "prototypes.bin")
     assert not np.array_equal(training.prototypes_of(state), exported)
-    training.load_state_into(state, runs[name] / "checkpoint.bin")
+    blocks = _checkpoint(runs[name], state)
+    for group, array in state.parameter_groups().items():
+        array[...] = blocks[group]
     np.testing.assert_array_equal(training.prototypes_of(state), exported)
+
+
+@pytest.mark.parametrize("name", TRAIN_RUNS)
+def test_metrics_follow_from_the_image_blocks_and_prototypes_alone(runs, tmp_path,
+                                                                   monkeypatch, name):
+    """The paper's deployment claim: once learned, the language prototypes
+    are kept and the language model discarded. The rebuilt test split, the
+    image blocks of checkpoint.bin and the matrix in prototypes.bin (for
+    the baseline, its head blocks) reproduce metrics.csv byte for byte, and
+    no model, text encoder or prompt is built on the way."""
+    for owner, attr in [(training, "build_model"), (encoders.PseudoTextEncoder, "create"),
+                        (encoders.PseudoTextEncoder, "encode"), (prompt, "init_parameters"),
+                        (prompt, "assemble_sequences"), (prompt, "interpolate_rank_embeddings")]:
+        monkeypatch.setattr(owner, attr, lambda *a, _n=attr, **k: pytest.fail(f"{_n} called"))
+    run = runs[name]
+    cfg = cli.load_config(str(run.parent / f"{name}.cfg"))
+    _, _, test_ds = cli._prepare(cfg, tmp_path)
+    # A model holding only an image encoder names the family's blocks.
+    probe = training.ModelState(cfg["method"], ImageEncoder.create(0))
+    blocks = _checkpoint(run, probe)
+    encoder = ImageEncoder(*(blocks[group] for group in probe.image_encoder.parameters()))
+    features, embeddings = encode_images(encoder, test_ds.features)
+    protos = import_prototypes(run / "prototypes.bin")
+    if cfg["method"] == "baseline":
+        scores = features @ blocks["head.weights"].T + blocks["head.bias"]
+    else:
+        scores = embeddings @ protos.T
+    predicted = metrics.predict(scores, cfg["prediction_rule"], cfg["temperature"])
+    report = metrics.metric_report(predicted, test_ds.labels, protos, test_ds.num_ranks)
+    metrics.write_csv(
+        tmp_path / "metrics.csv", ("metric", "value"),
+        [("mae", report.mae), ("accuracy", report.accuracy), ("ordinality", report.ordinality)]
+        + [(f"count_{rank}", count) for rank, count in enumerate(report.per_rank_counts)],
+    )
+    assert (tmp_path / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes()
 
 
 def _tamper(run_dir):

@@ -1,0 +1,44 @@
+"""Dead-code guard: every function, class and method the package defines
+is used by the package or by the benchmark harness."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ordinalproto"
+USERS = (PACKAGE, ROOT / "perfbench")
+
+
+def _references():
+    """(file, line) of every AST name and attribute, by identifier, over
+    the package and the benchmark harness."""
+    refs = {}
+    for root in USERS:
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    refs.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    refs.setdefault(node.attr, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_definition_is_referenced_outside_itself():
+    """A definition counts as used when its name appears as a name or an
+    attribute anywhere outside its own lines; dunders are exempt. A test
+    is not a user: code only a test reaches is dead."""
+    refs = _references()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in refs.get(name, ())
+            ):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

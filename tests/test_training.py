@@ -1,7 +1,8 @@
 """Model training: seeded determinism, the tune gates, fit's re-run tapes
 against a fresh recording every step, the pruned reverse sweep against the
 unpruned reference, finite differences through the whole loss, the rank
-of the prototypes, the in-place Adam step, and checkpoint loading."""
+and order of the prototypes, the in-place Adam step, and the checkpoint
+file."""
 
 import struct
 from collections import Counter
@@ -19,7 +20,9 @@ from ordinalproto.encoders import (
     ChecksumMismatchError,
     TruncatedPayloadError,
     fnv1a64,
+    read_blocks,
 )
+from ordinalproto.metrics import ordinality_score
 from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
 NUM_RANKS = 5
@@ -251,6 +254,37 @@ class TestCompactPrototypes:
         assert np.count_nonzero(singular > 1e-9 * singular[0]) <= num_base
 
 
+class TestWellOrderedPrototypes:
+    """With C' = 2 an ordinalclip model is well-ordered for every parameter
+    value: each rank row lies on the segment between the two base rows,
+    the pipeline is affine up to a row scaling, so the prototypes lie in
+    order on a great-circle arc shorter than pi, and ordinality is exactly
+    1. This needs word_dim >= 2: at word_dim = 1 every prompt is a
+    multiple of one vector, the prototypes are +u or -u, and equal
+    neighbours tie, so the score falls below 1."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        num_ranks=st.integers(2, 40),
+        num_context=st.integers(0, 4),
+        word_dim=st.integers(2, 8),
+        interpolation=st.sampled_from(INTERPOLATION_KINDS),
+        scale=st.sampled_from([0.02, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_base_ranks_give_ordinality_exactly_one(
+        self, num_ranks, num_context, word_dim, interpolation, scale, seed
+    ):
+        cfg = PromptConfig(num_ranks, num_base_ranks=2, num_context=num_context,
+                           word_dim=word_dim, interpolation=interpolation)
+        state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
+                                     max_len=5, vocab_size=8, init_seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for group in (state.context, state.base_ranks):
+            group[...] = rng.normal(0.0, scale, group.shape)
+        assert ordinality_score(training.prototypes_of(state)) == 1.0
+
+
 class TestGraphSize:
     """Nodes forward_loss puts on the tape. A prompt model records five per
     rank: a selector constant, its matmul and the concat with the context
@@ -323,28 +357,7 @@ class TestAdam:
                 np.testing.assert_array_equal(adam.v[name], v[name])
 
 
-def _assert_rejected(target, path, error, match=None):
-    """Loading `path` raises `error` and leaves every group of `target` as it was."""
-    before = _all_parameters(target)
-    with pytest.raises(error, match=match):
-        training.load_state_into(target, path)
-    after = _all_parameters(target)
-    for name in before:
-        np.testing.assert_array_equal(before[name], after[name])
-
-
-class TestLoadState:
-    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_round_trip_restores_every_group_bitwise(self, tmp_path, method):
-        trained = _model(method)
-        _fit(trained)
-        training.save_state(trained, tmp_path / "ckpt.bin")
-        fresh = training.load_state_into(_model(method, init_seed=1), tmp_path / "ckpt.bin")
-        saved, loaded = _all_parameters(trained), _all_parameters(fresh)
-        assert saved.keys() == loaded.keys()
-        for name in saved:
-            np.testing.assert_array_equal(saved[name], loaded[name])
-
+class TestCheckpointFile:
     @pytest.mark.parametrize(
         "method, magic, groups",
         [
@@ -369,41 +382,6 @@ class TestLoadState:
         assert (tmp_path / "ckpt.bin").read_bytes() == expected
 
     @pytest.mark.parametrize(
-        "method, saved_kwargs, block",
-        [
-            (training.ORDINALCLIP, {"num_context": 3}, "checkpoint context"),
-            (training.COOP, {"num_context": 1}, "checkpoint context"),
-            (training.ORDINALCLIP, {"hidden_dim": 7}, "checkpoint image.w1"),
-            (training.BASELINE, {"hidden_dim": 7}, "checkpoint image.w1"),
-        ],
-    )
-    def test_mismatched_block_is_named_and_nothing_is_assigned(
-        self, tmp_path, method, saved_kwargs, block
-    ):
-        training.save_state(_model(method, **saved_kwargs), tmp_path / "ckpt.bin")
-        _assert_rejected(_model(method, init_seed=1), tmp_path / "ckpt.bin", ValueError, block)
-
-    def test_base_ranks_of_another_count_are_rejected(self, tmp_path):
-        state = _model(training.ORDINALCLIP)
-        training.save_state(state, tmp_path / "ckpt.bin")
-        coop = _model(training.COOP)
-        _assert_rejected(coop, tmp_path / "ckpt.bin", ValueError, "checkpoint base_ranks")
-
-    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_another_num_ranks_is_rejected(self, tmp_path, method):
-        training.save_state(_model(method, num_ranks=NUM_RANKS + 1), tmp_path / "ckpt.bin")
-        _assert_rejected(_model(method), tmp_path / "ckpt.bin", ValueError,
-                         f"checkpoint num_ranks {NUM_RANKS + 1} != model num_ranks {NUM_RANKS}")
-
-    @pytest.mark.parametrize(
-        "saved, target",
-        [(training.BASELINE, training.ORDINALCLIP), (training.ORDINALCLIP, training.BASELINE)],
-    )
-    def test_a_checkpoint_of_the_other_family_is_rejected(self, tmp_path, saved, target):
-        training.save_state(_model(saved), tmp_path / "ckpt.bin")
-        _assert_rejected(_model(target), tmp_path / "ckpt.bin", BadMagicError, "bad magic")
-
-    @pytest.mark.parametrize(
         "damage, error",
         [
             (lambda blob: b"XXXXX" + blob[5:], BadMagicError),
@@ -416,7 +394,15 @@ class TestLoadState:
     )
     @pytest.mark.parametrize("method", (training.ORDINALCLIP, training.BASELINE))
     def test_damaged_file_is_rejected(self, tmp_path, method, damage, error):
+        """read_blocks reads every block of an intact checkpoint and raises
+        on each kind of damage to it."""
         path = tmp_path / "ckpt.bin"
-        training.save_state(_model(method), path)
+        state = _model(method)
+        training.save_state(state, path)
+        magic, blocks = training._checkpoint_blocks(state)
+        for array, expected in zip(read_blocks(path, magic, len(blocks)), blocks.values(),
+                                   strict=True):
+            np.testing.assert_array_equal(array, expected)
         path.write_bytes(damage(path.read_bytes()))
-        _assert_rejected(_model(method, init_seed=1), path, error)
+        with pytest.raises(error):
+            read_blocks(path, magic, len(blocks))
