@@ -358,6 +358,36 @@ class TestAdam:
 
 
 class TestCheckpointFile:
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_round_trip_restores_every_group_bitwise(self, tmp_path, method):
+        """The blocks of a trained model's checkpoint, copied into the
+        parameter groups of a fresh model, give it bitwise every group."""
+        trained = _model(method)
+        _fit(trained)
+        training.save_state(trained, tmp_path / "ckpt.bin")
+        fresh = _model(method, init_seed=1)
+        magic, names = training._checkpoint_blocks(fresh)
+        blocks = dict(zip(names, read_blocks(tmp_path / "ckpt.bin", magic, len(names)),
+                          strict=True))
+        np.testing.assert_array_equal(blocks.pop("num_ranks"), [[float(NUM_RANKS)]])
+        for group, array in fresh.parameter_groups().items():
+            assert array.shape == blocks[group].shape
+            array[...] = blocks[group]
+        saved, loaded = _all_parameters(trained), _all_parameters(fresh)
+        assert saved.keys() == loaded.keys() == blocks.keys()
+        for name in saved:
+            np.testing.assert_array_equal(saved[name], loaded[name])
+
+    @pytest.mark.parametrize(
+        "saved, target",
+        [(training.BASELINE, training.ORDINALCLIP), (training.ORDINALCLIP, training.BASELINE)],
+    )
+    def test_a_checkpoint_of_the_other_family_is_rejected(self, tmp_path, saved, target):
+        training.save_state(_model(saved), tmp_path / "ckpt.bin")
+        magic, names = training._checkpoint_blocks(_model(target))
+        with pytest.raises(BadMagicError, match="bad magic"):
+            read_blocks(tmp_path / "ckpt.bin", magic, len(names))
+
     @pytest.mark.parametrize(
         "method, magic, groups",
         [
