@@ -134,6 +134,7 @@ def load_config(path: str | None) -> dict:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        set_on = {}  # key -> the line that set it
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -146,6 +147,9 @@ def load_config(path: str | None) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                     + ", ".join(sorted(CONFIG_SCHEMA))
                 )
+            if key in set_on:
+                raise ConfigError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+            set_on[key] = lineno
             parser = CONFIG_SCHEMA[key][0]
             try:
                 cfg[key] = parser(raw)
@@ -206,17 +210,14 @@ def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
         raise ConfigError(str(exc)) from exc
 
 
-def _prepare(cfg: dict, out_dir: str):
-    """Create the output directory, then load and split the data;
-    returns (out, train_ds, test_ds)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _prepare(cfg: dict):
+    """Load and split the data; returns (train_ds, test_ds)."""
     ds = _load_dataset(cfg)
     fraction = cfg["train_fraction"]
     spec = datamod.SplitSpec(fraction, 1.0 - fraction, seed=cfg["data_seed"])
     # Every check train_test_split makes is a check on config values.
     try:
-        return (out, *datamod.train_test_split(ds, spec))
+        return datamod.train_test_split(ds, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -260,18 +261,18 @@ def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_se
 
 def _run_cell(cfg: dict, method: str, train_ds, test_ds, seed: int,
               **prompt_overrides):
-    """Train one model and evaluate it; returns (report, state, trace)."""
+    """Train one model and evaluate it; returns (report, prototypes, state,
+    loss rows): evaluate's report and prototypes, the trained model, and
+    fit's (epoch, mean_loss, lr) rows, none for zeroshot."""
     train_cfg = _train_config(cfg, seed)  # zeroshot too: it evaluates at its temperature
     state = _build_model(
         cfg, method, train_ds.num_ranks, train_ds.input_dim, seed, **prompt_overrides
     )
-    trace = training.LossTrace()
-    if method != ZEROSHOT:
-        trace = training.fit(state, train_ds, train_cfg)
-    report = training.evaluate(
+    rows = training.fit(state, train_ds, train_cfg) if method != ZEROSHOT else []
+    report, protos = training.evaluate(
         state, test_ds, rule=cfg["prediction_rule"], temperature=cfg["temperature"]
     )
-    return report, state, trace
+    return report, protos, state, rows
 
 
 def _whole(ds: datamod.OrdinalDataset, seed: int) -> datamod.OrdinalDataset:
@@ -398,9 +399,12 @@ def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
 # commands
 
 
-def _write_tables(out: Path, cfg: dict, header: list[str], tables: dict,
+def _write_tables(out_dir: str, cfg: dict, header: list[str], tables: dict,
                   extra: dict | None = None) -> int:
-    """Write each named table and the manifest; print the first table."""
+    """Create the output directory, write each named table and the
+    manifest; print the first table."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, rows in tables.items():
         metricsmod.write_csv(out / name, header, rows)
     _write_manifest(out, cfg, ORDINALCLIP, extra)
@@ -411,17 +415,20 @@ def _write_tables(out: Path, cfg: dict, header: list[str], tables: dict,
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     method = cfg["method"]
-    out, train_ds, test_ds = _prepare(cfg, args.out)
-    report, state, trace = _run_cell(cfg, method, train_ds, test_ds, cfg["seed"])
+    train_ds, test_ds = _prepare(cfg)
+    report, protos, state, rows = _run_cell(cfg, method, train_ds, test_ds, cfg["seed"])
 
+    # Created only now, once every config check has passed, so that a
+    # config error leaves no directory behind.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     training.save_state(state, out / "checkpoint.bin")
-    trace.to_csv(out / "loss_trace.csv")
+    metricsmod.write_csv(out / "loss_trace.csv", ("epoch", "mean_loss", "lr"), rows)
     metricsmod.write_csv(
         out / "metrics.csv", ("metric", "value"),
         [("mae", report.mae), ("accuracy", report.accuracy), ("ordinality", report.ordinality)]
         + [(f"count_{rank}", count) for rank, count in enumerate(report.per_rank_counts)],
     )
-    protos = training.prototypes_of(state)
     export_prototypes(out / "prototypes.bin", protos)
     metricsmod.export_heatmap(
         metricsmod.prototype_similarity(protos, cfg["temperature"]),
@@ -451,14 +458,14 @@ def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
     for kind in kinds:
         if kind not in promptmod.INTERPOLATION_KINDS:
             raise ConfigError(f"unknown interpolation type {kind!r}")
-    out, train_ds, test_ds = _prepare(cfg, args.out)
+    train_ds, test_ds = _prepare(cfg)
     maes, _ = _run_grid(cfg, train_ds, test_ds,
                         [(ORDINALCLIP, {"interpolation": kind}) for kind in kinds],
                         [(_whole, {"num_base_ranks": count}) for count in counts],
                         [cfg["seed"]])
     header = ["interpolation"] + [f"base_{c}" for c in counts]
     tables = {"interpolation_sweep.csv": _labelled([(kind,) for kind in kinds], maes)}
-    return _write_tables(out, cfg, header, tables,
+    return _write_tables(args.out, cfg, header, tables,
                          {"sweep_counts": counts, "sweep_types": ",".join(kinds)})
 
 
@@ -475,7 +482,7 @@ ABLATION_CELLS = (
 
 def cmd_ablation(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out, train_ds, test_ds = _prepare(cfg, args.out)
+    train_ds, test_ds = _prepare(cfg)
     cells = [(method, cell) for method in (COOP, ORDINALCLIP) for cell in ABLATION_CELLS]
     keys = ("tune_rank", "tune_ctx", "init_ctx")
     maes, ords = _run_grid(cfg, train_ds, test_ds,
@@ -483,7 +490,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
                            [(_whole, {})], _eval_seeds(cfg))
     labels = [(method, *map(_format_value, cell)) for method, cell in cells]
     header = ["method", *keys, "mae", "ordinality"]
-    return _write_tables(out, cfg, header, {"ablation.csv": _labelled(labels, maes, ords)})
+    return _write_tables(args.out, cfg, header, {"ablation.csv": _labelled(labels, maes, ords)})
 
 
 TABLE_METHODS = (BASELINE, COOP, ORDINALCLIP)
@@ -493,13 +500,13 @@ def _method_tables(cfg: dict, out_dir: str, name: str, subsamples, headers: list
                    extra: dict) -> int:
     """Every table method on every subsample column, into
     <name>_mae.csv and <name>_ordinality.csv."""
-    out, train_ds, test_ds = _prepare(cfg, out_dir)
+    train_ds, test_ds = _prepare(cfg)
     maes, ords = _run_grid(cfg, train_ds, test_ds, [(m, {}) for m in TABLE_METHODS],
                            [(s, {}) for s in subsamples], _eval_seeds(cfg))
     labels = [(method,) for method in TABLE_METHODS]
     tables = {f"{name}_mae.csv": _labelled(labels, maes),
               f"{name}_ordinality.csv": _labelled(labels, ords)}
-    return _write_tables(out, cfg, ["method"] + headers, tables, extra)
+    return _write_tables(out_dir, cfg, ["method"] + headers, tables, extra)
 
 
 def cmd_fewshot(args: argparse.Namespace) -> int:

@@ -95,18 +95,6 @@ class PseudoTextEncoder:
             raise ValueError("position weights must be strictly positive")
         self.mixed_projection = _frozen(self.mixing @ self.projection)
 
-    @property
-    def word_dim(self) -> int:
-        return self.mixing.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.projection.shape[1]
-
-    @property
-    def max_len(self) -> int:
-        return self.position_weights.shape[0]
-
     @classmethod
     def create(
         cls,
@@ -127,29 +115,20 @@ class PseudoTextEncoder:
         """Unit-norm prototype matrix (one row per sequence) on the tape.
 
         prototype = normalize(pooled @ mixed_projection) where pooled is
-        the position-weighted mean of the sequence rows. Differentiable in
-        the sequence rows only; encoder weights enter as constants.
+        the position-weighted mean of the sequence rows. Every sequence has
+        the first one's length, as every prompt has m + 1 rows: one pooling
+        row serves them all, and the pooling matmul rejects any other
+        length or one beyond max_len. Differentiable in the sequence rows
+        only; encoder weights enter as constants.
         """
         sequence_nodes = list(sequence_nodes)
         if not sequence_nodes:
             raise ValueError("encode requires at least one sequence")
         mixed_projection = tape.constant(self.mixed_projection)
-        poolings = {}  # sequence length -> pooling row node
-        rows = []
-        for node in sequence_nodes:
-            length = tape.value(node).shape[0]
-            if length == 0:
-                raise ValueError("cannot encode an empty token sequence")
-            if length > self.max_len:
-                raise ValueError(
-                    f"sequence length {length} exceeds encoder max_len {self.max_len}"
-                )
-            pooling = poolings.get(length)
-            if pooling is None:
-                weights = self.position_weights[:length]
-                pooling = poolings[length] = tape.constant((weights / weights.sum())[None, :])
-            pooled = tape.matmul(pooling, node)
-            rows.append(tape.matmul(pooled, mixed_projection))
+        weights = self.position_weights[: tape.value(sequence_nodes[0]).shape[0]]
+        pooling = tape.constant((weights / weights.sum())[None, :])
+        rows = [tape.matmul(tape.matmul(pooling, node), mixed_projection)
+                for node in sequence_nodes]
         stacked = rows[0] if len(rows) == 1 else tape.concat_rows(rows)
         return tape.l2_normalize_rows(stacked)
 
@@ -171,14 +150,6 @@ class ImageEncoder:
         self.w2 = np.asarray(w2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.w2.shape[1]
-
     @classmethod
     def create(
         cls, seed: int, input_dim: int = 16, hidden_dim: int = 32, latent_dim: int = 64
@@ -198,14 +169,13 @@ class ImageEncoder:
         return {f"image.{name}": getattr(self, name) for name in self.WEIGHTS}
 
     def checked_batch(self, batch: np.ndarray) -> np.ndarray:
-        """The batch as float64, checked finite and input_dim wide."""
+        """The batch as float64, checked finite. Its shape is the tape's to
+        check: a constant must be 2-D, the first matmul rejects a width
+        other than input_dim, and a re-run rejects a shape other than the
+        recorded one."""
         batch = np.asarray(batch, dtype=np.float64)
         if not np.isfinite(batch).all():
             raise ValueError("image batch contains non-finite values")
-        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise ValueError(
-                f"batch shape {batch.shape} does not match input_dim {self.input_dim}"
-            )
         return batch
 
     def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:

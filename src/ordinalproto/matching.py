@@ -33,12 +33,6 @@ def similarity(tape: Tape, images_node: int, prototypes_node: int) -> int:
     distribution over ranks) and columns (a per-rank distribution over
     the batch) inside their own node.
     """
-    images = tape.value(images_node)
-    prototypes = tape.value(prototypes_node)
-    if images.shape[1] != prototypes.shape[1]:
-        raise ValueError(
-            f"latent dims differ: images {images.shape} vs prototypes {prototypes.shape}"
-        )
     return tape.matmul(images_node, tape.transpose(prototypes_node))
 
 
@@ -62,25 +56,11 @@ def contrastive_loss(tape: Tape, scores_node: int, labels, num_ranks: int,
     all-column average would be undefined there. Temperature must be
     positive.
     """
-    y = one_hot_labels(labels, num_ranks)
-    if y.shape != tape.value(scores_node).shape:
-        raise ValueError(
-            f"label matrix {y.shape} does not match scores "
-            f"{tape.value(scores_node).shape}"
-        )
-    return tape.clip_kl(scores_node, y, temperature)
+    return tape.clip_kl(scores_node, one_hot_labels(labels, num_ranks), temperature)
 
 
 def baseline_logits(tape: Tape, weights_node: int, bias_node: int, features_node: int) -> int:
     """logit[i, j] = w_j . f_i + b_j for a C x latent_dim weight matrix."""
-    w = tape.value(weights_node)
-    b = tape.value(bias_node)
-    f = tape.value(features_node)
-    if f.shape[1] != w.shape[1] or b.shape != (1, w.shape[0]):
-        raise ValueError(
-            f"head shapes weights {w.shape}, bias {b.shape} do not match "
-            f"features {f.shape}"
-        )
     return tape.add(tape.matmul(features_node, tape.transpose(weights_node)), bias_node)
 
 
@@ -90,10 +70,4 @@ def cross_entropy_loss(tape: Tape, logits_node: int, labels, num_ranks: int) -> 
     Identical to the mean row-wise KL against the one-hot labels, since
     one-hot targets carry zero entropy.
     """
-    y = one_hot_labels(labels, num_ranks)
-    if y.shape != tape.value(logits_node).shape:
-        raise ValueError(
-            f"label matrix {y.shape} does not match logits "
-            f"{tape.value(logits_node).shape}"
-        )
-    return tape.softmax_xent(logits_node, y)
+    return tape.softmax_xent(logits_node, one_hot_labels(labels, num_ranks))

@@ -91,12 +91,6 @@ def interpolate_rank_embeddings(tape: Tape, weights: np.ndarray, base_node: int)
     Recorded on the tape, so the loss gradient reaches the base rank
     parameters whenever they are registered as trainable.
     """
-    base = tape.value(base_node)
-    if weights.shape[1] != base.shape[0]:
-        raise ValueError(
-            f"interpolation weights {weights.shape} do not match "
-            f"base rank rows {base.shape}"
-        )
     return tape.matmul(tape.constant(weights), base_node)
 
 
@@ -107,13 +101,7 @@ def assemble_sequences(tape: Tape, ctx_node: int | None, ranks_node: int) -> lis
     node, so context gradients accumulate across ranks. With no context
     rows a sequence is just its rank row.
     """
-    ranks = tape.value(ranks_node)
-    num_ranks = ranks.shape[0]
-    if ctx_node is not None and tape.value(ctx_node).shape[1] != ranks.shape[1]:
-        raise ValueError(
-            f"context word_dim {tape.value(ctx_node).shape[1]} != "
-            f"rank word_dim {ranks.shape[1]}"
-        )
+    num_ranks = tape.value(ranks_node).shape[0]
     seqs = []
     for j in range(num_ranks):
         selector = np.zeros((1, num_ranks))

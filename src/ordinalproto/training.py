@@ -21,7 +21,7 @@ its gradient, and it stays bitwise identical. One seed drives everything
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import matching, prompt
 from .data import OrdinalDataset
 from .diffcore import Tape, all_finite
 from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, write_blocks
-from .metrics import ARGMAX, MetricReport, metric_report, predict, write_csv
+from .metrics import ARGMAX, MetricReport, metric_report, predict
 from .prompt import PromptConfig
 
 ORDINALCLIP = "ordinalclip"
@@ -268,9 +268,11 @@ def evaluate(
     ds: OrdinalDataset,
     rule: str = ARGMAX,
     temperature: float = 1.0,
-) -> MetricReport:
+) -> tuple[MetricReport, np.ndarray]:
     """Predict a rank per sample from raw per-rank scores (similarities to
-    the prototypes, or the baseline's logits) and report the metrics.
+    the prototypes, or the baseline's logits); returns the metrics and the
+    prototypes (prototypes_of) they were scored against, so a caller that
+    exports them need not build the prompt graph again.
 
     A forward pass that goes non-finite raises TrainingDivergedError, as
     in train_step.
@@ -289,7 +291,7 @@ def evaluate(
     if not all_finite(scores):
         raise _diverged(state, "in forward pass (non-finite scores)")
     predictions = predict(scores, rule=rule, temperature=temperature)
-    return metric_report(predictions, ds.labels, protos, ds.num_ranks)
+    return metric_report(predictions, ds.labels, protos, ds.num_ranks), protos
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +423,11 @@ def train_step(
     return loss_value
 
 
-@dataclass
-class LossTrace:
-    rows: list[tuple[int, float, float]] = field(default_factory=list)
-
-    def append(self, epoch: int, mean_loss: float, lr: float) -> None:
-        self.rows.append((epoch, mean_loss, lr))
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("epoch", "mean_loss", "lr"), self.rows)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTrace:
-    """epochs x ceil(n / B) steps with a seeded shuffle per epoch.
+def fit(state: ModelState, train_ds: OrdinalDataset,
+        cfg: TrainConfig) -> list[tuple[int, float, float]]:
+    """epochs x ceil(n / B) steps with a seeded shuffle per epoch; returns
+    one (epoch, mean_loss, lr) row per epoch.
 
     The learning rate is multiplied by the decay factor at the start of
     each epoch listed in decay_epochs (0-based). The graph of a step
@@ -453,7 +446,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
         raise ValueError("the zeroshot method is evaluated untrained; fit does not apply")
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(state.trainable_parameters(), cfg)
-    trace = LossTrace()
+    rows = []
     lr = cfg.learning_rate
     n = len(train_ds)
     tapes: dict[int, tuple[Tape, int]] = {}
@@ -472,8 +465,8 @@ def fit(state: ModelState, train_ds: OrdinalDataset, cfg: TrainConfig) -> LossTr
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite epoch loss at epoch {epoch}")
-        trace.append(epoch, mean_loss, lr)
-    return trace
+        rows.append((epoch, mean_loss, lr))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ FLOAT_KEYS = [key for key, (parser, _) in cli.CONFIG_SCHEMA.items() if parser is
         ("adam_eps = -1", "adam_eps must be finite and > 0, got -1.0"),
         ("adam_eps = 0", "adam_eps must be finite and > 0, got 0.0"),
         ("temperature = inf", "temperature must be finite, got inf"),
+        ("epochs = 1\nepochs = 2", "run.cfg:2: epochs already set on line 1"),
         pytest.param(None, "cannot read config", id="missing-config-file"),
         pytest.param(
             "num_ranks = 3\nper_rank = 1\ntrain_fraction = 0.3\nnum_base_ranks = 2",
@@ -87,13 +88,14 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     assert code == 2
     assert err.startswith("config error: ")
     assert needle in err
-    assert not (tmp_path / "run" / "manifest.txt").exists()
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
     "argv, needle",
     [
         (["fewshot", "--shots", "2,0"], "shots must be >= 1, got 0"),
+        (["fewshot", "--shots", "0"], "shots must be >= 1, got 0"),
         (["fewshot", "--shots", "x"], "bad --shots value 'x'"),
         (["sweep-interpolation", "--counts", "a"], "bad --counts value 'a'"),
         (["sweep-interpolation", "--counts", "2,30"], "num_base_ranks must be in [2, num_ranks=4]"),
@@ -104,8 +106,8 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
         (["sweep-interpolation", "--types", ""], "--types is empty"),
         (["distshift", "--grid", ""], "--grid is empty"),
     ],
-    ids=["shots-0", "shots-x", "counts-a", "counts-30", "grid-30-classes", "grid-fraction-1.5",
-         "shots-empty", "counts-empty", "types-empty", "grid-empty"],
+    ids=["shots-0", "shots-only-0", "shots-x", "counts-a", "counts-30", "grid-30-classes",
+         "grid-fraction-1.5", "shots-empty", "counts-empty", "types-empty", "grid-empty"],
 )
 def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     tmp_path, capsys, monkeypatch, argv, needle
@@ -120,8 +122,19 @@ def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     assert code == 2
     assert err.startswith("config error: ")
     assert needle in err
-    if needle.endswith("is empty"):  # needs no data, so it is rejected before any output
-        assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fewshot"])
+def test_a_config_error_keeps_an_existing_out_directory_as_it_is(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    config = _write_config(tmp_path / "run.cfg", num_ranks=3, per_rank=1, train_fraction=0.3,
+                           num_base_ranks=2)
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert "leaves the train split empty" in capsys.readouterr().err
+    assert _files(out) == {"notes.txt": b"kept\n"}
 
 
 @pytest.mark.parametrize(
@@ -257,6 +270,23 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
     assert rerun_err.count("\n") == 1 and "Traceback" not in rerun_err
 
 
+@pytest.mark.parametrize("method", ["ordinalclip", "baseline", "zeroshot"])
+def test_train_builds_the_prototypes_once(tmp_path, monkeypatch, method):
+    """prototypes.bin holds the prototypes the evaluation scored against;
+    the prompt graph is not built a second time to export them."""
+    calls = []
+    prototypes_of = training.prototypes_of
+
+    def counted(state):
+        calls.append(state.method)
+        return prototypes_of(state)
+
+    monkeypatch.setattr(training, "prototypes_of", counted)
+    config = _write_config(tmp_path / "run.cfg", method=method, epochs=2)
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    assert calls == [method]
+
+
 TRAIN_RUNS = {
     "baseline": {"method": "baseline"},
     "baseline-lr-mult": {"method": "baseline", "last_layer_lr_mult": 0.5},
@@ -346,7 +376,7 @@ def test_metrics_follow_from_the_image_blocks_and_prototypes_alone(runs, tmp_pat
         monkeypatch.setattr(owner, attr, lambda *a, _n=attr, **k: pytest.fail(f"{_n} called"))
     run = runs[name]
     cfg = cli.load_config(str(run.parent / f"{name}.cfg"))
-    _, _, test_ds = cli._prepare(cfg, tmp_path)
+    _, test_ds = cli._prepare(cfg)
     # A model holding only an image encoder names the family's blocks.
     probe = training.ModelState(cfg["method"], ImageEncoder.create(0))
     blocks = _checkpoint(run, probe)
@@ -480,7 +510,7 @@ def test_fewshot_cell_is_the_mean_over_identically_seeded_subsamples(tmp_path):
     argv = ["fewshot", "--config", config, "--out", str(tmp_path / "out"), "--shots", "2"]
     assert cli.main(argv) == 0
     cfg = cli.load_config(config)
-    _, train_ds, test_ds = cli._prepare(cfg, tmp_path / "data")
+    train_ds, test_ds = cli._prepare(cfg)
     _, rows = _csv(tmp_path / "out" / "fewshot_mae.csv")
     for method, mae in rows:
         reports = [

@@ -1,5 +1,6 @@
 """Dead-code guard: every function, class and method the package defines
-is used by the package or by the benchmark harness."""
+is used by the package or by the benchmark harness, and every name a
+package module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -41,4 +42,39 @@ def test_every_definition_is_referenced_outside_itself():
                 for where, line in refs.get(name, ())
             ):
                 unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(name bound, line) of every import in a module, except the
+    `from __future__` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _exported(tree):
+    """The names a module lists in its __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_referenced_in_its_module():
+    """A module of the package references every name it imports, unless
+    it re-exports the name in __all__."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = _exported(tree)
+        for name, line in _imported_names(tree):
+            if name not in used and name not in exported:
+                unused.append(f"{path.name}:{line} {name}")
     assert unused == []

@@ -69,11 +69,20 @@ class TestPseudoTextEncoder:
             encode_text(enc, [np.zeros((3, 6))])
 
     def test_empty_and_overlong_sequences_rejected(self):
+        """An empty sequence pools to the zero vector; one longer than
+        max_len meets a pooling row only max_len wide."""
         enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8, max_len=4)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="l2-normalize-rows: row 0 is the zero vector"):
             encode_text(enc, [np.zeros((0, 6))])
-        with pytest.raises(ValueError, match="max_len"):
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(1, 4\), \(5, 6\)\)"):
             encode_text(enc, [np.ones((5, 6))])
+
+    def test_sequences_of_two_lengths_rejected(self):
+        """Every prompt has one length; the pooling row built for the first
+        sequence does not fit a second of another length."""
+        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(1, 3\), \(2, 6\)\)"):
+            encode_text(enc, [np.ones((3, 6)), np.ones((2, 6))])
 
     def test_scaling_a_sequence_leaves_the_direction_unchanged(self):
         """Linear pooling then normalization: 2x input, same prototype,
@@ -113,6 +122,13 @@ class TestImageEncoder:
         batch[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             encode_images(enc, batch)
+
+    def test_batch_of_the_wrong_shape_rejected_by_the_tape(self):
+        enc = ImageEncoder.create(2, input_dim=3, hidden_dim=4, latent_dim=4)
+        with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape \(3,\)"):
+            encode_images(enc, np.zeros(3))
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(2, 5\), \(3, 4\)\)"):
+            encode_images(enc, np.zeros((2, 5)))
 
     def test_gradient_of_embedding_sum_matches_finite_differences(self):
         enc = ImageEncoder.create(3, input_dim=4, hidden_dim=5, latent_dim=6)

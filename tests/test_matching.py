@@ -65,7 +65,7 @@ class TestSimilarity:
             np.testing.assert_array_equal(np.argmax(softmax(raw / t, axis=1), axis=1), raw_argmax)
 
     def test_latent_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="latent dims"):
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(2, 3\), \(4, 2\)\)"):
             _scores(np.ones((2, 3)), np.ones((2, 4)))
 
 
@@ -175,8 +175,11 @@ class TestBaselineHead:
         w = tape.constant(np.ones((3, 4)))
         b = tape.constant(np.ones((1, 3)))
         f = tape.constant(np.ones((2, 5)))
-        with pytest.raises(ValueError, match="head shapes"):
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(2, 5\), \(4, 3\)\)"):
             baseline_logits(tape, w, b, f)
+        bias_too_wide = tape.constant(np.ones((1, 4)))
+        with pytest.raises(ValueError, match=r"add: incompatible shapes \(\(2, 3\), \(1, 4\)\)"):
+            baseline_logits(tape, w, bias_too_wide, tape.constant(np.ones((2, 4))))
 
 
 class TestCrossEntropy:

@@ -98,8 +98,8 @@ class TestFit:
         runs = []
         for _ in range(2):
             state = _model(method)
-            trace = _fit(state)
-            runs.append((_all_parameters(state), trace.rows))
+            rows = _fit(state)
+            runs.append((_all_parameters(state), rows))
         (params_a, rows_a), (params_b, rows_b) = runs
         assert rows_a == rows_b
         assert params_a.keys() == params_b.keys()
@@ -139,8 +139,8 @@ class TestRerunTapes:
     def test_fit_equals_recording_every_step_bitwise(self, method, tune_rank, tune_ctx):
         """The baseline has no tune gates; its every group trains."""
         fitted, eager = _model(method, tune_rank, tune_ctx), _model(method, tune_rank, tune_ctx)
-        trace = training.fit(fitted, _dataset(), _fit_config())
-        assert trace.rows == _eager_fit(eager, _dataset(), _fit_config())
+        rows = training.fit(fitted, _dataset(), _fit_config())
+        assert rows == _eager_fit(eager, _dataset(), _fit_config())
         after, expected = _all_parameters(fitted), _all_parameters(eager)
         assert after.keys() == expected.keys()
         for name in after:
