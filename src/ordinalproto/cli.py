@@ -34,7 +34,7 @@ from . import data as datamod
 from . import metrics as metricsmod
 from . import prompt as promptmod
 from . import training
-from .encoders import export_prototypes, fnv1a64
+from .encoders import BlockFileError, export_prototypes, fnv1a64, import_prototypes
 from .training import BASELINE, COOP, METHODS, ORDINALCLIP, ZEROSHOT, TrainConfig
 
 
@@ -551,6 +551,10 @@ def cmd_distshift(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Print a run's configuration, metrics and files, and verify it:
+    every listed file must match its size and checksum, and then an
+    ordinalclip run's prototypes must pass _check_compact. Exit 1 names
+    each failure on stderr."""
     out = Path(args.run_dir)
     try:
         config, files = _read_manifest(out)
@@ -581,7 +585,36 @@ def cmd_report(args: argparse.Namespace) -> int:
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1
+    if config.get("method") == ORDINALCLIP and any(f[0] == "prototypes.bin" for f in files):
+        try:
+            _check_compact(out / "prototypes.bin", config)
+        except VerificationError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
     return 0
+
+
+def _check_compact(path: Path, config: dict) -> None:
+    """An ordinalclip run's prototypes have numerical rank at most the
+    manifest's num_base_ranks (metrics.numerical_rank); raises
+    VerificationError, in one line, when they do not or do not load. The
+    SVD runs only when metrics.rank_certified cannot vouch for the rank,
+    which it does for every trained run."""
+    try:
+        bound = int(config["num_base_ranks"])
+    except (KeyError, ValueError) as exc:
+        raise VerificationError(f"{path}: no integer num_base_ranks in the manifest") from exc
+    try:
+        protos = import_prototypes(path)
+    except BlockFileError as exc:
+        raise VerificationError(str(exc)) from exc
+    if metricsmod.rank_certified(protos, bound):
+        return
+    rank = metricsmod.numerical_rank(protos)
+    if rank > bound:
+        raise VerificationError(
+            f"{path}: numerical rank {rank} exceeds num_base_ranks {bound}"
+        )
 
 
 def _print_table(header: list[str], rows: list[list]) -> None:

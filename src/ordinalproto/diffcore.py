@@ -14,8 +14,10 @@ The tape does only the work a parameter gradient needs:
   gradient of a constant operand.
 - Borrowed adjoints. The first contribution to a node's adjoint is
   adopted as is; a copy is made only when a second contribution is
-  accumulated into a borrowed buffer. Returned gradients never alias
-  one another or any buffer of the tape.
+  accumulated into a borrowed buffer. Each parameter's gradient is then
+  written into its own output array, the caller's (a training step
+  passes views of one flat gradient vector) or a fresh one, so returned
+  gradients never alias one another or any buffer of the tape.
 - Cheap recording. `Tape.record` finds the forward rule with one dict
   lookup, checks each input index while gathering the input nodes, and
   stores no per-node metadata an op does not produce.
@@ -239,7 +241,8 @@ class Tape:
 
     # -- reverse sweep ----------------------------------------------------
 
-    def backward(self, loss_node: int) -> dict[str, np.ndarray]:
+    def backward(self, loss_node: int, out: dict[str, np.ndarray] | None = None
+                 ) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every registered parameter.
 
         Parameters the loss does not reach get exact-zero gradients of the
@@ -247,8 +250,12 @@ class Tape:
         visited, each exactly once, and each backward rule forms only the
         input gradients its node's `wants` flags ask for. An adjoint
         adopts its first contribution without a copy and is copied on the
-        first accumulation into it; a gradient still borrowed at the end
-        is copied, so the returned arrays are the caller's own.
+        first accumulation into it.
+
+        Each gradient is written into `out[name]`, an array of the
+        parameter's shape (a training step passes views of one flat
+        gradient vector), and `out` is returned. Without `out` the arrays
+        are fresh, so the returned gradients are the caller's own.
         """
         nodes = self._nodes
         loss = nodes[loss_node]
@@ -276,15 +283,12 @@ class Tape:
                 else:
                     adjoint[inp] = prev + contrib
                     owned.add(inp)
-        grads = {}
+        if out is None:
+            out = {name: np.empty_like(nodes[idx].value) for name, idx in self._params.items()}
         for name, idx in self._params.items():
             g = adjoint[idx]
-            if g is None:
-                g = np.zeros_like(nodes[idx].value)
-            elif idx not in owned:
-                g = g.copy()
-            grads[name] = g
-        return grads
+            out[name][...] = 0.0 if g is None else g
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Prediction rules, error metrics, the prototype ordinality score, the
-one CSV table writer, and matrix exports (CSV plus 8-bit grayscale PGM)."""
+"""Prediction rules, error metrics, the prototype ordinality score and
+numerical rank, the one CSV table writer, and matrix exports (CSV plus
+8-bit grayscale PGM)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +103,41 @@ def ordinality_from_matrix(similarities: np.ndarray) -> float:
     # Entry (i, j) of the upper triangle compares s[i, j] > s[i, j + 1].
     hits = int(np.triu(similarities[:, :-1] > similarities[:, 1:]).sum())
     return hits / (c * (c - 1) / 2)
+
+
+# A singular value counts toward the numerical rank when it exceeds this
+# fraction of the largest one.
+RANK_RTOL = 1e-9
+
+
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Singular values of matrix above RANK_RTOL times the largest. An
+    ordinalclip prototype matrix has rank at most its base rank count C':
+    every rank row interpolates the C' base rows, and the pipeline is
+    affine up to a row scaling."""
+    singular = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
+    return int(np.count_nonzero(singular > RANK_RTOL * singular.max(initial=0.0)))
+
+
+def rank_certified(matrix: np.ndarray, k: int) -> bool:
+    """A sufficient test that numerical_rank(matrix) <= k, made without
+    the SVD, whose first LAPACK call pages in ~0.9 MiB. k times, the row
+    of largest residual norm is projected out of every residual row;
+    matrix minus the final residual E has rank <= k, so the (k+1)-th
+    singular value is at most ||E||_F. The test passes when ||E||_F is at
+    most RANK_RTOL times the largest row norm, itself at most the largest
+    singular value. False says only that the test did not certify it."""
+    residual = np.array(matrix, dtype=np.float64)
+    squares = (residual * residual).sum(axis=1)
+    bound = RANK_RTOL * math.sqrt(squares.max(initial=0.0))
+    for _ in range(min(k, len(squares))):
+        pivot = int(np.argmax(squares))
+        if squares[pivot] == 0.0:
+            break
+        u = residual[pivot] / math.sqrt(squares[pivot])
+        residual -= np.outer(residual @ u, u)
+        squares = (residual * residual).sum(axis=1)
+    return math.sqrt(squares.sum()) <= bound
 
 
 @dataclass

@@ -16,6 +16,14 @@ parameter groups enabled by tune_rank / tune_ctx. A disabled group enters
 the training tape as a constant, so backward neither computes nor returns
 its gradient, and it stays bitwise identical. One seed drives everything
 (init, shuffling), so identical configs reproduce identical parameters.
+
+Before its first step, `fit` moves every trainable group into one
+C-contiguous float64 vector (AdamState) and points the model at views of
+it, so the tape's parameter nodes, evaluate, the checkpoint and the
+exported prototypes all read the vector. Each step writes the gradients
+into the matching slices of one gradient vector, and Adam and the
+finiteness check then each run once over the whole vector. Frozen groups
+stay outside it.
 """
 
 from __future__ import annotations
@@ -68,9 +76,15 @@ class TrainConfig:
         # 0 is allowed so a no-op step can be probed; negative rates are not.
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        # A negative factor would turn the fit into gradient ascent.
         for name in ("lr_decay_factor", "last_layer_lr_mult"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        # An epoch at or past `epochs` never starts, and is allowed: a
+        # config's default decay epoch may lie beyond a short fit.
+        for epoch in self.decay_epochs:
+            if epoch < 0:
+                raise ValueError(f"decay_epochs entries must be >= 0, got {epoch}")
         # Adam divides by sqrt(v) + adam_eps, which must stay positive.
         if not 0 < self.adam_eps < math.inf:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
@@ -109,6 +123,15 @@ class ModelState:
         else:
             groups = {"head.weights": self.head_weights, "head.bias": self.head_bias}
         return groups | self.image_encoder.parameters()
+
+    def rebind(self, groups: dict[str, np.ndarray]) -> None:
+        """Point each named group (a parameter_groups() name) at the given
+        array, which takes the group's place in the model."""
+        for name, array in groups.items():
+            if name.startswith("image."):
+                setattr(self.image_encoder, name.removeprefix("image."), array)
+            else:
+                setattr(self, name.replace(".", "_"), array)
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         """The groups Adam is allowed to update, honoring the tune gates."""
@@ -299,51 +322,86 @@ def evaluate(
 
 
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter.
+    """Adam over one flat parameter vector.
 
-    An update works in place: every temporary lands in one of two scratch
-    buffers per parameter group, allocated once. It performs the same float
-    operations in the same order as the textbook expressions
+    The constructor copies the given groups, in order, into `values`, one
+    C-contiguous float64 vector. `params` maps each group name to a view
+    of its slice, shaped like the group, and `grads` to a view of the same
+    slice of the gradient vector `grad`, which the caller fills before
+    each update (Tape.backward(out=grads)). `lr_mults` maps a group name
+    to a multiplier of its learning rate; it becomes one per-element
+    vector here, and the rate vector lr * multiplier is formed again only
+    when lr changes, so each entry's rate is the double lr * mult.
+
+    An update works in place on whole vectors, with the same numpy calls
+    however many groups there are: every temporary lands in one of two
+    scratch vectors, allocated once. It performs the same float operations
+    in the same order as the textbook per-group expressions
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= (rate*(m/bias1)) / (sqrt(v/bias2) + eps), so the result is
-    bitwise the same.
+    p -= (rate*(m/bias1)) / (sqrt(v/bias2) + eps), and each is elementwise,
+    so the result is bitwise the same.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig,
+                 lr_mults: dict[str, float] | None = None):
+        sizes = [value.size for value in params.values()]
+        size = sum(sizes)
+        self.values = np.empty(size)
+        self.grad = np.empty(size)
+        self.params = _views(self.values, params)
+        self.grads = _views(self.grad, params)
+        for name, value in params.items():
+            self.params[name][...] = value
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
+        self._mults = None
+        if lr_mults:
+            self._mults = np.repeat([lr_mults.get(name, 1.0) for name in params], sizes)
+            self._rate, self._rate_lr = np.empty(size), None
         self.step = 0
         self.beta1 = cfg.beta1
         self.beta2 = cfg.beta2
         self.eps = cfg.adam_eps
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               lr: float, lr_mults: dict[str, float] | None = None) -> None:
+    def update(self, lr: float) -> None:
+        """One Adam step of `values` at rate lr, from the gradient in `grad`."""
         self.step += 1
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         bias1 = 1.0 - beta1**self.step
         bias2 = 1.0 - beta2**self.step
-        mults = lr_mults or {}
-        for name in sorted(params):
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            a, b = self._scratch[name]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=a)
-            m += a
-            v *= beta2
-            np.multiply(g, 1.0 - beta2, out=a)
-            a *= g
-            v += a
-            np.divide(m, bias1, out=a)
-            a *= lr * mults.get(name, 1.0)
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            params[name] -= a
+        rate = lr
+        if self._mults is not None:
+            if lr != self._rate_lr:
+                np.multiply(self._mults, lr, out=self._rate)
+                self._rate_lr = lr
+            rate = self._rate
+        g, m, v = self.grad, self.m, self.v
+        a, b = self._scratch
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bias1, out=a)
+        a *= rate
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        self.values -= a
+
+
+def _views(vector: np.ndarray, groups: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of vector, one per group in order, each a view
+    shaped like its group."""
+    views, start = {}, 0
+    for name, value in groups.items():
+        views[name] = vector[start : start + value.size].reshape(value.shape)
+        start += value.size
+    return views
 
 
 def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
@@ -391,17 +449,18 @@ def train_step(
 ) -> float:
     """One forward/backward/update at rate lr; returns the batch loss value.
 
-    `tapes` maps a batch row count to the (tape, loss node) forward_loss
-    recorded for it. A step whose row count is there re-runs that tape on
-    this batch, labels and parameters, with the batch, label and
+    The model's trainable groups are the views adam.params, as fit
+    arranges, so the tape's parameter nodes hold them and see each update
+    in place. `tapes` maps a batch row count to the (tape, loss node)
+    forward_loss recorded for it. A step whose row count is there re-runs
+    that tape on this batch and labels, with the batch, label and
     finiteness checks the recording ran; any other step records a tape and
     stores it there. A non-finite forward pass, or an update that leaves a
-    group non-finite, raises TrainingDivergedError at this step.
+    group non-finite, raises TrainingDivergedError at this step; only
+    then are the groups scanned one by one, to name the non-finite ones.
     """
     if len(batch_y) == 0:
         raise ValueError("train_step requires a non-empty batch")
-    # The tape's parameters are exactly the trainable groups.
-    params = state.trainable_parameters()
     recorded = tapes.get(len(batch_y))
     try:
         if recorded is None:
@@ -412,13 +471,14 @@ def train_step(
             tape, loss_node = recorded
             batch = state.image_encoder.checked_batch(batch_x)
             targets = matching.one_hot_labels(batch_y, state.num_ranks)
-            tape.rerun({ImageEncoder.BATCH: batch, **params}, {loss_node: {"targets": targets}})
+            tape.rerun({ImageEncoder.BATCH: batch}, {loss_node: {"targets": targets}})
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])
-    adam.update(params, tape.backward(loss_node), lr, _lr_multipliers(state, cfg))
-    bad = [name for name, value in params.items() if not all_finite(value)]
-    if bad:
+    tape.backward(loss_node, out=adam.grads)
+    adam.update(lr)
+    if not all_finite(adam.values):
+        bad = [name for name, value in adam.params.items() if not all_finite(value)]
         raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
     return loss_value
 
@@ -438,6 +498,10 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     every step. A fit that goes non-finite raises TrainingDivergedError;
     numpy's overflow and invalid warnings, which would only repeat that,
     are off while it runs.
+
+    Before the first step every trainable group moves into the flat
+    vector of the fit's AdamState: the model's groups are its views from
+    then on, also after fit returns.
     """
     cfg.validate()
     if len(train_ds) == 0:
@@ -445,7 +509,8 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     if state.method == ZEROSHOT:
         raise ValueError("the zeroshot method is evaluated untrained; fit does not apply")
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamState(state.trainable_parameters(), cfg)
+    adam = AdamState(state.trainable_parameters(), cfg, _lr_multipliers(state, cfg))
+    state.rebind(adam.params)
     rows = []
     lr = cfg.learning_rate
     n = len(train_ds)

@@ -70,6 +70,9 @@ FLOAT_KEYS = [key for key, (parser, _) in cli.CONFIG_SCHEMA.items() if parser is
         ("adam_eps = -1", "adam_eps must be finite and > 0, got -1.0"),
         ("adam_eps = 0", "adam_eps must be finite and > 0, got 0.0"),
         ("temperature = inf", "temperature must be finite, got inf"),
+        ("lr_decay_factor = -1", "lr_decay_factor must be finite and >= 0, got -1.0"),
+        ("last_layer_lr_mult = -0.5", "last_layer_lr_mult must be finite and >= 0, got -0.5"),
+        ("decay_epochs = -3,99", "decay_epochs entries must be >= 0, got -3"),
         ("epochs = 1\nepochs = 2", "run.cfg:2: epochs already set on line 1"),
         pytest.param(None, "cannot read config", id="missing-config-file"),
         pytest.param(
@@ -334,8 +337,8 @@ def test_train_rerun_is_byte_identical(runs):
     assert _files(runs["rerun"]) == _files(runs["ordinalclip"])
 
 
-@pytest.mark.parametrize("name", ["ordinalclip", "coop", "baseline", "sweep", "ablation",
-                                  "fewshot", "distshift"])
+@pytest.mark.parametrize("name", [*TRAIN_RUNS, "rerun", "sweep", "ablation", "fewshot",
+                                  "distshift"])
 def test_report_accepts_an_untouched_run(runs, capsys, name):
     assert cli.main(["report", str(runs[name])]) == 0
     assert capsys.readouterr().err == ""
@@ -458,6 +461,68 @@ def test_report_refuses_a_damaged_manifest_in_one_line(runs, tmp_path, capsys, p
     assert err.startswith(f"{manifest}:{lineno}: ")
     assert needle in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _forge_prototypes(run_dir, rank, rebuild_manifest=True):
+    """Replace prototypes.bin with a unit-row matrix of its shape and the
+    given rank and, unless told not to, rebuild its manifest entry, so
+    that every checksum passes."""
+    path = run_dir / "prototypes.bin"
+    num_ranks, dim = import_prototypes(path).shape
+    rng = np.random.default_rng(rank)
+    forged = rng.normal(size=(num_ranks, rank)) @ rng.normal(size=(rank, dim))
+    encoders.export_prototypes(path, forged / np.linalg.norm(forged, axis=1, keepdims=True))
+    if rebuild_manifest:
+        blob = path.read_bytes()
+        manifest = run_dir / "manifest.txt"
+        manifest.write_text(re.sub(
+            r"(?m)^prototypes\.bin .*$",
+            f"prototypes.bin {len(blob)} {encoders.fnv1a64(blob):016x}",
+            manifest.read_text(),
+        ))
+
+
+@pytest.mark.parametrize("name", ["ordinalclip", "inverse-2", "expectation"])
+def test_report_flags_ordinalclip_prototypes_of_rank_above_the_base_rank_count(
+    runs, tmp_path, capsys, name
+):
+    """A forged prototypes.bin of rank C' + 1 under a rebuilt manifest
+    passes every checksum, and fails the rank check in one line; one of
+    rank C' passes it."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs[name], run_dir)
+    base = int(cli._read_manifest(run_dir)[0]["num_base_ranks"])
+    _forge_prototypes(run_dir, base)
+    assert cli.main(["report", str(run_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    _forge_prototypes(run_dir, base + 1)
+    assert cli.main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"{run_dir / 'prototypes.bin'}: numerical rank {base + 1} exceeds "
+                   f"num_base_ranks {base}\n")
+
+
+def test_report_certifies_every_trained_ordinalclip_run_without_the_svd(runs, monkeypatch):
+    monkeypatch.setattr(metrics, "numerical_rank", lambda *a: pytest.fail("SVD run"))
+    for name in [*TRAIN_RUNS, "rerun"]:
+        assert cli.main(["report", str(runs[name])]) == 0, name
+
+
+def test_report_checks_the_rank_only_after_the_checksums_pass(runs, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    base = int(cli._read_manifest(run_dir)[0]["num_base_ranks"])
+    _forge_prototypes(run_dir, base + 1, rebuild_manifest=False)
+    assert cli.main(["report", str(run_dir)]) == 1
+    assert capsys.readouterr().err == "checksum mismatch: prototypes.bin\n"
+
+
+def test_report_checks_no_rank_for_coop(runs, tmp_path, capsys):
+    """CoOp's rank rows are free, so its prototypes may have full rank."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["coop"], run_dir)
+    _forge_prototypes(run_dir, TINY["num_ranks"])
+    assert cli.main(["report", str(run_dir)]) == 0
 
 
 def test_grid_commands_write_their_tables_and_headers(runs):

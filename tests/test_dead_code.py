@@ -11,35 +11,51 @@ USERS = (PACKAGE, ROOT / "perfbench")
 
 
 def _references():
-    """(file, line) of every AST name and attribute, by identifier, over
-    the package and the benchmark harness."""
-    refs = {}
+    """(bare names, attribute names): the (file, line) of every AST name
+    and of every attribute access, by identifier, over the package and the
+    benchmark harness."""
+    names, attributes = {}, {}
     for root in USERS:
         for path in sorted(root.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Name):
-                    refs.setdefault(node.id, []).append((path, node.lineno))
+                    names.setdefault(node.id, []).append((path, node.lineno))
                 elif isinstance(node, ast.Attribute):
-                    refs.setdefault(node.attr, []).append((path, node.lineno))
-    return refs
+                    attributes.setdefault(node.attr, []).append((path, node.lineno))
+    return names, attributes
+
+
+def _definitions(tree):
+    """(definition, whether it is a method) for every function and class
+    in a module; a method, or a property, is a function defined directly
+    in a class body."""
+    methods = {
+        id(child)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for child in node.body if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, id(node) in methods
 
 
 def test_every_definition_is_referenced_outside_itself():
-    """A definition counts as used when its name appears as a name or an
-    attribute anywhere outside its own lines; dunders are exempt. A test
-    is not a user: code only a test reaches is dead."""
-    refs = _references()
+    """A definition counts as used when its name is referenced anywhere
+    outside its own lines: a method or property only as an attribute
+    (`x.name`), since a bare name of the same spelling is some other
+    variable; a function or class as a name or an attribute. Dunders are
+    exempt. A test is not a user: code only a test reaches is dead."""
+    names, attributes = _references()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node, is_method in _definitions(ast.parse(path.read_text(), str(path))):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
+            refs = attributes.get(name, []) + ([] if is_method else names.get(name, []))
             if not any(
                 where != path or not node.lineno <= line <= node.end_lineno
-                for where, line in refs.get(name, ())
+                for where, line in refs
             ):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []

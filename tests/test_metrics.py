@@ -1,5 +1,5 @@
-"""Prediction rules, error metrics, the ordinality score, and the
-CSV/PGM heatmap exports."""
+"""Prediction rules, error metrics, the ordinality score, the numerical
+rank, and the CSV/PGM heatmap exports."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,12 @@ from ordinalproto.metrics import (
     export_heatmap,
     mae,
     metric_report,
+    numerical_rank,
     ordinality_from_matrix,
     ordinality_score,
     predict,
     prototype_similarity,
+    rank_certified,
 )
 from ordinalproto.prompt import PromptConfig, build_interpolation_matrix
 
@@ -137,6 +139,41 @@ class TestOrdinalityScore:
             tied_table = rng.integers(0, 3, size=(c, c)).astype(np.float64)
             for s in (random_table, tied_table):
                 assert ordinality_from_matrix(s) == by_rows(s)
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_a_product_of_rank_k_factors_has_rank_k(self, rank):
+        rng = np.random.default_rng(rank)
+        assert numerical_rank(rng.normal(size=(9, rank)) @ rng.normal(size=(rank, 7))) == rank
+
+    def test_a_singular_value_counts_only_above_1e_9_of_the_largest(self):
+        assert numerical_rank(np.diag([1.0, 2e-9, 1e-10])) == 2
+        assert numerical_rank(np.diag([1e300, 1e292, 1e290])) == 2
+
+    def test_the_zero_matrix_has_rank_0(self):
+        assert numerical_rank(np.zeros((3, 4))) == 0
+        assert rank_certified(np.zeros((3, 4)), 0)
+
+    def test_a_matrix_of_no_rows_is_certified_at_any_bound(self):
+        assert rank_certified(np.zeros((0, 4)), 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_certified_rank_bound_holds(self, seed):
+        """rank_certified never vouches for a bound the SVD breaks, on
+        rank-r matrices plus noise from 1e-14 to 1e-6 of their scale, and
+        it certifies every noiseless product at its own rank."""
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(2, 30), rng.integers(2, 30)
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        exact = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        assert rank_certified(exact, rank)
+        noisy = exact + 10.0 ** rng.uniform(-14, -6) * rng.normal(size=exact.shape)
+        for k in range(min(rows, cols) + 1):
+            if rank_certified(noisy, k):
+                assert numerical_rank(noisy) <= k
+            if k < rank:
+                assert not rank_certified(noisy, k)
 
 
 class TestPrototypeSimilarity:

@@ -1,11 +1,13 @@
 """Model training: seeded determinism, the tune gates, fit's re-run tapes
 against a fresh recording every step, the pruned reverse sweep against the
 unpruned reference, finite differences through the whole loss, the rank
-and order of the prototypes, the in-place Adam step, and the checkpoint
-file."""
+and order of the prototypes, the flat Adam step against a textbook
+per-group one, and the checkpoint file."""
 
+import re
 import struct
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,11 +70,48 @@ def _fit(state, seed=0):
     return training.fit(state, _dataset(), _fit_config(seed))
 
 
+class TextbookAdam:
+    """Adam per group in the textbook expressions, the oracle AdamState
+    must match bitwise: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p = p - rate*(m/bias1) / (sqrt(v/bias2) + eps), with rate = lr times
+    the group's multiplier in lr_mults (1 when absent)."""
+
+    def __init__(self, params, cfg, lr_mults=None):
+        self.m = {name: np.zeros_like(value) for name, value in params.items()}
+        self.v = {name: np.zeros_like(value) for name, value in params.items()}
+        self.cfg, self.lr_mults, self.step = cfg, lr_mults or {}, 0
+
+    def update(self, params, grads, lr):
+        """Writes each new group into params[name] in place."""
+        cfg = self.cfg
+        self.step += 1
+        bias1 = 1.0 - cfg.beta1**self.step
+        bias2 = 1.0 - cfg.beta2**self.step
+        for name, g in grads.items():
+            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
+            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
+            rate = lr * self.lr_mults.get(name, 1.0)
+            params[name][...] = params[name] - rate * (self.m[name] / bias1) / (
+                np.sqrt(self.v[name] / bias2) + cfg.adam_eps
+            )
+
+
+def _last_layer_mults(state, mult):
+    """The rate multipliers last_layer_lr_mult sets: the image encoder's
+    last layer and, for the baseline, its head."""
+    names = ["image.w2", "image.b2"]
+    if state.method == training.BASELINE:
+        names += ["head.weights", "head.bias"]
+    return dict.fromkeys(names, mult)
+
+
 def _eager_fit(state, ds, cfg):
-    """fit as a plain loop that records a fresh tape every step: forward_loss,
-    backward, AdamState.update, then the finiteness check. Its loss trace rows."""
+    """fit as a plain loop over the model's own groups, with no flat
+    vector: a fresh tape every step, backward, a TextbookAdam step, then
+    the finiteness check. Its loss trace rows."""
     rng = np.random.default_rng(cfg.seed)
-    adam = training.AdamState(state.trainable_parameters(), cfg)
+    params = state.trainable_parameters()
+    adam = TextbookAdam(params, cfg, _last_layer_mults(state, cfg.last_layer_lr_mult))
     rows, lr = [], cfg.learning_rate
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
@@ -85,11 +124,35 @@ def _eager_fit(state, ds, cfg):
                 state, ds.features[idx], ds.labels[idx], cfg.temperature
             )
             losses.append(float(tape.value(loss)[0, 0]))
-            params = state.trainable_parameters()
             adam.update(params, tape.backward(loss), lr)
             assert all(np.isfinite(value).all() for value in params.values())
         rows.append((epoch, float(np.mean(losses)), lr))
     return rows
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("decay_epochs", [(), (0,), (4,), (5,), (30,), (2, 99)])
+    def test_decay_epochs_at_or_past_the_last_epoch_are_accepted(self, decay_epochs):
+        """An epoch a 5-epoch fit never starts is allowed: the default
+        decay epoch, 30, lies past every short fit's last one."""
+        training.TrainConfig(epochs=5, decay_epochs=decay_epochs).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"lr_decay_factor": -0.1}, "lr_decay_factor must be finite and >= 0, got -0.1"),
+            ({"last_layer_lr_mult": -1.0}, "last_layer_lr_mult must be finite and >= 0"),
+            ({"decay_epochs": (3, -1)}, "decay_epochs entries must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_decay_and_rate_multipliers_are_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            training.TrainConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides", [{"lr_decay_factor": 0.0},
+                                           {"last_layer_lr_mult": 0.0}])
+    def test_a_zero_factor_is_accepted(self, overrides):
+        training.TrainConfig(**overrides).validate()
 
 
 class TestFit:
@@ -120,6 +183,42 @@ class TestFit:
                 np.testing.assert_array_equal(before[name], after[name])
         assert not np.array_equal(before["image.w1"], after["image.w1"])
 
+    @pytest.mark.parametrize(
+        "method, tune_rank, tune_ctx",
+        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
+    )
+    def test_trainable_groups_are_views_of_one_vector_and_frozen_ones_are_not(
+        self, method, tune_rank, tune_ctx
+    ):
+        state = _model(method, tune_rank, tune_ctx)
+        _fit(state)
+        trainable = state.trainable_parameters()
+        (vector,) = {id(value.base): value.base for value in trainable.values()}.values()
+        assert vector.ndim == 1 and vector.flags.c_contiguous
+        assert vector.size == sum(value.size for value in trainable.values())
+        for name, value in state.parameter_groups().items():
+            assert np.shares_memory(value, vector) == (name in trainable), name
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_step_that_leaves_one_group_non_finite_names_that_group(
+        self, monkeypatch, method
+    ):
+        """A NaN in one entry of one gradient makes that group, and no
+        other, non-finite after the Adam step; the error names it alone."""
+        for name in _model(method).trainable_parameters():
+            backward = Tape.backward
+
+            def poisoned(self, loss_node, out=None, _name=name):
+                grads = backward(self, loss_node, out)
+                grads[_name][0, -1] = np.nan
+                return grads
+
+            monkeypatch.setattr(Tape, "backward", poisoned)
+            with pytest.raises(training.TrainingDivergedError,
+                               match=rf"after Adam step 1 in {re.escape(name)}; "):
+                _fit(_model(method))
+            monkeypatch.undo()
+
     @pytest.mark.parametrize("method", PROMPT_METHODS)
     @pytest.mark.parametrize("tune_rank, tune_ctx", GATES)
     def test_gated_groups_are_absent_from_backward(self, method, tune_rank, tune_ctx):
@@ -137,10 +236,25 @@ class TestRerunTapes:
         [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
     )
     def test_fit_equals_recording_every_step_bitwise(self, method, tune_rank, tune_ctx):
-        """The baseline has no tune gates; its every group trains."""
+        """The baseline has no tune gates; its every group trains. The
+        learning rate decays before the last epoch."""
+        self._check_against_eager_fit(method, tune_rank, tune_ctx, _fit_config())
+
+    @pytest.mark.parametrize(
+        "method, tune_rank, tune_ctx",
+        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
+    )
+    def test_fit_with_a_last_layer_lr_mult_equals_recording_every_step_bitwise(
+        self, method, tune_rank, tune_ctx
+    ):
+        cfg = replace(_fit_config(), last_layer_lr_mult=0.5)
+        self._check_against_eager_fit(method, tune_rank, tune_ctx, cfg)
+
+    @staticmethod
+    def _check_against_eager_fit(method, tune_rank, tune_ctx, cfg):
         fitted, eager = _model(method, tune_rank, tune_ctx), _model(method, tune_rank, tune_ctx)
-        rows = training.fit(fitted, _dataset(), _fit_config())
-        assert rows == _eager_fit(eager, _dataset(), _fit_config())
+        rows = training.fit(fitted, _dataset(), cfg)
+        assert rows == _eager_fit(eager, _dataset(), cfg)
         after, expected = _all_parameters(fitted), _all_parameters(eager)
         assert after.keys() == expected.keys()
         for name in after:
@@ -330,31 +444,41 @@ def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
 
 
 class TestAdam:
-    def test_in_place_update_matches_the_textbook_expressions_bitwise(self):
+    def test_flat_update_matches_the_textbook_per_group_expressions_bitwise(self):
+        """Groups of three shapes, one at half the rate, and a rate that
+        decays after the third step."""
         rng = np.random.default_rng(40)
         cfg = training.TrainConfig(beta1=0.85, beta2=0.995, adam_eps=1e-7)
-        params = {name: rng.normal(size=(3, 4)) for name in ("a", "b")}
-        expected = {name: value.copy() for name, value in params.items()}
-        m = {name: np.zeros((3, 4)) for name in params}
-        v = {name: np.zeros((3, 4)) for name in params}
-        adam = training.AdamState(params, cfg)
+        shapes = {"a": (3, 4), "b": (1, 4), "c": (2, 5)}
+        groups = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         mults = {"b": 0.5}
-        for step in range(1, 6):
-            grads = {name: rng.normal(size=(3, 4)) for name in params}
-            adam.update(params, grads, 0.01, mults)
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+        expected = {name: value.copy() for name, value in groups.items()}
+        oracle = TextbookAdam(expected, cfg, mults)
+        adam = training.AdamState(groups, cfg, mults)
+        for step in range(1, 7):
+            lr = 0.01 if step <= 3 else 0.001
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             for name, g in grads.items():
-                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
-                rate = 0.01 * mults.get(name, 1.0)
-                expected[name] = expected[name] - rate * (m[name] / bias1) / (
-                    np.sqrt(v[name] / bias2) + cfg.adam_eps
-                )
-            for name in params:
-                np.testing.assert_array_equal(params[name], expected[name])
-                np.testing.assert_array_equal(adam.m[name], m[name])
-                np.testing.assert_array_equal(adam.v[name], v[name])
+                adam.grads[name][...] = g
+            adam.update(lr)
+            oracle.update(expected, grads, lr)
+            for name in shapes:
+                np.testing.assert_array_equal(adam.params[name], expected[name])
+            np.testing.assert_array_equal(
+                adam.m, np.concatenate([oracle.m[name].ravel() for name in shapes]))
+            np.testing.assert_array_equal(
+                adam.v, np.concatenate([oracle.v[name].ravel() for name in shapes]))
+
+    def test_groups_become_consecutive_views_of_one_vector(self):
+        groups = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([[7.0, 8.0]])}
+        adam = training.AdamState(groups, training.TrainConfig())
+        assert adam.values.flags.c_contiguous and adam.values.shape == (8,)
+        np.testing.assert_array_equal(adam.values, np.arange(9.0)[[0, 1, 2, 3, 4, 5, 7, 8]])
+        for name, value in groups.items():
+            assert adam.params[name].shape == adam.grads[name].shape == value.shape
+            assert np.shares_memory(adam.params[name], adam.values)
+            assert np.shares_memory(adam.grads[name], adam.grad)
+            assert not np.shares_memory(value, adam.values)
 
 
 class TestCheckpointFile:
