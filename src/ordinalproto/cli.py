@@ -455,9 +455,6 @@ def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
     if not kinds:
         raise ConfigError("--types is empty; give at least one value")
     cfg = load_config(args.config)
-    for kind in kinds:
-        if kind not in promptmod.INTERPOLATION_KINDS:
-            raise ConfigError(f"unknown interpolation type {kind!r}")
     train_ds, test_ds = _prepare(cfg)
     maes, _ = _run_grid(cfg, train_ds, test_ds,
                         [(ORDINALCLIP, {"interpolation": kind}) for kind in kinds],
@@ -626,6 +623,15 @@ def _print_table(header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _experiment(sub, name: str, summary: str, handler) -> argparse.ArgumentParser:
+    """A subcommand that reads a config file and writes a run directory."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--config", default=None, help="key = value config file")
+    parser.add_argument("--out", required=True, help="output run directory")
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordinalproto",
@@ -633,37 +639,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train one model and write a run directory")
-    train.add_argument("--config", default=None, help="key = value config file")
-    train.add_argument("--out", required=True, help="output run directory")
-    train.set_defaults(handler=cmd_train)
+    _experiment(sub, "train", "train one model and write a run directory", cmd_train)
 
-    sweep = sub.add_parser("sweep-interpolation", help="base-rank count x type sweep")
-    sweep.add_argument("--config", default=None)
-    sweep.add_argument("--out", required=True)
+    sweep = _experiment(sub, "sweep-interpolation", "base-rank count x type sweep",
+                        cmd_sweep_interpolation)
     sweep.add_argument("--counts", default="2,3,4,5,6,7,8,9",
                        help="comma-separated base-rank counts")
     sweep.add_argument("--types", default=",".join(promptmod.INTERPOLATION_KINDS),
                        help="comma-separated interpolation types")
-    sweep.set_defaults(handler=cmd_sweep_interpolation)
 
-    ablation = sub.add_parser("ablation", help="tune/init grid for coop and ordinalclip")
-    ablation.add_argument("--config", default=None)
-    ablation.add_argument("--out", required=True)
-    ablation.set_defaults(handler=cmd_ablation)
+    _experiment(sub, "ablation", "tune/init grid for coop and ordinalclip", cmd_ablation)
 
-    fewshot = sub.add_parser("fewshot", help="few-shot curves for all methods")
-    fewshot.add_argument("--config", default=None)
-    fewshot.add_argument("--out", required=True)
+    fewshot = _experiment(sub, "fewshot", "few-shot curves for all methods", cmd_fewshot)
     fewshot.add_argument("--shots", default="1,2,4,8", help="comma-separated shot counts")
-    fewshot.set_defaults(handler=cmd_fewshot)
 
-    distshift = sub.add_parser("distshift", help="distribution-shift grid for all methods")
-    distshift.add_argument("--config", default=None)
-    distshift.add_argument("--out", required=True)
+    distshift = _experiment(sub, "distshift", "distribution-shift grid for all methods",
+                            cmd_distshift)
     distshift.add_argument("--grid", default="8:0.9",
                            help="comma-separated classes:fraction cells")
-    distshift.set_defaults(handler=cmd_distshift)
 
     report = sub.add_parser("report", help="verify and summarize a run directory")
     report.add_argument("run_dir")

@@ -32,30 +32,9 @@ def fnv1a64(data: bytes) -> int:
 
 
 class BlockFileError(ValueError):
-    """Base class for block-file read failures (see write_blocks)."""
-
-
-class BadMagicError(BlockFileError):
-    pass
-
-
-class TruncatedPayloadError(BlockFileError):
-    pass
-
-
-class ChecksumMismatchError(BlockFileError):
-    pass
-
-
-class PrototypeFileError(BlockFileError):
-    """A prototype file whose blocks read back but whose values are unusable."""
-
-
-class NonFiniteEntryError(PrototypeFileError):
-    def __init__(self, row, col):
-        super().__init__(f"non-finite prototype entry at row {row}, col {col}")
-        self.row = row
-        self.col = col
+    """A block file that does not read back: a bad magic, a truncated
+    header, payload or checksum, a checksum mismatch, or (import_prototypes)
+    a non-finite entry or a zero row. The message says which."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -84,15 +63,6 @@ class PseudoTextEncoder:
         self.position_weights = _frozen(position_weights)
         self.projection = _frozen(projection)
         self.token_table = _frozen(token_table)
-        if self.mixing.shape[0] != self.mixing.shape[1]:
-            raise ValueError(f"mixing matrix must be square, got {self.mixing.shape}")
-        if self.projection.shape[0] != self.mixing.shape[0]:
-            raise ValueError(
-                f"projection rows {self.projection.shape[0]} != "
-                f"word_dim {self.mixing.shape[0]}"
-            )
-        if (self.position_weights <= 0).any():
-            raise ValueError("position weights must be strictly positive")
         self.mixed_projection = _frozen(self.mixing @ self.projection)
 
     @classmethod
@@ -129,8 +99,7 @@ class PseudoTextEncoder:
         pooling = tape.constant((weights / weights.sum())[None, :])
         rows = [tape.matmul(tape.matmul(pooling, node), mixed_projection)
                 for node in sequence_nodes]
-        stacked = rows[0] if len(rows) == 1 else tape.concat_rows(rows)
-        return tape.l2_normalize_rows(stacked)
+        return tape.l2_normalize_rows(tape.concat_rows(rows))
 
 
 class ImageEncoder:
@@ -207,7 +176,8 @@ def encode_images(encoder: ImageEncoder, batch: np.ndarray) -> tuple[np.ndarray,
 # little-endian uint64 and its row-major little-endian float64 payload, then
 # a 64-bit FNV-1a checksum over the payloads in order. prototypes.bin is one
 # block, the C x latent_dim prototype matrix; checkpoint.bin holds a
-# model's parameter groups (training.save_state).
+# model's parameter groups (training.save_state). A file that does not read
+# back raises BlockFileError, whose message says what is wrong.
 
 
 def write_blocks(path, magic: bytes, blocks) -> None:
@@ -229,27 +199,27 @@ def read_blocks(path, magic: bytes, count: int) -> list[np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(magic)] != magic:
-        raise BadMagicError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+        raise BlockFileError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
     offset = len(magic)
     payloads, blocks = [], []
     for index in range(count):
         if len(blob) < offset + 16:
-            raise TruncatedPayloadError(f"{path}: header of block {index} truncated")
+            raise BlockFileError(f"{path}: header of block {index} truncated")
         rows, cols = struct.unpack_from("<2Q", blob, offset)
         offset += 16
         payload = blob[offset : offset + rows * cols * 8]
         if len(payload) != rows * cols * 8:
-            raise TruncatedPayloadError(
+            raise BlockFileError(
                 f"{path}: payload of block {index} truncated: header says {rows}x{cols}"
             )
         offset += len(payload)
         payloads.append(payload)
         blocks.append(np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy())
     if len(blob) < offset + 8:
-        raise TruncatedPayloadError(f"{path}: checksum truncated")
+        raise BlockFileError(f"{path}: checksum truncated")
     (stored,) = struct.unpack_from("<Q", blob, offset)
     if fnv1a64(b"".join(payloads)) != stored:
-        raise ChecksumMismatchError(f"{path}: payload checksum mismatch")
+        raise BlockFileError(f"{path}: payload checksum mismatch")
     return blocks
 
 
@@ -267,11 +237,12 @@ def import_prototypes(path) -> np.ndarray:
     (matrix,) = read_blocks(path, PROTOTYPE_MAGIC, 1)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
-        raise NonFiniteEntryError(int(bad[0, 0]), int(bad[0, 1]))
+        row, col = bad[0]
+        raise BlockFileError(f"non-finite prototype entry at row {row}, col {col}")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     if (norms == 0).any():
         row = int(np.flatnonzero(norms.ravel() == 0)[0])
-        raise PrototypeFileError(f"prototype row {row} is the zero vector")
+        raise BlockFileError(f"prototype row {row} is the zero vector")
     off_unit = np.abs(norms - 1.0).ravel() > 1e-9
     matrix[off_unit] /= norms[off_unit]
     return matrix

@@ -147,11 +147,6 @@ class MetricReport:
     ordinality: float
     per_rank_counts: tuple[int, ...]
 
-    def validate(self) -> "MetricReport":
-        if not (0.0 <= self.accuracy <= 1.0 and 0.0 <= self.ordinality <= 1.0 and self.mae >= 0.0):
-            raise ValueError(f"metric report out of range: {self}")
-        return self
-
 
 def metric_report(predicted, truth, prototypes, num_ranks: int) -> MetricReport:
     truth = np.asarray(truth, dtype=np.int64)
@@ -161,7 +156,7 @@ def metric_report(predicted, truth, prototypes, num_ranks: int) -> MetricReport:
         accuracy=accuracy(predicted, truth),
         ordinality=ordinality_score(prototypes),
         per_rank_counts=tuple(int(c) for c in counts),
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -329,9 +329,9 @@ class AdamState:
     of its slice, shaped like the group, and `grads` to a view of the same
     slice of the gradient vector `grad`, which the caller fills before
     each update (Tape.backward(out=grads)). `lr_mults` maps a group name
-    to a multiplier of its learning rate; it becomes one per-element
-    vector here, and the rate vector lr * multiplier is formed again only
-    when lr changes, so each entry's rate is the double lr * mult.
+    to a multiplier of its learning rate, 1.0 for a group it omits;
+    `mults` holds them one per element, so the rate vector mults * lr
+    that an update takes gives each entry the double lr * mult.
 
     An update works in place on whole vectors, with the same numpy calls
     however many groups there are: every temporary lands in one of two
@@ -343,7 +343,7 @@ class AdamState:
     """
 
     def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig,
-                 lr_mults: dict[str, float] | None = None):
+                 lr_mults: dict[str, float]):
         sizes = [value.size for value in params.values()]
         size = sum(sizes)
         self.values = np.empty(size)
@@ -355,27 +355,19 @@ class AdamState:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch = (np.empty(size), np.empty(size))
-        self._mults = None
-        if lr_mults:
-            self._mults = np.repeat([lr_mults.get(name, 1.0) for name in params], sizes)
-            self._rate, self._rate_lr = np.empty(size), None
+        self.mults = np.repeat([lr_mults.get(name, 1.0) for name in params], sizes)
         self.step = 0
         self.beta1 = cfg.beta1
         self.beta2 = cfg.beta2
         self.eps = cfg.adam_eps
 
-    def update(self, lr: float) -> None:
-        """One Adam step of `values` at rate lr, from the gradient in `grad`."""
+    def update(self, rate: np.ndarray) -> None:
+        """One Adam step of `values` at the per-element rate vector `rate`
+        (mults * lr), from the gradient in `grad`."""
         self.step += 1
         beta1, beta2, eps = self.beta1, self.beta2, self.eps
         bias1 = 1.0 - beta1**self.step
         bias2 = 1.0 - beta2**self.step
-        rate = lr
-        if self._mults is not None:
-            if lr != self._rate_lr:
-                np.multiply(self._mults, lr, out=self._rate)
-                self._rate_lr = lr
-            rate = self._rate
         g, m, v = self.grad, self.m, self.v
         a, b = self._scratch
         m *= beta1
@@ -406,8 +398,6 @@ def _views(vector: np.ndarray, groups: dict[str, np.ndarray]) -> dict[str, np.nd
 
 def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
     mult = cfg.last_layer_lr_mult
-    if mult == 1.0:
-        return {}
     out = {"image.w2": mult, "image.b2": mult}
     if not state.uses_prompts:
         out["head.weights"] = mult
@@ -444,10 +434,11 @@ def train_step(
     batch_y: np.ndarray,
     cfg: TrainConfig,
     adam: AdamState,
-    lr: float,
+    rate: np.ndarray,
     tapes: dict[int, tuple[Tape, int]],
 ) -> float:
-    """One forward/backward/update at rate lr; returns the batch loss value.
+    """One forward/backward/update at the per-element rate vector `rate`
+    (AdamState.update); returns the batch loss value.
 
     The model's trainable groups are the views adam.params, as fit
     arranges, so the tape's parameter nodes hold them and see each update
@@ -476,7 +467,7 @@ def train_step(
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])
     tape.backward(loss_node, out=adam.grads)
-    adam.update(lr)
+    adam.update(rate)
     if not all_finite(adam.values):
         bad = [name for name, value in adam.params.items() if not all_finite(value)]
         raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
@@ -490,7 +481,8 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     one (epoch, mean_loss, lr) row per epoch.
 
     The learning rate is multiplied by the decay factor at the start of
-    each epoch listed in decay_epochs (0-based). The graph of a step
+    each epoch listed in decay_epochs (0-based), and each epoch's steps
+    take the rate vector adam.mults * lr. The graph of a step
     depends only on its batch row count, so the first step of each row
     count (the full batch, and the remainder when B does not divide n)
     records its tape, and every later step of that row count re-runs it
@@ -518,13 +510,14 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.lr_decay_factor
+        rate = adam.mults * lr
         perm = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             losses.append(
                 train_step(
-                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, lr, tapes
+                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate, tapes
                 )
             )
         mean_loss = float(np.mean(losses))

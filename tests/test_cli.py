@@ -108,9 +108,12 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
         (["sweep-interpolation", "--counts", ""], "--counts is empty"),
         (["sweep-interpolation", "--types", ""], "--types is empty"),
         (["distshift", "--grid", ""], "--grid is empty"),
+        (["sweep-interpolation", "--types", "linear,bogus", "--counts", "2,3"],
+         f"interpolation must be one of {prompt.INTERPOLATION_KINDS}, got 'bogus'"),
     ],
     ids=["shots-0", "shots-only-0", "shots-x", "counts-a", "counts-30", "grid-30-classes",
-         "grid-fraction-1.5", "shots-empty", "counts-empty", "types-empty", "grid-empty"],
+         "grid-fraction-1.5", "shots-empty", "counts-empty", "types-empty", "grid-empty",
+         "types-bogus"],
 )
 def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     tmp_path, capsys, monkeypatch, argv, needle

@@ -1,8 +1,10 @@
 """Dead-code guard: every function, class and method the package defines
-is used by the package or by the benchmark harness, and every name a
-package module imports is used in that module."""
+is used by the package or by the benchmark harness, every name a package
+module imports is used in that module, and every exception class the
+package defines is caught by name somewhere in either."""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +96,46 @@ def test_every_import_is_referenced_in_its_module():
             if name not in used and name not in exported:
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
+
+
+def _exception_classes():
+    """(module file, line, name) of every class the package defines that
+    derives from a built-in exception, directly or through another such
+    package class."""
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                classes[node.name] = (path.name, node.lineno, bases)
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    found, grown = set(), True
+    while grown:
+        more = {name for name, (_, _, bases) in classes.items() if bases & (builtin | found)}
+        grown, found = more != found, more
+    return sorted((classes[name][0], classes[name][1], name) for name in found)
+
+
+def _caught_names():
+    """Every name, bare or as an attribute, that an `except` clause of the
+    package or the benchmark harness catches."""
+    caught = set()
+    for root in USERS:
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught.update(t.id if isinstance(t, ast.Name) else t.attr
+                                  for t in types if isinstance(t, (ast.Name, ast.Attribute)))
+    return caught
+
+
+def test_every_exception_class_is_caught_somewhere():
+    """An exception class that no `except` clause names is a distinction
+    no caller makes: its raisers could raise its base instead. A test is
+    not a caller."""
+    caught = _caught_names()
+    uncaught = [f"{module}:{line} {name}" for module, line, name in _exception_classes()
+                if name not in caught]
+    assert uncaught == []

@@ -1,5 +1,5 @@
 """Frozen text encoder, trainable image encoder, and the block-file
-format of prototypes.bin with its checksum and error kinds."""
+format of prototypes.bin with its checksum and error messages."""
 
 import struct
 
@@ -9,13 +9,9 @@ import pytest
 from conftest import encode_text, finite_difference_check, sum_all
 from ordinalproto.diffcore import Tape
 from ordinalproto.encoders import (
-    BadMagicError,
-    ChecksumMismatchError,
+    BlockFileError,
     ImageEncoder,
-    NonFiniteEntryError,
-    PrototypeFileError,
     PseudoTextEncoder,
-    TruncatedPayloadError,
     encode_images,
     export_prototypes,
     fnv1a64,
@@ -172,7 +168,7 @@ class TestPrototypeFile:
         blob = bytearray(path.read_bytes())
         blob[:5] = b"WRONG"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BlockFileError, match="bad magic b'WRONG', expected b'OPRO1'"):
             import_prototypes(path)
 
     def test_truncated_payload_names_declared_shape(self, tmp_path):
@@ -181,7 +177,7 @@ class TestPrototypeFile:
         blob = path.read_bytes()
         # keep the header claiming 5 rows but drop one row plus the checksum
         path.write_bytes(blob[: 5 + 16 + 4 * 4 * 8])
-        with pytest.raises(TruncatedPayloadError, match="5x4"):
+        with pytest.raises(BlockFileError, match="payload of block 0 truncated: header says 5x4"):
             import_prototypes(path)
 
     def test_nan_entry_reports_row_and_col(self, tmp_path):
@@ -189,9 +185,8 @@ class TestPrototypeFile:
         protos[2, 1] = np.nan
         path = tmp_path / "protos.bin"
         export_prototypes(path, protos)
-        with pytest.raises(NonFiniteEntryError) as err:
+        with pytest.raises(BlockFileError, match="^non-finite prototype entry at row 2, col 1$"):
             import_prototypes(path)
-        assert err.value.row == 2 and err.value.col == 1
 
     def test_flipped_payload_byte_fails_the_checksum(self, tmp_path):
         path = tmp_path / "protos.bin"
@@ -199,7 +194,7 @@ class TestPrototypeFile:
         blob = bytearray(path.read_bytes())
         blob[30] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumMismatchError):
+        with pytest.raises(BlockFileError, match="payload checksum mismatch"):
             import_prototypes(path)
 
     def test_zero_row_rejected(self, tmp_path):
@@ -207,7 +202,7 @@ class TestPrototypeFile:
         protos[1] = 0.0
         path = tmp_path / "protos.bin"
         export_prototypes(path, protos)
-        with pytest.raises(PrototypeFileError, match="zero"):
+        with pytest.raises(BlockFileError, match="^prototype row 1 is the zero vector$"):
             import_prototypes(path)
 
     def test_file_is_magic_shape_payload_checksum(self, tmp_path):
@@ -246,7 +241,7 @@ class TestBlockFile:
     def test_a_block_the_file_does_not_hold_is_truncation(self, tmp_path):
         path = tmp_path / "blocks.bin"
         write_blocks(path, b"TEST1", self.BLOCKS)
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(BlockFileError, match="header of block 3 truncated"):
             read_blocks(path, b"TEST1", len(self.BLOCKS) + 1)
 
     def test_non_matrix_block_rejected(self, tmp_path):

@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 from conftest import finite_difference_check, reference_backward
 from ordinalproto import data, training
 from ordinalproto.diffcore import OP_KINDS, Tape
-from ordinalproto.encoders import (
-    BadMagicError,
-    ChecksumMismatchError,
-    TruncatedPayloadError,
-    fnv1a64,
-    read_blocks,
-)
+from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
 from ordinalproto.metrics import ordinality_score
 from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
@@ -460,7 +454,7 @@ class TestAdam:
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             for name, g in grads.items():
                 adam.grads[name][...] = g
-            adam.update(lr)
+            adam.update(adam.mults * lr)
             oracle.update(expected, grads, lr)
             for name in shapes:
                 np.testing.assert_array_equal(adam.params[name], expected[name])
@@ -471,7 +465,7 @@ class TestAdam:
 
     def test_groups_become_consecutive_views_of_one_vector(self):
         groups = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([[7.0, 8.0]])}
-        adam = training.AdamState(groups, training.TrainConfig())
+        adam = training.AdamState(groups, training.TrainConfig(), {})
         assert adam.values.flags.c_contiguous and adam.values.shape == (8,)
         np.testing.assert_array_equal(adam.values, np.arange(9.0)[[0, 1, 2, 3, 4, 5, 7, 8]])
         for name, value in groups.items():
@@ -509,7 +503,7 @@ class TestCheckpointFile:
     def test_a_checkpoint_of_the_other_family_is_rejected(self, tmp_path, saved, target):
         training.save_state(_model(saved), tmp_path / "ckpt.bin")
         magic, names = training._checkpoint_blocks(_model(target))
-        with pytest.raises(BadMagicError, match="bad magic"):
+        with pytest.raises(BlockFileError, match="bad magic"):
             read_blocks(tmp_path / "ckpt.bin", magic, len(names))
 
     @pytest.mark.parametrize(
@@ -536,18 +530,19 @@ class TestCheckpointFile:
         assert (tmp_path / "ckpt.bin").read_bytes() == expected
 
     @pytest.mark.parametrize(
-        "damage, error",
+        "damage, message",
         [
-            (lambda blob: b"XXXXX" + blob[5:], BadMagicError),
-            (lambda blob: blob[:-8], TruncatedPayloadError),
-            (lambda blob: blob[:-1], TruncatedPayloadError),
-            (lambda blob: blob[:40], TruncatedPayloadError),
-            (lambda blob: blob[:60] + bytes([blob[60] ^ 1]) + blob[61:], ChecksumMismatchError),
+            (lambda blob: b"XXXXX" + blob[5:], "bad magic b'XXXXX'"),
+            (lambda blob: blob[:-8], "checksum truncated"),
+            (lambda blob: blob[:-1], "checksum truncated"),
+            (lambda blob: blob[:40], "header of block 1 truncated"),
+            (lambda blob: blob[:60] + bytes([blob[60] ^ 1]) + blob[61:],
+             "payload checksum mismatch"),
         ],
         ids=["bad-magic", "no-checksum", "cut-checksum", "cut-payload", "flipped-payload-byte"],
     )
     @pytest.mark.parametrize("method", (training.ORDINALCLIP, training.BASELINE))
-    def test_damaged_file_is_rejected(self, tmp_path, method, damage, error):
+    def test_damaged_file_is_rejected(self, tmp_path, method, damage, message):
         """read_blocks reads every block of an intact checkpoint and raises
         on each kind of damage to it."""
         path = tmp_path / "ckpt.bin"
@@ -558,5 +553,5 @@ class TestCheckpointFile:
                                    strict=True):
             np.testing.assert_array_equal(array, expected)
         path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(error):
+        with pytest.raises(BlockFileError, match=message):
             read_blocks(path, magic, len(blocks))
