@@ -73,8 +73,20 @@ def _int_flag(raw: str, flag: str) -> tuple[int, ...]:
     return values
 
 
+def _schema_of(cls) -> dict:
+    """key -> (parser, default) for each field of a config dataclass but
+    num_ranks, which comes from the dataset; the default's type picks the
+    parser."""
+    parsers = {bool: _parse_bool, tuple: _parse_int_list}
+    return {
+        f.name: (parsers.get(type(f.default), type(f.default)), f.default)
+        for f in fields(cls) if f.name != "num_ranks"
+    }
+
+
 # key -> (parser, default). The manifest echoes every resolved key, so new
-# knobs must be added here to stay reproducible.
+# knobs must be added here to stay reproducible. A PromptConfig or
+# TrainConfig field is a key with that field's default.
 CONFIG_SCHEMA = {
     # data
     "data_source": (str, "synthetic"),
@@ -87,14 +99,7 @@ CONFIG_SCHEMA = {
     "train_fraction": (float, 0.8),
     # method and prompt
     "method": (str, ORDINALCLIP),
-    "num_base_ranks": (int, promptmod.PromptConfig.num_base_ranks),
-    "num_context": (int, promptmod.PromptConfig.num_context),
-    "word_dim": (int, promptmod.PromptConfig.word_dim),
-    "interpolation": (str, promptmod.PromptConfig.interpolation),
-    "epsilon": (float, promptmod.PromptConfig.epsilon),
-    "tune_rank": (_parse_bool, promptmod.PromptConfig.tune_rank),
-    "tune_ctx": (_parse_bool, promptmod.PromptConfig.tune_ctx),
-    "init_ctx": (_parse_bool, promptmod.PromptConfig.init_ctx),
+    **_schema_of(promptmod.PromptConfig),
     # encoders
     "latent_dim": (int, 64),
     "hidden_dim": (int, 32),
@@ -102,25 +107,14 @@ CONFIG_SCHEMA = {
     "vocab_size": (int, 64),
     "encoder_seed": (int, 7),
     # training
-    "epochs": (int, TrainConfig.epochs),
-    "batch_size": (int, TrainConfig.batch_size),
-    "learning_rate": (float, TrainConfig.learning_rate),
-    "lr_decay_factor": (float, TrainConfig.lr_decay_factor),
-    "decay_epochs": (_parse_int_list, TrainConfig.decay_epochs),
-    "beta1": (float, TrainConfig.beta1),
-    "beta2": (float, TrainConfig.beta2),
-    "adam_eps": (float, TrainConfig.adam_eps),
-    "temperature": (float, TrainConfig.temperature),
-    "seed": (int, TrainConfig.seed),
-    "last_layer_lr_mult": (float, TrainConfig.last_layer_lr_mult),
+    **_schema_of(TrainConfig),
     # evaluation
     "prediction_rule": (str, metricsmod.ARGMAX),
     "eval_seeds": (int, 3),
 }
 
-# The PromptConfig keys, copied into it by name, except num_ranks, which
-# comes from the dataset.
-_PROMPT_FIELDS = tuple(f.name for f in fields(promptmod.PromptConfig) if f.name != "num_ranks")
+# The PromptConfig keys, copied into it by name.
+_PROMPT_FIELDS = tuple(_schema_of(promptmod.PromptConfig))
 
 # Echoed in the manifest only for prompt-based methods.
 PROMPT_KEYS = _PROMPT_FIELDS + ("max_len", "vocab_size")

@@ -6,7 +6,9 @@ projection into the joint latent space, followed by row normalization.
 Its parameters are seeded once and never receive gradients; the prompt
 rows flowing through it do. The image encoder is a two-layer tanh network
 mapping raw feature vectors to unit-norm embeddings in the same latent
-space, and is always trainable.
+space, and is always trainable. It holds no weights of its own: its four
+arrays live with the model's other parameter groups, under the tape names
+in ImageEncoder.NAMES, and encode reads them from that dict.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def fnv1a64(data: bytes) -> int:
 class BlockFileError(ValueError):
     """A block file that does not read back: a bad magic, a truncated
     header, payload or checksum, a checksum mismatch, or (import_prototypes)
-    a non-finite entry or a zero row. The message says which."""
+    a non-finite entry or a zero row. The message starts with the file's
+    path and says which."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -46,24 +49,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class PseudoTextEncoder:
     """Deterministic frozen map from token sequences to language prototypes.
 
-    All four weight blocks (mixing, position weights, projection, token
-    table) are created from one seed and made read-only, so freezing is
+    Four weight blocks (mixing, position weights, projection, token table)
+    are drawn from one seed. Since mixing and projection are both frozen,
+    `create` multiplies them out once into `mixed_projection`, and the
+    encoder keeps only what encoding reads: the position weights, that
+    product and the token table, each made read-only, so freezing is
     enforced by the arrays themselves. Position-weighted pooling keeps the
     prototype a nontrivial function of token order while staying linear,
-    which the gradient checks rely on.
-
-    Since both are frozen, `mixing @ projection` is multiplied out once, at
-    construction, into the read-only `mixed_projection`; encoding then
-    takes one matmul per sequence for the two. Its values differ from the
-    two successive products by float rounding only.
+    which the gradient checks rely on. Encoding takes one matmul per
+    sequence for mixing and projection together; its values differ from
+    the two successive products by float rounding only.
     """
 
-    def __init__(self, mixing, position_weights, projection, token_table):
-        self.mixing = _frozen(mixing)
+    def __init__(self, position_weights, mixed_projection, token_table):
         self.position_weights = _frozen(position_weights)
-        self.projection = _frozen(projection)
+        self.mixed_projection = _frozen(mixed_projection)
         self.token_table = _frozen(token_table)
-        self.mixed_projection = _frozen(self.mixing @ self.projection)
 
     @classmethod
     def create(
@@ -79,7 +80,7 @@ class PseudoTextEncoder:
         positions = rng.uniform(0.5, 1.5, max_len)
         projection = rng.normal(0.0, 1.0 / np.sqrt(word_dim), (word_dim, latent_dim))
         table = rng.normal(0.0, 0.02, (vocab_size, word_dim))
-        return cls(mixing, positions, projection, table)
+        return cls(positions, mixing @ projection, table)
 
     def encode(self, tape: Tape, sequence_nodes) -> int:
         """Unit-norm prototype matrix (one row per sequence) on the tape.
@@ -105,24 +106,22 @@ class PseudoTextEncoder:
 class ImageEncoder:
     """Two affine layers with a tanh between, then row normalization.
 
-    encode() registers the four weight blocks as named tape parameters, so
-    one reverse sweep yields their gradients alongside the prompt ones.
+    The encoder keeps no weights. create() returns its four arrays under
+    their tape names, NAMES, which the model stores with its other
+    parameter groups; encode() reads them from such a dict and registers
+    them as named tape parameters, so one reverse sweep yields their
+    gradients alongside the prompt ones.
     """
 
-    WEIGHTS = ("w1", "b1", "w2", "b2")
+    NAMES = ("image.w1", "image.b1", "image.w2", "image.b2")
     # Tape name of the batch constant, which Tape.rerun rebinds.
     BATCH = "image.batch"
 
-    def __init__(self, w1, b1, w2, b2):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-
-    @classmethod
+    @staticmethod
     def create(
-        cls, seed: int, input_dim: int = 16, hidden_dim: int = 32, latent_dim: int = 64
-    ) -> "ImageEncoder":
+        seed: int, input_dim: int = 16, hidden_dim: int = 32, latent_dim: int = 64
+    ) -> dict[str, np.ndarray]:
+        """The seeded weights, {name: array} in NAMES order."""
         dims = {"input_dim": input_dim, "hidden_dim": hidden_dim, "latent_dim": latent_dim}
         for name, dim in dims.items():
             if dim < 1:
@@ -132,12 +131,10 @@ class ImageEncoder:
         b1 = np.zeros((1, hidden_dim))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (hidden_dim, latent_dim))
         b2 = np.zeros((1, latent_dim))
-        return cls(w1, b1, w2, b2)
+        return dict(zip(ImageEncoder.NAMES, (w1, b1, w2, b2)))
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {f"image.{name}": getattr(self, name) for name in self.WEIGHTS}
-
-    def checked_batch(self, batch: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def checked_batch(batch: np.ndarray) -> np.ndarray:
         """The batch as float64, checked finite. Its shape is the tape's to
         check: a constant must be 2-D, the first matmul rejects a width
         other than input_dim, and a re-run rejects a shape other than the
@@ -147,27 +144,29 @@ class ImageEncoder:
             raise ValueError("image batch contains non-finite values")
         return batch
 
-    def encode(self, tape: Tape, batch: np.ndarray, normalize: bool = True) -> tuple[int, int | None]:
-        """(pre-normalization features, unit-norm embeddings) nodes.
+    @staticmethod
+    def encode(tape: Tape, params: dict[str, np.ndarray], batch: np.ndarray,
+               normalize: bool = True) -> tuple[int, int | None]:
+        """(pre-normalization features, unit-norm embeddings) nodes, with
+        the weights params[name] for each name in NAMES.
 
         With normalize=False the second element is None; the baseline path
         consumes raw features only. The batch is the constant named BATCH.
         """
-        x = tape.constant(self.checked_batch(batch), self.BATCH)
-        w1 = tape.parameter(self.w1, "image.w1")
-        b1 = tape.parameter(self.b1, "image.b1")
-        w2 = tape.parameter(self.w2, "image.w2")
-        b2 = tape.parameter(self.b2, "image.b2")
+        x = tape.constant(ImageEncoder.checked_batch(batch), ImageEncoder.BATCH)
+        w1, b1, w2, b2 = (tape.parameter(params[name], name) for name in ImageEncoder.NAMES)
         hidden = tape.tanh(tape.add(tape.matmul(x, w1), b1))
         features = tape.add(tape.matmul(hidden, w2), b2)
         embeddings = tape.l2_normalize_rows(features) if normalize else None
         return features, embeddings
 
 
-def encode_images(encoder: ImageEncoder, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(features, unit-norm embeddings) for a plain ndarray batch."""
+def encode_images(params: dict[str, np.ndarray], batch: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(features, unit-norm embeddings) for a plain ndarray batch, with the
+    image weights params[name] (ImageEncoder.NAMES)."""
     tape = Tape()
-    features, embeddings = encoder.encode(tape, batch)
+    features, embeddings = ImageEncoder.encode(tape, params, batch)
     return tape.value(features).copy(), tape.value(embeddings).copy()
 
 
@@ -238,11 +237,11 @@ def import_prototypes(path) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         row, col = bad[0]
-        raise BlockFileError(f"non-finite prototype entry at row {row}, col {col}")
+        raise BlockFileError(f"{path}: non-finite prototype entry at row {row}, col {col}")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     if (norms == 0).any():
         row = int(np.flatnonzero(norms.ravel() == 0)[0])
-        raise BlockFileError(f"prototype row {row} is the zero vector")
+        raise BlockFileError(f"{path}: prototype row {row} is the zero vector")
     off_unit = np.abs(norms - 1.0).ravel() > 1e-9
     matrix[off_unit] /= norms[off_unit]
     return matrix

@@ -17,13 +17,15 @@ the training tape as a constant, so backward neither computes nor returns
 its gradient, and it stays bitwise identical. One seed drives everything
 (init, shuffling), so identical configs reproduce identical parameters.
 
-Before its first step, `fit` moves every trainable group into one
-C-contiguous float64 vector (AdamState) and points the model at views of
-it, so the tape's parameter nodes, evaluate, the checkpoint and the
-exported prototypes all read the vector. Each step writes the gradients
-into the matching slices of one gradient vector, and Adam and the
-finiteness check then each run once over the whole vector. Frozen groups
-stay outside it.
+A model keeps every parameter group in one dict, `ModelState.params`,
+under the name the tape, Adam, the learning-rate multipliers, the
+checkpoint and the divergence message all use for it. Before its first
+step, `fit` moves every trainable group into one C-contiguous float64
+vector (AdamState) and puts views of it in the dict, so the tape's
+parameter nodes, evaluate, the checkpoint and the exported prototypes all
+read the vector. Each step writes the gradients into the matching slices
+of one gradient vector, and Adam and the finiteness check then each run
+once over the whole vector. Frozen groups stay outside it.
 """
 
 from __future__ import annotations
@@ -100,44 +102,29 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
+    """One model. `params` holds every parameter group under its tape name,
+    in checkpoint order: `context` and `base_ranks` for a prompt method,
+    `head.weights` and `head.bias` for the baseline, then the image
+    encoder's ImageEncoder.NAMES. The frozen text encoder, the prompt
+    config and the fixed interpolation matrix are set for the prompt
+    methods only, the matrix for ordinalclip only."""
+
     method: str
-    image_encoder: ImageEncoder
+    params: dict[str, np.ndarray]
     text_encoder: PseudoTextEncoder | None = None
     prompt_cfg: PromptConfig | None = None
-    context: np.ndarray | None = None
-    base_ranks: np.ndarray | None = None
     interpolation: np.ndarray | None = None
-    head_weights: np.ndarray | None = None
-    head_bias: np.ndarray | None = None
     num_ranks: int = 0
 
     @property
     def uses_prompts(self) -> bool:
         return self.method != BASELINE
 
-    def parameter_groups(self) -> dict[str, np.ndarray]:
-        """Every live parameter array, in checkpoint order, under its tape
-        name: the prompt or head groups, then the image encoder's."""
-        if self.uses_prompts:
-            groups = {"context": self.context, "base_ranks": self.base_ranks}
-        else:
-            groups = {"head.weights": self.head_weights, "head.bias": self.head_bias}
-        return groups | self.image_encoder.parameters()
-
-    def rebind(self, groups: dict[str, np.ndarray]) -> None:
-        """Point each named group (a parameter_groups() name) at the given
-        array, which takes the group's place in the model."""
-        for name, array in groups.items():
-            if name.startswith("image."):
-                setattr(self.image_encoder, name.removeprefix("image."), array)
-            else:
-                setattr(self, name.replace(".", "_"), array)
-
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         """The groups Adam is allowed to update, honoring the tune gates."""
-        groups = self.parameter_groups()
+        groups = dict(self.params)
         if self.uses_prompts:
-            if not (self.prompt_cfg.tune_ctx and self.context.shape[0] > 0):
+            if not (self.prompt_cfg.tune_ctx and groups["context"].shape[0] > 0):
                 del groups["context"]
             if not self.prompt_cfg.tune_rank:
                 del groups["base_ranks"]
@@ -172,20 +159,16 @@ def build_model(
     prompt_seed, image_seed = (
         int(s) for s in np.random.SeedSequence(init_seed).generate_state(2)
     )
-    image_encoder = ImageEncoder.create(
+    image = ImageEncoder.create(
         image_seed, input_dim=input_dim, hidden_dim=hidden_dim, latent_dim=latent_dim
     )
     if method == BASELINE:
         rng = np.random.default_rng(prompt_seed)
-        head_w = rng.normal(0.0, 0.01, (num_ranks, latent_dim))
-        head_b = np.zeros((1, num_ranks))
-        return ModelState(
-            method=method,
-            image_encoder=image_encoder,
-            head_weights=head_w,
-            head_bias=head_b,
-            num_ranks=num_ranks,
-        )
+        head = {
+            "head.weights": rng.normal(0.0, 0.01, (num_ranks, latent_dim)),
+            "head.bias": np.zeros((1, num_ranks)),
+        }
+        return ModelState(method=method, params=head | image, num_ranks=num_ranks)
     if prompt_cfg is None:
         raise ValueError(f"method {method!r} requires a prompt config")
     if prompt_cfg.num_ranks != num_ranks:
@@ -221,11 +204,9 @@ def build_model(
         ].copy()
     return ModelState(
         method=method,
-        image_encoder=image_encoder,
+        params={"context": ctx, "base_ranks": base} | image,
         text_encoder=text_encoder,
         prompt_cfg=prompt_cfg,
-        context=ctx,
-        base_ranks=base,
         interpolation=interpolation,
         num_ranks=num_ranks,
     )
@@ -241,11 +222,12 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     tune gates, holds it; every other group is a constant."""
     trainable = state.trainable_parameters()
 
-    def leaf(name: str, array: np.ndarray) -> int:
+    def leaf(name: str) -> int:
+        array = state.params[name]
         return tape.parameter(array, name) if name in trainable else tape.constant(array)
 
-    ctx_node = leaf("context", state.context) if state.context.shape[0] > 0 else None
-    base_node = leaf("base_ranks", state.base_ranks)
+    ctx_node = leaf("context") if state.params["context"].shape[0] > 0 else None
+    base_node = leaf("base_ranks")
     ranks_node = base_node
     if state.interpolation is not None:
         ranks_node = prompt.interpolate_rank_embeddings(tape, state.interpolation, base_node)
@@ -260,13 +242,13 @@ def forward_loss(
     tape = Tape()
     if state.uses_prompts:
         protos = _prompt_nodes(state, tape)
-        _, embeddings = state.image_encoder.encode(tape, batch_x)
+        _, embeddings = ImageEncoder.encode(tape, state.params, batch_x)
         scores = matching.similarity(tape, embeddings, protos)
         loss = matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
     else:
-        features, _ = state.image_encoder.encode(tape, batch_x, normalize=False)
-        w = tape.parameter(state.head_weights, "head.weights")
-        b = tape.parameter(state.head_bias, "head.bias")
+        features, _ = ImageEncoder.encode(tape, state.params, batch_x, normalize=False)
+        w = tape.parameter(state.params["head.weights"], "head.weights")
+        b = tape.parameter(state.params["head.bias"], "head.bias")
         logits = matching.baseline_logits(tape, w, b, features)
         loss = matching.cross_entropy_loss(tape, logits, batch_y, state.num_ranks)
     return tape, loss
@@ -282,7 +264,7 @@ def prototypes_of(state: ModelState) -> np.ndarray:
     if state.uses_prompts:
         node = _prompt_nodes(state, tape)
     else:
-        node = tape.l2_normalize_rows(tape.constant(state.head_weights))
+        node = tape.l2_normalize_rows(tape.constant(state.params["head.weights"]))
     return tape.value(node).copy()
 
 
@@ -303,14 +285,14 @@ def evaluate(
     # Overflow here is reported as divergence below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            features, embeddings = encode_images(state.image_encoder, ds.features)
+            features, embeddings = encode_images(state.params, ds.features)
             protos = prototypes_of(state)
         except FloatingPointError as exc:
             raise _diverged(state, f"in forward pass ({exc})") from exc
         if state.uses_prompts:
             scores = embeddings @ protos.T
         else:
-            scores = features @ state.head_weights.T + state.head_bias
+            scores = features @ state.params["head.weights"].T + state.params["head.bias"]
     if not all_finite(scores):
         raise _diverged(state, "in forward pass (non-finite scores)")
     predictions = predict(scores, rule=rule, temperature=temperature)
@@ -460,7 +442,7 @@ def train_step(
             )
         else:
             tape, loss_node = recorded
-            batch = state.image_encoder.checked_batch(batch_x)
+            batch = ImageEncoder.checked_batch(batch_x)
             targets = matching.one_hot_labels(batch_y, state.num_ranks)
             tape.rerun({ImageEncoder.BATCH: batch}, {loss_node: {"targets": targets}})
     except FloatingPointError as exc:
@@ -492,8 +474,8 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     are off while it runs.
 
     Before the first step every trainable group moves into the flat
-    vector of the fit's AdamState: the model's groups are its views from
-    then on, also after fit returns.
+    vector of the fit's AdamState: state.params holds its views from then
+    on, also after fit returns.
     """
     cfg.validate()
     if len(train_ds) == 0:
@@ -502,7 +484,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
         raise ValueError("the zeroshot method is evaluated untrained; fit does not apply")
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(state.trainable_parameters(), cfg, _lr_multipliers(state, cfg))
-    state.rebind(adam.params)
+    state.params.update(adam.params)
     rows = []
     lr = cfg.learning_rate
     n = len(train_ds)
@@ -536,7 +518,7 @@ def _checkpoint_blocks(state: ModelState) -> tuple[bytes, dict[str, np.ndarray]]
     """(magic, named blocks in file order) of the model's checkpoint:
     num_ranks as a 1x1 block, then every parameter group."""
     magic = PROMPT_MAGIC if state.uses_prompts else BASELINE_MAGIC
-    return magic, {"num_ranks": np.array([[float(state.num_ranks)]]), **state.parameter_groups()}
+    return magic, {"num_ranks": np.array([[float(state.num_ranks)]]), **state.params}
 
 
 def save_state(state: ModelState, path) -> None:

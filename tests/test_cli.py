@@ -363,7 +363,7 @@ def test_checkpoint_restores_the_exported_prototypes(runs, name):
     exported = import_prototypes(runs[name] / "prototypes.bin")
     assert not np.array_equal(training.prototypes_of(state), exported)
     blocks = _checkpoint(runs[name], state)
-    for group, array in state.parameter_groups().items():
+    for group, array in state.params.items():
         array[...] = blocks[group]
     np.testing.assert_array_equal(training.prototypes_of(state), exported)
 
@@ -383,11 +383,15 @@ def test_metrics_follow_from_the_image_blocks_and_prototypes_alone(runs, tmp_pat
     run = runs[name]
     cfg = cli.load_config(str(run.parent / f"{name}.cfg"))
     _, test_ds = cli._prepare(cfg)
-    # A model holding only an image encoder names the family's blocks.
-    probe = training.ModelState(cfg["method"], ImageEncoder.create(0))
+    # A probe whose params hold only its family's group names, with no
+    # arrays, gives the checkpoint's block names.
+    family = (("head.weights", "head.bias") if cfg["method"] == "baseline"
+              else ("context", "base_ranks"))
+    probe = training.ModelState(cfg["method"], dict.fromkeys(family + ImageEncoder.NAMES))
     blocks = _checkpoint(run, probe)
-    encoder = ImageEncoder(*(blocks[group] for group in probe.image_encoder.parameters()))
-    features, embeddings = encode_images(encoder, test_ds.features)
+    features, embeddings = encode_images(
+        {name: blocks[name] for name in ImageEncoder.NAMES}, test_ds.features
+    )
     protos = import_prototypes(run / "prototypes.bin")
     if cfg["method"] == "baseline":
         scores = features @ blocks["head.weights"].T + blocks["head.bias"]
@@ -476,13 +480,18 @@ def _forge_prototypes(run_dir, rank, rebuild_manifest=True):
     forged = rng.normal(size=(num_ranks, rank)) @ rng.normal(size=(rank, dim))
     encoders.export_prototypes(path, forged / np.linalg.norm(forged, axis=1, keepdims=True))
     if rebuild_manifest:
-        blob = path.read_bytes()
-        manifest = run_dir / "manifest.txt"
-        manifest.write_text(re.sub(
-            r"(?m)^prototypes\.bin .*$",
-            f"prototypes.bin {len(blob)} {encoders.fnv1a64(blob):016x}",
-            manifest.read_text(),
-        ))
+        _rebuild_manifest_entry(run_dir)
+
+
+def _rebuild_manifest_entry(run_dir):
+    """Rewrite the manifest entry of prototypes.bin to match the file."""
+    blob = (run_dir / "prototypes.bin").read_bytes()
+    manifest = run_dir / "manifest.txt"
+    manifest.write_text(re.sub(
+        r"(?m)^prototypes\.bin .*$",
+        f"prototypes.bin {len(blob)} {encoders.fnv1a64(blob):016x}",
+        manifest.read_text(),
+    ))
 
 
 @pytest.mark.parametrize("name", ["ordinalclip", "inverse-2", "expectation"])
@@ -526,6 +535,21 @@ def test_report_checks_no_rank_for_coop(runs, tmp_path, capsys):
     shutil.copytree(runs["coop"], run_dir)
     _forge_prototypes(run_dir, TINY["num_ranks"])
     assert cli.main(["report", str(run_dir)]) == 0
+
+
+def test_report_names_the_file_of_a_non_finite_prototype(runs, tmp_path, capsys):
+    """A NaN in an ordinalclip prototypes.bin under a rebuilt manifest
+    passes every checksum, and fails on loading in one line that starts
+    with the file's path, as every other report failure names its file."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    path = run_dir / "prototypes.bin"
+    protos = import_prototypes(path)
+    protos[2, 1] = np.nan
+    encoders.export_prototypes(path, protos)
+    _rebuild_manifest_entry(run_dir)
+    assert cli.main(["report", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"{path}: non-finite prototype entry at row 2, col 1\n"
 
 
 def test_grid_commands_write_their_tables_and_headers(runs):

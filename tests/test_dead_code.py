@@ -1,7 +1,9 @@
 """Dead-code guard: every function, class and method the package defines
-is used by the package or by the benchmark harness, every name a package
-module imports is used in that module, and every exception class the
-package defines is caught by name somewhere in either."""
+is used by the package or by the benchmark harness, every attribute a
+package method stores on `self` is read by either outside that method,
+every name a package module imports is used in that module, and every
+exception class the package defines is caught by name somewhere in
+either."""
 
 import ast
 import builtins
@@ -61,6 +63,42 @@ def test_every_definition_is_referenced_outside_itself():
             ):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _attribute_reads():
+    """(file, line) of every read (load) of an attribute, by identifier,
+    over the package and the benchmark harness."""
+    reads = {}
+    for root in USERS:
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.attr, []).append((path, node.lineno))
+    return reads
+
+
+def test_every_attribute_stored_on_self_is_read_outside_its_method():
+    """A package method that stores `self.name` stores something another
+    method, a caller or the benchmark harness reads; a value only the
+    storing method reads could stay a local. A test is not a reader."""
+    reads = _attribute_reads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for method, is_method in _definitions(ast.parse(path.read_text(), str(path))):
+            if not is_method:
+                continue
+            stored = {
+                node.attr for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            }
+            for name in sorted(stored):
+                if not any(
+                    where != path or not method.lineno <= line <= method.end_lineno
+                    for where, line in reads.get(name, [])
+                ):
+                    unread.append(f"{path.name}:{method.lineno} {method.name} self.{name}")
+    assert unread == []
 
 
 def _imported_names(tree):

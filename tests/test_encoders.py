@@ -1,6 +1,7 @@
 """Frozen text encoder, trainable image encoder, and the block-file
 format of prototypes.bin with its checksum and error messages."""
 
+import re
 import struct
 
 import numpy as np
@@ -21,27 +22,42 @@ from ordinalproto.encoders import (
 )
 
 
+def _seed_draws(seed, word_dim, latent_dim, max_len=16, vocab_size=64):
+    """(mixing, position weights, projection, token table): what
+    PseudoTextEncoder.create draws from seed, in its order."""
+    rng = np.random.default_rng(seed)
+    mixing = np.eye(word_dim) + rng.normal(0.0, 0.5 / np.sqrt(word_dim), (word_dim, word_dim))
+    positions = rng.uniform(0.5, 1.5, max_len)
+    projection = rng.normal(0.0, 1.0 / np.sqrt(word_dim), (word_dim, latent_dim))
+    table = rng.normal(0.0, 0.02, (vocab_size, word_dim))
+    return mixing, positions, projection, table
+
+
 class TestPseudoTextEncoder:
     def test_same_seed_builds_identical_encoders(self):
         a = PseudoTextEncoder.create(3, word_dim=8, latent_dim=10)
         b = PseudoTextEncoder.create(3, word_dim=8, latent_dim=10)
-        assert np.array_equal(a.mixing, b.mixing)
-        assert np.array_equal(a.projection, b.projection)
-        assert np.array_equal(a.token_table, b.token_table)
+        _, positions, _, table = _seed_draws(3, word_dim=8, latent_dim=10)
+        for enc in (a, b):
+            np.testing.assert_array_equal(enc.position_weights, positions)
+            np.testing.assert_array_equal(enc.token_table, table)
+        np.testing.assert_array_equal(a.mixed_projection, b.mixed_projection)
 
     def test_parameters_are_read_only(self):
         enc = PseudoTextEncoder.create(0, word_dim=4, latent_dim=4)
-        with pytest.raises(ValueError):
-            enc.mixing[0, 0] = 1.0
+        for array in (enc.position_weights, enc.mixed_projection, enc.token_table):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_mixing_and_projection_are_multiplied_once_into_a_frozen_matrix(self):
         enc = PseudoTextEncoder.create(4, word_dim=6, latent_dim=8)
-        np.testing.assert_array_equal(enc.mixed_projection, enc.mixing @ enc.projection)
+        mixing, positions, projection, _ = _seed_draws(4, word_dim=6, latent_dim=8)
+        np.testing.assert_array_equal(enc.mixed_projection, mixing @ projection)
         with pytest.raises(ValueError):
             enc.mixed_projection[0, 0] = 1.0
         seq = np.random.default_rng(4).normal(size=(3, 6))
-        weights = enc.position_weights[:3]
-        row = (weights / weights.sum()) @ seq @ enc.mixing @ enc.projection
+        weights = positions[:3]
+        row = (weights / weights.sum()) @ seq @ mixing @ projection
         np.testing.assert_allclose(
             encode_text(enc, [seq])[0], row / np.linalg.norm(row), rtol=0, atol=1e-12
         )
@@ -101,45 +117,44 @@ class TestPseudoTextEncoder:
 
 class TestImageEncoder:
     def test_duplicated_row_gives_identical_embeddings(self):
-        enc = ImageEncoder.create(0, input_dim=5, hidden_dim=6, latent_dim=7)
+        weights = ImageEncoder.create(0, input_dim=5, hidden_dim=6, latent_dim=7)
         row = np.random.default_rng(4).normal(size=(1, 5))
-        _, emb = encode_images(enc, np.vstack([row, row]))
+        _, emb = encode_images(weights, np.vstack([row, row]))
         np.testing.assert_array_equal(emb[0], emb[1])
 
     def test_embeddings_are_unit_norm(self):
-        enc = ImageEncoder.create(1, input_dim=5, hidden_dim=6, latent_dim=7)
+        weights = ImageEncoder.create(1, input_dim=5, hidden_dim=6, latent_dim=7)
         batch = np.random.default_rng(5).normal(size=(9, 5))
-        _, emb = encode_images(enc, batch)
+        _, emb = encode_images(weights, batch)
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 
     def test_non_finite_batch_rejected(self):
-        enc = ImageEncoder.create(2, input_dim=3, hidden_dim=4, latent_dim=4)
+        weights = ImageEncoder.create(2, input_dim=3, hidden_dim=4, latent_dim=4)
         batch = np.zeros((2, 3))
         batch[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            encode_images(enc, batch)
+            encode_images(weights, batch)
 
     def test_batch_of_the_wrong_shape_rejected_by_the_tape(self):
-        enc = ImageEncoder.create(2, input_dim=3, hidden_dim=4, latent_dim=4)
+        weights = ImageEncoder.create(2, input_dim=3, hidden_dim=4, latent_dim=4)
         with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape \(3,\)"):
-            encode_images(enc, np.zeros(3))
+            encode_images(weights, np.zeros(3))
         with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(2, 5\), \(3, 4\)\)"):
-            encode_images(enc, np.zeros((2, 5)))
+            encode_images(weights, np.zeros((2, 5)))
 
     def test_gradient_of_embedding_sum_matches_finite_differences(self):
-        enc = ImageEncoder.create(3, input_dim=4, hidden_dim=5, latent_dim=6)
+        weights = ImageEncoder.create(3, input_dim=4, hidden_dim=5, latent_dim=6)
         batch = np.random.default_rng(6).normal(size=(3, 4))
 
         def loss_with(w1):
-            probe = ImageEncoder(w1, enc.b1, enc.w2, enc.b2)
             tape = Tape()
-            _, emb = probe.encode(tape, batch)
+            _, emb = ImageEncoder.encode(tape, weights | {"image.w1": w1}, batch)
             return tape.value(sum_all(tape, emb))[0, 0]
 
         tape = Tape()
-        _, emb = enc.encode(tape, batch)
+        _, emb = ImageEncoder.encode(tape, weights, batch)
         analytic = tape.backward(sum_all(tape, emb))["image.w1"]
-        assert finite_difference_check(loss_with, enc.w1, analytic, h=1e-5) <= 1e-4
+        assert finite_difference_check(loss_with, weights["image.w1"], analytic, h=1e-5) <= 1e-4
 
 
 class TestPrototypeFile:
@@ -185,7 +200,8 @@ class TestPrototypeFile:
         protos[2, 1] = np.nan
         path = tmp_path / "protos.bin"
         export_prototypes(path, protos)
-        with pytest.raises(BlockFileError, match="^non-finite prototype entry at row 2, col 1$"):
+        with pytest.raises(BlockFileError, match=f"^{re.escape(str(path))}: "
+                           "non-finite prototype entry at row 2, col 1$"):
             import_prototypes(path)
 
     def test_flipped_payload_byte_fails_the_checksum(self, tmp_path):
@@ -202,7 +218,8 @@ class TestPrototypeFile:
         protos[1] = 0.0
         path = tmp_path / "protos.bin"
         export_prototypes(path, protos)
-        with pytest.raises(BlockFileError, match="^prototype row 1 is the zero vector$"):
+        with pytest.raises(BlockFileError, match=f"^{re.escape(str(path))}: "
+                           "prototype row 1 is the zero vector$"):
             import_prototypes(path)
 
     def test_file_is_magic_shape_payload_checksum(self, tmp_path):

@@ -52,7 +52,7 @@ def _batch():
 
 
 def _all_parameters(state):
-    return {name: value.copy() for name, value in state.parameter_groups().items()}
+    return {name: value.copy() for name, value in state.params.items()}
 
 
 def _fit_config(seed=0, batch_size=16):
@@ -190,7 +190,7 @@ class TestFit:
         (vector,) = {id(value.base): value.base for value in trainable.values()}.values()
         assert vector.ndim == 1 and vector.flags.c_contiguous
         assert vector.size == sum(value.size for value in trainable.values())
-        for name, value in state.parameter_groups().items():
+        for name, value in state.params.items():
             assert np.shares_memory(value, vector) == (name in trainable), name
 
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
@@ -312,7 +312,7 @@ class TestWholeLossFiniteDifferences:
         batch_x, batch_y = _batch()
 
         def loss_at(value):
-            state.parameter_groups()[name][...] = value
+            state.params[name][...] = value
             tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
             return tape.value(loss)[0, 0]
 
@@ -356,7 +356,8 @@ class TestCompactPrototypes:
         state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
                                      max_len=5, vocab_size=8, init_seed=seed % 1000)
         rng = np.random.default_rng(seed)
-        for group in (state.context, state.base_ranks):
+        for name in ("context", "base_ranks"):
+            group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
         singular = np.linalg.svd(training.prototypes_of(state), compute_uv=False)
         assert np.count_nonzero(singular > 1e-9 * singular[0]) <= num_base
@@ -388,7 +389,8 @@ class TestWellOrderedPrototypes:
         state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
                                      max_len=5, vocab_size=8, init_seed=seed % 1000)
         rng = np.random.default_rng(seed)
-        for group in (state.context, state.base_ranks):
+        for name in ("context", "base_ranks"):
+            group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
         assert ordinality_score(training.prototypes_of(state)) == 1.0
 
@@ -488,7 +490,7 @@ class TestCheckpointFile:
         blocks = dict(zip(names, read_blocks(tmp_path / "ckpt.bin", magic, len(names)),
                           strict=True))
         np.testing.assert_array_equal(blocks.pop("num_ranks"), [[float(NUM_RANKS)]])
-        for group, array in fresh.parameter_groups().items():
+        for group, array in fresh.params.items():
             assert array.shape == blocks[group].shape
             array[...] = blocks[group]
         saved, loaded = _all_parameters(trained), _all_parameters(fresh)
@@ -511,17 +513,16 @@ class TestCheckpointFile:
         [
             (training.ORDINALCLIP, b"OPRM2", ("context", "base_ranks")),
             (training.COOP, b"OPRM2", ("context", "base_ranks")),
-            (training.BASELINE, b"OPBH2", ("head_weights", "head_bias")),
+            (training.BASELINE, b"OPBH2", ("head.weights", "head.bias")),
         ],
     )
     def test_file_is_magic_then_blocks_then_checksum(self, tmp_path, method, magic, groups):
         """The family magic, num_ranks as a 1x1 block, the family's groups,
         the image encoder, then FNV-1a over the payloads."""
         state = _model(method)
-        enc = state.image_encoder
         blocks = [np.array([[float(NUM_RANKS)]])]
-        blocks += [getattr(state, name) for name in groups]
-        blocks += [enc.w1, enc.b1, enc.w2, enc.b2]
+        blocks += [state.params[name] for name in groups]
+        blocks += [state.params[name] for name in ("image.w1", "image.b1", "image.w2", "image.b2")]
         payloads = [b.astype("<f8").tobytes() for b in blocks]
         expected = magic + b"".join(
             struct.pack("<2Q", *b.shape) + payload for b, payload in zip(blocks, payloads)
