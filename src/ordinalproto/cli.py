@@ -62,15 +62,26 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(","))
 
 
-def _int_flag(raw: str, flag: str) -> tuple[int, ...]:
-    """A grid axis: one or more comma-separated integers."""
+def _flag_values(raw: str, flag: str, parse) -> tuple:
+    """A grid axis: `parse` of each comma-separated token of a grid flag,
+    in order, skipping empty tokens. A token `parse` rejects with
+    ValueError, or no token at all, is a config error naming the flag."""
     try:
-        values = _parse_int_list(raw)
+        values = tuple(parse(token) for token in raw.split(",") if token.strip())
     except ValueError as exc:
         raise ConfigError(f"bad {flag} value {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"{flag} is empty; give at least one value")
     return values
+
+
+def _grid_cell(token: str) -> tuple[int, float]:
+    """One classes:fraction cell of --grid."""
+    try:
+        classes, fraction = token.split(":")
+        return int(classes), float(fraction)
+    except ValueError:
+        raise ValueError(f"cell {token.strip()!r} is not classes:fraction") from None
 
 
 def _schema_of(cls) -> dict:
@@ -205,8 +216,17 @@ def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
 
 
 def _prepare(cfg: dict):
-    """Load and split the data; returns (train_ds, test_ds)."""
+    """Load and split the data; returns (train_ds, test_ds). A sample whose
+    features are all zero is a config error for every method: a prompt
+    method cannot normalize its embedding, and a grid command trains
+    prompt methods on the same data."""
     ds = _load_dataset(cfg)
+    zero = np.flatnonzero(~ds.features.any(axis=1))
+    if zero.size:
+        raise ConfigError(
+            f"sample {zero[0]} has all-zero features; the image encoder maps it to "
+            "the zero embedding, which has no direction"
+        )
     fraction = cfg["train_fraction"]
     spec = datamod.SplitSpec(fraction, 1.0 - fraction, seed=cfg["data_seed"])
     # Every check train_test_split makes is a check on config values.
@@ -245,7 +265,7 @@ def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_se
             hidden_dim=cfg["hidden_dim"],
             latent_dim=cfg["latent_dim"],
             max_len=cfg["max_len"],
-            vocab_size=max(cfg["vocab_size"], num_ranks),
+            vocab_size=cfg["vocab_size"],
             encoder_seed=cfg["encoder_seed"],
             init_seed=init_seed,
         )
@@ -444,10 +464,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep_interpolation(args: argparse.Namespace) -> int:
     """One ordinalclip fit per (interpolation type, base-rank count) at
     the config seed."""
-    counts = _int_flag(args.counts, "--counts")
-    kinds = tuple(k.strip() for k in args.types.split(",") if k.strip())
-    if not kinds:
-        raise ConfigError("--types is empty; give at least one value")
+    counts = _flag_values(args.counts, "--counts", int)
+    kinds = _flag_values(args.types, "--types", str.strip)
     cfg = load_config(args.config)
     train_ds, test_ds = _prepare(cfg)
     maes, _ = _run_grid(cfg, train_ds, test_ds,
@@ -501,7 +519,7 @@ def _method_tables(cfg: dict, out_dir: str, name: str, subsamples, headers: list
 
 
 def cmd_fewshot(args: argparse.Namespace) -> int:
-    shots = _int_flag(args.shots, "--shots")
+    shots = _flag_values(args.shots, "--shots", int)
     cfg = load_config(args.config)
     return _method_tables(
         cfg, args.out, "fewshot",
@@ -511,27 +529,9 @@ def cmd_fewshot(args: argparse.Namespace) -> int:
     )
 
 
-def _parse_grid(raw: str) -> tuple[tuple[int, float], ...]:
-    cells = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            cls_part, frac_part = token.split(":")
-            cells.append((int(cls_part), float(frac_part)))
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad distribution-shift cell {token!r}; expected classes:fraction"
-            ) from exc
-    if not cells:
-        raise ConfigError("--grid is empty; give at least one classes:fraction cell")
-    return tuple(cells)
-
-
 def cmd_distshift(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    cells = _parse_grid(args.grid)
+    cells = _flag_values(args.grid, "--grid", _grid_cell)
     return _method_tables(
         cfg, args.out, "distshift",
         [lambda ds, seed, c=c, f=f: datamod.distribution_shift_subsample(ds, c, f, seed)

@@ -143,17 +143,13 @@ def distribution_shift_subsample(
         raise ValueError(f"reduce_fraction must be in [0, 1), got {reduce_fraction}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.num_ranks, size=reduce_classes, replace=False)
-    drop = []
+    keep = np.ones(len(ds), dtype=bool)
     for rank in chosen:
         pool = np.flatnonzero(ds.labels == rank)
         n_drop = int(np.floor(reduce_fraction * pool.size))
         if n_drop:
-            drop.append(rng.choice(pool, size=n_drop, replace=False))
-    if not drop:
-        return ds.subset(np.arange(len(ds)))
-    mask = np.ones(len(ds), dtype=bool)
-    mask[np.concatenate(drop)] = False
-    return ds.subset(np.flatnonzero(mask))
+            keep[rng.choice(pool, size=n_drop, replace=False)] = False
+    return ds.subset(np.flatnonzero(keep))
 
 
 def load_csv(path) -> OrdinalDataset:
@@ -175,14 +171,16 @@ def load_csv(path) -> OrdinalDataset:
             raise ValueError(
                 f"line {lineno}: expected {dim + 1} cells, got {len(cells)}"
             )
-        try:
-            rank = float(cells[0])
-            features.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            bad = next(
-                i for i, c in enumerate(cells) if not _is_number(c)
-            )
-            raise ValueError(f"line {lineno}, column {bad}: non-numeric cell {cells[bad]!r}") from exc
+        values = []
+        for column, cell in enumerate(cells):
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise ValueError(
+                    f"line {lineno}, column {column}: non-numeric cell {cell!r}"
+                ) from exc
+        rank, *row = values
+        features.append(row)
         if not rank.is_integer():
             raise ValueError(f"line {lineno}, column 0: rank {cells[0]!r} is not an integer")
         raw_labels.append(int(rank))
@@ -195,11 +193,3 @@ def load_csv(path) -> OrdinalDataset:
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     num_ranks = max(len(distinct), 2)
     return OrdinalDataset(np.array(features), labels, num_ranks)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

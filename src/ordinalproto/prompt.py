@@ -55,6 +55,9 @@ class PromptConfig:
             raise ValueError(f"word_dim must be >= 1, got {self.word_dim}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        # The inverse-proportion kernel takes 1 / epsilon at a base slot.
+        if not math.isfinite(1.0 / self.epsilon):
+            raise ValueError(f"epsilon must have a finite reciprocal, got {self.epsilon}")
         if self.interpolation not in INTERPOLATION_KINDS:
             raise ValueError(
                 f"interpolation must be one of {INTERPOLATION_KINDS}, "
@@ -94,12 +97,13 @@ def interpolate_rank_embeddings(tape: Tape, weights: np.ndarray, base_node: int)
     return tape.matmul(tape.constant(weights), base_node)
 
 
-def assemble_sequences(tape: Tape, ctx_node: int | None, ranks_node: int) -> list[int]:
+def assemble_sequences(tape: Tape, ctx_node: int, ranks_node: int) -> list[int]:
     """Per-rank token matrices: shared context rows, then the rank row.
 
     Returns one node per rank. All sequences reference the same context
-    node, so context gradients accumulate across ranks. With no context
-    rows a sequence is just its rank row.
+    node, so context gradients accumulate across ranks. A context of 0
+    rows is no special case: each sequence is then its rank row, with the
+    rank row's values and gradient bitwise.
     """
     num_ranks = tape.value(ranks_node).shape[0]
     seqs = []
@@ -107,10 +111,7 @@ def assemble_sequences(tape: Tape, ctx_node: int | None, ranks_node: int) -> lis
         selector = np.zeros((1, num_ranks))
         selector[0, j] = 1.0
         row = tape.matmul(tape.constant(selector), ranks_node)
-        if ctx_node is None:
-            seqs.append(row)
-        else:
-            seqs.append(tape.concat_rows([ctx_node, row]))
+        seqs.append(tape.concat_rows([ctx_node, row]))
     return seqs
 
 

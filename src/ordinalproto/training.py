@@ -97,6 +97,9 @@ class TrainConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.temperature == math.inf:
             raise ValueError("temperature must be finite, got inf")
+        # Scores are divided by the temperature.
+        if not math.isfinite(1.0 / self.temperature):
+            raise ValueError(f"temperature must have a finite reciprocal, got {self.temperature}")
         return self
 
 
@@ -124,16 +127,11 @@ class ModelState:
         """The groups Adam is allowed to update, honoring the tune gates."""
         groups = dict(self.params)
         if self.uses_prompts:
-            if not (self.prompt_cfg.tune_ctx and groups["context"].shape[0] > 0):
+            if not self.prompt_cfg.tune_ctx:
                 del groups["context"]
             if not self.prompt_cfg.tune_rank:
                 del groups["base_ranks"]
         return groups
-
-
-def rank_token_ids(num_ranks: int, vocab_size: int) -> tuple[int, ...]:
-    """Low vocabulary ids standing in for the rank label words."""
-    return tuple(j % vocab_size for j in range(num_ranks))
 
 
 def build_model(
@@ -152,7 +150,12 @@ def build_model(
 
     The frozen text encoder depends only on encoder_seed, playing the role
     of the shared pretrained model: varying init_seed re-rolls the
-    trainable parameters, never the encoder.
+    trainable parameters, never the encoder. Its vocabulary holds
+    max(vocab_size, num_ranks + num_context) tokens: ids 0..C-1 stand in
+    for the rank words, and the context template
+    (prompt.template_token_ids) takes the top num_context ids, so the two
+    never overlap. The table is drawn last, row by row, so a larger
+    vocabulary leaves its first rows as they are.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {METHODS}")
@@ -190,7 +193,7 @@ def build_model(
         word_dim=prompt_cfg.word_dim,
         latent_dim=latent_dim,
         max_len=max_len,
-        vocab_size=vocab_size,
+        vocab_size=max(vocab_size, num_ranks + prompt_cfg.num_context),
     )
     ctx, base = prompt.init_parameters(
         prompt_cfg, prompt_seed, token_table=text_encoder.token_table
@@ -199,9 +202,7 @@ def build_model(
     if method == ORDINALCLIP:
         interpolation = prompt.build_interpolation_matrix(prompt_cfg)
     else:
-        base = text_encoder.token_table[
-            list(rank_token_ids(num_ranks, vocab_size))
-        ].copy()
+        base = text_encoder.token_table[:num_ranks].copy()
     return ModelState(
         method=method,
         params={"context": ctx, "base_ranks": base} | image,
@@ -226,7 +227,7 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
         array = state.params[name]
         return tape.parameter(array, name) if name in trainable else tape.constant(array)
 
-    ctx_node = leaf("context") if state.params["context"].shape[0] > 0 else None
+    ctx_node = leaf("context")
     base_node = leaf("base_ranks")
     ranks_node = base_node
     if state.interpolation is not None:

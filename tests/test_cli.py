@@ -12,6 +12,7 @@ keeps every training sample and the default prompt equals `train`.
 
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ FLOAT_KEYS = [key for key, (parser, _) in cli.CONFIG_SCHEMA.items() if parser is
         ("adam_eps = -1", "adam_eps must be finite and > 0, got -1.0"),
         ("adam_eps = 0", "adam_eps must be finite and > 0, got 0.0"),
         ("temperature = inf", "temperature must be finite, got inf"),
+        ("temperature = 1e-310", "temperature must have a finite reciprocal, got 1e-310"),
+        ("temperature = 5e-324", "temperature must have a finite reciprocal, got 5e-324"),
+        ("method = baseline\ntemperature = 1e-310", "temperature must have a finite reciprocal"),
+        ("method = zeroshot\ntemperature = 1e-310", "temperature must have a finite reciprocal"),
+        ("interpolation = inverse-proportion\nepsilon = 1e-310",
+         "epsilon must have a finite reciprocal, got 1e-310"),
+        ("epsilon = 5e-324", "epsilon must have a finite reciprocal, got 5e-324"),
+        ("noise_sigma = 0", "sample 0 has all-zero features"),
+        ("method = baseline\nnoise_sigma = 0", "sample 0 has all-zero features"),
+        ("method = zeroshot\nnoise_sigma = 5e-324", "sample 0 has all-zero features"),
         ("lr_decay_factor = -1", "lr_decay_factor must be finite and >= 0, got -1.0"),
         ("last_layer_lr_mult = -0.5", "last_layer_lr_mult must be finite and >= 0, got -0.5"),
         ("decay_epochs = -3,99", "decay_epochs entries must be >= 0, got -3"),
@@ -108,12 +119,13 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
         (["sweep-interpolation", "--counts", ""], "--counts is empty"),
         (["sweep-interpolation", "--types", ""], "--types is empty"),
         (["distshift", "--grid", ""], "--grid is empty"),
+        (["distshift", "--grid", "x"], "bad --grid value 'x': cell 'x' is not classes:fraction"),
         (["sweep-interpolation", "--types", "linear,bogus", "--counts", "2,3"],
          f"interpolation must be one of {prompt.INTERPOLATION_KINDS}, got 'bogus'"),
     ],
     ids=["shots-0", "shots-only-0", "shots-x", "counts-a", "counts-30", "grid-30-classes",
          "grid-fraction-1.5", "shots-empty", "counts-empty", "types-empty", "grid-empty",
-         "types-bogus"],
+         "grid-x", "types-bogus"],
 )
 def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     tmp_path, capsys, monkeypatch, argv, needle
@@ -129,6 +141,11 @@ def test_invalid_grid_flag_exits_with_config_error_before_any_cell_trains(
     assert err.startswith("config error: ")
     assert needle in err
     assert not (tmp_path / "run").exists()
+
+
+def test_empty_tokens_of_a_grid_flag_are_skipped():
+    assert cli._flag_values("1,,2", "--shots", int) == (1, 2)
+    assert cli._flag_values(" 8:0.9, ,2:0.5,", "--grid", cli._grid_cell) == ((8, 0.9), (2, 0.5))
 
 
 @pytest.mark.parametrize("command", ["train", "fewshot"])
@@ -162,6 +179,18 @@ def test_unreadable_csv_exits_with_config_error(tmp_path, capsys, content, needl
     assert code == 2
     assert err.startswith(f"config error: csv_path '{csv_path}': ")
     assert needle in err
+
+
+def test_a_csv_sample_with_all_zero_features_exits_with_config_error(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("rank,f0,f1\n0,0.5,1\n1,0,0\n2,1,0.5\n0,0.25,1\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data_source = csv\ncsv_path = {csv_path}\n")
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: sample 1 has all-zero features")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -274,6 +303,49 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
     assert rerun_err.startswith("training diverged: non-finite values in forward pass "
                                 "(non-finite values produced by op 'matmul')")
     assert rerun_err.count("\n") == 1 and "Traceback" not in rerun_err
+
+
+# 0, the smallest subnormal, a subnormal whose reciprocal overflows, and
+# a value near the float64 maximum.
+EXTREME_FLOATS = ("0.0", "5e-324", "1e-310", "1.7e308")
+
+
+def test_every_float_key_at_an_extreme_value_ends_in_a_documented_way(tmp_path, capsys):
+    """train, for every method, with each float key in turn at each of
+    EXTREME_FLOATS; an epsilon run uses the inverse-proportion kernel,
+    which reads it. Each run exits 0, exits 1 with one `training
+    diverged: ` line, or exits 2 with one `config error: ` line. No
+    exception and no warning escapes cli.main, and --out is either absent
+    or holds a manifest."""
+    failures = []
+    for method in training.METHODS:
+        for key in FLOAT_KEYS:
+            for value in EXTREME_FLOATS:
+                case = f"{method}-{key}-{value}"
+                lines = {"num_ranks": 5, "per_rank": 6, "epochs": 2, "batch_size": 8,
+                         "method": method, key: value}
+                if key == "epsilon":
+                    lines["interpolation"] = "inverse-proportion"
+                config = tmp_path / f"{case}.cfg"
+                config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+                out = tmp_path / case
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+                    except Exception as exc:
+                        capsys.readouterr()
+                        failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                        continue
+                err = capsys.readouterr().err
+                prefix = {1: "training diverged: ", 2: "config error: "}.get(code)
+                if code != 0 and not (
+                    prefix and err.startswith(prefix) and err.count("\n") == 1
+                ):
+                    failures.append(f"{case}: exit {code}, stderr {err!r}")
+                if out.exists() and not (out / "manifest.txt").is_file():
+                    failures.append(f"{case}: {out.name} holds no manifest")
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("method", ["ordinalclip", "baseline", "zeroshot"])

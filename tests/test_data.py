@@ -69,16 +69,24 @@ class TestFewShot:
 
 
 class TestDistributionShift:
-    @pytest.mark.parametrize("reduce_classes, fraction", [(0, 0.5), (2, 0.5), (3, 0.95), (5, 0.3)])
+    @pytest.mark.parametrize(
+        "reduce_classes, fraction", [(0, 0.5), (2, 0.5), (3, 0.95), (5, 0.3), (2, 0.05)]
+    )
     def test_reduces_exactly_the_chosen_ranks(self, reduce_classes, fraction):
+        """floor(0.05 * 10) = 0: a cut that drops nothing keeps every
+        sample, in order."""
         ds = _indexed(num_ranks=5, per_rank=10)
         sub = data.distribution_shift_subsample(ds, reduce_classes, fraction, seed=6)
         chosen = np.random.default_rng(6).choice(5, size=reduce_classes, replace=False)
         before, after = _counts(ds), _counts(sub)
+        total_dropped = 0
         for rank in range(5):
             dropped = int(np.floor(fraction * before[rank])) if rank in chosen else 0
             assert after[rank] == before[rank] - dropped, rank
+            total_dropped += dropped
         assert set(_ids(sub)) <= set(_ids(ds))
+        if total_dropped == 0:
+            np.testing.assert_array_equal(_ids(sub), _ids(ds))
 
     def test_reduce_fraction_of_one_is_rejected(self):
         with pytest.raises(ValueError, match="reduce_fraction"):

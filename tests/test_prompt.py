@@ -107,10 +107,11 @@ class TestInterpolateRankEmbeddings:
 
 class TestAssembleSequences:
     def test_without_context_each_sequence_is_the_rank_row(self):
+        """A 0-row context concatenates to the rank row exactly."""
         rng = np.random.default_rng(3)
         ranks = rng.normal(size=(3, 4))
         tape = Tape()
-        seqs = assemble_sequences(tape, None, tape.constant(ranks))
+        seqs = assemble_sequences(tape, tape.constant(np.zeros((0, 4))), tape.constant(ranks))
         assert len(seqs) == 3
         for j, node in enumerate(seqs):
             np.testing.assert_array_equal(tape.value(node), ranks[j : j + 1])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_check, reference_backward
-from ordinalproto import data, training
+from ordinalproto import data, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
 from ordinalproto.metrics import ordinality_score
@@ -25,6 +25,21 @@ NUM_RANKS = 5
 TEMPERATURE = 0.07
 PROMPT_METHODS = (training.ORDINALCLIP, training.COOP)
 GATES = ((True, True), (False, True), (True, False), (False, False))
+# Every (method, tune_rank, tune_ctx): the baseline has no tune gates.
+GATE_CASES = [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [
+    (training.BASELINE, True, True)
+]
+
+
+def _with_no_context(cases):
+    """(method, tune_rank, tune_ctx, num_context) params: each case with
+    _model's 2 context rows, under the case's plain id, then each prompt
+    case again with a 0-row context."""
+    def param(case, num_context, suffix=""):
+        return pytest.param(*case, num_context, id="-".join(map(str, case)) + suffix)
+
+    return ([param(case, 2) for case in cases]
+            + [param(case, 0, "-no-context") for case in cases if case[0] != training.BASELINE])
 
 
 def _dataset():
@@ -177,10 +192,7 @@ class TestFit:
                 np.testing.assert_array_equal(before[name], after[name])
         assert not np.array_equal(before["image.w1"], after["image.w1"])
 
-    @pytest.mark.parametrize(
-        "method, tune_rank, tune_ctx",
-        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
-    )
+    @pytest.mark.parametrize("method, tune_rank, tune_ctx", GATE_CASES)
     def test_trainable_groups_are_views_of_one_vector_and_frozen_ones_are_not(
         self, method, tune_rank, tune_ctx
     ):
@@ -225,19 +237,15 @@ class TestFit:
 
 
 class TestRerunTapes:
-    @pytest.mark.parametrize(
-        "method, tune_rank, tune_ctx",
-        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
-    )
-    def test_fit_equals_recording_every_step_bitwise(self, method, tune_rank, tune_ctx):
+    @pytest.mark.parametrize("method, tune_rank, tune_ctx, num_context",
+                             _with_no_context(GATE_CASES))
+    def test_fit_equals_recording_every_step_bitwise(self, method, tune_rank, tune_ctx,
+                                                      num_context):
         """The baseline has no tune gates; its every group trains. The
         learning rate decays before the last epoch."""
-        self._check_against_eager_fit(method, tune_rank, tune_ctx, _fit_config())
+        self._check_against_eager_fit(method, tune_rank, tune_ctx, _fit_config(), num_context)
 
-    @pytest.mark.parametrize(
-        "method, tune_rank, tune_ctx",
-        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
-    )
+    @pytest.mark.parametrize("method, tune_rank, tune_ctx", GATE_CASES)
     def test_fit_with_a_last_layer_lr_mult_equals_recording_every_step_bitwise(
         self, method, tune_rank, tune_ctx
     ):
@@ -245,8 +253,8 @@ class TestRerunTapes:
         self._check_against_eager_fit(method, tune_rank, tune_ctx, cfg)
 
     @staticmethod
-    def _check_against_eager_fit(method, tune_rank, tune_ctx, cfg):
-        fitted, eager = _model(method, tune_rank, tune_ctx), _model(method, tune_rank, tune_ctx)
+    def _check_against_eager_fit(method, tune_rank, tune_ctx, cfg, num_context=2):
+        fitted, eager = (_model(method, tune_rank, tune_ctx, num_context) for _ in range(2))
         rows = training.fit(fitted, _dataset(), cfg)
         assert rows == _eager_fit(eager, _dataset(), cfg)
         after, expected = _all_parameters(fitted), _all_parameters(eager)
@@ -274,12 +282,10 @@ class TestRerunTapes:
 
 
 class TestBackwardOnTheTrainingTape:
-    @pytest.mark.parametrize(
-        "method, tune_rank, tune_ctx",
-        [(m, r, c) for m in PROMPT_METHODS for r, c in GATES] + [(training.BASELINE, True, True)],
-    )
-    def test_matches_the_unpruned_sweep_bitwise(self, method, tune_rank, tune_ctx):
-        state = _model(method, tune_rank, tune_ctx)
+    @pytest.mark.parametrize("method, tune_rank, tune_ctx, num_context",
+                             _with_no_context(GATE_CASES))
+    def test_matches_the_unpruned_sweep_bitwise(self, method, tune_rank, tune_ctx, num_context):
+        state = _model(method, tune_rank, tune_ctx, num_context)
         tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
         grads = tape.backward(loss)
         expected = reference_backward(tape, loss)
@@ -401,26 +407,51 @@ class TestGraphSize:
     (prompt.assemble_sequences), then the pooling and the folded
     mixing-projection matmuls (PseudoTextEncoder.encode). Everything else,
     each loss included, is one fixed set of nodes, so no count depends on
-    the batch size."""
+    the batch size, nor on the number of context rows: a 0-row context is
+    a leaf and is concatenated like any other."""
 
     @pytest.mark.parametrize(
-        "method, num_ranks, expected",
+        "method, num_ranks, expected, num_context",
         [
-            (training.ORDINALCLIP, 6, 52),
-            (training.ORDINALCLIP, 20, 122),
-            (training.COOP, 6, 50),
-            (training.COOP, 20, 120),
-            (training.BASELINE, 6, 16),
-            (training.BASELINE, 20, 16),
+            pytest.param(training.ORDINALCLIP, 6, 52, 2, id="ordinalclip-6-52"),
+            pytest.param(training.ORDINALCLIP, 20, 122, 2, id="ordinalclip-20-122"),
+            pytest.param(training.COOP, 6, 50, 2, id="coop-6-50"),
+            pytest.param(training.COOP, 20, 120, 2, id="coop-20-120"),
+            pytest.param(training.BASELINE, 6, 16, 2, id="baseline-6-16"),
+            pytest.param(training.BASELINE, 20, 16, 2, id="baseline-20-16"),
+            pytest.param(training.ORDINALCLIP, 6, 52, 0, id="ordinalclip-6-52-no-context"),
+            pytest.param(training.COOP, 6, 50, 0, id="coop-6-50-no-context"),
         ],
     )
-    def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected):
-        state = _model(method, num_ranks=num_ranks)
+    def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
+                                                              num_context):
+        state = _model(method, num_ranks=num_ranks, num_context=num_context)
         rng = np.random.default_rng(50)
         for batch in (4, 16):
             labels = np.arange(batch) % num_ranks
             tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
             assert len(tape) == expected, f"batch {batch}"
+
+
+@pytest.mark.parametrize("method", (training.COOP, training.ZEROSHOT))
+def test_template_ids_stay_clear_of_the_rank_ids_in_a_small_vocabulary(method):
+    """At num_ranks + num_context = 9 > vocab_size = 4 the vocabulary
+    grows to 9 tokens: init_ctx copies the top 3, none a rank's, and the
+    base rows are the first 6, the same rows as in a large vocabulary."""
+    cfg = PromptConfig(6, num_base_ranks=3, num_context=3, word_dim=6, init_ctx=True)
+
+    def build(vocab_size):
+        return training.build_model(method, 6, cfg, input_dim=4, latent_dim=6, max_len=4,
+                                    vocab_size=vocab_size)
+
+    state = build(4)
+    table = state.text_encoder.token_table
+    template = prompt.template_token_ids(3, table.shape[0])
+    assert table.shape[0] == 9
+    assert set(template).isdisjoint(range(6))
+    np.testing.assert_array_equal(state.params["context"], table[list(template)])
+    np.testing.assert_array_equal(state.params["base_ranks"], table[:6])
+    np.testing.assert_array_equal(state.params["base_ranks"], build(64).params["base_ranks"])
 
 
 def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
