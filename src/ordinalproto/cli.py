@@ -8,8 +8,12 @@ it. The four grid commands (sweep, ablation, few-shot, distribution
 shift) share one runner, `_run_grid`, over methods x cells x seeds.
 Every command is a pure function of (config, seed): rerunning a command
 into a fresh directory reproduces byte-identical outputs, and each run
-directory carries a manifest (a format line, the resolved config and
-each file's size and FNV-1a checksum) sufficient to rerun or audit it.
+directory carries a manifest sufficient to rerun or audit it: a format
+line, every config key at its resolved value (for every method, whether
+it reads the key or not), the command's own keys, and each file's size
+and FNV-1a checksum. `report` rejects a run whose manifest does not
+parse, whose listed files are missing or differ, or that holds a file
+the manifest does not list.
 
 Config files are plain text `key = value` lines; `#` starts a comment.
 A key that names a PromptConfig or TrainConfig field takes that field's
@@ -17,7 +21,7 @@ default and is copied into it by name. Every table a command writes goes
 through metrics.write_csv.
 
 Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
-error.
+error, which includes an --out path that cannot be a directory.
 """
 
 from __future__ import annotations
@@ -127,9 +131,6 @@ CONFIG_SCHEMA = {
 # The PromptConfig keys, copied into it by name.
 _PROMPT_FIELDS = tuple(_schema_of(promptmod.PromptConfig))
 
-# Echoed in the manifest only for prompt-based methods.
-PROMPT_KEYS = _PROMPT_FIELDS + ("max_len", "vocab_size")
-
 
 def load_config(path: str | None) -> dict:
     """Resolve a config file against the schema defaults."""
@@ -183,6 +184,9 @@ def _validate_config(cfg: dict) -> None:
         )
     if cfg["eval_seeds"] < 1:
         raise ConfigError(f"eval_seeds must be >= 1, got {cfg['eval_seeds']}")
+    for key in ("seed", "data_seed", "encoder_seed"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
 
 
 def _format_value(value) -> str:
@@ -252,15 +256,12 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_seed: int,
                  **prompt_overrides) -> training.ModelState:
-    prompt_cfg = None
-    if method != BASELINE:
-        prompt_cfg = _prompt_config(cfg, num_ranks, **prompt_overrides)
     # Every model-shape check build_model makes is a check on config values.
     try:
         return training.build_model(
             method,
             num_ranks,
-            prompt_cfg=prompt_cfg,
+            prompt_cfg=_prompt_config(cfg, num_ranks, **prompt_overrides),
             input_dim=input_dim,
             hidden_dim=cfg["hidden_dim"],
             latent_dim=cfg["latent_dim"],
@@ -348,21 +349,24 @@ MANIFEST_FORMAT = "# run manifest"
 _FILE_ENTRY = re.compile(r"(.+) ([0-9]{1,20}) ([0-9a-f]{16})")
 
 
-def _write_manifest(out_dir: Path, cfg: dict, method: str, extra: dict | None = None) -> None:
-    lines = [MANIFEST_FORMAT]
-    skip = set() if method != BASELINE else set(PROMPT_KEYS)
-    for key in sorted(CONFIG_SCHEMA):
-        if key in skip:
-            continue
-        lines.append(f"{key} = {_format_value(cfg[key])}")
-    for key, value in sorted((extra or {}).items()):
-        lines.append(f"{key} = {_format_value(value)}")
-    lines.append("[files]")
+def _file_digests(out_dir: Path) -> dict[str, tuple[int, str]]:
+    """{name: (size, hex digest)} of every file in a run directory but the
+    manifest, in name order: what the manifest's [files] section lists."""
+    digests = {}
     for path in sorted(out_dir.iterdir()):
-        if path.name == "manifest.txt" or path.is_dir():
-            continue
-        blob = path.read_bytes()
-        lines.append(f"{path.name} {len(blob)} {fnv1a64(blob):016x}")
+        if path.name != "manifest.txt" and not path.is_dir():
+            blob = path.read_bytes()
+            digests[path.name] = (len(blob), f"{fnv1a64(blob):016x}")
+    return digests
+
+
+def _write_manifest(out_dir: Path, cfg: dict, extra: dict | None = None) -> None:
+    """The format line, every CONFIG_SCHEMA key at its resolved value, the
+    command's extra keys, and a [files] entry per file."""
+    keys = [(key, cfg[key]) for key in sorted(CONFIG_SCHEMA)] + sorted((extra or {}).items())
+    lines = [MANIFEST_FORMAT, *(f"{key} = {_format_value(value)}" for key, value in keys),
+             "[files]"]
+    lines += [f"{name} {size} {digest}" for name, (size, digest) in _file_digests(out_dir).items()]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -421,7 +425,7 @@ def _write_tables(out_dir: str, cfg: dict, header: list[str], tables: dict,
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in tables.items():
         metricsmod.write_csv(out / name, header, rows)
-    _write_manifest(out, cfg, ORDINALCLIP, extra)
+    _write_manifest(out, cfg, extra)
     _print_table(header, next(iter(tables.values())))
     return 0
 
@@ -450,11 +454,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if state.interpolation is not None:
         metricsmod.export_heatmap(state.interpolation, out / "interpolation_matrix")
-
-    extra = {}
-    if method != BASELINE and not (cfg["tune_rank"] or cfg["tune_ctx"]) and method != ZEROSHOT:
-        extra["mode_note"] = "image-encoder-only"
-    _write_manifest(out, cfg, method, extra)
+    _write_manifest(out, cfg)
     print(f"run complete: method={method} test_mae={report.mae:.4f} "
           f"accuracy={report.accuracy:.4f} ordinality={report.ordinality:.4f}")
     print(f"outputs in {out}")
@@ -543,9 +543,9 @@ def cmd_distshift(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Print a run's configuration, metrics and files, and verify it:
-    every listed file must match its size and checksum, and then an
-    ordinalclip run's prototypes must pass _check_compact. Exit 1 names
-    each failure on stderr."""
+    every listed file must match its size and checksum, every file but
+    the manifest must be listed, and then an ordinalclip run's prototypes
+    must pass _check_compact. Exit 1 names each failure on stderr."""
     out = Path(args.run_dir)
     try:
         config, files = _read_manifest(out)
@@ -560,23 +560,25 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("# metrics")
         print(metrics_path.read_text().strip())
     print("# files")
+    found = _file_digests(out)
     failures = []
     for name, size, digest in files:
-        path = out / name
-        if not path.is_file():
+        if name not in found:
             failures.append(f"missing file: {name}")
             print(f"{name}  MISSING")
             continue
-        blob = path.read_bytes()
-        ok = len(blob) == size and f"{fnv1a64(blob):016x}" == digest
-        print(f"{name}  {len(blob)} bytes  {'ok' if ok else 'CHECKSUM MISMATCH'}")
+        ok = found[name] == (size, digest)
+        print(f"{name}  {found[name][0]} bytes  {'ok' if ok else 'CHECKSUM MISMATCH'}")
         if not ok:
             failures.append(f"checksum mismatch: {name}")
+    for name in sorted(found.keys() - {entry[0] for entry in files}):
+        failures.append(f"unlisted file: {name}")
+        print(f"{name}  NOT IN MANIFEST")
     if failures:
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1
-    if config.get("method") == ORDINALCLIP and any(f[0] == "prototypes.bin" for f in files):
+    if config.get("method") == ORDINALCLIP and "prototypes.bin" in found:
         try:
             _check_compact(out / "prototypes.bin", config)
         except VerificationError as exc:
@@ -659,9 +661,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(raw: str) -> None:
+    """An --out path must name a directory or be creatable as one: the
+    nearest of it and its ancestors that exists is a directory."""
+    out = Path(raw)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {raw}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "out" in args:  # checked before any command loads data
+            _check_out(args.out)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,11 +11,13 @@ possible:
   baseline     no prompts; a linear head with cross-entropy on the image
                features, the classification control.
 
-The image encoder trains in every method. Adam updates touch only the
-parameter groups enabled by tune_rank / tune_ctx. A disabled group enters
-the training tape as a constant, so backward neither computes nor returns
-its gradient, and it stays bitwise identical. One seed drives everything
-(init, shuffling), so identical configs reproduce identical parameters.
+The image encoder trains in every method. build_model decides the rest
+of the method policy: it lists the prompt groups tune_rank / tune_ctx
+disable in ModelState.frozen. A frozen group enters the training tape
+as a constant, so backward neither computes nor returns its gradient,
+Adam never touches it, and it stays bitwise identical. One seed drives
+everything (init, shuffling), so identical configs reproduce identical
+parameters.
 
 A model keeps every parameter group in one dict, `ModelState.params`,
 under the name the tape, Adam, the learning-rate multipliers, the
@@ -108,14 +110,16 @@ class ModelState:
     """One model. `params` holds every parameter group under its tape name,
     in checkpoint order: `context` and `base_ranks` for a prompt method,
     `head.weights` and `head.bias` for the baseline, then the image
-    encoder's ImageEncoder.NAMES. The frozen text encoder, the prompt
-    config and the fixed interpolation matrix are set for the prompt
-    methods only, the matrix for ordinalclip only."""
+    encoder's ImageEncoder.NAMES. `frozen` names the groups the tune gates
+    hold fixed (build_model sets it); they enter every tape as constants
+    and Adam never sees them. The frozen text encoder is set for the
+    prompt methods only, the fixed interpolation matrix for ordinalclip
+    only."""
 
     method: str
     params: dict[str, np.ndarray]
     text_encoder: PseudoTextEncoder | None = None
-    prompt_cfg: PromptConfig | None = None
+    frozen: tuple[str, ...] = ()
     interpolation: np.ndarray | None = None
     num_ranks: int = 0
 
@@ -124,14 +128,9 @@ class ModelState:
         return self.method != BASELINE
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
-        """The groups Adam is allowed to update, honoring the tune gates."""
-        groups = dict(self.params)
-        if self.uses_prompts:
-            if not self.prompt_cfg.tune_ctx:
-                del groups["context"]
-            if not self.prompt_cfg.tune_rank:
-                del groups["base_ranks"]
-        return groups
+        """The groups Adam is allowed to update: every group not frozen,
+        in `params` order."""
+        return {name: value for name, value in self.params.items() if name not in self.frozen}
 
 
 def build_model(
@@ -203,11 +202,12 @@ def build_model(
         interpolation = prompt.build_interpolation_matrix(prompt_cfg)
     else:
         base = text_encoder.token_table[:num_ranks].copy()
+    gates = {"context": prompt_cfg.tune_ctx, "base_ranks": prompt_cfg.tune_rank}
     return ModelState(
         method=method,
         params={"context": ctx, "base_ranks": base} | image,
         text_encoder=text_encoder,
-        prompt_cfg=prompt_cfg,
+        frozen=tuple(name for name, tuned in gates.items() if not tuned),
         interpolation=interpolation,
         num_ranks=num_ranks,
     )
@@ -219,13 +219,12 @@ def build_model(
 
 def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     """Prototype node for the current prompt parameters. A group is a
-    named parameter exactly when trainable_parameters(), which applies the
-    tune gates, holds it; every other group is a constant."""
-    trainable = state.trainable_parameters()
+    constant exactly when state.frozen names it, and a named parameter
+    otherwise."""
 
     def leaf(name: str) -> int:
         array = state.params[name]
-        return tape.parameter(array, name) if name in trainable else tape.constant(array)
+        return tape.constant(array) if name in state.frozen else tape.parameter(array, name)
 
     ctx_node = leaf("context")
     base_node = leaf("base_ranks")
@@ -312,9 +311,10 @@ class AdamState:
     of its slice, shaped like the group, and `grads` to a view of the same
     slice of the gradient vector `grad`, which the caller fills before
     each update (Tape.backward(out=grads)). `lr_mults` maps a group name
-    to a multiplier of its learning rate, 1.0 for a group it omits;
-    `mults` holds them one per element, so the rate vector mults * lr
-    that an update takes gives each entry the double lr * mult.
+    to a multiplier of its learning rate, 1.0 for a group it omits; a
+    name of no given group is ignored. `mults` holds them one per
+    element, so the rate vector mults * lr that an update takes gives
+    each entry the double lr * mult.
 
     An update works in place on whole vectors, with the same numpy calls
     however many groups there are: every temporary lands in one of two
@@ -377,15 +377,6 @@ def _views(vector: np.ndarray, groups: dict[str, np.ndarray]) -> dict[str, np.nd
         views[name] = vector[start : start + value.size].reshape(value.shape)
         start += value.size
     return views
-
-
-def _lr_multipliers(state: ModelState, cfg: TrainConfig) -> dict[str, float]:
-    mult = cfg.last_layer_lr_mult
-    out = {"image.w2": mult, "image.b2": mult}
-    if not state.uses_prompts:
-        out["head.weights"] = mult
-        out["head.bias"] = mult
-    return out
 
 
 def _norm(x: np.ndarray, scale: float) -> float:
@@ -484,7 +475,11 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     if state.method == ZEROSHOT:
         raise ValueError("the zeroshot method is evaluated untrained; fit does not apply")
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamState(state.trainable_parameters(), cfg, _lr_multipliers(state, cfg))
+    # last_layer_lr_mult scales the image encoder's last layer and the
+    # baseline's head; AdamState skips a name it does not hold.
+    last_layer = ("image.w2", "image.b2", "head.weights", "head.bias")
+    adam = AdamState(state.trainable_parameters(), cfg,
+                     dict.fromkeys(last_layer, cfg.last_layer_lr_mult))
     state.params.update(adam.params)
     rows = []
     lr = cfg.learning_rate

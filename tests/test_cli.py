@@ -84,6 +84,9 @@ FLOAT_KEYS = [key for key, (parser, _) in cli.CONFIG_SCHEMA.items() if parser is
         ("lr_decay_factor = -1", "lr_decay_factor must be finite and >= 0, got -1.0"),
         ("last_layer_lr_mult = -0.5", "last_layer_lr_mult must be finite and >= 0, got -0.5"),
         ("decay_epochs = -3,99", "decay_epochs entries must be >= 0, got -3"),
+        ("seed = -1", "config error: seed must be >= 0, got -1"),
+        ("data_seed = -1", "config error: data_seed must be >= 0, got -1"),
+        ("encoder_seed = -1", "config error: encoder_seed must be >= 0, got -1"),
         ("epochs = 1\nepochs = 2", "run.cfg:2: epochs already set on line 1"),
         pytest.param(None, "cannot read config", id="missing-config-file"),
         pytest.param(
@@ -158,6 +161,33 @@ def test_a_config_error_keeps_an_existing_out_directory_as_it_is(tmp_path, capsy
     assert cli.main([command, "--config", config, "--out", str(out)]) == 2
     assert "leaves the train split empty" in capsys.readouterr().err
     assert _files(out) == {"notes.txt": b"kept\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["train"], "file"),
+        (["train"], "file/run"),
+        (["fewshot", "--shots", "2"], "file/run"),
+    ],
+    ids=["train-file", "train-under-a-file", "fewshot-under-a-file"],
+)
+def test_an_out_that_cannot_be_a_directory_exits_with_config_error_before_any_data_loads(
+    tmp_path, capsys, monkeypatch, argv, out
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before --out was rejected")
+
+    monkeypatch.setattr(cli, "_prepare", no_data)
+    (tmp_path / "file").write_text("kept\n")
+    config = _write_config(tmp_path / "run.cfg")
+    before = _files(tmp_path)
+    code = cli.main(argv + ["--config", config, "--out", str(tmp_path / out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out {tmp_path / out}: {tmp_path / 'file'} is not a directory\n"
+    )
+    assert _files(tmp_path) == before
 
 
 @pytest.mark.parametrize(
@@ -371,6 +401,7 @@ TRAIN_RUNS = {
     "coop": {"method": "coop"},
     "coop-init": {"method": "coop", "init_ctx": "true"},
     "expectation": {"tune_rank": "false", "prediction_rule": "expectation"},
+    "image-only": {"tune_rank": "false", "tune_ctx": "false"},
     "inverse-2": {"interpolation": "inverse-proportion", "num_base_ranks": 2},
     "inverse-3": {"interpolation": "inverse-proportion"},
     "ordinalclip": {"method": "ordinalclip"},
@@ -417,6 +448,21 @@ def test_train_rerun_is_byte_identical(runs):
 def test_report_accepts_an_untouched_run(runs, capsys, name):
     assert cli.main(["report", str(runs[name])]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", [*TRAIN_RUNS, "sweep", "ablation", "fewshot", "distshift"])
+def test_every_manifest_lists_every_config_key_at_its_resolved_value(runs, name):
+    """Whatever the method, and whether it reads a key or not; a grid
+    command adds only its own flags. No method adds a mode note."""
+    config, _ = cli._read_manifest(runs[name])
+    source = name if name in TRAIN_RUNS else "ordinalclip"  # the grid commands' config
+    resolved = cli.load_config(str(runs[name].parent / f"{source}.cfg"))
+    assert {key: config[key] for key in cli.CONFIG_SCHEMA} == {
+        key: cli._format_value(value) for key, value in resolved.items()
+    }
+    extra = config.keys() - cli.CONFIG_SCHEMA.keys()
+    assert extra == {"sweep": {"sweep_counts", "sweep_types"}, "fewshot": {"shots"},
+                     "distshift": {"grid"}}.get(name, set())
 
 
 def _checkpoint(run_dir, state) -> dict:
@@ -485,21 +531,38 @@ def _tamper(run_dir):
     (run_dir / "metrics.csv").write_bytes(bytes(data))
 
 
+def _unlist_and_change(run_dir):
+    """Delete the manifest entry of prototypes.bin and append to the file,
+    which the rank check would otherwise read unverified."""
+    manifest = run_dir / "manifest.txt"
+    manifest.write_text(re.sub(r"(?m)^prototypes\.bin .*\n", "", manifest.read_text()))
+    with open(run_dir / "prototypes.bin", "ab") as f:
+        f.write(b"\0" * 8)
+
+
 @pytest.mark.parametrize(
-    "damage, needle",
+    "damage, needle, shown",
     [
-        (_tamper, "checksum mismatch: metrics.csv"),
-        (lambda d: (d / "checkpoint.bin").unlink(), "missing file: checkpoint.bin"),
-        (lambda d: (d / "manifest.txt").unlink(), "missing manifest: "),
+        (_tamper, "checksum mismatch: metrics.csv", "CHECKSUM MISMATCH"),
+        (lambda d: (d / "checkpoint.bin").unlink(), "missing file: checkpoint.bin",
+         "\ncheckpoint.bin  MISSING\n"),
+        (lambda d: (d / "manifest.txt").unlink(), "missing manifest: ", ""),
+        (_unlist_and_change, "unlisted file: prototypes.bin",
+         "\nprototypes.bin  NOT IN MANIFEST\n"),
+        (lambda d: (d / "extra.csv").write_text("rank\n"), "unlisted file: extra.csv",
+         "\nextra.csv  NOT IN MANIFEST\n"),
     ],
-    ids=["changed-byte", "deleted-file", "missing-manifest"],
+    ids=["changed-byte", "deleted-file", "missing-manifest", "entry-deleted-and-file-changed",
+         "file-added"],
 )
-def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle):
+def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle, shown):
     run_dir = tmp_path / "run"
     shutil.copytree(runs["ordinalclip"], run_dir)
     damage(run_dir)
     assert cli.main(["report", str(run_dir)]) == 1
-    assert needle in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert shown in out
 
 
 @pytest.mark.parametrize(

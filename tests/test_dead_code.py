@@ -1,9 +1,10 @@
 """Dead-code guard: every function, class and method the package defines
 is used by the package or by the benchmark harness, every attribute a
 package method stores on `self` is read by either outside that method,
-every name a package module imports is used in that module, and every
-exception class the package defines is caught by name somewhere in
-either."""
+every name a package module assigns at top level is read by either
+outside that assignment, every name a package module imports is used in
+that module, and every exception class the package defines is caught by
+name somewhere in either."""
 
 import ast
 import builtins
@@ -65,23 +66,26 @@ def test_every_definition_is_referenced_outside_itself():
     assert unused == []
 
 
-def _attribute_reads():
-    """(file, line) of every read (load) of an attribute, by identifier,
-    over the package and the benchmark harness."""
-    reads = {}
+def _reads():
+    """(bare names, attribute names): the (file, line) of every read
+    (load) of a bare name and of an attribute, by identifier, over the
+    package and the benchmark harness."""
+    names, attributes = {}, {}
     for root in USERS:
         for path in sorted(root.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    reads.setdefault(node.attr, []).append((path, node.lineno))
-    return reads
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.setdefault(node.attr, []).append((path, node.lineno))
+    return names, attributes
 
 
 def test_every_attribute_stored_on_self_is_read_outside_its_method():
     """A package method that stores `self.name` stores something another
     method, a caller or the benchmark harness reads; a value only the
     storing method reads could stay a local. A test is not a reader."""
-    reads = _attribute_reads()
+    _, reads = _reads()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for method, is_method in _definitions(ast.parse(path.read_text(), str(path))):
@@ -98,6 +102,41 @@ def test_every_attribute_stored_on_self_is_read_outside_its_method():
                     for where, line in reads.get(name, [])
                 ):
                     unread.append(f"{path.name}:{method.lineno} {method.name} self.{name}")
+    assert unread == []
+
+
+def _module_assignments(tree):
+    """(name, assignment statement) for every name a module binds by a
+    top-level assignment, tuple targets included."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node
+
+
+def test_every_module_level_name_is_read_outside_its_assignment():
+    """A name a package module assigns at top level is read, as a bare
+    name or as a module attribute (`cli.CONFIG_SCHEMA`), by the package or
+    the benchmark harness outside its own assignment. Dunders are exempt.
+    A test is not a reader: a constant only a test reads is dead."""
+    names, attributes = _reads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _module_assignments(ast.parse(path.read_text(), str(path))):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in names.get(name, []) + attributes.get(name, [])
+            ):
+                unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
 
 
