@@ -1,0 +1,105 @@
+"""Run a fixed matrix of CLI commands and keep everything they produce.
+
+    python3 scripts/output_matrix.py OUT
+
+Each command runs as its own `python -m ordinalproto.cli` process on the
+package in this checkout's src/, with OUT as its working directory, so
+every path a command sees or prints is relative and the same in any
+checkout. OUT must be new or empty. Afterwards it holds:
+
+    configs/<config>.cfg       the config files the commands read
+    runs/<run>/                every run directory the commands write
+    logs/<nn>-<name>.stdout    each command's standard output,
+    logs/<nn>-<name>.stderr    its standard error,
+    logs/<nn>-<name>.code      and its exit code
+
+To check that a change keeps every output, run the script on a copy of
+the parent commit and on the change, then compare the two with
+`diff -r PARENT_OUT CHANGE_OUT`.
+
+The matrix: `train` and `report` of all four methods at the default
+config, with both prompt tune gates off, and at C = 100 (per_rank 8,
+batch_size 16, epochs 10); the baseline at last_layer_lr_mult = 0.5;
+`sweep-interpolation --counts 2,3,5`, `ablation`, `fewshot` and
+`distshift --grid 2:0.5,3:0.0` at C = 8 (per_rank 12, epochs 8), each
+with `report`; and a baseline `train` at learning_rate = 1e300
+(num_ranks 4, per_rank 4, epochs 1), whose evaluation diverges.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+METHODS = ("ordinalclip", "coop", "baseline", "zeroshot")
+C100 = {"num_ranks": 100, "per_rank": 8, "batch_size": 16, "epochs": 10}
+C8 = {"num_ranks": 8, "per_rank": 12, "epochs": 8}
+GRIDS = {
+    "sweep": ["sweep-interpolation", "--counts", "2,3,5"],
+    "ablation": ["ablation"],
+    "fewshot": ["fewshot"],
+    "distshift": ["distshift", "--grid", "2:0.5,3:0.0"],
+}
+
+
+def train_configs() -> dict[str, dict]:
+    """The configs run through `train` and then `report`, by name."""
+    out = {}
+    for method in METHODS:
+        out[method] = {"method": method}
+        out[f"{method}-frozen"] = {"method": method, "tune_rank": "false", "tune_ctx": "false"}
+        out[f"{method}-c100"] = {"method": method, **C100}
+    out["baseline-lr-mult"] = {"method": "baseline", "last_layer_lr_mult": 0.5}
+    return out
+
+
+DIVERGING = {"method": "baseline", "learning_rate": "1e300", "num_ranks": 4, "per_rank": 4,
+             "epochs": 1}
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every command, in the order they run."""
+    out = []
+    for name in train_configs():
+        out.append((f"train-{name}", ["train", "--config", f"configs/{name}.cfg",
+                                      "--out", f"runs/{name}"]))
+        out.append((f"report-{name}", ["report", f"runs/{name}"]))
+    for name, argv in GRIDS.items():
+        out.append((name, argv + ["--config", "configs/c8.cfg", "--out", f"runs/{name}"]))
+        out.append((f"report-{name}", ["report", f"runs/{name}"]))
+    out.append(("train-baseline-1e300", ["train", "--config", "configs/baseline-1e300.cfg",
+                                         "--out", "runs/baseline-1e300"]))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: output_matrix.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"{out} must be new or an empty directory", file=sys.stderr)
+        return 2
+    for sub in ("configs", "runs", "logs"):
+        (out / sub).mkdir(parents=True)
+    all_configs = train_configs() | {"c8": C8, "baseline-1e300": DIVERGING}
+    for name, cfg in all_configs.items():
+        text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+        (out / "configs" / f"{name}.cfg").write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for index, (name, args) in enumerate(commands()):
+        proc = subprocess.run([sys.executable, "-m", "ordinalproto.cli", *args], cwd=out,
+                              env=env, capture_output=True)
+        log = f"logs/{index:02d}-{name}"
+        (out / f"{log}.stdout").write_bytes(proc.stdout)
+        (out / f"{log}.stderr").write_bytes(proc.stderr)
+        (out / f"{log}.code").write_text(f"{proc.returncode}\n")
+        print(f"{index:02d} {name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,12 +21,13 @@ default and is copied into it by name. Every table a command writes goes
 through metrics.write_csv.
 
 Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
-error, which includes an --out path that cannot be a directory.
+error, which includes an --out that is not new or an empty directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import fields
@@ -662,12 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(raw: str) -> None:
-    """An --out path must name a directory or be creatable as one: the
-    nearest of it and its ancestors that exists is a directory."""
+    """An --out path must be new or an empty directory, so no manifest
+    lists a stale file: the nearest of it and its ancestors that exists (a
+    dangling link does) is a directory, and is empty if it is --out."""
     out = Path(raw)
-    existing = next(path for path in (out, *out.parents) if path.exists())
+    existing = next(path for path in (out, *out.parents) if os.path.lexists(path))
     if not existing.is_dir():
         raise ConfigError(f"--out {raw}: {existing} is not a directory")
+    if existing == out and any(out.iterdir()):
+        raise ConfigError(f"--out {raw}: the directory is not empty")
 
 
 def main(argv=None) -> int:

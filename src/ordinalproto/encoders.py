@@ -5,10 +5,11 @@ model: position-weighted mean pooling, a token-mixing matrix, and a
 projection into the joint latent space, followed by row normalization.
 Its parameters are seeded once and never receive gradients; the prompt
 rows flowing through it do. The image encoder is a two-layer tanh network
-mapping raw feature vectors to unit-norm embeddings in the same latent
-space, and is always trainable. It holds no weights of its own: its four
-arrays live with the model's other parameter groups, under the tape names
-in ImageEncoder.NAMES, and encode reads them from that dict.
+mapping raw feature vectors to features in the same latent space, and is
+always trainable; the scores graph (training._graph) normalizes them for
+the prompt methods. It holds no weights of its own: its four arrays live
+with the model's other parameter groups, under the tape names in
+ImageEncoder.NAMES, and encode reads them from that dict.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class PseudoTextEncoder:
 
 
 class ImageEncoder:
-    """Two affine layers with a tanh between, then row normalization.
+    """Two affine layers with a tanh between.
 
     The encoder keeps no weights. create() returns its four arrays under
     their tape names, NAMES, which the model stores with its other
@@ -145,29 +146,13 @@ class ImageEncoder:
         return batch
 
     @staticmethod
-    def encode(tape: Tape, params: dict[str, np.ndarray], batch: np.ndarray,
-               normalize: bool = True) -> tuple[int, int | None]:
-        """(pre-normalization features, unit-norm embeddings) nodes, with
-        the weights params[name] for each name in NAMES.
-
-        With normalize=False the second element is None; the baseline path
-        consumes raw features only. The batch is the constant named BATCH.
-        """
+    def encode(tape: Tape, params: dict[str, np.ndarray], batch: np.ndarray) -> int:
+        """Unnormalized feature node of the batch (the constant named
+        BATCH), with the weights params[name] for each name in NAMES."""
         x = tape.constant(ImageEncoder.checked_batch(batch), ImageEncoder.BATCH)
         w1, b1, w2, b2 = (tape.parameter(params[name], name) for name in ImageEncoder.NAMES)
         hidden = tape.tanh(tape.add(tape.matmul(x, w1), b1))
-        features = tape.add(tape.matmul(hidden, w2), b2)
-        embeddings = tape.l2_normalize_rows(features) if normalize else None
-        return features, embeddings
-
-
-def encode_images(params: dict[str, np.ndarray], batch: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(features, unit-norm embeddings) for a plain ndarray batch, with the
-    image weights params[name] (ImageEncoder.NAMES)."""
-    tape = Tape()
-    features, embeddings = ImageEncoder.encode(tape, params, batch)
-    return tape.value(features).copy(), tape.value(embeddings).copy()
+        return tape.add(tape.matmul(hidden, w2), b2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ parameter nodes, evaluate, the checkpoint and the exported prototypes all
 read the vector. Each step writes the gradients into the matching slices
 of one gradient vector, and Adam and the finiteness check then each run
 once over the whole vector. Frozen groups stay outside it.
+
+Fit and evaluate score through one graph, _graph: forward_loss appends
+the loss to it, and evaluate reads the scores and prototypes off it, so
+inference is the image encoder matched against the prototypes fit trained.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from . import matching, prompt
 from .data import OrdinalDataset
 from .diffcore import Tape, all_finite
-from .encoders import ImageEncoder, PseudoTextEncoder, encode_images, write_blocks
+from .encoders import ImageEncoder, PseudoTextEncoder, write_blocks
 from .metrics import ARGMAX, MetricReport, metric_report, predict
 from .prompt import PromptConfig
 
@@ -235,37 +239,29 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     return state.text_encoder.encode(tape, seqs)
 
 
+def _graph(state: ModelState, tape: Tape, batch_x: np.ndarray) -> tuple[int, int]:
+    """(scores, prototype source) nodes on one batch: a prompt model's
+    image embeddings against its prototypes, or the baseline's logits and
+    its head-weights node."""
+    if state.uses_prompts:
+        protos = _prompt_nodes(state, tape)
+        features = ImageEncoder.encode(tape, state.params, batch_x)
+        embeddings = tape.l2_normalize_rows(features)
+        return matching.similarity(tape, embeddings, protos), protos
+    features = ImageEncoder.encode(tape, state.params, batch_x)
+    w, b = (tape.parameter(state.params[name], name) for name in ("head.weights", "head.bias"))
+    return matching.baseline_logits(tape, w, b, features), w
+
+
 def forward_loss(
     state: ModelState, batch_x: np.ndarray, batch_y: np.ndarray, temperature: float
 ) -> tuple[Tape, int]:
     """Build the full training graph for one batch; returns (tape, loss)."""
     tape = Tape()
-    if state.uses_prompts:
-        protos = _prompt_nodes(state, tape)
-        _, embeddings = ImageEncoder.encode(tape, state.params, batch_x)
-        scores = matching.similarity(tape, embeddings, protos)
-        loss = matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
-    else:
-        features, _ = ImageEncoder.encode(tape, state.params, batch_x, normalize=False)
-        w = tape.parameter(state.params["head.weights"], "head.weights")
-        b = tape.parameter(state.params["head.bias"], "head.bias")
-        logits = matching.baseline_logits(tape, w, b, features)
-        loss = matching.cross_entropy_loss(tape, logits, batch_y, state.num_ranks)
-    return tape, loss
-
-
-def prototypes_of(state: ModelState) -> np.ndarray:
-    """Unit-norm prototype rows used for prediction and ordinality: the
-    prompt graph's output on a throwaway tape. The baseline has no
-    language prototypes; its head weight rows, put through the same
-    l2-normalize-rows op, play that role so its ordinality is measurable
-    the same way."""
-    tape = Tape()
-    if state.uses_prompts:
-        node = _prompt_nodes(state, tape)
-    else:
-        node = tape.l2_normalize_rows(tape.constant(state.params["head.weights"]))
-    return tape.value(node).copy()
+    scores, _ = _graph(state, tape, batch_x)
+    if not state.uses_prompts:
+        return tape, matching.cross_entropy_loss(tape, scores, batch_y, state.num_ranks)
+    return tape, matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
 
 
 def evaluate(
@@ -274,28 +270,23 @@ def evaluate(
     rule: str = ARGMAX,
     temperature: float = 1.0,
 ) -> tuple[MetricReport, np.ndarray]:
-    """Predict a rank per sample from raw per-rank scores (similarities to
-    the prototypes, or the baseline's logits); returns the metrics and the
-    prototypes (prototypes_of) they were scored against, so a caller that
-    exports them need not build the prompt graph again.
-
-    A forward pass that goes non-finite raises TrainingDivergedError, as
-    in train_step.
+    """Predict a rank per sample from the _graph scores; returns the
+    metrics and the unit-norm prototypes they were scored against. The
+    baseline has no language prototypes; its head weight rows, put through
+    l2-normalize-rows, play that role so its ordinality is measurable the
+    same way. A non-finite op raises TrainingDivergedError, as in train_step.
     """
+    tape = Tape()
     # Overflow here is reported as divergence below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            features, embeddings = encode_images(state.params, ds.features)
-            protos = prototypes_of(state)
+            scores, source = _graph(state, tape, ds.features)
+            if not state.uses_prompts:
+                source = tape.l2_normalize_rows(source)
         except FloatingPointError as exc:
             raise _diverged(state, f"in forward pass ({exc})") from exc
-        if state.uses_prompts:
-            scores = embeddings @ protos.T
-        else:
-            scores = features @ state.params["head.weights"].T + state.params["head.bias"]
-    if not all_finite(scores):
-        raise _diverged(state, "in forward pass (non-finite scores)")
-    predictions = predict(scores, rule=rule, temperature=temperature)
+    protos = tape.value(source)
+    predictions = predict(tape.value(scores), rule=rule, temperature=temperature)
     return metric_report(predictions, ds.labels, protos, ds.num_ranks), protos
 
 

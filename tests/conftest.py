@@ -2,12 +2,16 @@
 
 `unfused_clip_kl` and `unfused_softmax_xent` are the oracle for the two
 fused loss ops: plain numpy, no tape, each returning (value, gradient).
-`finite_difference_check` is the central-difference gradient check."""
+`finite_difference_check` is the central-difference gradient check.
+`encode_images` and `prototypes_of` read plain arrays off a throwaway
+tape: the package itself encodes and builds prototypes only inside the
+scores graph of training."""
 
 import numpy as np
 
-from ordinalproto import diffcore
+from ordinalproto import diffcore, training
 from ordinalproto.diffcore import Tape
+from ordinalproto.encoders import ImageEncoder
 
 
 def sum_all(tape: Tape, node: int) -> int:
@@ -23,6 +27,27 @@ def encode_text(encoder, sequences) -> np.ndarray:
     tape = Tape()
     nodes = [tape.constant(np.asarray(s, dtype=np.float64)) for s in sequences]
     return tape.value(encoder.encode(tape, nodes)).copy()
+
+
+def encode_images(params, batch) -> tuple[np.ndarray, np.ndarray]:
+    """(features, unit-norm embeddings) of a plain ndarray batch, with the
+    image weights params[name] (ImageEncoder.NAMES)."""
+    tape = Tape()
+    features = ImageEncoder.encode(tape, params, batch)
+    embeddings = tape.l2_normalize_rows(features)
+    return tape.value(features).copy(), tape.value(embeddings).copy()
+
+
+def prototypes_of(state) -> np.ndarray:
+    """The unit-norm prototype rows evaluate scores against: the prompt
+    graph's output, or the baseline's head weight rows put through
+    l2-normalize-rows."""
+    tape = Tape()
+    if state.uses_prompts:
+        node = training._prompt_nodes(state, tape)
+    else:
+        node = tape.l2_normalize_rows(tape.constant(state.params["head.weights"]))
+    return tape.value(node).copy()
 
 
 def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:

@@ -7,13 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import encode_text, finite_difference_check, sum_all
+from conftest import encode_images, encode_text, finite_difference_check, sum_all
 from ordinalproto.diffcore import Tape
 from ordinalproto.encoders import (
     BlockFileError,
     ImageEncoder,
     PseudoTextEncoder,
-    encode_images,
     export_prototypes,
     fnv1a64,
     import_prototypes,
@@ -148,11 +147,12 @@ class TestImageEncoder:
 
         def loss_with(w1):
             tape = Tape()
-            _, emb = ImageEncoder.encode(tape, weights | {"image.w1": w1}, batch)
+            emb = tape.l2_normalize_rows(
+                ImageEncoder.encode(tape, weights | {"image.w1": w1}, batch))
             return tape.value(sum_all(tape, emb))[0, 0]
 
         tape = Tape()
-        _, emb = ImageEncoder.encode(tape, weights, batch)
+        emb = tape.l2_normalize_rows(ImageEncoder.encode(tape, weights, batch))
         analytic = tape.backward(sum_all(tape, emb))["image.w1"]
         assert finite_difference_check(loss_with, weights["image.w1"], analytic, h=1e-5) <= 1e-4
 

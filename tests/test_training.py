@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_check, reference_backward
+from conftest import finite_difference_check, prototypes_of, reference_backward
 from ordinalproto import data, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
@@ -365,7 +365,7 @@ class TestCompactPrototypes:
         for name in ("context", "base_ranks"):
             group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
-        singular = np.linalg.svd(training.prototypes_of(state), compute_uv=False)
+        singular = np.linalg.svd(prototypes_of(state), compute_uv=False)
         assert np.count_nonzero(singular > 1e-9 * singular[0]) <= num_base
 
 
@@ -398,7 +398,7 @@ class TestWellOrderedPrototypes:
         for name in ("context", "base_ranks"):
             group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
-        assert ordinality_score(training.prototypes_of(state)) == 1.0
+        assert ordinality_score(prototypes_of(state)) == 1.0
 
 
 class TestGraphSize:
@@ -468,6 +468,31 @@ def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
     for method in PROMPT_METHODS + (training.BASELINE,):
         training.forward_loss(_model(method), *_batch(), TEMPERATURE)
     assert recorded == set(OP_KINDS)
+
+
+@pytest.mark.parametrize("method", training.METHODS)
+def test_evaluate_records_the_training_graph(monkeypatch, method):
+    """evaluate scores through the graph fit trains: the ops it records,
+    kind and inputs, are those forward_loss records before its loss node,
+    then, for the baseline only, one l2-normalize-rows of the head
+    weights, whose rows stand in for its prototypes."""
+    ops = []
+    record = Tape.record
+
+    def spy(self, op_kind, inputs, **params):
+        ops.append((op_kind, tuple(map(int, inputs))))
+        return record(self, op_kind, inputs, **params)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    state = _model(method)
+    tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
+    assert loss == len(tape) - 1
+    expected = ops[:-1]
+    if method == training.BASELINE:
+        expected.append(("l2-normalize-rows", (tape._params["head.weights"],)))
+    ops.clear()
+    training.evaluate(state, _dataset())
+    assert ops == expected
 
 
 class TestAdam:
