@@ -13,7 +13,8 @@ line, every config key at its resolved value (for every method, whether
 it reads the key or not), the command's own keys, and each file's size
 and FNV-1a checksum. `report` rejects a run whose manifest does not
 parse, whose listed files are missing or differ, or that holds a file
-the manifest does not list.
+the manifest does not list, and prints no file's contents before it has
+verified that file.
 
 Config files are plain text `key = value` lines; `#` starts a comment.
 A key that names a PromptConfig or TrainConfig field takes that field's
@@ -538,7 +539,7 @@ def cmd_distshift(args: argparse.Namespace) -> int:
         [lambda ds, seed, c=c, f=f: datamod.distribution_shift_subsample(ds, c, f, seed)
          for c, f in cells],
         [f"{c}-{int(round(f * 100))}" for c, f in cells],
-        {"grid": args.grid},
+        {"grid": ",".join(f"{c}:{f!r}" for c, f in cells)},
     )
 
 
@@ -546,22 +547,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Print a run's configuration, metrics and files, and verify it:
     every listed file must match its size and checksum, every file but
     the manifest must be listed, and then an ordinalclip run's prototypes
-    must pass _check_compact. Exit 1 names each failure on stderr."""
+    must pass _check_compact. The metrics are printed only from a
+    metrics.csv that matches its manifest entry and is UTF-8 text. Exit 1
+    names each failure on stderr."""
     out = Path(args.run_dir)
     try:
         config, files = _read_manifest(out)
     except VerificationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    found = _file_digests(out)
     print("# configuration")
     for key in sorted(config):
         print(f"{key} = {config[key]}")
     metrics_path = out / "metrics.csv"
-    if metrics_path.exists():
+    if ("metrics.csv", *found.get("metrics.csv", ())) in files:
+        try:
+            text = metrics_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            print(f"{metrics_path}: not UTF-8 text", file=sys.stderr)
+            return 1
         print("# metrics")
-        print(metrics_path.read_text().strip())
+        print(text.strip())
     print("# files")
-    found = _file_digests(out)
     failures = []
     for name, size, digest in files:
         if name not in found:

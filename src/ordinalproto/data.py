@@ -1,7 +1,9 @@
 """Synthetic ordinal datasets, CSV ingestion, and protocol samplers.
 
 A dataset is a feature matrix, integer rank labels and the rank count C;
-labels lie in 0..C-1, and C >= 2.
+labels lie in 0..C-1, and C >= 2. A dataset CSV must therefore hold at
+least two distinct rank labels; they are remapped to 0..C-1 in order,
+silently.
 
 The generator places all rank signal along one seeded unit direction:
 rank j sits at j/(C-1) along it, with isotropic Gaussian noise on top.
@@ -17,13 +19,10 @@ seeds; datasets are immutable once built.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -153,8 +152,8 @@ def distribution_shift_subsample(
 
 
 def load_csv(path) -> OrdinalDataset:
-    """Parse a dataset CSV; rank labels are remapped to contiguous 0..C-1
-    preserving their order, and the mapping is logged."""
+    """Parse a dataset CSV; its C >= 2 distinct rank labels are remapped,
+    unlogged, to contiguous 0..C-1 preserving their order."""
     text = Path(path).read_text()
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -188,8 +187,5 @@ def load_csv(path) -> OrdinalDataset:
         raise ValueError(f"no samples in dataset file: {path}")
     distinct = sorted(set(raw_labels))
     mapping = {orig: new for new, orig in enumerate(distinct)}
-    if any(orig != new for orig, new in mapping.items()):
-        log.info("remapped rank labels: %s", mapping)
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
-    num_ranks = max(len(distinct), 2)
-    return OrdinalDataset(np.array(features), labels, num_ranks)
+    return OrdinalDataset(np.array(features), labels, len(distinct))

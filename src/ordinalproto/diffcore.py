@@ -54,9 +54,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["Tape", "OP_KINDS", "all_finite", "softmax"]
-
-
 def _as_matrix(array) -> np.ndarray:
     a = np.asarray(array, dtype=np.float64)
     if a.ndim != 2:

@@ -274,7 +274,10 @@ def evaluate(
     metrics and the unit-norm prototypes they were scored against. The
     baseline has no language prototypes; its head weight rows, put through
     l2-normalize-rows, play that role so its ordinality is measurable the
-    same way. A non-finite op raises TrainingDivergedError, as in train_step.
+    same way. The baseline predicts at temperature 1, the one its
+    cross-entropy loss trains at; a prompt method at the given one, which
+    its contrastive loss uses. A non-finite op raises TrainingDivergedError,
+    as in train_step.
     """
     tape = Tape()
     # Overflow here is reported as divergence below, not as a warning.
@@ -283,6 +286,7 @@ def evaluate(
             scores, source = _graph(state, tape, ds.features)
             if not state.uses_prompts:
                 source = tape.l2_normalize_rows(source)
+                temperature = 1.0
         except FloatingPointError as exc:
             raise _diverged(state, f"in forward pass ({exc})") from exc
     protos = tape.value(source)

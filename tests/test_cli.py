@@ -7,8 +7,9 @@ empty directory, before any data loads. Run directories: a rerun is
 byte-identical, `checkpoint.bin` holds the parameters behind the prototypes
 in `prototypes.bin`, its image blocks and those prototypes alone reproduce
 `metrics.csv`, and `report` verifies a run (exit 0) or names what does not
-match (exit 1). Grid commands: with one evaluation seed, a grid cell that
-keeps every training sample and the default prompt equals `train`.
+match (exit 1), printing no file's contents before verifying it. Grid
+commands: with one evaluation seed, a grid cell that keeps every training
+sample and the default prompt equals `train`.
 """
 
 import os
@@ -154,6 +155,18 @@ def test_empty_tokens_of_a_grid_flag_are_skipped():
     assert cli._flag_values(" 8:0.9, ,2:0.5,", "--grid", cli._grid_cell) == ((8, 0.9), (2, 0.5))
 
 
+def test_a_grid_flag_is_recorded_in_the_manifest_as_parsed(tmp_path):
+    """distshift records its parsed cells, as fewshot records its parsed
+    shots, not the flag as typed."""
+    config = _write_config(tmp_path / "run.cfg", epochs=1)
+    runs = {"distshift": ["distshift", "--grid", " 2:0.5 ,,3:0.0"],
+            "fewshot": ["fewshot", "--shots", " 2, ,3"]}
+    for name, argv in runs.items():
+        assert cli.main(argv + ["--config", config, "--out", str(tmp_path / name)]) == 0
+    assert cli._read_manifest(tmp_path / "distshift")[0]["grid"] == "2:0.5,3:0.0"
+    assert cli._read_manifest(tmp_path / "fewshot")[0]["shots"] == "2,3"
+
+
 @pytest.mark.parametrize("command", ["train", "fewshot"])
 def test_a_config_error_keeps_an_existing_out_directory_as_it_is(tmp_path, capsys, command):
     out = tmp_path / "run"
@@ -259,6 +272,22 @@ def test_unreadable_csv_exits_with_config_error(tmp_path, capsys, content, needl
     assert code == 2
     assert err.startswith(f"config error: csv_path '{csv_path}': ")
     assert needle in err
+
+
+@pytest.mark.parametrize("method", ["baseline", "ordinalclip"])
+def test_a_csv_of_one_rank_exits_with_config_error(tmp_path, capsys, method):
+    """A CSV whose samples all carry one label holds one rank; no method
+    trains on it, and none makes up a second, empty rank."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("rank,f0,f1\n" + "".join(f"5,{i + 1},0.5\n" for i in range(5)))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data_source = csv\ncsv_path = {csv_path}\nmethod = {method}\n")
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: csv_path '{csv_path}': need at least 2 ranks, got 1\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_csv_sample_with_all_zero_features_exits_with_config_error(tmp_path, capsys):
@@ -469,6 +498,7 @@ def test_train_builds_the_prototypes_once(tmp_path, monkeypatch, method):
 
 TRAIN_RUNS = {
     "baseline": {"method": "baseline"},
+    "baseline-expectation": {"method": "baseline", "prediction_rule": "expectation"},
     "baseline-lr-mult": {"method": "baseline", "last_layer_lr_mult": 0.5},
     "coop": {"method": "coop"},
     "coop-init": {"method": "coop", "init_ctx": "true"},
@@ -585,9 +615,11 @@ def test_metrics_follow_from_the_image_blocks_and_prototypes_alone(runs, tmp_pat
     protos = import_prototypes(run / "prototypes.bin")
     if cfg["method"] == "baseline":
         scores = features @ blocks["head.weights"].T + blocks["head.bias"]
+        temperature = 1.0  # the one its cross-entropy trains at
     else:
         scores = embeddings @ protos.T
-    predicted = metrics.predict(scores, cfg["prediction_rule"], cfg["temperature"])
+        temperature = cfg["temperature"]
+    predicted = metrics.predict(scores, cfg["prediction_rule"], temperature)
     report = metrics.metric_report(predicted, test_ds.labels, protos, test_ds.num_ranks)
     metrics.write_csv(
         tmp_path / "metrics.csv", ("metric", "value"),
@@ -635,6 +667,48 @@ def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle, show
     out, err = capsys.readouterr()
     assert needle in err
     assert shown in out
+
+
+def _append_non_utf8(run_dir):
+    with open(run_dir / "metrics.csv", "ab") as f:
+        f.write(b"\xff\xfe")
+
+
+def _metrics_to_directory(run_dir):
+    (run_dir / "metrics.csv").unlink()
+    (run_dir / "metrics.csv").mkdir()
+
+
+def _listed_non_utf8(run_dir):
+    _append_non_utf8(run_dir)
+    _rebuild_manifest_entry(run_dir, "metrics.csv")
+
+
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        (_append_non_utf8, "checksum mismatch: metrics.csv\n"),
+        (_metrics_to_directory, "missing file: metrics.csv\n"),
+        (_listed_non_utf8, "{run_dir}/metrics.csv: not UTF-8 text\n"),
+    ],
+    ids=["appended-0xff-0xfe", "replaced-by-a-directory", "listed-and-not-utf8"],
+)
+def test_report_prints_metrics_only_once_they_verify(runs, tmp_path, capsys, damage,
+                                                      expected):
+    """An untouched run's report shows metrics.csv under `# metrics`. A
+    damaged one, or one that verifies but is not UTF-8 text, is never
+    printed; report exits 1 with one line on stderr instead of a
+    traceback."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    assert cli.main(["report", str(run_dir)]) == 0
+    text = (run_dir / "metrics.csv").read_text()
+    assert f"\n# metrics\n{text}# files\n" in capsys.readouterr().out
+    damage(run_dir)
+    assert cli.main(["report", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert "# metrics" not in out
+    assert err == expected.format(run_dir=run_dir)
 
 
 @pytest.mark.parametrize(
@@ -690,13 +764,13 @@ def _forge_prototypes(run_dir, rank, rebuild_manifest=True):
         _rebuild_manifest_entry(run_dir)
 
 
-def _rebuild_manifest_entry(run_dir):
-    """Rewrite the manifest entry of prototypes.bin to match the file."""
-    blob = (run_dir / "prototypes.bin").read_bytes()
+def _rebuild_manifest_entry(run_dir, name="prototypes.bin"):
+    """Rewrite the manifest entry of a run's file to match the file."""
+    blob = (run_dir / name).read_bytes()
     manifest = run_dir / "manifest.txt"
     manifest.write_text(re.sub(
-        r"(?m)^prototypes\.bin .*$",
-        f"prototypes.bin {len(blob)} {encoders.fnv1a64(blob):016x}",
+        rf"(?m)^{re.escape(name)} .*$",
+        f"{name} {len(blob)} {encoders.fnv1a64(blob):016x}",
         manifest.read_text(),
     ))
 

@@ -3,8 +3,8 @@ is used by the package or by the benchmark harness, every attribute a
 package method stores on `self` is read by either outside that method,
 every name a package module assigns at top level is read by either
 outside that assignment, every name a package module imports is used in
-that module, and every exception class the package defines is caught by
-name somewhere in either."""
+that module (a re-export does not count as a use), and every exception
+class the package defines is caught by name somewhere in either."""
 
 import ast
 import builtins
@@ -151,26 +151,17 @@ def _imported_names(tree):
                 yield (alias.asname or alias.name).split(".")[0], node.lineno
 
 
-def _exported(tree):
-    """The names a module lists in its __all__."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def test_every_import_is_referenced_in_its_module():
-    """A module of the package references every name it imports, unless
-    it re-exports the name in __all__."""
+    """A module of the package references every name it imports. There
+    is no re-export exemption: an import kept only so that callers can
+    reach a name through this module fails, since every name has one
+    import path, the module that defines it."""
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = _exported(tree)
         for name, line in _imported_names(tree):
-            if name not in used and name not in exported:
+            if name not in used:
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
 

@@ -18,7 +18,7 @@ from conftest import finite_difference_check, prototypes_of, reference_backward
 from ordinalproto import data, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
-from ordinalproto.metrics import ordinality_score
+from ordinalproto.metrics import mae, ordinality_score, predict
 from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
 NUM_RANKS = 5
@@ -493,6 +493,22 @@ def test_evaluate_records_the_training_graph(monkeypatch, method):
     ops.clear()
     training.evaluate(state, _dataset())
     assert ops == expected
+
+
+def test_the_baseline_expectation_reads_its_logits_at_temperature_1():
+    """The baseline's cross-entropy trains its logits at temperature 1, so
+    evaluate reads them at 1 whatever temperature it is given. After this
+    fit the expectation at TEMPERATURE predicts other ranks than at 1."""
+    state = _model(training.BASELINE)
+    ds = _dataset()
+    training.fit(state, ds, training.TrainConfig(epochs=20, batch_size=16, learning_rate=0.01))
+    tape = Tape()
+    logits, _ = training._graph(state, tape, ds.features)
+    at = {t: mae(predict(tape.value(logits), "expectation", t), ds.labels)
+          for t in (1.0, TEMPERATURE)}
+    assert at[1.0] != at[TEMPERATURE]
+    report, _ = training.evaluate(state, ds, rule="expectation", temperature=TEMPERATURE)
+    assert report.mae == at[1.0]
 
 
 class TestAdam:
