@@ -352,11 +352,12 @@ _FILE_ENTRY = re.compile(r"(.+) ([0-9]{1,20}) ([0-9a-f]{16})")
 
 
 def _file_digests(out_dir: Path) -> dict[str, tuple[int, str]]:
-    """{name: (size, hex digest)} of every file in a run directory but the
-    manifest, in name order: what the manifest's [files] section lists."""
+    """{name: (size, hex digest)} of every regular file in a run directory
+    but the manifest, in name order: what the manifest's [files] section
+    lists. A directory or link is not a regular file and has no entry."""
     digests = {}
     for path in sorted(out_dir.iterdir()):
-        if path.name != "manifest.txt" and not path.is_dir():
+        if path.name != "manifest.txt" and path.is_file() and not path.is_symlink():
             blob = path.read_bytes()
             digests[path.name] = (len(blob), f"{fnv1a64(blob):016x}")
     return digests
@@ -545,8 +546,9 @@ def cmd_distshift(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Print a run's configuration, metrics and files, and verify it:
-    every listed file must match its size and checksum, every file but
-    the manifest must be listed, and then an ordinalclip run's prototypes
+    every listed file must be a regular file that matches its size and
+    checksum, every other entry but the manifest, a directory or link
+    included, fails as unlisted, and then an ordinalclip run's prototypes
     must pass _check_compact. The metrics are printed only from a
     metrics.csv that matches its manifest entry and is UTF-8 text. Exit 1
     names each failure on stderr."""
@@ -580,7 +582,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"{name}  {found[name][0]} bytes  {'ok' if ok else 'CHECKSUM MISMATCH'}")
         if not ok:
             failures.append(f"checksum mismatch: {name}")
-    for name in sorted(found.keys() - {entry[0] for entry in files}):
+    entries = {path.name for path in out.iterdir()} - {"manifest.txt"}
+    for name in sorted(entries - {entry[0] for entry in files}):
         failures.append(f"unlisted file: {name}")
         print(f"{name}  NOT IN MANIFEST")
     if failures:

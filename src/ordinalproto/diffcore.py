@@ -300,7 +300,9 @@ def _fwd_matmul(vals, params):
     a, b = vals
     if a.shape[1] != b.shape[0]:
         raise _shape_err("matmul", (a.shape, b.shape))
-    return a @ b, None
+    # ndarray.dot is the same BLAS product as @, bitwise, with less dispatch
+    # on tiny operands; the backward rule below uses it for the same reason.
+    return a.dot(b), None
 
 
 def _fwd_add(vals, params):
@@ -455,7 +457,7 @@ OP_KINDS = tuple(_FORWARD)
 
 def _bwd_matmul(g, out, ins, meta, wants):
     a, b = ins
-    return (g @ b.T if wants[0] else None, a.T @ g if wants[1] else None)
+    return (g.dot(b.T) if wants[0] else None, a.T.dot(g) if wants[1] else None)
 
 
 def _bwd_add(g, out, ins, meta, wants):

@@ -57,9 +57,10 @@ class PseudoTextEncoder:
     product and the token table, each made read-only, so freezing is
     enforced by the arrays themselves. Position-weighted pooling keeps the
     prototype a nontrivial function of token order while staying linear,
-    which the gradient checks rely on. Encoding takes one matmul per
-    sequence for mixing and projection together; its values differ from
-    the two successive products by float rounding only.
+    which the gradient checks rely on. Encoding pools each sequence to one
+    row, then mixes and projects all the pooled rows with one matmul; its
+    values differ from the two successive products, and from projecting
+    each row on its own, by float rounding only.
     """
 
     def __init__(self, position_weights, mixed_projection, token_table):
@@ -86,22 +87,23 @@ class PseudoTextEncoder:
     def encode(self, tape: Tape, sequence_nodes) -> int:
         """Unit-norm prototype matrix (one row per sequence) on the tape.
 
-        prototype = normalize(pooled @ mixed_projection) where pooled is
-        the position-weighted mean of the sequence rows. Every sequence has
-        the first one's length, as every prompt has m + 1 rows: one pooling
-        row serves them all, and the pooling matmul rejects any other
-        length or one beyond max_len. Differentiable in the sequence rows
-        only; encoder weights enter as constants.
+        prototypes = normalize(pooled @ mixed_projection), where row i of
+        pooled is the position-weighted mean of sequence i's rows: each
+        sequence is pooled by one matmul, the pooled rows are stacked, and
+        one matmul projects them all. Every sequence has the first one's
+        length, as every prompt has m + 1 rows: one pooling row serves them
+        all, and the pooling matmul rejects any other length or one beyond
+        max_len. Differentiable in the sequence rows only; encoder weights
+        enter as constants.
         """
         sequence_nodes = list(sequence_nodes)
         if not sequence_nodes:
             raise ValueError("encode requires at least one sequence")
-        mixed_projection = tape.constant(self.mixed_projection)
         weights = self.position_weights[: tape.value(sequence_nodes[0]).shape[0]]
         pooling = tape.constant((weights / weights.sum())[None, :])
-        rows = [tape.matmul(tape.matmul(pooling, node), mixed_projection)
-                for node in sequence_nodes]
-        return tape.l2_normalize_rows(tape.concat_rows(rows))
+        pooled = tape.concat_rows([tape.matmul(pooling, node) for node in sequence_nodes])
+        mixed_projection = tape.constant(self.mixed_projection)
+        return tape.l2_normalize_rows(tape.matmul(pooled, mixed_projection))
 
 
 class ImageEncoder:

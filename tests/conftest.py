@@ -5,7 +5,8 @@ fused loss ops: plain numpy, no tape, each returning (value, gradient).
 `finite_difference_check` is the central-difference gradient check.
 `encode_images` and `prototypes_of` read plain arrays off a throwaway
 tape: the package itself encodes and builds prototypes only inside the
-scores graph of training."""
+scores graph of training. `prompt_oracle` is the prototypes' closed form
+in plain numpy, the oracle for the prompt graph."""
 
 import numpy as np
 
@@ -48,6 +49,28 @@ def prototypes_of(state) -> np.ndarray:
     else:
         node = tape.l2_normalize_rows(tape.constant(state.params["head.weights"]))
     return tape.value(node).copy()
+
+
+def prompt_oracle(state) -> np.ndarray:
+    """A prompt model's unit-norm prototypes in closed form, no tape:
+
+        normalize(W @ ((1 (pool[:m] @ ctx) + pool[m] base) @ mixed_projection))
+
+    where pool is the text encoder's pooling row for m + 1 tokens and W is
+    the interpolation matrix for ordinalclip and the identity for coop and
+    zeroshot. It pools and projects the base rows before interpolating
+    them, an order the tape does not use: the two agree to rounding because
+    the encoder is linear up to its row normalization and W is
+    row-stochastic."""
+    ctx, base = state.params["context"], state.params["base_ranks"]
+    encoder = state.text_encoder
+    m = ctx.shape[0]
+    weights = encoder.position_weights[: m + 1]
+    pool = weights / weights.sum()
+    q = (pool[:m] @ ctx + pool[m] * base) @ encoder.mixed_projection
+    if state.interpolation is not None:
+        q = state.interpolation @ q
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
 def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:

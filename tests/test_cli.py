@@ -644,6 +644,11 @@ def _unlist_and_change(run_dir):
         f.write(b"\0" * 8)
 
 
+def _add_directory(run_dir):
+    (run_dir / "extra_dir").mkdir()
+    (run_dir / "extra_dir" / "extra.csv").write_text("rank\n")
+
+
 @pytest.mark.parametrize(
     "damage, needle, shown",
     [
@@ -655,9 +660,12 @@ def _unlist_and_change(run_dir):
          "\nprototypes.bin  NOT IN MANIFEST\n"),
         (lambda d: (d / "extra.csv").write_text("rank\n"), "unlisted file: extra.csv",
          "\nextra.csv  NOT IN MANIFEST\n"),
+        (_add_directory, "unlisted file: extra_dir", "\nextra_dir  NOT IN MANIFEST\n"),
+        (lambda d: os.symlink(d / "missing", d / "link"), "unlisted file: link",
+         "\nlink  NOT IN MANIFEST\n"),
     ],
     ids=["changed-byte", "deleted-file", "missing-manifest", "entry-deleted-and-file-changed",
-         "file-added"],
+         "file-added", "directory-added", "dangling-link-added"],
 )
 def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle, shown):
     run_dir = tmp_path / "run"

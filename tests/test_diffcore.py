@@ -672,6 +672,39 @@ class TestForwardFormulas:
     """The forward rules against the plain numpy formulas they replace,
     bitwise, on arbitrary finite values."""
 
+    @pytest.mark.parametrize("b_transposed", (False, True), ids=["b", "b-transposed"])
+    @pytest.mark.parametrize("a_transposed", (False, True), ids=["a", "a-transposed"])
+    @pytest.mark.parametrize(
+        "shape", (None, (1, 100, 32), (100, 1, 32), (64, 64, 20)),
+        ids=["small", "1x100x32", "100x1x32", "64x64x20"],
+    )
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_matmul_and_its_gradients_equal_the_at_operator(self, shape, a_transposed,
+                                                            b_transposed, data):
+        """The matmul rules use ndarray.dot. The value and both gradients
+        of an (m x k)(k x n) product equal a @ b, g @ b.T and a.T @ g
+        bitwise, for m, k, n in 1..8 and for the model's rank-selector,
+        outer-product and similarity shapes, each operand C-contiguous or
+        a transposed view. The product's adjoint under the loss
+        u @ (a @ b) @ v is g = u.T @ v.T."""
+        m, k, n = shape or data.draw(st.tuples(*[st.integers(1, 8)] * 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def operand(rows, cols, transposed):
+            return rng.normal(size=(cols, rows)).T if transposed else rng.normal(size=(rows, cols))
+
+        a, b = operand(m, k, a_transposed), operand(k, n, b_transposed)
+        u, v = rng.normal(size=(1, m)), rng.normal(size=(n, 1))
+        tape = Tape()
+        product = tape.matmul(tape.parameter(a, "a"), tape.parameter(b, "b"))
+        grads = tape.backward(tape.matmul(tape.matmul(tape.constant(u), product),
+                                          tape.constant(v)))
+        g = u.T @ v.T
+        np.testing.assert_array_equal(tape.value(product), a @ b)
+        np.testing.assert_array_equal(grads["a"], g @ b.T)
+        np.testing.assert_array_equal(grads["b"], a.T @ g)
+
     @PROPERTY_SETTINGS
     @given(a=_finite)
     def test_l2_normalize_equals_linalg_norm(self, a):

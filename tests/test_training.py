@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_check, prototypes_of, reference_backward
+from conftest import finite_difference_check, prompt_oracle, prototypes_of, reference_backward
 from ordinalproto import data, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
@@ -402,25 +402,26 @@ class TestWellOrderedPrototypes:
 
 
 class TestGraphSize:
-    """Nodes forward_loss puts on the tape. A prompt model records five per
+    """Nodes forward_loss puts on the tape. A prompt model records four per
     rank: a selector constant, its matmul and the concat with the context
-    (prompt.assemble_sequences), then the pooling and the folded
-    mixing-projection matmuls (PseudoTextEncoder.encode). Everything else,
-    each loss included, is one fixed set of nodes, so no count depends on
-    the batch size, nor on the number of context rows: a 0-row context is
-    a leaf and is concatenated like any other."""
+    (prompt.assemble_sequences), then the pooling matmul
+    (PseudoTextEncoder.encode). Everything else, each loss and the one
+    folded mixing-projection matmul over all pooled rows included, is one
+    fixed set of nodes, so no count depends on the batch size, nor on the
+    number of context rows: a 0-row context is a leaf and is concatenated
+    like any other."""
 
     @pytest.mark.parametrize(
         "method, num_ranks, expected, num_context",
         [
-            pytest.param(training.ORDINALCLIP, 6, 52, 2, id="ordinalclip-6-52"),
-            pytest.param(training.ORDINALCLIP, 20, 122, 2, id="ordinalclip-20-122"),
-            pytest.param(training.COOP, 6, 50, 2, id="coop-6-50"),
-            pytest.param(training.COOP, 20, 120, 2, id="coop-20-120"),
+            pytest.param(training.ORDINALCLIP, 6, 47, 2, id="ordinalclip-6-47"),
+            pytest.param(training.ORDINALCLIP, 20, 103, 2, id="ordinalclip-20-103"),
+            pytest.param(training.COOP, 6, 45, 2, id="coop-6-45"),
+            pytest.param(training.COOP, 20, 101, 2, id="coop-20-101"),
             pytest.param(training.BASELINE, 6, 16, 2, id="baseline-6-16"),
             pytest.param(training.BASELINE, 20, 16, 2, id="baseline-20-16"),
-            pytest.param(training.ORDINALCLIP, 6, 52, 0, id="ordinalclip-6-52-no-context"),
-            pytest.param(training.COOP, 6, 50, 0, id="coop-6-50-no-context"),
+            pytest.param(training.ORDINALCLIP, 6, 47, 0, id="ordinalclip-6-47-no-context"),
+            pytest.param(training.COOP, 6, 45, 0, id="coop-6-45-no-context"),
         ],
     )
     def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
@@ -431,6 +432,37 @@ class TestGraphSize:
             labels = np.arange(batch) % num_ranks
             tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
             assert len(tape) == expected, f"batch {batch}"
+
+
+def _oracle_cases():
+    """(method, C, C', kernel, m) params: ordinalclip at two C' values per C
+    and both kernels; coop and zeroshot, which interpolate nothing, once."""
+    for num_ranks in (2, 6, 20, 100):
+        for num_context in (0, 2, 4):
+            for num_base in sorted({2, min(5, num_ranks)}):
+                for kernel in INTERPOLATION_KINDS:
+                    case = (training.ORDINALCLIP, num_ranks, num_base, kernel, num_context)
+                    yield pytest.param(*case, id="-".join(map(str, case)))
+            for method in (training.COOP, training.ZEROSHOT):
+                yield pytest.param(method, num_ranks, num_ranks, LINEAR, num_context,
+                                   id=f"{method}-{num_ranks}-{num_context}")
+
+
+@pytest.mark.parametrize("method, num_ranks, num_base, kernel, num_context", _oracle_cases())
+def test_prototypes_match_the_closed_form_prompt_oracle(method, num_ranks, num_base, kernel,
+                                                        num_context):
+    """The prompt graph's prototypes equal conftest.prompt_oracle within
+    1e-12 of each unit-norm row, at the model's default dimensions: at
+    init, and with the context and base rank groups set to seeded random
+    values."""
+    cfg = PromptConfig(num_ranks, num_base_ranks=num_base, num_context=num_context,
+                       interpolation=kernel)
+    state = training.build_model(method, num_ranks, cfg)
+    np.testing.assert_allclose(prototypes_of(state), prompt_oracle(state), rtol=0, atol=1e-12)
+    rng = np.random.default_rng(num_ranks * 10 + num_context)
+    for name in ("context", "base_ranks"):
+        state.params[name] = rng.normal(size=state.params[name].shape)
+    np.testing.assert_allclose(prototypes_of(state), prompt_oracle(state), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("method", (training.COOP, training.ZEROSHOT))
