@@ -19,12 +19,14 @@ the parent commit and on the change, then compare the two with
 
 The matrix: `train` and `report` of all four methods at the default
 config, with both prompt tune gates off, and at C = 100 (per_rank 8,
-batch_size 16, epochs 10); the baseline at last_layer_lr_mult = 0.5 and
-with prediction_rule = expectation; `sweep-interpolation --counts 2,3,5`,
-`ablation`, `fewshot`, `distshift --grid 2:0.5,3:0.0` and the same grid
-typed with padding and an empty cell at C = 8 (per_rank 12, epochs 8),
-each with `report`; and a baseline `train` at learning_rate = 1e300
-(num_ranks 4, per_rank 4, epochs 1), whose evaluation diverges.
+batch_size 16, epochs 10); ordinalclip and coop with num_context = 0,
+whose token table has no context rows; the baseline at
+last_layer_lr_mult = 0.5 and with prediction_rule = expectation;
+`sweep-interpolation --counts 2,3,5`, `ablation`, `fewshot`,
+`distshift --grid 2:0.5,3:0.0` and the same grid typed with padding and
+an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; and a
+baseline `train` at learning_rate = 1e300 (num_ranks 4, per_rank 4,
+epochs 1), whose evaluation diverges.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def train_configs() -> dict[str, dict]:
         out[method] = {"method": method}
         out[f"{method}-frozen"] = {"method": method, "tune_rank": "false", "tune_ctx": "false"}
         out[f"{method}-c100"] = {"method": method, **C100}
+    for method in ("ordinalclip", "coop"):
+        out[f"{method}-no-context"] = {"method": method, "num_context": 0}
     out["baseline-lr-mult"] = {"method": "baseline", "last_layer_lr_mult": 0.5}
     out["baseline-expectation"] = {"method": "baseline", "prediction_rule": "expectation"}
     return out

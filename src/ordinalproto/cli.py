@@ -547,7 +547,8 @@ def cmd_distshift(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Print a run's configuration, metrics and files, and verify it:
     every listed file must be a regular file that matches its size and
-    checksum, every other entry but the manifest, a directory or link
+    checksum (a listed name that is a directory or link fails as not a
+    regular file), every other entry but the manifest, a directory or link
     included, fails as unlisted, and then an ordinalclip run's prototypes
     must pass _check_compact. The metrics are printed only from a
     metrics.csv that matches its manifest entry and is UTF-8 text. Exit 1
@@ -573,16 +574,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(text.strip())
     print("# files")
     failures = []
+    entries = {path.name for path in out.iterdir()} - {"manifest.txt"}
     for name, size, digest in files:
         if name not in found:
-            failures.append(f"missing file: {name}")
-            print(f"{name}  MISSING")
+            if name in entries:
+                failures.append(f"not a regular file: {name}")
+                print(f"{name}  NOT A REGULAR FILE")
+            else:
+                failures.append(f"missing file: {name}")
+                print(f"{name}  MISSING")
             continue
         ok = found[name] == (size, digest)
         print(f"{name}  {found[name][0]} bytes  {'ok' if ok else 'CHECKSUM MISMATCH'}")
         if not ok:
             failures.append(f"checksum mismatch: {name}")
-    entries = {path.name for path in out.iterdir()} - {"manifest.txt"}
     for name in sorted(entries - {entry[0] for entry in files}):
         failures.append(f"unlisted file: {name}")
         print(f"{name}  NOT IN MANIFEST")

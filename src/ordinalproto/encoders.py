@@ -91,10 +91,11 @@ class PseudoTextEncoder:
         pooled is the position-weighted mean of sequence i's rows: each
         sequence is pooled by one matmul, the pooled rows are stacked, and
         one matmul projects them all. Every sequence has the first one's
-        length, as every prompt has m + 1 rows: one pooling row serves them
-        all, and the pooling matmul rejects any other length or one beyond
-        max_len. Differentiable in the sequence rows only; encoder weights
-        enter as constants.
+        length, as every prompt read off the token table
+        (prompt.assemble_sequences) has m + 1 rows: one pooling row serves
+        them all, and the pooling matmul rejects any other length or one
+        beyond max_len. Differentiable in the sequence rows only; encoder
+        weights enter as constants.
         """
         sequence_nodes = list(sequence_nodes)
         if not sequence_nodes:

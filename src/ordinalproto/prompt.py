@@ -1,10 +1,12 @@
 """Learnable prompt state: shared context rows plus interpolated rank rows.
 
 A prompt for rank j is an (m + 1) x word_dim token matrix: m learnable
-context rows shared by every rank, followed by one rank row. Rank rows are
-not free parameters; they are produced from a small set of base rank rows
-through a fixed row-stochastic interpolation matrix, which is what couples
-neighboring ranks and injects the ordinal structure.
+context rows shared by every rank, followed by one rank row. All C prompts
+are read from one (m + C) x word_dim token table, the context rows stacked
+on the rank rows. Rank rows are not free parameters; they are produced
+from a small set of base rank rows through a fixed row-stochastic
+interpolation matrix, which is what couples neighboring ranks and injects
+the ordinal structure.
 """
 
 from __future__ import annotations
@@ -100,19 +102,19 @@ def interpolate_rank_embeddings(tape: Tape, weights: np.ndarray, base_node: int)
 def assemble_sequences(tape: Tape, ctx_node: int, ranks_node: int) -> list[int]:
     """Per-rank token matrices: shared context rows, then the rank row.
 
-    Returns one node per rank. All sequences reference the same context
-    node, so context gradients accumulate across ranks. A context of 0
-    rows is no special case: each sequence is then its rank row, with the
-    rank row's values and gradient bitwise.
+    Records one concat of the token table [context; rank rows], then reads
+    rank j's sequence off it with one matmul by a constant selection
+    matrix: rows 0..m-1 and m+j of the (m+C) x (m+C) identity. Returns one
+    node per rank. Each sequence row is 1.0 times a table row plus exact
+    zeros, so the values, and the context and rank gradients summed over
+    the ranks, are bitwise those of concatenating the context with each
+    rank row. A context of 0 rows is no special case.
     """
-    num_ranks = tape.value(ranks_node).shape[0]
-    seqs = []
-    for j in range(num_ranks):
-        selector = np.zeros((1, num_ranks))
-        selector[0, j] = 1.0
-        row = tape.matmul(tape.constant(selector), ranks_node)
-        seqs.append(tape.concat_rows([ctx_node, row]))
-    return seqs
+    m = tape.value(ctx_node).shape[0]
+    table = tape.concat_rows([ctx_node, ranks_node])
+    rows = tape.value(table).shape[0]
+    identity = np.eye(rows)
+    return [tape.matmul(tape.constant(identity[[*range(m), j]]), table) for j in range(m, rows)]
 
 
 def template_token_ids(length: int, vocab_size: int) -> tuple[int, ...]:

@@ -6,7 +6,9 @@ fused loss ops: plain numpy, no tape, each returning (value, gradient).
 `encode_images` and `prototypes_of` read plain arrays off a throwaway
 tape: the package itself encodes and builds prototypes only inside the
 scores graph of training. `prompt_oracle` is the prototypes' closed form
-in plain numpy, the oracle for the prompt graph."""
+in plain numpy, the oracle for the prompt graph, and
+`prompt_oracle_gradient` its hand-derived gradient in the two prompt
+groups."""
 
 import numpy as np
 
@@ -51,6 +53,22 @@ def prototypes_of(state) -> np.ndarray:
     return tape.value(node).copy()
 
 
+def _pooling_row(state) -> np.ndarray:
+    """The text encoder's pooling row for a prompt of m + 1 tokens."""
+    weights = state.text_encoder.position_weights[: state.params["context"].shape[0] + 1]
+    return weights / weights.sum()
+
+
+def _unnormalized_prototypes(state) -> np.ndarray:
+    """W @ ((1 (pool[:m] @ ctx) + pool[m] base) @ mixed_projection), the
+    prototypes before their row normalization."""
+    ctx, base = state.params["context"], state.params["base_ranks"]
+    pool = _pooling_row(state)
+    m = ctx.shape[0]
+    q = (pool[:m] @ ctx + pool[m] * base) @ state.text_encoder.mixed_projection
+    return q if state.interpolation is None else state.interpolation @ q
+
+
 def prompt_oracle(state) -> np.ndarray:
     """A prompt model's unit-norm prototypes in closed form, no tape:
 
@@ -62,15 +80,31 @@ def prompt_oracle(state) -> np.ndarray:
     them, an order the tape does not use: the two agree to rounding because
     the encoder is linear up to its row normalization and W is
     row-stochastic."""
-    ctx, base = state.params["context"], state.params["base_ranks"]
-    encoder = state.text_encoder
-    m = ctx.shape[0]
-    weights = encoder.position_weights[: m + 1]
-    pool = weights / weights.sum()
-    q = (pool[:m] @ ctx + pool[m] * base) @ encoder.mixed_projection
+    z = _unnormalized_prototypes(state)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def prompt_oracle_gradient(state, adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d/d ctx, d/d base_ranks) of <adjoint, prompt_oracle(state)>, derived
+    by hand, no tape. With Z = W @ R @ M, R = 1 (pool[:m] @ ctx) + pool[m]
+    base, M = mixed_projection and P = Z / |Z| row by row:
+
+        dZ    = (G - rowsum(G * P) P) / |Z|      row normalization
+        dR    = W.T @ dZ @ M.T                   interpolation, projection
+        dctx  = pool[:m].T @ (1.T @ dR)          the context row, shared
+        dbase = pool[m] dR
+
+    with W = I for coop and zeroshot."""
+    z = _unnormalized_prototypes(state)
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    p = z / norms
+    dz = (adjoint - (adjoint * p).sum(axis=1, keepdims=True) * p) / norms
     if state.interpolation is not None:
-        q = state.interpolation @ q
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+        dz = state.interpolation.T @ dz
+    dr = dz @ state.text_encoder.mixed_projection.T
+    pool = _pooling_row(state)
+    m = pool.shape[0] - 1
+    return np.outer(pool[:m], dr.sum(axis=0)), pool[m] * dr
 
 
 def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:

@@ -649,6 +649,13 @@ def _add_directory(run_dir):
     (run_dir / "extra_dir" / "extra.csv").write_text("rank\n")
 
 
+def _checkpoint_to_link(run_dir):
+    """checkpoint.bin, unchanged, moved out and linked back in."""
+    target = run_dir.parent / "checkpoint.bin"
+    (run_dir / "checkpoint.bin").rename(target)
+    os.symlink(target, run_dir / "checkpoint.bin")
+
+
 @pytest.mark.parametrize(
     "damage, needle, shown",
     [
@@ -663,9 +670,11 @@ def _add_directory(run_dir):
         (_add_directory, "unlisted file: extra_dir", "\nextra_dir  NOT IN MANIFEST\n"),
         (lambda d: os.symlink(d / "missing", d / "link"), "unlisted file: link",
          "\nlink  NOT IN MANIFEST\n"),
+        (_checkpoint_to_link, "not a regular file: checkpoint.bin",
+         "\ncheckpoint.bin  NOT A REGULAR FILE\n"),
     ],
     ids=["changed-byte", "deleted-file", "missing-manifest", "entry-deleted-and-file-changed",
-         "file-added", "directory-added", "dangling-link-added"],
+         "file-added", "directory-added", "dangling-link-added", "listed-file-replaced-by-a-link"],
 )
 def test_report_flags_a_damaged_run(runs, tmp_path, capsys, damage, needle, shown):
     run_dir = tmp_path / "run"
@@ -696,7 +705,7 @@ def _listed_non_utf8(run_dir):
     "damage, expected",
     [
         (_append_non_utf8, "checksum mismatch: metrics.csv\n"),
-        (_metrics_to_directory, "missing file: metrics.csv\n"),
+        (_metrics_to_directory, "not a regular file: metrics.csv\n"),
         (_listed_non_utf8, "{run_dir}/metrics.csv: not UTF-8 text\n"),
     ],
     ids=["appended-0xff-0xfe", "replaced-by-a-directory", "listed-and-not-utf8"],

@@ -146,9 +146,53 @@ class TestAssembleSequences:
             np.testing.assert_array_equal(a[1:], b[1:])  # other ctx + rank row
 
     def test_word_dim_mismatch_rejected(self):
+        """The token table's concat names the context and rank shapes."""
         tape = Tape()
-        with pytest.raises(ValueError, match=r"concat-rows: incompatible shapes \[\(2, 3\), \(1, 4\)\]"):
+        with pytest.raises(ValueError, match=r"concat-rows: incompatible shapes \[\(2, 3\), \(2, 4\)\]"):
             assemble_sequences(tape, tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 4))))
+
+    @pytest.mark.parametrize("num_ranks", (2, 6, 100))
+    @pytest.mark.parametrize("num_context", (0, 2, 4))
+    def test_equals_a_per_rank_concat_bitwise(self, num_context, num_ranks):
+        """The token-table form gives bitwise the sequence values, and the
+        context and rank gradients, of the per-rank construction it
+        replaced: a one-hot selector matmul for the rank row, then a concat
+        with the context, for each rank. Both feed the same downstream
+        graph: a random pooling row per sequence, a stack, a random
+        projection, row normalization and a random readout."""
+        rng = np.random.default_rng(num_context * 1000 + num_ranks)
+        ctx = rng.normal(size=(num_context, 32))
+        ranks = rng.normal(size=(num_ranks, 32))
+        pools = rng.uniform(0.5, 1.5, size=(num_ranks, 1, num_context + 1))
+        projection = rng.normal(size=(32, 8))
+        readout = rng.normal(size=(8, 1))
+
+        def per_rank_sequences(tape, ctx_node, ranks_node):
+            seqs = []
+            for j in range(num_ranks):
+                selector = np.zeros((1, num_ranks))
+                selector[0, j] = 1.0
+                row = tape.matmul(tape.constant(selector), ranks_node)
+                seqs.append(tape.concat_rows([ctx_node, row]))
+            return seqs
+
+        def run(build):
+            tape = Tape()
+            seqs = build(tape, tape.parameter(ctx, "context"), tape.parameter(ranks, "ranks"))
+            pooled = tape.concat_rows(
+                [tape.matmul(tape.constant(pool), seq) for pool, seq in zip(pools, seqs)]
+            )
+            protos = tape.l2_normalize_rows(tape.matmul(pooled, tape.constant(projection)))
+            loss = sum_all(tape, tape.matmul(protos, tape.constant(readout)))
+            return [tape.value(seq) for seq in seqs], tape.backward(loss)
+
+        old_seqs, old_grads = run(per_rank_sequences)
+        new_seqs, new_grads = run(assemble_sequences)
+        assert len(new_seqs) == num_ranks
+        for old_seq, new_seq in zip(old_seqs, new_seqs):
+            np.testing.assert_array_equal(new_seq, old_seq)
+        for name in ("context", "ranks"):
+            np.testing.assert_array_equal(new_grads[name], old_grads[name])
 
 
 class TestInitParameters:

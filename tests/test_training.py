@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_check, prompt_oracle, prototypes_of, reference_backward
+from conftest import (
+    finite_difference_check,
+    prompt_oracle,
+    prompt_oracle_gradient,
+    prototypes_of,
+    reference_backward,
+)
 from ordinalproto import data, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
 from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
@@ -402,26 +408,26 @@ class TestWellOrderedPrototypes:
 
 
 class TestGraphSize:
-    """Nodes forward_loss puts on the tape. A prompt model records four per
-    rank: a selector constant, its matmul and the concat with the context
+    """Nodes forward_loss puts on the tape. A prompt model records three
+    per rank: a selection constant and its matmul on the token table
     (prompt.assemble_sequences), then the pooling matmul
-    (PseudoTextEncoder.encode). Everything else, each loss and the one
-    folded mixing-projection matmul over all pooled rows included, is one
-    fixed set of nodes, so no count depends on the batch size, nor on the
-    number of context rows: a 0-row context is a leaf and is concatenated
-    like any other."""
+    (PseudoTextEncoder.encode), plus one concat that builds the table.
+    Everything else, each loss and the one folded mixing-projection matmul
+    over all pooled rows included, is one fixed set of nodes, so no count
+    depends on the batch size, nor on the number of context rows: a 0-row
+    context is a leaf and is concatenated like any other."""
 
     @pytest.mark.parametrize(
         "method, num_ranks, expected, num_context",
         [
-            pytest.param(training.ORDINALCLIP, 6, 47, 2, id="ordinalclip-6-47"),
-            pytest.param(training.ORDINALCLIP, 20, 103, 2, id="ordinalclip-20-103"),
-            pytest.param(training.COOP, 6, 45, 2, id="coop-6-45"),
-            pytest.param(training.COOP, 20, 101, 2, id="coop-20-101"),
+            pytest.param(training.ORDINALCLIP, 6, 42, 2, id="ordinalclip-6-42"),
+            pytest.param(training.ORDINALCLIP, 20, 84, 2, id="ordinalclip-20-84"),
+            pytest.param(training.COOP, 6, 40, 2, id="coop-6-40"),
+            pytest.param(training.COOP, 20, 82, 2, id="coop-20-82"),
             pytest.param(training.BASELINE, 6, 16, 2, id="baseline-6-16"),
             pytest.param(training.BASELINE, 20, 16, 2, id="baseline-20-16"),
-            pytest.param(training.ORDINALCLIP, 6, 47, 0, id="ordinalclip-6-47-no-context"),
-            pytest.param(training.COOP, 6, 45, 0, id="coop-6-45-no-context"),
+            pytest.param(training.ORDINALCLIP, 6, 42, 0, id="ordinalclip-6-42-no-context"),
+            pytest.param(training.COOP, 6, 40, 0, id="coop-6-40-no-context"),
         ],
     )
     def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
@@ -463,6 +469,43 @@ def test_prototypes_match_the_closed_form_prompt_oracle(method, num_ranks, num_b
     for name in ("context", "base_ranks"):
         state.params[name] = rng.normal(size=state.params[name].shape)
     np.testing.assert_allclose(prototypes_of(state), prompt_oracle(state), rtol=0, atol=1e-12)
+
+
+def _inner_product(tape: Tape, node: int, weights: np.ndarray) -> int:
+    """<weights, value of node> as a 1x1 node: each row of the node is
+    read by a one-hot matmul and dotted with that row of weights, and the
+    row products are stacked and summed by a ones row."""
+    rows = weights.shape[0]
+    identity = np.eye(rows)
+    products = [
+        tape.matmul(tape.matmul(tape.constant(identity[i : i + 1]), node),
+                    tape.constant(weights[i : i + 1].T))
+        for i in range(rows)
+    ]
+    return tape.matmul(tape.constant(np.ones((1, rows))), tape.concat_rows(products))
+
+
+@pytest.mark.parametrize("method, num_ranks, num_base, kernel, num_context", _oracle_cases())
+def test_prompt_gradients_match_the_closed_form_oracle(method, num_ranks, num_base, kernel,
+                                                       num_context):
+    """The tape's gradients of <G, prototypes> in the context and base rank
+    groups, for a seeded random G, equal conftest.prompt_oracle_gradient
+    within 1e-12 of each gradient's largest entry, with both groups set to
+    seeded random values."""
+    cfg = PromptConfig(num_ranks, num_base_ranks=num_base, num_context=num_context,
+                       interpolation=kernel)
+    state = training.build_model(method, num_ranks, cfg)
+    rng = np.random.default_rng(num_ranks * 10 + num_context)
+    for name in ("context", "base_ranks"):
+        state.params[name] = rng.normal(size=state.params[name].shape)
+    adjoint = rng.normal(size=(num_ranks, state.text_encoder.mixed_projection.shape[1]))
+    tape = Tape()
+    grads = tape.backward(_inner_product(tape, training._prompt_nodes(state, tape), adjoint))
+    expected = prompt_oracle_gradient(state, adjoint)
+    for name, oracle in zip(("context", "base_ranks"), expected):
+        assert grads[name].shape == oracle.shape
+        error = np.abs(grads[name] - oracle).max(initial=0.0)
+        assert error <= 1e-12 * np.abs(oracle).max(initial=0.0), name
 
 
 @pytest.mark.parametrize("method", (training.COOP, training.ZEROSHOT))
