@@ -8,6 +8,7 @@ every path a command sees or prints is relative and the same in any
 checkout. OUT must be new or empty. Afterwards it holds:
 
     configs/<config>.cfg       the config files the commands read
+    configs/ranks.csv          the dataset the CSV run reads
     runs/<run>/                every run directory the commands write
     logs/<nn>-<name>.stdout    each command's standard output,
     logs/<nn>-<name>.stderr    its standard error,
@@ -22,6 +23,10 @@ config, with both prompt tune gates off, and at C = 100 (per_rank 8,
 batch_size 16, epochs 10); ordinalclip and coop with num_context = 0,
 whose token table has no context rows; the baseline at
 last_layer_lr_mult = 0.5 and with prediction_rule = expectation;
+ordinalclip and the baseline on 12 training rows in batches of 11 and 1
+(num_ranks 4, per_rank 4, batch_size 11, epochs 3), so every epoch ends
+in a one-row batch; ordinalclip on configs/ranks.csv (data_source = csv),
+whose rank labels 2, 5, 7 and 11 are remapped to 0..3;
 `sweep-interpolation --counts 2,3,5`, `ablation`, `fewshot`,
 `distshift --grid 2:0.5,3:0.0` and the same grid typed with padding and
 an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; and a
@@ -40,6 +45,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 METHODS = ("ordinalclip", "coop", "baseline", "zeroshot")
 C100 = {"num_ranks": 100, "per_rank": 8, "batch_size": 16, "epochs": 10}
 C8 = {"num_ranks": 8, "per_rank": 12, "epochs": 8}
+ONE_ROW = {"num_ranks": 4, "per_rank": 4, "batch_size": 11, "epochs": 3}
+CSV_RANKS = (2, 5, 7, 11)
 GRIDS = {
     "sweep": ["sweep-interpolation", "--counts", "2,3,5"],
     "ablation": ["ablation"],
@@ -60,7 +67,22 @@ def train_configs() -> dict[str, dict]:
         out[f"{method}-no-context"] = {"method": method, "num_context": 0}
     out["baseline-lr-mult"] = {"method": "baseline", "last_layer_lr_mult": 0.5}
     out["baseline-expectation"] = {"method": "baseline", "prediction_rule": "expectation"}
+    for method in ("ordinalclip", "baseline"):
+        out[f"{method}-one-row"] = {"method": method, **ONE_ROW}
+    out["ordinalclip-csv"] = {"method": "ordinalclip", "data_source": "csv",
+                              "csv_path": "configs/ranks.csv"}
     return out
+
+
+def ranks_csv() -> str:
+    """A fixed 3-feature dataset, six rows per rank in CSV_RANKS, each
+    feature the row's rank position plus a deterministic offset."""
+    lines = ["rank,f0,f1,f2"]
+    for position, rank in enumerate(CSV_RANKS):
+        for i in range(6):
+            row = [position + ((7 * i + 3 * k) % 11 - 5) / 10 + 0.05 for k in range(3)]
+            lines.append(",".join([str(rank), *(f"{v:.2f}" for v in row)]))
+    return "\n".join(lines) + "\n"
 
 
 DIVERGING = {"method": "baseline", "learning_rate": "1e300", "num_ranks": 4, "per_rank": 4,
@@ -96,6 +118,7 @@ def main(argv: list[str]) -> int:
     for name, cfg in all_configs.items():
         text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
         (out / "configs" / f"{name}.cfg").write_text(text)
+    (out / "configs" / "ranks.csv").write_text(ranks_csv())
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for index, (name, args) in enumerate(commands()):
         proc = subprocess.run([sys.executable, "-m", "ordinalproto.cli", *args], cwd=out,

@@ -375,8 +375,9 @@ def _write_manifest(out_dir: Path, cfg: dict, extra: dict | None = None) -> None
 
 def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
     """(config, [(name, size, digest)]) of a run's manifest. Anything that
-    does not parse, and a file entry that is not a plain name in the run
-    directory, raises VerificationError naming the line."""
+    does not parse, a file entry that is not a plain name in the run
+    directory, and a key or file set twice raise VerificationError naming
+    the line."""
     path = out_dir / "manifest.txt"
     if not path.is_file():
         raise VerificationError(f"missing manifest: {path}")
@@ -392,13 +393,15 @@ def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
         )
     config, files = {}, []
     in_files = False
+    set_on = {}  # (in [files], key or file name) -> the line that set it
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[files]":
             in_files = True
-        elif in_files:
+            continue
+        if in_files:
             entry = _FILE_ENTRY.fullmatch(line)
             if entry is None:
                 raise VerificationError(
@@ -409,10 +412,13 @@ def _read_manifest(out_dir: Path) -> tuple[dict, list[tuple[str, int, str]]]:
                 raise VerificationError(f"{path}:{lineno}: {name!r} is not a plain file name")
             files.append((name, int(size), digest))
         elif "=" in line:
-            key, value = (part.strip() for part in line.split("=", 1))
-            config[key] = value
+            name, value = (part.strip() for part in line.split("=", 1))
+            config[name] = value
         else:
             raise VerificationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        first = set_on.setdefault((in_files, name), lineno)
+        if first != lineno:
+            raise VerificationError(f"{path}:{lineno}: {name} already set on line {first}")
     return config, files
 
 

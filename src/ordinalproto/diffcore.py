@@ -40,11 +40,12 @@ The tape does only the work a parameter gradient needs:
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
-A recorded tape can be run again: `Tape.rerun` rebinds named leaves and
-op params and re-evaluates every op in place, in recorded order, giving
-bitwise the values and gradients of a tape recorded on the new values. A
-tape is single-threaded; distinct tapes share no mutable state and may
-live on distinct threads.
+Every value an op reads is an input node, so a node's value is a function
+of its inputs' values alone, and a recorded tape can be run again:
+`Tape.rerun` rebinds named leaves and re-evaluates every op in place, in
+recorded order, giving bitwise the values and gradients of a tape recorded
+on the new values. A tape is single-threaded; distinct tapes share no
+mutable state and may live on distinct threads.
 """
 
 from __future__ import annotations
@@ -80,22 +81,18 @@ class _Node:
 
     `wants[k]` is whether input k needs a gradient (a parameter reaches
     it); `needs_grad` is whether this node does. `meta` is whatever the
-    forward rule returned for its backward rule, or None; `params` are the
-    op's extra params, kept for a re-run.
+    forward rule returned for its backward rule, or None.
     """
 
-    __slots__ = ("op", "inputs", "value", "meta", "name", "wants", "needs_grad", "params")
+    __slots__ = ("op", "inputs", "value", "meta", "wants", "needs_grad")
 
-    def __init__(self, op, inputs, value, meta=None, name=None, wants=(), needs_grad=False,
-                 params=None):
+    def __init__(self, op, inputs, value, meta=None, wants=(), needs_grad=False):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.meta = meta
-        self.name = name
         self.wants = wants
         self.needs_grad = needs_grad
-        self.params = params
 
 
 class Tape:
@@ -123,35 +120,33 @@ class Tape:
     def constant(self, array, name: str | None = None) -> int:
         """A node that never receives a gradient; a named one can be rebound
         by rerun."""
-        return self._append(_Node("constant", (), _as_matrix(array), name=name))
+        return self._append(_Node("constant", (), _as_matrix(array)), name)
 
     def parameter(self, array, name: str) -> int:
         """A trainable leaf; its gradient appears in backward() under `name`."""
-        idx = self._append(
-            _Node("parameter", (), _as_matrix(array), name=name, needs_grad=True)
-        )
+        idx = self._append(_Node("parameter", (), _as_matrix(array), needs_grad=True), name)
         self._params[name] = idx
         return idx
 
     def value(self, node: int) -> np.ndarray:
         return self._nodes[node].value
 
-    def _append(self, node: _Node) -> int:
+    def _append(self, node: _Node, name: str | None) -> int:
         idx = len(self._nodes)
-        if node.name is not None:
-            if node.name in self._leaves:
-                raise ValueError(f"leaf {node.name!r} registered twice on this tape")
-            self._leaves[node.name] = idx
+        if name is not None:
+            if name in self._leaves:
+                raise ValueError(f"leaf {name!r} registered twice on this tape")
+            self._leaves[name] = idx
         self._nodes.append(node)
         return idx
 
     # -- recording -------------------------------------------------------
 
-    def record(self, op_kind: str, inputs, **params) -> int:
+    def record(self, op_kind: str, inputs) -> int:
         """Record one primitive, computing and storing its forward value.
 
-        `inputs` is a sequence of node references. Extra op parameters:
-        temperature (clip-kl) and targets (clip-kl, softmax-xent).
+        `inputs` is a sequence of node references, and the op reads nothing
+        else: a fixed operand, such as a loss's targets, is a constant.
         """
         forward = _FORWARD.get(op_kind)
         if forward is None:
@@ -164,24 +159,24 @@ class Tape:
             if not 0 <= i < idx:
                 raise ValueError(f"input node {i} not on tape")
             in_nodes.append(nodes[i])
-        value, meta = forward([n.value for n in in_nodes], params)
+        value, meta = forward([n.value for n in in_nodes])
         _check_finite(value, op_kind)
         wants = tuple([n.needs_grad for n in in_nodes])
         needs_grad = True in wants
-        nodes.append(_Node(op_kind, inputs, value, meta, None, wants, needs_grad, params))
+        nodes.append(_Node(op_kind, inputs, value, meta, wants, needs_grad))
         if needs_grad:
             self._grad_ops.append(idx)
         return idx
 
-    def rerun(self, leaves: dict, op_params: dict | None = None) -> None:
+    def rerun(self, leaves: dict) -> None:
         """Evaluate the recorded ops again, in place, on new leaf values.
 
         `leaves` maps leaf names (parameters, named constants) to values of
-        the recorded shapes; `op_params` maps an op node to extra params
-        that update its recorded ones. Every other leaf and param is kept.
-        Each op then reruns the forward rule and finiteness check of
-        `record`, in recorded order. A failed re-run leaves the tape
-        part-updated. The graph is unchanged, so backward needs no change.
+        the recorded shapes; every other leaf keeps its value. Each op then
+        reruns the forward rule and finiteness check of `record`, in
+        recorded order, on its inputs' values, which are all it reads. A
+        failed re-run leaves the tape part-updated. The graph is
+        unchanged, so backward needs no change.
         """
         nodes = self._nodes
         for name, array in leaves.items():
@@ -190,13 +185,9 @@ class Tape:
                 raise ValueError(f"leaf {name!r} has shape {value.shape}; "
                                  f"the tape recorded {node.value.shape}")
             node.value = value
-        for idx, params in (op_params or {}).items():
-            nodes[idx].params = {**nodes[idx].params, **params}
         for node in nodes:
             if node.inputs:
-                node.value, node.meta = _FORWARD[node.op](
-                    [nodes[i].value for i in node.inputs], node.params
-                )
+                node.value, node.meta = _FORWARD[node.op]([nodes[i].value for i in node.inputs])
                 _check_finite(node.value, node.op)
 
     # Convenience wrappers, one per primitive.
@@ -205,6 +196,7 @@ class Tape:
         return self.record("matmul", (a, b))
 
     def add(self, a: int, b: int) -> int:
+        """a + b for a 1 x k row b, broadcast over the rows of a."""
         return self.record("add", (a, b))
 
     def l2_normalize_rows(self, a: int) -> int:
@@ -219,22 +211,24 @@ class Tape:
     def tanh(self, a: int) -> int:
         return self.record("tanh", (a,))
 
-    def clip_kl(self, scores: int, targets, temperature: float) -> int:
+    def clip_kl(self, scores: int, targets: int, temperature: int) -> int:
         """Symmetric KL loss of a score table against targets, a 1x1 node.
 
         0.5/B * sum_i KL(Y_i || softmax_row(S/t)_i)
           + 0.5/nz * sum_j KL(Yc_j || softmax_col(S/t)_j)
 
         over the B rows and the nz non-zero columns of the non-negative
-        B x C `targets` Y, where Yc is Y with each non-zero column scaled
-        to sum 1. Targets are a fixed matrix, not a tape node.
+        B x C `targets` node Y, where Yc is Y with each non-zero column
+        scaled to sum 1, and t is the 1x1 `temperature` node; only S gets a
+        gradient.
         """
-        return self.record("clip-kl", (scores,), targets=targets, temperature=temperature)
+        return self.record("clip-kl", (scores, targets, temperature))
 
-    def softmax_xent(self, logits: int, targets) -> int:
-        """Mean over the B rows of KL(Y_i || softmax(L_i)), a 1x1 node; the
-        cross-entropy when every target row is one-hot."""
-        return self.record("softmax-xent", (logits,), targets=targets)
+    def softmax_xent(self, logits: int, targets: int) -> int:
+        """Mean over the B rows of KL(Y_i || softmax(L_i)) for the `targets`
+        node Y, a 1x1 node; the cross-entropy when every target row is
+        one-hot. Only the logits get a gradient."""
+        return self.record("softmax-xent", (logits, targets))
 
     # -- reverse sweep ----------------------------------------------------
 
@@ -289,14 +283,14 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# forward rules: (input values, params) -> (value, meta)
+# forward rules: input values -> (value, meta)
 
 
 def _shape_err(op, shapes):
     return ValueError(f"{op}: incompatible shapes {shapes}")
 
 
-def _fwd_matmul(vals, params):
+def _fwd_matmul(vals):
     a, b = vals
     if a.shape[1] != b.shape[0]:
         raise _shape_err("matmul", (a.shape, b.shape))
@@ -305,14 +299,11 @@ def _fwd_matmul(vals, params):
     return a.dot(b), None
 
 
-def _fwd_add(vals, params):
+def _fwd_add(vals):
     a, b = vals
-    # Same shape, or a 1 x k bias row broadcast over the rows of a.
-    if a.shape == b.shape:
-        return a + b, None
-    if b.shape == (1, a.shape[1]):
-        return a + b, {"broadcast": True}
-    raise _shape_err("add", (a.shape, b.shape))
+    if b.shape != (1, a.shape[1]):
+        raise _shape_err("add", (a.shape, b.shape))
+    return a + b, None
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -331,7 +322,7 @@ def _log_softmax(x, axis):
     return shifted - np.log(total), e / total
 
 
-def _fwd_l2_normalize_rows(vals, params):
+def _fwd_l2_normalize_rows(vals):
     (a,) = vals
     # What np.linalg.norm(a, axis=1, keepdims=True) computes for real
     # input, without its dispatch. A row whose sum of squares overflows to
@@ -356,14 +347,12 @@ def _fwd_l2_normalize_rows(vals, params):
     return out, {"norms": norms}
 
 
-def _targets(op, params, scores):
+def _check_targets(op, scores, y):
     _check_finite(scores, op)
-    y = _as_matrix(params["targets"])
     if y.shape != scores.shape:
         raise _shape_err(op, (scores.shape, y.shape))
     if not np.isfinite(y).all() or (y < 0).any():
         raise ValueError(f"{op}: targets must be finite and non-negative")
-    return y
 
 
 def _kl_total(y, log_q):
@@ -373,7 +362,7 @@ def _kl_total(y, log_q):
     return float(np.sum(y_s * (np.log(y_s) - log_q[support])))
 
 
-def _fwd_clip_kl(vals, params):
+def _fwd_clip_kl(vals):
     """See Tape.clip_kl. Gradient with respect to the scores S:
 
         (0.5/(B t)) (P_row * r - Y) + (0.5/(nz t)) (P_col * mask - Yc)
@@ -381,11 +370,11 @@ def _fwd_clip_kl(vals, params):
     where r holds the row sums of Y (1 for one-hot rows) and mask marks
     the non-zero columns, whose Yc columns sum to 1.
     """
-    (s,) = vals
-    t = float(params["temperature"])
+    s, y, temperature = vals
+    t = temperature.item()  # raises unless the node is 1x1
     if not t > 0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
-    y = _targets("clip-kl", params, s)
+    _check_targets("clip-kl", s, y)
     col_sums = y.sum(axis=0, keepdims=True)
     mask = col_sums > 0
     nonzero_cols = int(np.count_nonzero(mask))
@@ -402,27 +391,27 @@ def _fwd_clip_kl(vals, params):
     return np.array([[total]]), meta
 
 
-def _fwd_softmax_xent(vals, params):
+def _fwd_softmax_xent(vals):
     """See Tape.softmax_xent. Gradient: (P * r - Y) / B, r the row sums of Y."""
-    (logits,) = vals
-    y = _targets("softmax-xent", params, logits)
+    logits, y = vals
+    _check_targets("softmax-xent", logits, y)
     log_p, p = _log_softmax(logits, axis=1)
     weight = 1.0 / logits.shape[0]
     return np.array([[_kl_total(y, log_p) * weight]]), (weight, y, p)
 
 
-def _fwd_concat_rows(vals, params):
+def _fwd_concat_rows(vals):
     cols = {v.shape[1] for v in vals}
     if len(vals) == 0 or len(cols) != 1:
         raise _shape_err("concat-rows", [v.shape for v in vals])
-    return np.concatenate(vals), {"row_counts": [v.shape[0] for v in vals]}
+    return np.concatenate(vals), None
 
 
-def _fwd_transpose(vals, params):
+def _fwd_transpose(vals):
     return vals[0].T.copy(), None
 
 
-def _fwd_tanh(vals, params):
+def _fwd_tanh(vals):
     return np.tanh(vals[0]), None
 
 
@@ -452,7 +441,7 @@ OP_KINDS = tuple(_FORWARD)
 #   -> one gradient (or None) per input. wants[k] says whether input k
 #   needs one; a rule forms no gradient for an input that does not. A
 #   rule runs only for a node that needs a gradient, so a single-input
-#   rule's input always does.
+#   rule's input always does. A loss gives its targets and temperature None.
 
 
 def _bwd_matmul(g, out, ins, meta, wants):
@@ -461,9 +450,7 @@ def _bwd_matmul(g, out, ins, meta, wants):
 
 
 def _bwd_add(g, out, ins, meta, wants):
-    if meta and meta.get("broadcast"):
-        return (g if wants[0] else None, g.sum(axis=0, keepdims=True) if wants[1] else None)
-    return (g if wants[0] else None, g if wants[1] else None)
+    return (g if wants[0] else None, g.sum(axis=0, keepdims=True) if wants[1] else None)
 
 
 def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
@@ -479,7 +466,7 @@ def _bwd_clip_kl(g, out, ins, meta, wants):
     row -= y
     col = p_col * mask
     col -= y_col
-    return ((scale * w_row) * row + (scale * w_col) * col,)
+    return ((scale * w_row) * row + (scale * w_col) * col, None, None)
 
 
 def _bwd_softmax_xent(g, out, ins, meta, wants):
@@ -487,15 +474,14 @@ def _bwd_softmax_xent(g, out, ins, meta, wants):
     grad = p * y.sum(axis=1, keepdims=True)
     grad -= y
     grad *= g[0, 0] * weight
-    return (grad,)
+    return (grad, None)
 
 
 def _bwd_concat_rows(g, out, ins, meta, wants):
-    grads = []
-    start = 0
-    for count, want in zip(meta["row_counts"], wants):
-        grads.append(g[start:start + count] if want else None)
-        start += count
+    grads, start = [], 0
+    for part, want in zip(ins, wants):
+        grads.append(g[start:start + len(part)] if want else None)
+        start += len(part)
     return tuple(grads)
 
 

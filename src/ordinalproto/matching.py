@@ -13,7 +13,9 @@ nz the number of non-zero label columns:
 where mask keeps the non-zero label columns. The classification baseline
 is a linear head with cross-entropy, loss = mean_i KL(Y_i || softmax(L_i))
 with gradient (softmax(L) - Y)/B. Each loss is one fused tape node with
-that closed-form gradient.
+that closed-form gradient. Both read the one-hot labels from the constant
+LABELS, which a re-run rebinds; the contrastive loss reads its temperature
+from a 1x1 constant.
 
 All functions are pure in their inputs and safe to evaluate concurrently
 on distinct tapes.
@@ -24,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import Tape
+
+LABELS = "matching.labels"
 
 
 def similarity(tape: Tape, images_node: int, prototypes_node: int) -> int:
@@ -56,7 +60,8 @@ def contrastive_loss(tape: Tape, scores_node: int, labels, num_ranks: int,
     all-column average would be undefined there. Temperature must be
     positive.
     """
-    return tape.clip_kl(scores_node, one_hot_labels(labels, num_ranks), temperature)
+    y = tape.constant(one_hot_labels(labels, num_ranks), LABELS)
+    return tape.clip_kl(scores_node, y, tape.constant([[temperature]]))
 
 
 def baseline_logits(tape: Tape, weights_node: int, bias_node: int, features_node: int) -> int:
@@ -70,4 +75,5 @@ def cross_entropy_loss(tape: Tape, logits_node: int, labels, num_ranks: int) -> 
     Identical to the mean row-wise KL against the one-hot labels, since
     one-hot targets carry zero entropy.
     """
-    return tape.softmax_xent(logits_node, one_hot_labels(labels, num_ranks))
+    y = tape.constant(one_hot_labels(labels, num_ranks), LABELS)
+    return tape.softmax_xent(logits_node, y)

@@ -413,11 +413,13 @@ def train_step(
     arranges, so the tape's parameter nodes hold them and see each update
     in place. `tapes` maps a batch row count to the (tape, loss node)
     forward_loss recorded for it. A step whose row count is there re-runs
-    that tape on this batch and labels, with the batch, label and
-    finiteness checks the recording ran; any other step records a tape and
-    stores it there. A non-finite forward pass, or an update that leaves a
-    group non-finite, raises TrainingDivergedError at this step; only
-    then are the groups scanned one by one, to name the non-finite ones.
+    that tape with its ImageEncoder.BATCH and matching.LABELS leaves
+    rebound to this batch and its one-hot labels, with the batch, label
+    and finiteness checks the recording ran; any other step records a tape
+    and stores it there. A non-finite forward pass, or an update that
+    leaves a group non-finite, raises TrainingDivergedError at this step;
+    only then are the groups scanned one by one, to name the non-finite
+    ones.
     """
     if len(batch_y) == 0:
         raise ValueError("train_step requires a non-empty batch")
@@ -429,9 +431,8 @@ def train_step(
             )
         else:
             tape, loss_node = recorded
-            batch = ImageEncoder.checked_batch(batch_x)
-            targets = matching.one_hot_labels(batch_y, state.num_ranks)
-            tape.rerun({ImageEncoder.BATCH: batch}, {loss_node: {"targets": targets}})
+            tape.rerun({ImageEncoder.BATCH: ImageEncoder.checked_batch(batch_x),
+                        matching.LABELS: matching.one_hot_labels(batch_y, state.num_ranks)})
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])

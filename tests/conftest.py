@@ -8,7 +8,8 @@ tape: the package itself encodes and builds prototypes only inside the
 scores graph of training. `prompt_oracle` is the prototypes' closed form
 in plain numpy, the oracle for the prompt graph, and
 `prompt_oracle_gradient` its hand-derived gradient in the two prompt
-groups."""
+groups. `forward_loss_oracle` extends both to the whole training loss:
+its value and its hand-derived gradient in every parameter group."""
 
 import numpy as np
 
@@ -107,10 +108,69 @@ def prompt_oracle_gradient(state, adjoint: np.ndarray) -> tuple[np.ndarray, np.n
     return np.outer(pool[:m], dr.sum(axis=0)), pool[m] * dr
 
 
+def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, dict]:
+    """(loss, {group: gradient}) of training.forward_loss, in plain numpy,
+    derived by hand, no tape; every group of state.params gets a gradient,
+    a frozen one too. The image encoder is A = X W1 + b1, H = tanh(A),
+    F = H W2 + b2. With one-hot labels Y, B rows and t the temperature:
+
+    prompt methods: E = F / |F| and P = prompt_oracle(state), row by row;
+    S = E P.T; the loss is clip-kl of S, and, by matching's docstring,
+        dS = 0.5/(B t) (P_row - Y) + 0.5/(nz t) (P_col * mask - Yc)
+        dE = dS P,  dP = dS.T E,  dF = (dE - rowsum(dE * E) E) / |F|
+    and prompt_oracle_gradient(state, dP) gives d/d ctx and d/d base_ranks.
+
+    baseline: L = F Wh.T + bh; the loss is softmax-xent of L, and
+        dL = (softmax(L) - Y) / B,  dWh = dL.T F,  dbh = colsum(dL),  dF = dL Wh
+
+    then, for both, dW2 = H.T dF, db2 = colsum(dF), dA = (dF W2.T) (1 - H^2),
+    dW1 = X.T dA and db1 = colsum(dA)."""
+    params = state.params
+    x = np.asarray(batch_x, dtype=np.float64)
+    y = np.eye(state.num_ranks)[np.asarray(batch_y)]
+    rows = x.shape[0]
+    h = np.tanh(x @ params["image.w1"] + params["image.b1"])
+    f = h @ params["image.w2"] + params["image.b2"]
+    grads = {}
+    if state.uses_prompts:
+        norms = np.linalg.norm(f, axis=1, keepdims=True)
+        e = f / norms
+        protos = prompt_oracle(state)
+        scores = e @ protos.T
+        loss, _ = unfused_clip_kl(scores, y, temperature)
+        mask = y.sum(axis=0, keepdims=True) > 0
+        z = scores / temperature
+        p_row = np.exp(z - z.max(axis=1, keepdims=True))
+        p_row /= p_row.sum(axis=1, keepdims=True)
+        p_col = np.exp(z - z.max(axis=0, keepdims=True))
+        p_col /= p_col.sum(axis=0, keepdims=True)
+        y_col = column_normalized_labels(y)
+        d_scores = (0.5 / (rows * temperature) * (p_row - y)
+                    + 0.5 / (mask.sum() * temperature) * (p_col * mask - y_col))
+        d_e = d_scores @ protos
+        d_f = (d_e - (d_e * e).sum(axis=1, keepdims=True) * e) / norms
+        grads["context"], grads["base_ranks"] = prompt_oracle_gradient(state, d_scores.T @ e)
+    else:
+        weights = params["head.weights"]
+        logits = f @ weights.T + params["head.bias"]
+        loss, _ = unfused_softmax_xent(logits, y)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        d_logits = (probs / probs.sum(axis=1, keepdims=True) - y) / rows
+        grads["head.weights"] = d_logits.T @ f
+        grads["head.bias"] = d_logits.sum(axis=0, keepdims=True)
+        d_f = d_logits @ weights
+    d_a = (d_f @ params["image.w2"].T) * (1.0 - h * h)
+    grads |= {"image.w1": x.T @ d_a, "image.b1": d_a.sum(axis=0, keepdims=True),
+              "image.w2": h.T @ d_f, "image.b2": d_f.sum(axis=0, keepdims=True)}
+    return float(loss), grads
+
+
 def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
     """The unpruned reverse sweep: every node reached from the loss is
     visited, every input gradient is formed, and every adjoint starts as a
-    copy. Tape.backward must match it bitwise."""
+    copy. Tape.backward must match it bitwise. The only inputs a rule may
+    leave without a gradient are a loss's targets and temperature, every
+    input after its scores."""
     nodes = tape._nodes
     adjoint = [None] * len(nodes)
     adjoint[loss_node] = np.ones((1, 1))
@@ -122,7 +182,10 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
         in_vals = [nodes[i].value for i in node.inputs]
         wants = (True,) * len(node.inputs)
         contribs = diffcore._BACKWARD[node.op](g, node.value, in_vals, node.meta, wants)
-        for inp, contrib in zip(node.inputs, contribs):
+        for k, (inp, contrib) in enumerate(zip(node.inputs, contribs)):
+            if contrib is None:
+                assert node.op in ("clip-kl", "softmax-xent") and k > 0, (node.op, k)
+                continue
             if adjoint[inp] is None:
                 adjoint[inp] = contrib.copy()
             else:

@@ -768,6 +768,35 @@ def test_report_refuses_a_damaged_manifest_in_one_line(runs, tmp_path, capsys, p
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "pattern, repl, needle, first",
+    [
+        (r"\[files\]\n", "method = coop\nnum_base_ranks = 99\n[files]\n", "method", "method = "),
+        (r"(metrics\.csv .*\n)", r"\1\1", "metrics.csv", "metrics.csv "),
+    ],
+    ids=["key-set-twice", "file-listed-twice"],
+)
+def test_report_refuses_a_key_or_file_set_twice(runs, tmp_path, capsys, pattern, repl, needle,
+                                                first):
+    """A manifest that sets a key, or lists a file, a second time fails in
+    one line naming both lines, as load_config does for a config: report
+    prints no configuration, so no forged value, and exits 1. The second
+    method line would otherwise turn an ordinalclip run into a coop one,
+    which skips the rank check."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    manifest = run_dir / "manifest.txt"
+    text = manifest.read_text()
+    first_line = text.count("\n", 0, text.index(f"\n{first}") + 1) + 1
+    damaged = re.sub(pattern, repl, text, count=1)
+    lineno = damaged.count("\n", 0, damaged.rindex(f"\n{first}") + 1) + 1
+    manifest.write_text(damaged)
+    assert cli.main(["report", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"{manifest}:{lineno}: {needle} already set on line {first_line}\n"
+    assert out == ""
+
+
 def _forge_prototypes(run_dir, rank, rebuild_manifest=True):
     """Replace prototypes.bin with a unit-row matrix of its shape and the
     given rank and, unless told not to, rebuild its manifest entry, so

@@ -34,11 +34,28 @@ def _scalarize(tape, node, rng):
     return tape.matmul(tape.matmul(u, node), v)
 
 
+def _clip_kl(tape, scores, targets, temperature, name=None):
+    """clip-kl of a scores node against targets and a temperature, each put
+    on the tape as a constant; the targets under `name`, if given."""
+    return tape.clip_kl(scores, tape.constant(targets, name), tape.constant([[temperature]]))
+
+
+def _softmax_xent(tape, logits, targets, name=None):
+    """softmax-xent of a logits node against targets put on the tape as a
+    constant, under `name` if given."""
+    return tape.softmax_xent(logits, tape.constant(targets, name))
+
+
+def _ops(tape):
+    """The op kinds on the tape, in recorded order; leaves are left out."""
+    return [node.op for node in tape._nodes if node.inputs]
+
+
 class TestForwardValues:
     def test_add_ones(self):
         tape = Tape()
         a = tape.constant(np.ones((2, 2)))
-        b = tape.constant(np.ones((2, 2)))
+        b = tape.constant(np.ones((1, 2)))
         out = tape.record("add", (a, b))
         np.testing.assert_array_equal(tape.value(out), np.full((2, 2), 2.0))
 
@@ -81,7 +98,7 @@ class TestForwardValues:
         logits = rng.normal(size=(3, 4))
         tape = Tape()
         s = tape.parameter(logits, "s")
-        loss = tape.softmax_xent(s, diffcore.softmax(logits, axis=1))
+        loss = _softmax_xent(tape, s, diffcore.softmax(logits, axis=1))
         assert abs(tape.value(loss)[0, 0]) < 1e-15
         np.testing.assert_allclose(tape.backward(loss)["s"], 0.0, atol=1e-15)
 
@@ -92,7 +109,7 @@ class TestForwardValues:
         q = np.array([[0.3, 0.7], [0.5, 0.5]])
         tape = Tape()
         s = tape.parameter(np.log(q), "s")
-        loss = tape.softmax_xent(s, p)
+        loss = _softmax_xent(tape, s, p)
         assert tape.value(loss)[0, 0] == pytest.approx(np.log(2.0) / 2, abs=1e-15)
         np.testing.assert_array_equal(tape.backward(loss)["s"][0], [0.0, 0.0])
 
@@ -102,13 +119,13 @@ class TestForwardValues:
         exact loss."""
         tape = Tape()
         s = tape.parameter([[1.0, -1.0]], "s")
-        loss = tape.clip_kl(s, [[0.0, 1.0]], 1e-4)
+        loss = _clip_kl(tape, s, [[0.0, 1.0]], 1e-4)
         assert tape.value(loss)[0, 0] == 1e4  # 0.5 * 2e4 + 0.5 * 0
         np.testing.assert_allclose(tape.backward(loss)["s"], [[5e3, -5e3]], rtol=1e-15)
 
         tape = Tape()
         logits = tape.parameter([[1000.0, -1000.0]], "logits")
-        loss = tape.softmax_xent(logits, [[0.0, 1.0]])
+        loss = _softmax_xent(tape, logits, [[0.0, 1.0]])
         assert tape.value(loss)[0, 0] == 2000.0
         np.testing.assert_array_equal(tape.backward(loss)["logits"], [[1.0, -1.0]])
 
@@ -146,8 +163,8 @@ class TestRecordContract:
         tape = Tape()
         a = tape.constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="temperature must be positive"):
-            tape.clip_kl(a, np.eye(2), temperature)
-        assert len(tape) == 1
+            _clip_kl(tape, a, np.eye(2), temperature)
+        assert _ops(tape) == []
 
     def test_all_listed_op_kinds_are_recordable(self):
         assert set(OP_KINDS) == set(diffcore._FORWARD) == set(diffcore._BACKWARD) == {
@@ -218,10 +235,10 @@ class TestBackward:
 
         def loss_of(p):
             tape = Tape()
-            return tape.value(tape.clip_kl(tape.parameter(p, "p"), y, 0.5))[0, 0]
+            return tape.value(_clip_kl(tape, tape.parameter(p, "p"), y, 0.5))[0, 0]
 
         tape = Tape()
-        loss = tape.clip_kl(tape.parameter(logits, "p"), y, 0.5)
+        loss = _clip_kl(tape, tape.parameter(logits, "p"), y, 0.5)
         analytic = tape.backward(loss)["p"]
         assert finite_difference_check(loss_of, logits, analytic, h=H) <= FD_TOL
 
@@ -242,7 +259,7 @@ class TestFiniteCheck:
         values[11, 5] = np.nan
         tape = Tape()
         with pytest.raises(FloatingPointError, match="'add'"):
-            tape.add(tape.constant(values), tape.constant(np.ones((16, 16))))
+            tape.add(tape.constant(values), tape.constant(np.ones((1, 16))))
 
     def test_l2_normalize_rows_whose_sum_of_squares_overflows_or_underflows(self):
         """Rows whose sum of squares overflows to inf or underflows to 0 are
@@ -296,7 +313,7 @@ class TestPrunedBackward:
         rng = np.random.default_rng(30)
         tape = Tape()
         p = tape.parameter(rng.normal(size=(3, 4)), "p")
-        frozen = tape.tanh(tape.transpose(tape.constant(rng.normal(size=(4, 3)))))
+        frozen = tape.tanh(tape.transpose(tape.constant(rng.normal(size=(4, 1)))))
         loss = sum_all(tape, tape.add(p, frozen))
         calls, log = _count_backward_rules(monkeypatch)
         tape.backward(loss)
@@ -319,21 +336,24 @@ class TestPrunedBackward:
         tape = Tape()
         x = tape.constant(rng.normal(size=(5, 3)))
         w = tape.parameter(rng.normal(size=(3, 2)), "w")
-        loss = tape.softmax_xent(tape.matmul(x, w), np.full((5, 2), 0.5))
+        loss = _softmax_xent(tape, tape.matmul(x, w), np.full((5, 2), 0.5))
         _, log = _count_backward_rules(monkeypatch)
         tape.backward(loss)
         wants = {kind: w for kind, w, _ in log}
-        assert wants == {"matmul": (False, True), "softmax-xent": (True,)}
+        assert wants == {"matmul": (False, True), "softmax-xent": (True, False)}
 
     def test_aliased_adjoints_match_the_unpruned_sweep_bitwise(self):
-        """add hands one upstream buffer to both of its inputs. p then
-        takes a second contribution from tanh: accumulating in place would
-        change q's gradient too. a and b share their buffer to the end."""
+        """add hands its upstream buffer to its first input as is, and
+        concat-rows hands each input a view of its own. p borrows a slice
+        of the concat's buffer through two adds, q the next slice, and p
+        then takes a second contribution from tanh. The gradients equal
+        the unpruned sweep's bitwise and share no memory."""
         rng = np.random.default_rng(32)
         tape = Tape()
-        p, q, a, b = (tape.parameter(rng.normal(size=(3, 3)), n) for n in "pqab")
+        p, q = (tape.parameter(rng.normal(size=(3, 3)), n) for n in "pq")
+        a, b = (tape.parameter(rng.normal(size=(1, 3)), n) for n in "ab")
         r = tape.tanh(p)
-        total = tape.add(tape.add(tape.add(p, q), r), tape.add(a, b))
+        total = tape.concat_rows([tape.add(tape.add(p, a), b), q, r])
         loss = _scalarize(tape, total, rng)
         grads = tape.backward(loss)
         expected = reference_backward(tape, loss)
@@ -388,8 +408,31 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         _fd_case("matmul", lambda t, n: t.matmul(n[0], n[1]), [(4, 8), (8, 3)], 10)
 
-    def test_add_same_shape(self):
-        _fd_case("add", lambda t, n: t.add(n[0], n[1]), [(5, 6), (5, 6)], 11)
+    def test_add_rejects_a_multi_row_second_operand_naming_both_shapes(self):
+        tape = Tape()
+        a, b = tape.constant(np.ones((5, 6))), tape.constant(np.ones((5, 6)))
+        shapes = r"\(\(5, 6\), \(5, 6\)\)"
+        with pytest.raises(ValueError, match=rf"^add: incompatible shapes {shapes}$"):
+            tape.add(a, b)
+        assert len(tape) == 2
+
+    def test_one_row_add_equals_the_same_shape_sum_bitwise(self):
+        """A 1 x k first operand takes the row form. Its value, a + b, and
+        its gradients are bitwise those of the same-shape sum, the
+        upstream gradient g for each input. The one exception is a -0.0
+        entry of g: the bias row's one-term column sum starts from +0.0, so
+        that entry reads +0.0, which compares equal."""
+        rng = np.random.default_rng(11)
+        a, b, g = (rng.normal(size=(1, 6)) for _ in range(3))
+        g[0, :2] = 0.0, -0.0
+        tape = Tape()
+        out = tape.add(tape.parameter(a, "a"), tape.parameter(b, "b"))
+        assert tape.value(out).tobytes() == (a + b).tobytes()
+        grad_a, grad_b = diffcore._BACKWARD["add"](g, tape.value(out), [a, b], None, (True, True))
+        assert grad_a.tobytes() == g.tobytes()
+        assert grad_b.shape == g.shape and grad_b[0, 2:].tobytes() == g[0, 2:].tobytes()
+        assert grad_b[0, :2].tobytes() == np.zeros(2).tobytes()
+        np.testing.assert_array_equal(grad_b, g)
 
     def test_add_broadcast_bias(self):
         _fd_case("add-bias", lambda t, n: t.add(n[0], n[1]), [(7, 4), (1, 4)], 12)
@@ -412,18 +455,18 @@ class TestPrimitiveGradients:
     def test_clip_kl(self):
         # label 5 is empty: a zero column, left out of the column term
         targets = np.eye(8)[[0, 2, 2, 7, 1, 3]]
-        _fd_case("clip-kl", lambda t, n: t.clip_kl(n[0], targets, 0.7), [(6, 8)], 22)
+        _fd_case("clip-kl", lambda t, n: _clip_kl(t, n[0], targets, 0.7), [(6, 8)], 22)
 
     def test_softmax_xent(self):
         rng = np.random.default_rng(23)
         targets = rng.uniform(0.0, 1.0, size=(4, 5))
         targets[0, :] = 0.0  # an all-zero target row must stay differentiable
-        _fd_case("softmax-xent", lambda t, n: t.softmax_xent(n[0], targets), [(4, 5)], 24)
+        _fd_case("softmax-xent", lambda t, n: _softmax_xent(t, n[0], targets), [(4, 5)], 24)
 
 
 # ---------------------------------------------------------------------------
-# property tests: every op kind over random small shapes, input roles and
-# op parameters. Hypothesis draws the structure; a seeded generator draws
+# property tests: every op kind over random small shapes and input roles.
+# Hypothesis draws the structure; a seeded generator draws
 # the values, well away from zero and from the kinks of each op's domain,
 # so the finite-difference comparison stays well conditioned.
 
@@ -461,7 +504,7 @@ def _op_cases(draw, kind):
         shapes = [(rows, cols), (cols, draw(_dims))]
         build = lambda t, n: t.matmul(*n)
     elif kind == "add":
-        shapes = [(rows, cols), draw(st.sampled_from([(rows, cols), (1, cols)]))]
+        shapes = [(rows, cols), (1, cols)]
         build = lambda t, n: t.add(*n)
     elif kind == "l2-normalize-rows":
         shapes = [(rows, cols)]
@@ -472,12 +515,13 @@ def _op_cases(draw, kind):
     elif kind in ("clip-kl", "softmax-xent"):
         targets = _loss_targets(draw, rng)
         shapes = [targets.shape]
-        # A loss's build takes other targets of the same shape as y.
+        # A loss's build takes other targets of the same shape as y, and
+        # puts them on the tape as the constant named "y".
         if kind == "clip-kl":
             temperature = draw(st.floats(0.5, 2.0))
-            build = lambda t, n, y=targets: t.clip_kl(n[0], y, temperature)
+            build = lambda t, n, y=targets: _clip_kl(t, n[0], y, temperature, "y")
         else:
-            build = lambda t, n, y=targets: t.softmax_xent(n[0], y)
+            build = lambda t, n, y=targets: _softmax_xent(t, n[0], y, "y")
     elif kind == "transpose":
         shapes = [(rows, cols)]
         build = lambda t, n: t.transpose(n[0])
@@ -584,31 +628,32 @@ class TestOpProperties:
         nodes = [tape.constant(v) for v in values]
         with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
             build(tape, nodes)
-        assert len(tape) == len(values)
+        assert _ops(tape) == []
 
 
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_rerun_on_fresh_leaves_equals_a_fresh_recording_bitwise(self, kind, data):
         """A tape re-run on fresh leaf values (and, for a loss, fresh
-        one-hot targets) holds bitwise the node values and backward
-        gradients of a tape recorded on them, after a sweep of the old."""
+        one-hot targets, its leaf "y") holds bitwise the node values and
+        backward gradients of a tape recorded on them, after a sweep of the
+        old."""
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
         weight_seed = data.draw(st.integers(0, 99))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         fresh = [_signed(rng, v.shape) for v in values]
-        leaves = sorted(set(sources))
-        fresh_build, op_params = build, {}
+        rebound = {_leaf_name(i, params): fresh[i] for i in sorted(set(sources))}
+        fresh_build = build
         if kind in ("clip-kl", "softmax-xent"):
             rows, cols = values[0].shape
             y = np.zeros((rows, cols))
             y[np.arange(rows), rng.integers(0, cols, size=rows)] = 1.0
             fresh_build = lambda t, n: build(t, n, y=y)
-            op_params = {len(leaves): {"targets": y}}  # the op follows its leaves
+            rebound["y"] = y
         tape, loss = _property_tape(build, values, sources, params, weight_seed)
         tape.backward(loss)
-        tape.rerun({_leaf_name(i, params): fresh[i] for i in leaves}, op_params)
+        tape.rerun(rebound)
         expected, expected_loss = _property_tape(fresh_build, fresh, sources, params, weight_seed)
         assert len(tape) == len(expected)
         for i in range(len(tape)):
@@ -653,11 +698,12 @@ class TestRerun:
         x = tape.constant(np.array([[1.0, 2.0]]), "x")
         w = tape.parameter(np.array([[3.0], [4.0]]), "w")
         scores = tape.matmul(x, w)
-        loss = tape.clip_kl(scores, np.ones((1, 1)), 0.5)
-        tape.rerun({"x": np.array([[5.0, 6.0]])}, {loss: {"targets": np.full((1, 1), 2.0)}})
+        loss = _clip_kl(tape, scores, np.ones((1, 1)), 0.5, "y")
+        tape.rerun({"x": np.array([[5.0, 6.0]]), "y": np.full((1, 1), 2.0)})
         assert tape.value(scores)[0, 0] == 5.0 * 3.0 + 6.0 * 4.0
         fresh = Tape()
-        fresh_loss = fresh.clip_kl(fresh.constant(tape.value(scores)), np.full((1, 1), 2.0), 0.5)
+        fresh_scores = fresh.constant(tape.value(scores))
+        fresh_loss = _clip_kl(fresh, fresh_scores, np.full((1, 1), 2.0), 0.5)
         np.testing.assert_array_equal(tape.value(loss), fresh.value(fresh_loss))
 
 
@@ -736,7 +782,7 @@ class TestForwardFormulas:
         s = y > 0
         expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / shape[0])
         tape = Tape()
-        out = tape.softmax_xent(tape.constant(x), y)
+        out = _softmax_xent(tape, tape.constant(x), y)
         assert tape.value(out)[0, 0] == expected
 
 
@@ -758,15 +804,15 @@ class TestFusedLosses:
             tape = Tape()
             s = tape.parameter(point, "s")
             if kind == "clip-kl":
-                return tape, tape.clip_kl(s, targets, temperature)
-            return tape, tape.softmax_xent(s, targets)
+                return tape, _clip_kl(tape, s, targets, temperature)
+            return tape, _softmax_xent(tape, s, targets)
 
         if kind == "clip-kl":
             ref_value, ref_grad = unfused_clip_kl(scores, targets, temperature)
         else:
             ref_value, ref_grad = unfused_softmax_xent(scores, targets)
         tape, node = loss(scores)
-        assert len(tape) == 2
+        assert _ops(tape) == [kind]
         assert abs(tape.value(node)[0, 0] - ref_value) <= 1e-12
         grad = tape.backward(node)["s"]
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
@@ -781,14 +827,17 @@ class TestFusedLosses:
         tape = Tape()
         s = tape.constant(np.zeros((2, 3)))
         with pytest.raises(ValueError, match=r"clip-kl: incompatible shapes \(\(2, 3\), \(3, 2\)\)"):
-            tape.clip_kl(s, np.zeros((3, 2)), 1.0)
+            _clip_kl(tape, s, np.zeros((3, 2)), 1.0)
         with pytest.raises(ValueError, match="softmax-xent: targets must be finite and non-negative"):
-            tape.softmax_xent(s, -np.ones((2, 3)))
+            _softmax_xent(tape, s, -np.ones((2, 3)))
         with pytest.raises(ValueError, match="clip-kl: targets are all zero"):
-            tape.clip_kl(s, np.zeros((2, 3)), 1.0)
+            _clip_kl(tape, s, np.zeros((2, 3)), 1.0)
         with pytest.raises(ValueError, match="temperature must be positive"):
-            tape.clip_kl(s, np.ones((2, 3)), 0.0)
-        assert len(tape) == 1
+            _clip_kl(tape, s, np.ones((2, 3)), 0.0)
+        y = tape.constant(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="size 1"):
+            tape.clip_kl(s, y, tape.constant([[1.0, 1.0]]))
+        assert _ops(tape) == []
 
 
 class TestFiniteDifferenceCheck:

@@ -1,8 +1,8 @@
 """Model training: seeded determinism, the tune gates, fit's re-run tapes
 against a fresh recording every step, the pruned reverse sweep against the
-unpruned reference, finite differences through the whole loss, the rank
-and order of the prototypes, the flat Adam step against a textbook
-per-group one, and the checkpoint file."""
+unpruned reference, finite differences and the closed-form oracle through
+the whole loss, the rank and order of the prototypes, the flat Adam step
+against a textbook per-group one, and the checkpoint file."""
 
 import re
 import struct
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     finite_difference_check,
+    forward_loss_oracle,
     prompt_oracle,
     prompt_oracle_gradient,
     prototypes_of,
@@ -412,22 +413,24 @@ class TestGraphSize:
     per rank: a selection constant and its matmul on the token table
     (prompt.assemble_sequences), then the pooling matmul
     (PseudoTextEncoder.encode), plus one concat that builds the table.
-    Everything else, each loss and the one folded mixing-projection matmul
-    over all pooled rows included, is one fixed set of nodes, so no count
-    depends on the batch size, nor on the number of context rows: a 0-row
-    context is a leaf and is concatenated like any other."""
+    Everything else, each loss with its labels constant (and, for the
+    contrastive loss, its temperature constant) and the one folded
+    mixing-projection matmul over all pooled rows included, is one fixed
+    set of nodes, so no count depends on the batch size, nor on the number
+    of context rows: a 0-row context is a leaf and is concatenated like
+    any other."""
 
     @pytest.mark.parametrize(
         "method, num_ranks, expected, num_context",
         [
-            pytest.param(training.ORDINALCLIP, 6, 42, 2, id="ordinalclip-6-42"),
-            pytest.param(training.ORDINALCLIP, 20, 84, 2, id="ordinalclip-20-84"),
-            pytest.param(training.COOP, 6, 40, 2, id="coop-6-40"),
-            pytest.param(training.COOP, 20, 82, 2, id="coop-20-82"),
-            pytest.param(training.BASELINE, 6, 16, 2, id="baseline-6-16"),
-            pytest.param(training.BASELINE, 20, 16, 2, id="baseline-20-16"),
-            pytest.param(training.ORDINALCLIP, 6, 42, 0, id="ordinalclip-6-42-no-context"),
-            pytest.param(training.COOP, 6, 40, 0, id="coop-6-40-no-context"),
+            pytest.param(training.ORDINALCLIP, 6, 44, 2, id="ordinalclip-6-44"),
+            pytest.param(training.ORDINALCLIP, 20, 86, 2, id="ordinalclip-20-86"),
+            pytest.param(training.COOP, 6, 42, 2, id="coop-6-42"),
+            pytest.param(training.COOP, 20, 84, 2, id="coop-20-84"),
+            pytest.param(training.BASELINE, 6, 17, 2, id="baseline-6-17"),
+            pytest.param(training.BASELINE, 20, 17, 2, id="baseline-20-17"),
+            pytest.param(training.ORDINALCLIP, 6, 44, 0, id="ordinalclip-6-44-no-context"),
+            pytest.param(training.COOP, 6, 42, 0, id="coop-6-42-no-context"),
         ],
     )
     def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
@@ -508,6 +511,48 @@ def test_prompt_gradients_match_the_closed_form_oracle(method, num_ranks, num_ba
         assert error <= 1e-12 * np.abs(oracle).max(initial=0.0), name
 
 
+def _whole_loss_cases():
+    """(method, C, m, tune_rank, tune_ctx, B) params: each prompt method
+    under every tune gate and m in {0, 4}, and the baseline, at C in
+    {2, 6, 20} and B in {1, 5, 16}."""
+    for num_ranks in (2, 6, 20):
+        for batch in (1, 5, 16):
+            cases = [(method, num_ranks, num_context, tune_rank, tune_ctx, batch)
+                     for method in PROMPT_METHODS for num_context in (0, 4)
+                     for tune_rank, tune_ctx in GATES]
+            for case in cases + [(training.BASELINE, num_ranks, 0, True, True, batch)]:
+                yield pytest.param(*case, id="-".join(map(str, case)))
+
+
+@pytest.mark.parametrize("method, num_ranks, num_context, tune_rank, tune_ctx, batch",
+                         _whole_loss_cases())
+def test_whole_loss_gradients_match_the_closed_form_oracle(method, num_ranks, num_context,
+                                                           tune_rank, tune_ctx, batch):
+    """forward_loss's value, and the tape's gradient in every trainable
+    group, equal conftest.forward_loss_oracle within 1e-12 of the loss and
+    of each gradient's largest entry, at the model's default dimensions,
+    with every group moved off its initial value by seeded noise."""
+    cfg = None
+    if method != training.BASELINE:
+        cfg = PromptConfig(num_ranks, num_base_ranks=min(3, num_ranks), num_context=num_context,
+                           tune_rank=tune_rank, tune_ctx=tune_ctx)
+    state = training.build_model(method, num_ranks, cfg)
+    rng = np.random.default_rng(num_ranks * 100 + num_context * 10 + batch)
+    for name, value in state.params.items():
+        state.params[name] = value + 0.1 * rng.normal(size=value.shape)
+    batch_x = rng.normal(size=(batch, 16))
+    batch_y = rng.integers(0, num_ranks, size=batch)
+    tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
+    grads = tape.backward(loss)
+    value, expected = forward_loss_oracle(state, batch_x, batch_y, TEMPERATURE)
+    assert abs(tape.value(loss)[0, 0] - value) <= 1e-12 * abs(value)
+    assert grads.keys() == state.trainable_parameters().keys()
+    for name, grad in grads.items():
+        assert grad.shape == expected[name].shape
+        error = np.abs(grad - expected[name]).max(initial=0.0)
+        assert error <= 1e-12 * np.abs(expected[name]).max(initial=0.0), name
+
+
 @pytest.mark.parametrize("method", (training.COOP, training.ZEROSHOT))
 def test_template_ids_stay_clear_of_the_rank_ids_in_a_small_vocabulary(method):
     """At num_ranks + num_context = 9 > vocab_size = 4 the vocabulary
@@ -535,9 +580,9 @@ def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
     recorded = set()
     record = Tape.record
 
-    def spy(self, op_kind, inputs, **params):
+    def spy(self, op_kind, inputs):
         recorded.add(op_kind)
-        return record(self, op_kind, inputs, **params)
+        return record(self, op_kind, inputs)
 
     monkeypatch.setattr(Tape, "record", spy)
     for method in PROMPT_METHODS + (training.BASELINE,):
@@ -554,9 +599,9 @@ def test_evaluate_records_the_training_graph(monkeypatch, method):
     ops = []
     record = Tape.record
 
-    def spy(self, op_kind, inputs, **params):
+    def spy(self, op_kind, inputs):
         ops.append((op_kind, tuple(map(int, inputs))))
-        return record(self, op_kind, inputs, **params)
+        return record(self, op_kind, inputs)
 
     monkeypatch.setattr(Tape, "record", spy)
     state = _model(method)
