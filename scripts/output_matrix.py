@@ -29,9 +29,10 @@ in a one-row batch; ordinalclip on configs/ranks.csv (data_source = csv),
 whose rank labels 2, 5, 7 and 11 are remapped to 0..3;
 `sweep-interpolation --counts 2,3,5`, `ablation`, `fewshot`,
 `distshift --grid 2:0.5,3:0.0` and the same grid typed with padding and
-an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; and a
+an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; a
 baseline `train` at learning_rate = 1e300 (num_ranks 4, per_rank 4,
-epochs 1), whose evaluation diverges.
+epochs 1), whose evaluation diverges; and `fewshot` on configs/ranks.csv
+with `report`, a grid manifest of CSV data.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"report-{name}", ["report", f"runs/{name}"]))
     out.append(("train-baseline-1e300", ["train", "--config", "configs/baseline-1e300.cfg",
                                          "--out", "runs/baseline-1e300"]))
+    out.append(("fewshot-csv", ["fewshot", "--config", "configs/ordinalclip-csv.cfg",
+                                "--out", "runs/fewshot-csv"]))
+    out.append(("report-fewshot-csv", ["report", "runs/fewshot-csv"]))
     return out
 
 

@@ -225,8 +225,12 @@ def _prepare(cfg: dict):
     """Load and split the data; returns (train_ds, test_ds). A sample whose
     features are all zero is a config error for every method: a prompt
     method cannot normalize its embedding, and a grid command trains
-    prompt methods on the same data."""
+    prompt methods on the same data. cfg's num_ranks and input_dim are
+    set to the data's, for the manifest; a CSV run keeps per_rank and
+    noise_sigma at values it did not read, as the baseline keeps
+    num_context."""
     ds = _load_dataset(cfg)
+    cfg["num_ranks"], cfg["input_dim"] = ds.num_ranks, ds.input_dim
     zero = np.flatnonzero(~ds.features.any(axis=1))
     if zero.size:
         raise ConfigError(

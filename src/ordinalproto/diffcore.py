@@ -9,15 +9,17 @@ for every named parameter.
 The tape does only the work a parameter gradient needs:
 
 - Pruning. Each node records whether any parameter reaches it. The
-  reverse sweep visits only such nodes, and tells each backward rule
-  which of its inputs want a gradient, so a rule never forms the
-  gradient of a constant operand.
-- Borrowed adjoints. The first contribution to a node's adjoint is
-  adopted as is; a copy is made only when a second contribution is
-  accumulated into a borrowed buffer. Each parameter's gradient is then
-  written into its own output array, the caller's (a training step
-  passes views of one flat gradient vector) or a fresh one, so returned
-  gradients never alias one another or any buffer of the tape.
+  reverse sweep runs a backward rule only for such an op node that holds
+  an adjoint, and tells the rule which of its inputs want a gradient, so
+  a rule never forms the gradient of a constant operand.
+- In-place adjoints. A node's first contribution is adopted as is, and
+  each later one is added into it in place: no backward rule returns two
+  contributions that share memory, or one that shares a tape value's,
+  and one that views the rule's upstream gradient views the adjoint of a
+  node the sweep has passed. Each parameter's gradient is then written
+  into its own output array, the caller's (a training step passes views
+  of one flat gradient vector) or a fresh one, so returned gradients
+  never alias one another or any buffer of the tape.
 - Cheap recording. `Tape.record` finds the forward rule with one dict
   lookup, checks each input index while gathering the input nodes, and
   stores no per-node metadata an op does not produce.
@@ -51,7 +53,6 @@ mutable state and may live on distinct threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -108,9 +109,6 @@ class Tape:
         self._params: dict[str, int] = {}
         # Every named leaf, parameter or constant, by name: what rerun rebinds.
         self._leaves: dict[str, int] = {}
-        # Indices of the op nodes some parameter reaches, ascending: the
-        # only nodes the reverse sweep visits.
-        self._grad_ops: list[int] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -164,8 +162,6 @@ class Tape:
         wants = tuple([n.needs_grad for n in in_nodes])
         needs_grad = True in wants
         nodes.append(_Node(op_kind, inputs, value, meta, wants, needs_grad))
-        if needs_grad:
-            self._grad_ops.append(idx)
         return idx
 
     def rerun(self, leaves: dict) -> None:
@@ -237,11 +233,10 @@ class Tape:
         """Gradients of a scalar loss w.r.t. every registered parameter.
 
         Parameters the loss does not reach get exact-zero gradients of the
-        parameter's shape. Only op nodes some parameter reaches are
-        visited, each exactly once, and each backward rule forms only the
-        input gradients its node's `wants` flags ask for. An adjoint
-        adopts its first contribution without a copy and is copied on the
-        first accumulation into it.
+        parameter's shape. One walk down the node list from the loss runs
+        the rule of each op node that a parameter reaches and that holds
+        an adjoint, forming only the gradients its `wants` flags ask for;
+        adjoints accumulate in place (the module docstring says why).
 
         Each gradient is written into `out[name]`, an array of the
         parameter's shape (a training step passes views of one flat
@@ -254,26 +249,20 @@ class Tape:
             raise ValueError(f"loss node must be 1x1, got shape {loss.value.shape}")
         adjoint: list[np.ndarray | None] = [None] * len(nodes)
         adjoint[loss_node] = np.ones((1, 1))
-        owned = {loss_node}
-        ops = self._grad_ops
-        for idx in reversed(ops[:bisect_right(ops, loss_node)]):
+        for idx in range(loss_node, -1, -1):
             g = adjoint[idx]
-            if g is None:
-                continue
             node = nodes[idx]
+            if g is None or not (node.inputs and node.needs_grad):
+                continue
             in_vals = [nodes[i].value for i in node.inputs]
             contribs = _BACKWARD[node.op](g, node.value, in_vals, node.meta, node.wants)
             for inp, contrib in zip(node.inputs, contribs):
                 if contrib is None:
                     continue
-                prev = adjoint[inp]
-                if prev is None:
+                if adjoint[inp] is None:
                     adjoint[inp] = contrib
-                elif inp in owned:
-                    prev += contrib
                 else:
-                    adjoint[inp] = prev + contrib
-                    owned.add(inp)
+                    adjoint[inp] += contrib
         if out is None:
             out = {name: np.empty_like(nodes[idx].value) for name, idx in self._params.items()}
         for name, idx in self._params.items():
@@ -442,6 +431,7 @@ OP_KINDS = tuple(_FORWARD)
 #   needs one; a rule forms no gradient for an input that does not. A
 #   rule runs only for a node that needs a gradient, so a single-input
 #   rule's input always does. A loss gives its targets and temperature None.
+#   Returned gradients share no memory with each other or any tape value.
 
 
 def _bwd_matmul(g, out, ins, meta, wants):

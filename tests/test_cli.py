@@ -567,6 +567,31 @@ def test_every_manifest_lists_every_config_key_at_its_resolved_value(runs, name)
                      "distshift": {"grid"}}.get(name, set())
 
 
+@pytest.mark.parametrize("command", [["train"], ["fewshot", "--shots", "2"]],
+                         ids=["train", "fewshot"])
+def test_a_csv_run_records_the_shape_of_its_data(tmp_path, capsys, command):
+    """A CSV run's manifest gives the num_ranks and input_dim of the data
+    it trained on, not the config's: 4 ranks (labels 2, 5, 7 and 11,
+    remapped to 0..3) of 3 features, against TINY's 5 and the default 16.
+    Every other key keeps its resolved value, per_rank and noise_sigma
+    too, which a CSV run does not read, and report accepts the run."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("rank,f0,f1,f2\n" + "".join(
+        f"{rank},{position + 1 + 0.1 * i:.2f},{0.5 + 0.05 * i:.2f},{1 - 0.1 * position:.2f}\n"
+        for position, rank in enumerate((2, 5, 7, 11)) for i in range(6)
+    ))
+    config = _write_config(tmp_path / "run.cfg", data_source="csv", csv_path=csv_path)
+    out = tmp_path / "run"
+    assert cli.main(command + ["--config", config, "--out", str(out)]) == 0
+    manifest, _ = cli._read_manifest(out)
+    resolved = cli.load_config(config) | {"num_ranks": 4, "input_dim": 3}
+    assert {key: manifest[key] for key in cli.CONFIG_SCHEMA} == {
+        key: cli._format_value(value) for key, value in resolved.items()
+    }
+    assert cli.main(["report", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _checkpoint(run_dir, state) -> dict:
     """The blocks of a run's checkpoint.bin by name, read with the magic and
     block names of state's model family."""

@@ -551,6 +551,13 @@ def _leaf_name(i, params):
     return f"p{i}" if i in params else f"c{i}"
 
 
+def _meta_arrays(meta):
+    """The arrays a forward rule left in its node's meta: None, a dict or
+    a tuple."""
+    items = meta.values() if isinstance(meta, dict) else meta or ()
+    return [m for m in items if isinstance(m, np.ndarray)]
+
+
 def _property_tape(build, values, sources, params, weight_seed):
     """Leaf i is parameter p{i} or constant c{i}; the op output is reduced
     to a 1x1 loss through fixed positive weights."""
@@ -616,6 +623,31 @@ class TestOpProperties:
         for i, g in enumerate(arrays):
             assert not any(np.shares_memory(g, other) for other in arrays[i + 1:])
             assert not any(np.shares_memory(g, tape.value(j)) for j in range(len(tape)))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_backward_rules_return_contributions_that_share_no_memory(self, kind, data):
+        """What backward's in-place accumulation rests on: for every op
+        node on the tape, the gradients its rule forms, asked for every
+        input, share no memory with one another, nor with any tape value
+        or meta array. They may view the upstream gradient."""
+        build, values = data.draw(_op_cases(kind))
+        sources, params = _wiring(data.draw, values)
+        tape, _ = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
+        nodes = tape._nodes
+        held = [n.value for n in nodes] + [m for n in nodes for m in _meta_arrays(n.meta)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        for node in nodes:
+            if not node.inputs:
+                continue
+            rule = diffcore._BACKWARD[node.op]
+            contribs = rule(rng.normal(size=node.value.shape), node.value,
+                            [nodes[i].value for i in node.inputs], node.meta,
+                            (True,) * len(node.inputs))
+            formed = [c for c in contribs if c is not None]
+            for i, c in enumerate(formed):
+                assert not any(np.shares_memory(c, other) for other in formed[i + 1:]), node.op
+                assert not any(np.shares_memory(c, x) for x in held), node.op
 
     @PROPERTY_SETTINGS
     @given(data=st.data())

@@ -537,11 +537,19 @@ def test_whole_loss_gradients_match_the_closed_form_oracle(method, num_ranks, nu
         cfg = PromptConfig(num_ranks, num_base_ranks=min(3, num_ranks), num_context=num_context,
                            tune_rank=tune_rank, tune_ctx=tune_ctx)
     state = training.build_model(method, num_ranks, cfg)
-    rng = np.random.default_rng(num_ranks * 100 + num_context * 10 + batch)
+    _check_whole_loss_oracle(state, batch, num_ranks * 100 + num_context * 10 + batch)
+
+
+def _check_whole_loss_oracle(state, batch, seed):
+    """Move every group of state off its value by seeded noise, draw a
+    batch of `batch` rows and labels, and hold forward_loss's value and
+    the tape's gradient in every trainable group to forward_loss_oracle,
+    within 1e-12 of the loss and of each gradient's largest entry."""
+    rng = np.random.default_rng(seed)
     for name, value in state.params.items():
         state.params[name] = value + 0.1 * rng.normal(size=value.shape)
     batch_x = rng.normal(size=(batch, 16))
-    batch_y = rng.integers(0, num_ranks, size=batch)
+    batch_y = rng.integers(0, state.num_ranks, size=batch)
     tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
     grads = tape.backward(loss)
     value, expected = forward_loss_oracle(state, batch_x, batch_y, TEMPERATURE)
@@ -551,6 +559,36 @@ def test_whole_loss_gradients_match_the_closed_form_oracle(method, num_ranks, nu
         assert grad.shape == expected[name].shape
         error = np.abs(grad - expected[name]).max(initial=0.0)
         assert error <= 1e-12 * np.abs(expected[name]).max(initial=0.0), name
+
+
+@pytest.mark.parametrize("method, kernel", [
+    *((training.ORDINALCLIP, kernel) for kernel in INTERPOLATION_KINDS),
+    (training.COOP, LINEAR),
+    (training.BASELINE, LINEAR),
+])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    num_ranks=st.integers(2, 40),
+    data=st.data(),
+    num_context=st.integers(0, 4),
+    gates=st.sampled_from(GATES),
+    batch=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drawn_models_match_the_closed_form_whole_loss_oracle(method, kernel, num_ranks, data,
+                                                            num_context, gates, batch, seed):
+    """The whole-loss oracle check for each method and, for ordinalclip,
+    each kernel (coop interpolates nothing, and the baseline reads no
+    prompt key), over drawn C, C' in [2, C], m, tune gates, batch size and
+    seed. Method and kernel are parameters, not draws, so that every pair
+    runs."""
+    cfg = None
+    if method != training.BASELINE:
+        cfg = PromptConfig(num_ranks, num_base_ranks=data.draw(st.integers(2, num_ranks)),
+                           num_context=num_context, interpolation=kernel,
+                           tune_rank=gates[0], tune_ctx=gates[1])
+    state = training.build_model(method, num_ranks, cfg, init_seed=seed % 1000)
+    _check_whole_loss_oracle(state, batch, seed)
 
 
 @pytest.mark.parametrize("method", (training.COOP, training.ZEROSHOT))
