@@ -3,13 +3,15 @@
 The text encoder is a small frozen stand-in for a pretrained language
 model: position-weighted mean pooling, a token-mixing matrix, and a
 projection into the joint latent space, followed by row normalization.
-Its parameters are seeded once and never receive gradients; the prompt
-rows flowing through it do. The image encoder is a two-layer tanh network
-mapping raw feature vectors to features in the same latent space, and is
-always trainable; the scores graph (training._graph) normalizes them for
-the prompt methods. It holds no weights of its own: its four arrays live
-with the model's other parameter groups, under the tape names in
-ImageEncoder.NAMES, and encode reads them from that dict.
+It reads each prompt as a list of rows of a token table node and pools
+it with one matmul against the table. Its parameters are seeded once and
+never receive gradients; the table rows flowing through it do. The image
+encoder is a two-layer tanh network mapping raw feature vectors to
+features in the same latent space, and is always trainable; the scores
+graph (training._graph) normalizes them for the prompt methods. It holds
+no weights of its own: its four arrays live with the model's other
+parameter groups, under the tape names in ImageEncoder.NAMES, and encode
+reads them from that dict.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ class PseudoTextEncoder:
     product and the token table, each made read-only, so freezing is
     enforced by the arrays themselves. Position-weighted pooling keeps the
     prototype a nontrivial function of token order while staying linear,
-    which the gradient checks rely on. Encoding pools each sequence to one
-    row, then mixes and projects all the pooled rows with one matmul; its
-    values differ from the two successive products, and from projecting
-    each row on its own, by float rounding only.
+    which the gradient checks rely on. Encoding pools each prompt to one
+    row with one matmul against the token table, then mixes and projects
+    all the pooled rows with one matmul; its values differ from the two
+    successive products, and from projecting each row on its own, by
+    float rounding only.
     """
 
     def __init__(self, position_weights, mixed_projection, token_table):
@@ -84,25 +87,40 @@ class PseudoTextEncoder:
         table = rng.normal(0.0, 0.02, (vocab_size, word_dim))
         return cls(positions, mixing @ projection, table)
 
-    def encode(self, tape: Tape, sequence_nodes) -> int:
-        """Unit-norm prototype matrix (one row per sequence) on the tape.
+    def encode(self, tape: Tape, table_node: int, prompts) -> int:
+        """Unit-norm prototype matrix (one row per prompt) on the tape.
 
-        prototypes = normalize(pooled @ mixed_projection), where row i of
-        pooled is the position-weighted mean of sequence i's rows: each
-        sequence is pooled by one matmul, the pooled rows are stacked, and
-        one matmul projects them all. Every sequence has the first one's
-        length, as every prompt read off the token table
-        (prompt.assemble_sequences) has m + 1 rows: one pooling row serves
-        them all, and the pooling matmul rejects any other length or one
-        beyond max_len. Differentiable in the sequence rows only; encoder
-        weights enter as constants.
+        Each prompt is the list of token table rows it reads, in order
+        (prompt.assemble_sequences). prototypes = normalize(pooled @
+        mixed_projection), where row i of pooled is the position-weighted
+        mean of prompt i's rows: one matmul of a constant pooling row, the
+        prompt's normalized position weights placed at the rows it reads,
+        against the table. A row the prompt repeats adds its weights. The
+        pooled rows are stacked, and one matmul projects them all.
+        Differentiable in the table only; encoder weights enter as
+        constants. Raises ValueError, naming the prompt, for no prompts, a
+        prompt with no rows or more than max_len rows, or a row outside
+        the table, and then records nothing.
         """
-        sequence_nodes = list(sequence_nodes)
-        if not sequence_nodes:
-            raise ValueError("encode requires at least one sequence")
-        weights = self.position_weights[: tape.value(sequence_nodes[0]).shape[0]]
-        pooling = tape.constant((weights / weights.sum())[None, :])
-        pooled = tape.concat_rows([tape.matmul(pooling, node) for node in sequence_nodes])
+        prompts = [np.asarray(rows, dtype=np.intp) for rows in prompts]
+        if not prompts:
+            raise ValueError("encode requires at least one prompt")
+        table_rows = tape.value(table_node).shape[0]
+        max_len = len(self.position_weights)
+        pooling = []
+        for i, rows in enumerate(prompts):
+            if not 1 <= len(rows) <= max_len:
+                raise ValueError(f"prompt {i} reads {len(rows)} rows; a prompt reads 1 to "
+                                 f"max_len = {max_len}")
+            outside = rows[(rows < 0) | (rows >= table_rows)]
+            if outside.size:
+                raise ValueError(f"prompt {i} reads row {outside[0]}, outside the "
+                                 f"{table_rows}-row token table")
+            weights = self.position_weights[: len(rows)]
+            pooling.append(np.bincount(rows, weights / weights.sum(), minlength=table_rows))
+        pooled = tape.concat_rows(
+            [tape.matmul(tape.constant(row[None, :]), table_node) for row in pooling]
+        )
         mixed_projection = tape.constant(self.mixed_projection)
         return tape.l2_normalize_rows(tape.matmul(pooled, mixed_projection))
 

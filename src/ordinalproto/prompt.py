@@ -1,12 +1,13 @@
 """Learnable prompt state: shared context rows plus interpolated rank rows.
 
-A prompt for rank j is an (m + 1) x word_dim token matrix: m learnable
-context rows shared by every rank, followed by one rank row. All C prompts
-are read from one (m + C) x word_dim token table, the context rows stacked
-on the rank rows. Rank rows are not free parameters; they are produced
-from a small set of base rank rows through a fixed row-stochastic
-interpolation matrix, which is what couples neighboring ranks and injects
-the ordinal structure.
+A prompt for rank j is m + 1 tokens: m learnable context rows shared by
+every rank, followed by one rank row. All C prompts live in one
+(m + C) x word_dim token table, the context rows stacked on the rank rows,
+and a prompt is the list of table rows it reads, [0..m-1, m+j]; the text
+encoder pools each prompt straight off the table. Rank rows are not free
+parameters; they are produced from a small set of base rank rows through
+a fixed row-stochastic interpolation matrix, which is what couples
+neighboring ranks and injects the ordinal structure.
 """
 
 from __future__ import annotations
@@ -99,22 +100,21 @@ def interpolate_rank_embeddings(tape: Tape, weights: np.ndarray, base_node: int)
     return tape.matmul(tape.constant(weights), base_node)
 
 
-def assemble_sequences(tape: Tape, ctx_node: int, ranks_node: int) -> list[int]:
-    """Per-rank token matrices: shared context rows, then the rank row.
+def assemble_sequences(
+    tape: Tape, ctx_node: int, ranks_node: int
+) -> tuple[int, list[list[int]]]:
+    """(token table node, per-rank prompts): the shared context rows, then
+    each rank row.
 
-    Records one concat of the token table [context; rank rows], then reads
-    rank j's sequence off it with one matmul by a constant selection
-    matrix: rows 0..m-1 and m+j of the (m+C) x (m+C) identity. Returns one
-    node per rank. Each sequence row is 1.0 times a table row plus exact
-    zeros, so the values, and the context and rank gradients summed over
-    the ranks, are bitwise those of concatenating the context with each
-    rank row. A context of 0 rows is no special case.
+    Records one concat of the (m + C) x word_dim token table [context; rank
+    rows] and gives rank j's prompt as the table rows it reads, [0..m-1,
+    m+j]. PseudoTextEncoder.encode pools each prompt off the table with one
+    matmul. A context of 0 rows is no special case.
     """
     m = tape.value(ctx_node).shape[0]
     table = tape.concat_rows([ctx_node, ranks_node])
-    rows = tape.value(table).shape[0]
-    identity = np.eye(rows)
-    return [tape.matmul(tape.constant(identity[[*range(m), j]]), table) for j in range(m, rows)]
+    context = list(range(m))
+    return table, [context + [j] for j in range(m, tape.value(table).shape[0])]
 
 
 def template_token_ids(length: int, vocab_size: int) -> tuple[int, ...]:

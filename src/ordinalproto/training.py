@@ -235,8 +235,8 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     ranks_node = base_node
     if state.interpolation is not None:
         ranks_node = prompt.interpolate_rank_embeddings(tape, state.interpolation, base_node)
-    seqs = prompt.assemble_sequences(tape, ctx_node, ranks_node)
-    return state.text_encoder.encode(tape, seqs)
+    table, prompts = prompt.assemble_sequences(tape, ctx_node, ranks_node)
+    return state.text_encoder.encode(tape, table, prompts)
 
 
 def _graph(state: ModelState, tape: Tape, batch_x: np.ndarray) -> tuple[int, int]:

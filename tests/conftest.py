@@ -27,10 +27,14 @@ def sum_all(tape: Tape, node: int) -> int:
 
 
 def encode_text(encoder, sequences) -> np.ndarray:
-    """Prototype matrix for plain ndarray sequences (throwaway tape)."""
+    """Prototype matrix for plain ndarray sequences (throwaway tape): the
+    sequences stacked into one token table, each read as its own rows."""
     tape = Tape()
-    nodes = [tape.constant(np.asarray(s, dtype=np.float64)) for s in sequences]
-    return tape.value(encoder.encode(tape, nodes)).copy()
+    sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
+    table = tape.constant(np.concatenate(sequences))
+    ends = np.cumsum([len(s) for s in sequences])
+    prompts = [range(end - len(s), end) for s, end in zip(sequences, ends)]
+    return tape.value(encoder.encode(tape, table, prompts)).copy()
 
 
 def encode_images(params, batch) -> tuple[np.ndarray, np.ndarray]:

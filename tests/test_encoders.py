@@ -62,10 +62,12 @@ class TestPseudoTextEncoder:
         )
 
     def test_identical_sequences_give_identical_prototypes(self):
+        """Two prompts that read the same table rows pool, bitwise, to the
+        same prototype."""
         enc = PseudoTextEncoder.create(1, word_dim=6, latent_dim=8)
-        rng = np.random.default_rng(0)
-        seq = rng.normal(size=(3, 6))
-        protos = encode_text(enc, [seq, seq.copy()])
+        table = np.random.default_rng(0).normal(size=(5, 6))
+        tape = Tape()
+        protos = tape.value(enc.encode(tape, tape.constant(table), [[1, 3, 4], [1, 3, 4]]))
         np.testing.assert_array_equal(protos[0], protos[1])
 
     def test_prototypes_are_unit_norm(self):
@@ -80,20 +82,56 @@ class TestPseudoTextEncoder:
             encode_text(enc, [np.zeros((3, 6))])
 
     def test_empty_and_overlong_sequences_rejected(self):
-        """An empty sequence pools to the zero vector; one longer than
-        max_len meets a pooling row only max_len wide."""
+        """A prompt reads 1 to max_len rows; the error names the prompt."""
         enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8, max_len=4)
-        with pytest.raises(ValueError, match="l2-normalize-rows: row 0 is the zero vector"):
+        with pytest.raises(ValueError, match=r"^prompt 0 reads 0 rows; a prompt reads 1 to "
+                                             r"max_len = 4$"):
             encode_text(enc, [np.zeros((0, 6))])
-        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(1, 4\), \(5, 6\)\)"):
-            encode_text(enc, [np.ones((5, 6))])
+        with pytest.raises(ValueError, match=r"^prompt 1 reads 5 rows; a prompt reads 1 to "
+                                             r"max_len = 4$"):
+            encode_text(enc, [np.ones((4, 6)), np.ones((5, 6))])
 
-    def test_sequences_of_two_lengths_rejected(self):
-        """Every prompt has one length; the pooling row built for the first
-        sequence does not fit a second of another length."""
+    def test_no_prompts_rejected(self):
         enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
-        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(\(1, 3\), \(2, 6\)\)"):
-            encode_text(enc, [np.ones((3, 6)), np.ones((2, 6))])
+        tape = Tape()
+        with pytest.raises(ValueError, match="^encode requires at least one prompt$"):
+            enc.encode(tape, tape.constant(np.ones((3, 6))), [])
+
+    @pytest.mark.parametrize("row", (-1, 3, 10))
+    def test_a_row_outside_the_table_rejected(self, row):
+        """The error names the prompt and the row, and nothing is recorded,
+        not even the pooling of the prompts before it."""
+        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
+        tape = Tape()
+        table = tape.constant(np.ones((3, 6)))
+        with pytest.raises(ValueError, match=rf"^prompt 1 reads row {row}, outside the 3-row "
+                                             r"token table$"):
+            enc.encode(tape, table, [[0, 1], [2, row, 0]])
+        assert len(tape) == 1
+
+    def test_a_repeated_row_adds_its_weights(self):
+        """A prompt that reads a row twice pools as the sequence that holds
+        that row twice: the row takes the sum of both positions' weights."""
+        enc = PseudoTextEncoder.create(3, word_dim=6, latent_dim=8)
+        _, positions, _, _ = _seed_draws(3, word_dim=6, latent_dim=8)
+        table = np.random.default_rng(5).normal(size=(3, 6))
+        tape = Tape()
+        protos = tape.value(enc.encode(tape, tape.constant(table), [[2, 0, 2]]))
+        pool = positions[:3] / positions[:3].sum()
+        row = ((pool[0] + pool[2]) * table[2] + pool[1] * table[0]) @ enc.mixed_projection
+        np.testing.assert_allclose(protos[0], row / np.linalg.norm(row), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(protos, encode_text(enc, [table[[2, 0, 2]]]), rtol=0,
+                                   atol=1e-12)
+
+    def test_prompts_of_two_lengths_pool_each_with_its_own_weights(self):
+        """Each prompt has its own pooling row, so prompts of different
+        lengths encode as each would alone."""
+        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
+        rng = np.random.default_rng(6)
+        long, short = rng.normal(size=(3, 6)), rng.normal(size=(2, 6))
+        both = encode_text(enc, [long, short])
+        np.testing.assert_allclose(both[0], encode_text(enc, [long])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(both[1], encode_text(enc, [short])[0], rtol=0, atol=1e-12)
 
     def test_scaling_a_sequence_leaves_the_direction_unchanged(self):
         """Linear pooling then normalization: 2x input, same prototype,

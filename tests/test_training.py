@@ -409,28 +409,27 @@ class TestWellOrderedPrototypes:
 
 
 class TestGraphSize:
-    """Nodes forward_loss puts on the tape. A prompt model records three
-    per rank: a selection constant and its matmul on the token table
-    (prompt.assemble_sequences), then the pooling matmul
-    (PseudoTextEncoder.encode), plus one concat that builds the table.
-    Everything else, each loss with its labels constant (and, for the
-    contrastive loss, its temperature constant) and the one folded
-    mixing-projection matmul over all pooled rows included, is one fixed
-    set of nodes, so no count depends on the batch size, nor on the number
-    of context rows: a 0-row context is a leaf and is concatenated like
-    any other."""
+    """Nodes forward_loss puts on the tape. A prompt model records two
+    per rank, the rank's pooling row and its matmul on the token table
+    (PseudoTextEncoder.encode), plus the one concat that builds the table
+    (prompt.assemble_sequences). Everything else, each loss with its
+    labels constant (and, for the contrastive loss, its temperature
+    constant) and the one folded mixing-projection matmul over all pooled
+    rows included, is one fixed set of nodes, so no count depends on the
+    batch size, nor on the number of context rows: a 0-row context is a
+    leaf and is concatenated like any other."""
 
     @pytest.mark.parametrize(
         "method, num_ranks, expected, num_context",
         [
-            pytest.param(training.ORDINALCLIP, 6, 44, 2, id="ordinalclip-6-44"),
-            pytest.param(training.ORDINALCLIP, 20, 86, 2, id="ordinalclip-20-86"),
-            pytest.param(training.COOP, 6, 42, 2, id="coop-6-42"),
-            pytest.param(training.COOP, 20, 84, 2, id="coop-20-84"),
+            pytest.param(training.ORDINALCLIP, 6, 37, 2, id="ordinalclip-6-37"),
+            pytest.param(training.ORDINALCLIP, 20, 65, 2, id="ordinalclip-20-65"),
+            pytest.param(training.COOP, 6, 35, 2, id="coop-6-35"),
+            pytest.param(training.COOP, 20, 63, 2, id="coop-20-63"),
             pytest.param(training.BASELINE, 6, 17, 2, id="baseline-6-17"),
             pytest.param(training.BASELINE, 20, 17, 2, id="baseline-20-17"),
-            pytest.param(training.ORDINALCLIP, 6, 44, 0, id="ordinalclip-6-44-no-context"),
-            pytest.param(training.COOP, 6, 42, 0, id="coop-6-42-no-context"),
+            pytest.param(training.ORDINALCLIP, 6, 37, 0, id="ordinalclip-6-37-no-context"),
+            pytest.param(training.COOP, 6, 35, 0, id="coop-6-35-no-context"),
         ],
     )
     def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
@@ -441,6 +440,24 @@ class TestGraphSize:
             labels = np.arange(batch) % num_ranks
             tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
             assert len(tape) == expected, f"batch {batch}"
+
+    def test_constants_of_a_ranks_100_tape_take_their_pinned_bytes(self):
+        """The constant values one recorded ordinalclip tape holds at C =
+        100, m = 4 and B = 16 with the default dimensions (word_dim 32,
+        latent_dim 64, input_dim 16, C' = 3): 100 pooling rows of 104
+        entries (83,200 bytes), the 32 x 64 mixing projection (16,384),
+        the 100 x 3 interpolation matrix (2,400), the 16 x 16 batch
+        (2,048), the 16 x 100 labels (12,800) and the temperature (8).
+        Reading each prompt off the table through a dense (m + 1) x (m + C)
+        selection matrix, then pooling it with one shared row, held
+        449,680 bytes here."""
+        state = training.build_model(training.ORDINALCLIP, 100, PromptConfig(100))
+        rng = np.random.default_rng(51)
+        tape, _ = training.forward_loss(state, rng.normal(size=(16, 16)), np.arange(16) * 6,
+                                        TEMPERATURE)
+        constants = [node.value.nbytes for node in tape._nodes if node.op == "constant"]
+        assert len(constants) == 105
+        assert sum(constants) == 116_840
 
 
 def _oracle_cases():
