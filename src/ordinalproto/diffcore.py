@@ -42,6 +42,12 @@ The tape does only the work a parameter gradient needs:
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
+A one-row matmul whose left operand has zero entries multiplies only the
+rows of the right operand that its nonzero entries select, so its value
+depends on those rows alone, not on where they sit or what the others
+hold: a text-encoder pooling row pools a prompt to the same row at any
+rows of the token table.
+
 Every value an op reads is an input node, so a node's value is a function
 of its inputs' values alone, and a recorded tape can be run again:
 `Tape.rerun` rebinds named leaves and re-evaluates every op in place, in
@@ -285,6 +291,14 @@ def _fwd_matmul(vals):
         raise _shape_err("matmul", (a.shape, b.shape))
     # ndarray.dot is the same BLAS product as @, bitwise, with less dispatch
     # on tiny operands; the backward rule below uses it for the same reason.
+    if len(a) == 1:
+        # A one-row product with zeros in it reads only the rows of b that
+        # a's nonzero entries select, so its rounding depends on those rows
+        # alone, not on where in b they sit: a text-encoder pooling row
+        # pools a prompt to the same row at any table rows.
+        cols = a[0].nonzero()[0]
+        if len(cols) < a.shape[1]:
+            return a.take(cols, axis=1).dot(b.take(cols, axis=0)), None
     return a.dot(b), None
 
 

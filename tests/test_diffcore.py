@@ -764,7 +764,8 @@ class TestForwardFormulas:
         of an (m x k)(k x n) product equal a @ b, g @ b.T and a.T @ g
         bitwise, for m, k, n in 1..8 and for the model's rank-selector,
         outer-product and similarity shapes, each operand C-contiguous or
-        a transposed view. The product's adjoint under the loss
+        a transposed view. Normal draws hold no zero, so a one-row a takes
+        the dense product too. The product's adjoint under the loss
         u @ (a @ b) @ v is g = u.T @ v.T."""
         m, k, n = shape or data.draw(st.tuples(*[st.integers(1, 8)] * 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -780,6 +781,36 @@ class TestForwardFormulas:
                                           tape.constant(v)))
         g = u.T @ v.T
         np.testing.assert_array_equal(tape.value(product), a @ b)
+        np.testing.assert_array_equal(grads["a"], g @ b.T)
+        np.testing.assert_array_equal(grads["b"], a.T @ g)
+
+    @pytest.mark.parametrize("b_transposed", (False, True), ids=["b", "b-transposed"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_a_one_row_product_with_zeros_reads_only_the_rows_it_selects(self, b_transposed,
+                                                                          data):
+        """A one-row a with zero entries, the shape of a text-encoder
+        pooling row, multiplies only the rows of b its nonzero entries
+        select. Its value equals the product of those entries with those
+        rows alone, bitwise, so it is the same wherever in b the rows sit
+        and whatever the other rows hold; the gradients are still g @ b.T
+        and a.T @ g."""
+        k = data.draw(st.integers(2, 40))
+        n = data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        picked = np.sort(rng.choice(k, size=data.draw(st.integers(0, k - 1)), replace=False))
+        weights, rows = rng.normal(size=(1, len(picked))), rng.normal(size=(len(picked), n))
+        a = np.zeros((1, k))
+        a[0, picked] = weights
+        b = rng.normal(size=(n, k)).T if b_transposed else rng.normal(size=(k, n))
+        b[picked] = rows
+        u, v = rng.normal(size=(1, 1)), rng.normal(size=(n, 1))
+        tape = Tape()
+        product = tape.matmul(tape.parameter(a, "a"), tape.parameter(b, "b"))
+        grads = tape.backward(tape.matmul(tape.matmul(tape.constant(u), product),
+                                          tape.constant(v)))
+        g = u.T @ v.T
+        np.testing.assert_array_equal(tape.value(product), weights @ rows)
         np.testing.assert_array_equal(grads["a"], g @ b.T)
         np.testing.assert_array_equal(grads["b"], a.T @ g)
 
