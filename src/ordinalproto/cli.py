@@ -223,19 +223,21 @@ def _load_dataset(cfg: dict) -> datamod.OrdinalDataset:
 
 def _prepare(cfg: dict):
     """Load and split the data; returns (train_ds, test_ds). A sample whose
-    features are all zero is a config error for every method: a prompt
-    method cannot normalize its embedding, and a grid command trains
-    prompt methods on the same data. cfg's num_ranks and input_dim are
-    set to the data's, for the manifest; a CSV run keeps per_rank and
-    noise_sigma at values it did not read, as the baseline keeps
-    num_context."""
+    features are all zero, subnormal entries counted as zero, is a config
+    error for every method: a prompt method cannot normalize its
+    embedding, and a grid command trains prompt methods on the same data.
+    cfg's num_ranks and input_dim are set to the data's, for the manifest;
+    a CSV run keeps per_rank and noise_sigma at values it did not read, as
+    the baseline keeps num_context."""
     ds = _load_dataset(cfg)
     cfg["num_ranks"], cfg["input_dim"] = ds.num_ranks, ds.input_dim
-    zero = np.flatnonzero(~ds.features.any(axis=1))
+    tiny = np.finfo(np.float64).tiny
+    zero = np.flatnonzero((np.abs(ds.features) < tiny).all(axis=1))
     if zero.size:
         raise ConfigError(
-            f"sample {zero[0]} has all-zero features; the image encoder maps it to "
-            "the zero embedding, which has no direction"
+            f"sample {zero[0]} has all-zero features (entries below {tiny:.4g} in "
+            "magnitude count as zero); the image encoder maps it to an embedding "
+            "with no direction"
         )
     fraction = cfg["train_fraction"]
     spec = datamod.SplitSpec(fraction, 1.0 - fraction, seed=cfg["data_seed"])

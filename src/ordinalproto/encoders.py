@@ -26,13 +26,46 @@ PROTOTYPE_MAGIC = b"OPRO1"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# fnv1a64 hashes its input in chunks of at most this many bytes, which
+# bounds its temporaries. _FNV_POWERS[j] = _FNV_PRIME ** (_FNV_CHUNK - j)
+# mod 2**64, so that _FNV_POWERS[-n - 1 : -1] runs from prime ** n down to
+# prime ** 1; uint64 products wrap mod 2**64, as the hash does.
+_FNV_CHUNK = 1 << 14
+_FNV_POWERS = np.append(np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64).cumprod()[::-1],
+                        np.uint64(1))
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string, h = (h ^ byte) * prime mod
+    2**64 for each byte, computed a chunk at a time in numpy.
+
+    XOR with a byte changes only the state's low byte lo, so it adds d =
+    (lo ^ byte) - lo, and over a chunk of n bytes the state becomes h *
+    prime**n + sum(d_i * prime**(n - i)) mod 2**64: one uint64 dot product.
+    The low bytes follow lo' = ((lo ^ byte) * 0xB3) mod 256 (0xB3 is the
+    prime's low byte), and bit k of that product is bit k of lo ^ byte
+    XOR bit k of the product of its bits 0..k-1 alone. So once the lower
+    bit planes of lo are known, plane k is a running XOR, and eight
+    passes give every lo.
+    """
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(buf), _FNV_CHUNK):
+        b = buf[start : start + _FNV_CHUNK]
+        # lo[i], the state's low byte before b[i], is filled one bit plane
+        # at a time. steps[0] is the first lo, and at plane k bit k of
+        # steps[i + 1] turns lo[i] into lo[i + 1], so a running XOR of
+        # steps gives plane k of every lo.
+        lo = np.zeros_like(b)
+        steps = np.empty_like(b)
+        steps[0] = h & 0xFF
+        for k in range(8):
+            bit = 1 << k
+            steps[1:] = ((lo[:-1] ^ b[:-1]) & (bit - 1)) * 0xB3 ^ b[:-1]
+            lo |= np.bitwise_xor.accumulate(steps) & bit
+        d = (lo ^ b).astype(np.uint64) - lo
+        powers = _FNV_POWERS[-len(b) - 1 :]
+        h = (h * int(powers[0]) + int(np.dot(d, powers[:-1]))) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -100,29 +133,17 @@ class PseudoTextEncoder:
         repeats adds its weights. The pooled rows are stacked, and one
         matmul projects them all.
         Differentiable in the table only; encoder weights enter as
-        constants. Raises ValueError, naming the prompt, for no prompts, a
-        prompt with no rows or more than max_len rows, or a row outside
-        the table, and then records nothing.
+        constants. Each prompt reads 1 to max_len rows of the table, as
+        assemble_sequences builds them once training.build_model has checked
+        the prompt length.
         """
-        prompts = [np.asarray(rows, dtype=np.intp) for rows in prompts]
-        if not prompts:
-            raise ValueError("encode requires at least one prompt")
         table_rows = tape.value(table_node).shape[0]
-        max_len = len(self.position_weights)
-        pooling = []
-        for i, rows in enumerate(prompts):
-            if not 1 <= len(rows) <= max_len:
-                raise ValueError(f"prompt {i} reads {len(rows)} rows; a prompt reads 1 to "
-                                 f"max_len = {max_len}")
-            outside = rows[(rows < 0) | (rows >= table_rows)]
-            if outside.size:
-                raise ValueError(f"prompt {i} reads row {outside[0]}, outside the "
-                                 f"{table_rows}-row token table")
+        pooled = []
+        for rows in prompts:
             weights = self.position_weights[: len(rows)]
-            pooling.append(np.bincount(rows, weights / weights.sum(), minlength=table_rows))
-        pooled = tape.concat_rows(
-            [tape.matmul(tape.constant(row[None, :]), table_node) for row in pooling]
-        )
+            pooling = np.bincount(rows, weights / weights.sum(), minlength=table_rows)
+            pooled.append(tape.matmul(tape.constant(pooling[None, :]), table_node))
+        pooled = tape.concat_rows(pooled)
         mixed_projection = tape.constant(self.mixed_projection)
         return tape.l2_normalize_rows(tape.matmul(pooled, mixed_projection))
 

@@ -83,10 +83,17 @@ def ordinality_score(prototypes: np.ndarray) -> float:
     Comparisons happen within one row, and both the row softmax (any
     positive temperature) and the global max-normalization are strictly
     increasing there, so the count over raw cosines equals the count over
-    the normalized table exactly. The raw form is used. On the linear
-    stand-in text encoder the score saturates for OrdinalCLIP: with two
-    base ranks (and word_dim >= 2) it is exactly 1 for every parameter
-    value, and trained runs with more base ranks have read 1 as well.
+    the normalized table exactly. The raw form is used.
+
+    On the linear stand-in text encoder, OrdinalCLIP's score says more
+    about the interpolation kernel than about training. With two base
+    ranks (and word_dim >= 2) it is exactly 1 for every parameter value.
+    Under the linear kernel, untrained models (context and base rows drawn
+    N(0, 1)) scored 1.0 in all 200 draws at each C in {5, 20, 100} and C'
+    in {2, 3, 5}, so a trained model's 1.0 there shows nothing it learned.
+    Under the inverse-proportion kernel the score is learned: at C = 20
+    and C' = 3, seeds 0-2 read 0.88-0.92 untrained and 0.989-0.995
+    trained.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if prototypes.shape[0] < 2:

@@ -9,13 +9,23 @@ scores graph of training. `prompt_oracle` is the prototypes' closed form
 in plain numpy, the oracle for the prompt graph, and
 `prompt_oracle_gradient` its hand-derived gradient in the two prompt
 groups. `forward_loss_oracle` extends both to the whole training loss:
-its value and its hand-derived gradient in every parameter group."""
+its value and its hand-derived gradient in every parameter group.
+`fnv1a64_reference` is the per-byte FNV-1a loop, the oracle for the
+package's chunked numpy hash."""
 
 import numpy as np
 
 from ordinalproto import diffcore, training
 from ordinalproto.diffcore import Tape
 from ordinalproto.encoders import ImageEncoder
+
+
+def fnv1a64_reference(data: bytes) -> int:
+    """64-bit FNV-1a, one byte at a time in Python ints."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def sum_all(tape: Tape, node: int) -> int:

@@ -302,6 +302,31 @@ def test_a_csv_sample_with_all_zero_features_exits_with_config_error(tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "fewshot"])
+def test_a_csv_sample_with_only_subnormal_features_exits_with_config_error(
+        tmp_path, capsys, command):
+    """The row 1,5e-324,0,0 passes a test for exact zeros, but its first-layer
+    product is zero, so the default config's first Adam step diverges. It
+    is rejected before training, as an all-zero row is; the row
+    1,1e-300,0,0 trains."""
+    rows = np.random.default_rng(0).normal(size=(16, 3)).tolist()
+    ordinary = "".join(f"{i % 4},{','.join(map(repr, row))}\n" for i, row in enumerate(rows))
+    for tail, code in [("1,5e-324,0,0", 2), ("1,1e-300,0,0", 0)]:
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("rank,f0,f1,f2\n" + ordinary + tail + "\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data_source = csv\ncsv_path = {csv_path}\n")
+        out = tmp_path / f"run-{code}"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: sample 16 has all-zero features (entries "
+                                  "below 2.225e-308 in magnitude count as zero)")
+            assert not out.exists()
+        else:
+            assert err == ""
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"method": "baseline", "learning_rate": 1000}, {"temperature": 0.0001}],

