@@ -31,14 +31,24 @@ The tape does only the work a parameter gradient needs:
   take log-probabilities as `shifted - log(sum(exp(shifted)))`, which is
   finite wherever the scores are, so no probability that underflows to
   zero can make the loss undefined.
-- Finiteness. Every recorded value is checked with one BLAS sum of
-  squares, tested as a Python float with `math.isfinite`; the sum is
-  non-finite whenever an entry is. Only a non-finite sum, from such an
-  entry or from overflow on huge finite entries, pays for the full
-  entrywise scan, so an op raises exactly when its value has a
+- Finiteness. Recording checks every value it records with one BLAS
+  sum of squares, tested as a Python float with `math.isfinite`; the
+  sum is non-finite whenever an entry is. Only a non-finite sum, from
+  such an entry or from overflow on huge finite entries, pays for the
+  full entrywise scan, so an op raises exactly when its value has a
   non-finite entry. The fused losses check their scores the same way:
   a non-finite score in a row with no target weight leaves the loss
-  finite but would make its gradient NaN.
+  finite but would make its gradient NaN. A re-run checks its named
+  leaves, the only values that can have changed, and then runs every op
+  once with numpy's overflow, invalid and divide-by-zero flags set to
+  raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
+  That is sound: every operand of the pass is then finite (an unnamed
+  constant is fixed and was checked when recorded), and from finite
+  operands an op makes a non-finite value only by raising one of those
+  flags. A non-finite leaf, or a raised flag, sends the re-run back to
+  the top with recording's check after every op, so it raises exactly
+  where and what recording would; a flag raised on finite values costs
+  that second pass and changes no value.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
@@ -115,6 +125,8 @@ class Tape:
         self._params: dict[str, int] = {}
         # Every named leaf, parameter or constant, by name: what rerun rebinds.
         self._leaves: dict[str, int] = {}
+        # Whether every unnamed constant is finite: rerun's flag guard needs it.
+        self._constants_finite = True
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -123,8 +135,11 @@ class Tape:
 
     def constant(self, array, name: str | None = None) -> int:
         """A node that never receives a gradient; a named one can be rebound
-        by rerun."""
-        return self._append(_Node("constant", (), _as_matrix(array)), name)
+        by rerun, and an unnamed one is fixed."""
+        value = _as_matrix(array)
+        if name is None and not all_finite(value):
+            self._constants_finite = False
+        return self._append(_Node("constant", (), value), name)
 
     def parameter(self, array, name: str) -> int:
         """A trainable leaf; its gradient appears in backward() under `name`."""
@@ -174,10 +189,26 @@ class Tape:
         """Evaluate the recorded ops again, in place, on new leaf values.
 
         `leaves` maps leaf names (parameters, named constants) to values of
-        the recorded shapes; every other leaf keeps its value. Each op then
-        reruns the forward rule and finiteness check of `record`, in
-        recorded order, on its inputs' values, which are all it reads. A
-        failed re-run leaves the tape part-updated. The graph is
+        the recorded shapes; every other leaf keeps its value. Each op
+        reruns the forward rule of `record`, in recorded order, on its
+        inputs' values, which are all it reads, and the re-run ends with
+        the values, or raises the error, of a recording on these leaves:
+
+        - If every named leaf is finite, and every unnamed constant was
+          when recorded, one pass runs the rules with numpy's overflow,
+          invalid and divide-by-zero flags raising, and checks no value.
+          Its operands are all finite, and from finite operands an op
+          makes a non-finite value only by raising one of those flags
+          (a product too large to trust them for checks its own value,
+          see _SERIAL_PRODUCT). The leaves are checked because NaN
+          passes through `dot` with no flag, and because a parameter may
+          have changed in place, as a training step's Adam views do.
+        - Otherwise, or when that pass raises FloatingPointError, the ops
+          run again from the top with recording's finiteness check after
+          each, which names the first op whose value is non-finite. A flag
+          raised on finite values costs only that second pass.
+
+        A failed re-run leaves the tape part-updated. The graph is
         unchanged, so backward needs no change.
         """
         nodes = self._nodes
@@ -187,6 +218,16 @@ class Tape:
                 raise ValueError(f"leaf {name!r} has shape {value.shape}; "
                                  f"the tape recorded {node.value.shape}")
             node.value = value
+        if self._constants_finite and all(all_finite(nodes[i].value) for i in self._leaves.values()):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    for node in nodes:
+                        if node.inputs:
+                            node.value, node.meta = _FORWARD[node.op](
+                                [nodes[i].value for i in node.inputs])
+                return
+            except FloatingPointError:
+                pass
         for node in nodes:
             if node.inputs:
                 node.value, node.meta = _FORWARD[node.op]([nodes[i].value for i in node.inputs])
@@ -285,12 +326,20 @@ def _shape_err(op, shapes):
     return ValueError(f"{op}: incompatible shapes {shapes}")
 
 
+# A BLAS may split a product across threads, and a floating-point flag
+# raised on another thread never reaches numpy. With OpenBLAS 0.3.31 on two
+# threads, an overflow confined to the last entries of a one-row or
+# one-column product of 5.0e5 multiply-adds, or of a 115 x 115 x 115
+# product (1.5e6), raised no flag. A product of more multiply-adds than
+# this bound, several times below those, checks its own value, so no
+# product escapes Tape.rerun's flag guard.
+_SERIAL_PRODUCT = 1 << 16
+
+
 def _fwd_matmul(vals):
     a, b = vals
     if a.shape[1] != b.shape[0]:
         raise _shape_err("matmul", (a.shape, b.shape))
-    # ndarray.dot is the same BLAS product as @, bitwise, with less dispatch
-    # on tiny operands; the backward rule below uses it for the same reason.
     if len(a) == 1:
         # A one-row product with zeros in it reads only the rows of b that
         # a's nonzero entries select, so its rounding depends on those rows
@@ -298,8 +347,13 @@ def _fwd_matmul(vals):
         # pools a prompt to the same row at any table rows.
         cols = a[0].nonzero()[0]
         if len(cols) < a.shape[1]:
-            return a.take(cols, axis=1).dot(b.take(cols, axis=0)), None
-    return a.dot(b), None
+            a, b = a.take(cols, axis=1), b.take(cols, axis=0)
+    # ndarray.dot is the same BLAS product as @, bitwise, with less dispatch
+    # on tiny operands; the backward rule below uses it for the same reason.
+    value = a.dot(b)
+    if a.size * b.shape[1] > _SERIAL_PRODUCT:
+        _check_finite(value, "matmul")
+    return value, None
 
 
 def _fwd_add(vals):
@@ -389,6 +443,8 @@ def _fwd_clip_kl(vals):
     log_col, p_col = _log_softmax(z, axis=0)
     w_row = 0.5 / s.shape[0]
     w_col = 0.5 / nonzero_cols
+    # Both weights are at most 1/2, so this sum of two finite Python floats
+    # cannot overflow: Tape.rerun's flag guard needs no flag from it.
     total = w_row * _kl_total(y, log_row) + w_col * _kl_total(y_col, log_col)
     meta = (t, w_row, w_col, y, y_col, mask, p_row, p_col)
     return np.array([[total]]), meta

@@ -414,9 +414,15 @@ def train_step(
     in place. `tapes` maps a batch row count to the (tape, loss node)
     forward_loss recorded for it. A step whose row count is there re-runs
     that tape with its ImageEncoder.BATCH and matching.LABELS leaves
-    rebound to this batch and its one-hot labels, with the batch, label
-    and finiteness checks the recording ran; any other step records a tape
-    and stores it there. A non-finite forward pass, or an update that
+    rebound to this batch and its one-hot labels, after the batch and
+    label checks the recording ran; any other step records a tape and
+    stores it there. The re-run first checks its named leaves: this
+    batch, these labels, and the parameters, which Adam moved in place.
+    It then runs every op with floating-point flags raising and no per-op
+    check, since from finite operands no op goes non-finite without
+    raising one. A non-finite leaf or a raised flag re-runs the ops with
+    recording's check after each, so a divergence names the op a recorded
+    step would (Tape.rerun). A non-finite forward pass, or an update that
     leaves a group non-finite, raises TrainingDivergedError at this step;
     only then are the groups scanned one by one, to name the non-finite
     ones.

@@ -570,6 +570,67 @@ def _property_tape(build, values, sources, params, weight_seed):
     return tape, _scalarize(tape, out, np.random.default_rng(weight_seed))
 
 
+def _spanning(rng, shape, lo, hi):
+    """Finite values whose entries are _signed ones times 10**e, e drawn
+    per entry from lo..hi: down into the subnormals at lo = -320, up to
+    1.5e308 at hi = 308."""
+    return _signed(rng, shape) * 10.0 ** rng.integers(lo, hi + 1, size=shape)
+
+
+def _reduced_tape(build, values, sources, params, weights=None):
+    """_property_tape with the reduction weights u and v as the constants
+    named "u" and "v", so that a re-run rebinds them too; without
+    `weights` they are drawn from U(0.5, 1.5)."""
+    tape = Tape()
+    leaf = {
+        i: (tape.parameter if i in params else tape.constant)(values[i], _leaf_name(i, params))
+        for i in sorted(set(sources))
+    }
+    out = build(tape, [leaf[i] for i in sources])
+    if weights is None:
+        rng = np.random.default_rng(0)
+        rows, cols = tape.value(out).shape
+        weights = rng.uniform(0.5, 1.5, (1, rows)), rng.uniform(0.5, 1.5, (cols, 1))
+    u, v = (tape.constant(w, name) for w, name in zip(weights, "uv"))
+    return tape, tape.matmul(tape.matmul(u, out), v)
+
+
+def _guarded_rerun_case(kind, data):
+    """Re-run a tape on leaves drawn by _spanning, the reduction weights
+    included, and compare it with a recording on them: "raised" if both
+    raise the same FloatingPointError, "equal" if the values and
+    gradients are bitwise the recording's."""
+    build, values = data.draw(_op_cases(kind))
+    sources, params = _wiring(data.draw, values)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo = data.draw(st.integers(-320, 308))
+    hi = data.draw(st.integers(lo, 308))
+    tape, loss = _reduced_tape(build, values, sources, params)
+    fresh = {name: _spanning(rng, tape.value(i).shape, lo, hi)
+             for name, i in tape._leaves.items() if name != "y"}
+    moved = [fresh.get(_leaf_name(i, params)) for i in range(len(values))]
+    # fit's setting, under which overflow and invalid do not warn; the
+    # guarded pass sets its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected, expected_loss = _reduced_tape(build, moved, sources, params,
+                                                    (fresh["u"], fresh["v"]))
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError) as raised:
+                tape.rerun(fresh)
+            assert str(raised.value) == str(exc)
+            return "raised"
+        tape.rerun(fresh)
+        assert len(tape) == len(expected)
+        for i in range(len(tape)):
+            np.testing.assert_array_equal(tape.value(i), expected.value(i))
+        grads, want = tape.backward(loss), expected.backward(expected_loss)
+    assert grads.keys() == want.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], want[name])
+    return "equal"
+
+
 @pytest.mark.parametrize("kind", OP_KINDS)
 class TestOpProperties:
     @PROPERTY_SETTINGS
@@ -708,6 +769,20 @@ class TestOpProperties:
         with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
             tape.rerun({f"c{which}": bad})
 
+    def test_a_guarded_rerun_equals_a_checked_recording_from_subnormals_to_1e308(self, kind):
+        """A re-run on finite leaves whose magnitudes span the float64
+        range either raises what a recording on them raises, or holds
+        bitwise its values and gradients; the draws reach both."""
+        outcomes = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(data=st.data())
+        def case(data):
+            outcomes[_guarded_rerun_case(kind, data)] += 1
+
+        case()
+        assert outcomes.keys() == {"raised", "equal"}, outcomes
+
 
 class TestRerun:
     def test_a_leaf_of_another_shape_is_rejected(self):
@@ -724,6 +799,84 @@ class TestRerun:
         tape.constant(np.ones((1, 1)), "x")
         with pytest.raises(ValueError, match="leaf 'x' registered twice"):
             tape.parameter(np.ones((1, 1)), "x")
+
+    def test_a_parameter_set_to_nan_in_place_raises_at_the_first_op_that_reads_it(self):
+        """A parameter that is a view into a flat vector, as Adam's are,
+        goes NaN in place, and the re-run rebinds no leaf. NaN passes
+        through matmul and tanh with no floating-point flag, so only the
+        check of every named leaf sends the re-run to the checked loop."""
+        flat = np.linspace(0.5, 1.0, 6)
+        tape = Tape()
+        x = tape.tanh(tape.constant(np.ones((2, 3)), "x"))
+        tape.tanh(tape.matmul(x, tape.parameter(flat.reshape(3, 2), "w")))
+        flat[4] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite values produced by op 'matmul'"):
+            tape.rerun({})
+
+    def test_a_flag_raised_on_finite_values_changes_nothing(self, monkeypatch):
+        """A rule that raises an overflow flag on a product it throws away
+        sends the re-run to the checked loop, which gives bitwise the
+        values and gradients of a recording, and the caller's numpy error
+        settings are as they were."""
+        rng = np.random.default_rng(3)
+        x0, x1, w, y = (rng.normal(size=shape) for shape in ((4, 3), (4, 3), (3, 5), (4, 5)))
+        y = np.abs(y)
+
+        def record(x):
+            tape = Tape()
+            h = tape.tanh(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
+            return tape, _softmax_xent(tape, h, y)
+
+        expected, expected_loss = record(x1)
+        tape, loss = record(x0)
+        tanh, calls = diffcore._FORWARD["tanh"], []
+
+        def flagging_tanh(vals):
+            calls.append(len(calls))
+            np.multiply(np.full(2, 1e300), 1e300)  # overflows; thrown away
+            return tanh(vals)
+
+        monkeypatch.setitem(diffcore._FORWARD, "tanh", flagging_tanh)
+        with np.errstate(over="ignore", invalid="ignore"):
+            caller = np.geterr()
+            tape.rerun({"x": x1})
+            assert np.geterr() == caller
+        assert len(calls) == 2  # the guarded pass, then the checked one
+        for i in range(len(tape)):
+            np.testing.assert_array_equal(tape.value(i), expected.value(i))
+        np.testing.assert_array_equal(tape.backward(loss)["w"],
+                                      expected.backward(expected_loss)["w"])
+
+    def test_an_overflow_in_a_product_too_large_to_trust_its_flags_raises(self):
+        """A BLAS may compute part of a large product on another thread,
+        whose floating-point flags numpy never sees; with OpenBLAS on two
+        threads, this product overflowing in its last entry alone raises
+        none. tanh then maps the overflow to a finite 1, so only the
+        product's check of its own value names it."""
+        n = 128
+        assert n**3 > diffcore._SERIAL_PRODUCT
+        w = np.full((n, n), 0.01)
+        w[:, -1] = 1e154
+        tape = Tape()
+        x = tape.constant(np.full((n, n), 0.01), "x")
+        tape.tanh(tape.matmul(x, tape.parameter(w, "w")))
+        bad = np.full((n, n), 0.01)
+        bad[-1] = 1e154
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
+                tape.rerun({"x": bad})
+
+    def test_a_non_finite_unnamed_constant_makes_every_rerun_checked(self):
+        """A one-row product reads only the rows of b its nonzero entries
+        select, so a recording whose selection skips an inf row of a fixed
+        constant records finite values. A re-run whose selection reads
+        that row makes inf with no flag (inf times a finite nonzero is
+        exact), so such a tape re-runs through the checked loop."""
+        tape = Tape()
+        a = tape.parameter(np.array([[1.0, 0.0]]), "a")
+        tape.matmul(a, tape.constant(np.array([[1.0, 2.0], [np.inf, 3.0]])))
+        with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
+            tape.rerun({"a": np.array([[1.0, 1.0]])})
 
     def test_leaves_and_params_not_listed_keep_their_recorded_values(self):
         tape = Tape()

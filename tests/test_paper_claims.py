@@ -9,12 +9,16 @@ is better changes with the seed.
 - General setting: OrdinalCLIP "achieves competitive performance in
   general ordinal regression tasks" (abstract). Trained on the whole
   training split, its mean test MAE must be no worse than the better of
-  CoOp's and the baseline's."""
+  CoOp's and the baseline's.
+- Well-ordered prototypes: OrdinalCLIP "can learn well-ordered, compact
+  language prototypes" (abstract). Under the inverse-proportion kernel,
+  training must raise its prototypes' ordinality above the untrained
+  model's and above trained CoOp's, at each seed."""
 
 import numpy as np
 import pytest
 
-from ordinalproto import cli
+from ordinalproto import cli, training
 
 # Training seeds 0, 1 and 2 for every cell: fixed before the first run.
 SEEDS = "seed = 0\neval_seeds = 3\n"
@@ -47,3 +51,21 @@ def test_ordinalclip_is_competitive_on_the_whole_training_split():
         for method in cli.TABLE_METHODS
     }
     assert means["ordinalclip"] <= min(means["coop"], means["baseline"]), means
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_training_orders_the_prototypes_under_the_inverse_proportion_kernel(seed):
+    """Under the default linear kernel an untrained model's prototypes
+    already score 1.0 (metrics.ordinality_score), so the score shows
+    nothing learned there. Under the paper's inverse-proportion kernel it
+    starts below 1 and must rise with training, for C = 20 ranks from
+    C' = 3 base ranks, the seeds fixed before the first run."""
+    cfg = cli.load_config(None) | {"interpolation": "inverse-proportion", "num_base_ranks": 3}
+    assert cfg["num_ranks"] == 20
+    train_ds, test_ds = cli._prepare(cfg)
+    untrained = cli._build_model(cfg, "ordinalclip", train_ds.num_ranks, train_ds.input_dim, seed)
+    before = training.evaluate(untrained, test_ds, temperature=cfg["temperature"])[0].ordinality
+    after = {method: cli._run_cell(cfg, method, train_ds, test_ds, seed)[0].ordinality
+             for method in ("ordinalclip", "coop")}
+    assert after["ordinalclip"] > before, (before, after)
+    assert after["ordinalclip"] > after["coop"], after

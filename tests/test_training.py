@@ -22,9 +22,9 @@ from conftest import (
     prototypes_of,
     reference_backward,
 )
-from ordinalproto import data, prompt, training
+from ordinalproto import data, diffcore, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
-from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
+from ordinalproto.encoders import BlockFileError, ImageEncoder, fnv1a64, read_blocks
 from ordinalproto.metrics import mae, ordinality_score, predict
 from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
@@ -286,6 +286,29 @@ class TestRerunTapes:
         monkeypatch.setattr(training, "forward_loss", counted)
         training.fit(_model(method), _dataset(), _fit_config(batch_size=batch_size))
         assert calls == recorded
+
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_rerun_checks_its_named_leaves_and_no_op_value(self, monkeypatch, method):
+        """A step's re-run makes one finiteness check per named leaf and
+        the loss's check of its scores, at any C: none per op."""
+        all_finite, checks = diffcore.all_finite, []
+
+        def counted(value):
+            checks.append(value.shape)
+            return all_finite(value)
+
+        monkeypatch.setattr(diffcore, "all_finite", counted)
+        rng = np.random.default_rng(52)
+        counts = {}
+        for num_ranks in (6, 20):
+            labels = np.arange(16) % num_ranks
+            tape, _ = training.forward_loss(_model(method, num_ranks=num_ranks),
+                                            rng.normal(size=(16, 4)), labels, TEMPERATURE)
+            checks.clear()
+            tape.rerun({ImageEncoder.BATCH: rng.normal(size=(16, 4))})
+            counts[num_ranks] = (len(checks), len(tape._leaves) + 1)
+        assert counts[6] == counts[20] == (9, 9), counts
 
 
 class TestBackwardOnTheTrainingTape:
