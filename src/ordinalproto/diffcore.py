@@ -26,9 +26,11 @@ The tape does only the work a parameter gradient needs:
 - Fused losses. The two training objectives are single op kinds with
   closed-form gradients; the tape has no softmax, KL or scale node.
   `clip-kl` is CLIP's symmetric image-text objective with KL in place of
-  cross-entropy; `softmax-xent` is the mean row-wise KL of a softmax
-  against targets, which for one-hot targets is the cross-entropy. Both
-  take log-probabilities as `shifted - log(sum(exp(shifted)))`, which is
+  cross-entropy; `softmax-xent` is the cross-entropy. Both read a B x 1
+  column of rank indices, not a one-hot matrix: a one-hot matrix's support
+  in row-major order is [rows, labels], so a rule that gathers there adds
+  the one-hot formula's terms in its order, and equals it bitwise. Both take
+  log-probabilities as `shifted - log(sum(exp(shifted)))`, which is
   finite wherever the scores are, so no probability that underflows to
   zero can make the loss undefined.
 - Finiteness. Recording checks every value it records with one BLAS
@@ -37,8 +39,8 @@ The tape does only the work a parameter gradient needs:
   such an entry or from overflow on huge finite entries, pays for the
   full entrywise scan, so an op raises exactly when its value has a
   non-finite entry. The fused losses check their scores the same way:
-  a non-finite score in a row with no target weight leaves the loss
-  finite but would make its gradient NaN. A re-run checks its named
+  a non-finite score in a column no label reads can leave the loss
+  finite but make its gradient NaN. A re-run checks its named
   leaves, the only values that can have changed, and then runs every op
   once with numpy's overflow, invalid and divide-by-zero flags set to
   raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
@@ -165,7 +167,7 @@ class Tape:
         """Record one primitive, computing and storing its forward value.
 
         `inputs` is a sequence of node references, and the op reads nothing
-        else: a fixed operand, such as a loss's targets, is a constant.
+        else: a fixed operand, such as a loss's labels, is a constant.
         """
         forward = _FORWARD.get(op_kind)
         if forward is None:
@@ -254,24 +256,24 @@ class Tape:
     def tanh(self, a: int) -> int:
         return self.record("tanh", (a,))
 
-    def clip_kl(self, scores: int, targets: int, temperature: int) -> int:
-        """Symmetric KL loss of a score table against targets, a 1x1 node.
+    def clip_kl(self, scores: int, labels: int, temperature: int) -> int:
+        """Symmetric KL loss of a B x C score table, a 1x1 node.
 
         0.5/B * sum_i KL(Y_i || softmax_row(S/t)_i)
           + 0.5/nz * sum_j KL(Yc_j || softmax_col(S/t)_j)
 
-        over the B rows and the nz non-zero columns of the non-negative
-        B x C `targets` node Y, where Yc is Y with each non-zero column
-        scaled to sum 1, and t is the 1x1 `temperature` node; only S gets a
-        gradient.
+        over the B rows and the nz labelled columns, where Y is the one-hot
+        matrix of the B x 1 `labels` node of rank indices, Yc is Y with each
+        labelled column scaled to sum 1, and t is the 1x1 `temperature`
+        node; only S gets a gradient.
         """
-        return self.record("clip-kl", (scores, targets, temperature))
+        return self.record("clip-kl", (scores, labels, temperature))
 
-    def softmax_xent(self, logits: int, targets: int) -> int:
-        """Mean over the B rows of KL(Y_i || softmax(L_i)) for the `targets`
-        node Y, a 1x1 node; the cross-entropy when every target row is
-        one-hot. Only the logits get a gradient."""
-        return self.record("softmax-xent", (logits, targets))
+    def softmax_xent(self, logits: int, labels: int) -> int:
+        """Mean over the B rows of -log softmax(L_i) at the row's label, for
+        a B x 1 `labels` node as in clip_kl, a 1x1 node: the cross-entropy.
+        Only the logits get a gradient."""
+        return self.record("softmax-xent", (logits, labels))
 
     # -- reverse sweep ----------------------------------------------------
 
@@ -404,59 +406,57 @@ def _fwd_l2_normalize_rows(vals):
     return out, {"norms": norms}
 
 
-def _check_targets(op, scores, y):
+def _check_labels(op, scores, labels):
+    """(rows, rank index per row) of B x C scores and a B x 1 label column
+    of integers in [0, C), after the scores' finiteness check."""
     _check_finite(scores, op)
-    if y.shape != scores.shape:
-        raise _shape_err(op, (scores.shape, y.shape))
-    if not np.isfinite(y).all() or (y < 0).any():
-        raise ValueError(f"{op}: targets must be finite and non-negative")
-
-
-def _kl_total(y, log_q):
-    """sum of y * (log y - log_q) over the entries where y > 0."""
-    support = y > 0
-    y_s = y[support]
-    return float(np.sum(y_s * (np.log(y_s) - log_q[support])))
+    rows, ranks = scores.shape
+    if labels.shape != (rows, 1) or rows == 0:
+        raise _shape_err(op, (scores.shape, labels.shape))
+    lab = labels.ravel()
+    # NaN and +-inf fail the range test, so the cast sees only finite values.
+    if not ((lab >= 0.0).all() and (lab < ranks).all() and (lab == np.floor(lab)).all()):
+        raise ValueError(f"{op}: labels must be integers in [0, {ranks})")
+    return np.arange(rows), lab.astype(np.intp)
 
 
 def _fwd_clip_kl(vals):
     """See Tape.clip_kl. Gradient with respect to the scores S:
 
-        (0.5/(B t)) (P_row * r - Y) + (0.5/(nz t)) (P_col * mask - Yc)
+        (0.5/(B t)) (P_row - Y) + (0.5/(nz t)) (P_col * mask - Yc)
 
-    where r holds the row sums of Y (1 for one-hot rows) and mask marks
-    the non-zero columns, whose Yc columns sum to 1.
+    where mask marks the labelled columns. Y and Yc (1 / the label's row
+    count) are nonzero only at [rows, lab], so the rules touch only those.
     """
-    s, y, temperature = vals
+    s, labels, temperature = vals
     t = temperature.item()  # raises unless the node is 1x1
     if not t > 0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
-    _check_targets("clip-kl", s, y)
-    col_sums = y.sum(axis=0, keepdims=True)
-    mask = col_sums > 0
-    nonzero_cols = int(np.count_nonzero(mask))
-    if nonzero_cols == 0:
-        raise ValueError("clip-kl: targets are all zero")
-    y_col = np.divide(y, col_sums, out=np.zeros_like(y), where=mask)
+    rows, lab = _check_labels("clip-kl", s, labels)
+    counts = np.bincount(lab, minlength=s.shape[1])
+    mask = counts[None] > 0
+    yc = 1.0 / counts[lab]
     z = s / t
     log_row, p_row = _log_softmax(z, axis=1)
     log_col, p_col = _log_softmax(z, axis=0)
     w_row = 0.5 / s.shape[0]
-    w_col = 0.5 / nonzero_cols
+    w_col = 0.5 / np.count_nonzero(mask)
+    # Each KL sum adds y * (log y - log q) at the labels, log 1 being 0.0.
     # Both weights are at most 1/2, so this sum of two finite Python floats
     # cannot overflow: Tape.rerun's flag guard needs no flag from it.
-    total = w_row * _kl_total(y, log_row) + w_col * _kl_total(y_col, log_col)
-    meta = (t, w_row, w_col, y, y_col, mask, p_row, p_col)
+    total = (w_row * float(np.sum(0.0 - log_row[rows, lab]))
+             + w_col * float(np.sum(yc * (np.log(yc) - log_col[rows, lab]))))
+    meta = (t, w_row, w_col, rows, lab, yc, mask, p_row, p_col)
     return np.array([[total]]), meta
 
 
 def _fwd_softmax_xent(vals):
-    """See Tape.softmax_xent. Gradient: (P * r - Y) / B, r the row sums of Y."""
-    logits, y = vals
-    _check_targets("softmax-xent", logits, y)
+    """See Tape.softmax_xent. Gradient: (P - Y) / B, Y the one-hot labels."""
+    logits, labels = vals
+    rows, lab = _check_labels("softmax-xent", logits, labels)
     log_p, p = _log_softmax(logits, axis=1)
     weight = 1.0 / logits.shape[0]
-    return np.array([[_kl_total(y, log_p) * weight]]), (weight, y, p)
+    return np.array([[float(np.sum(0.0 - log_p[rows, lab])) * weight]]), (weight, rows, lab, p)
 
 
 def _fwd_concat_rows(vals):
@@ -500,7 +500,7 @@ OP_KINDS = tuple(_FORWARD)
 #   -> one gradient (or None) per input. wants[k] says whether input k
 #   needs one; a rule forms no gradient for an input that does not. A
 #   rule runs only for a node that needs a gradient, so a single-input
-#   rule's input always does. A loss gives its targets and temperature None.
+#   rule's input always does. A loss gives its labels and temperature None.
 #   Returned gradients share no memory with each other or any tape value.
 
 
@@ -520,19 +520,19 @@ def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
 
 
 def _bwd_clip_kl(g, out, ins, meta, wants):
-    t, w_row, w_col, y, y_col, mask, p_row, p_col = meta
+    t, w_row, w_col, rows, lab, yc, mask, p_row, p_col = meta
     scale = g[0, 0] / t
-    row = p_row * y.sum(axis=1, keepdims=True)
-    row -= y
+    row = p_row.copy()
+    row[rows, lab] -= 1.0
     col = p_col * mask
-    col -= y_col
+    col[rows, lab] -= yc
     return ((scale * w_row) * row + (scale * w_col) * col, None, None)
 
 
 def _bwd_softmax_xent(g, out, ins, meta, wants):
-    weight, y, p = meta
-    grad = p * y.sum(axis=1, keepdims=True)
-    grad -= y
+    weight, rows, lab, p = meta
+    grad = p.copy()
+    grad[rows, lab] -= 1.0
     grad *= g[0, 0] * weight
     return (grad, None)
 

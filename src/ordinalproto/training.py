@@ -260,8 +260,8 @@ def forward_loss(
     tape = Tape()
     scores, _ = _graph(state, tape, batch_x)
     if not state.uses_prompts:
-        return tape, matching.cross_entropy_loss(tape, scores, batch_y, state.num_ranks)
-    return tape, matching.contrastive_loss(tape, scores, batch_y, state.num_ranks, temperature)
+        return tape, matching.cross_entropy_loss(tape, scores, batch_y)
+    return tape, matching.contrastive_loss(tape, scores, batch_y, temperature)
 
 
 def evaluate(
@@ -414,18 +414,18 @@ def train_step(
     in place. `tapes` maps a batch row count to the (tape, loss node)
     forward_loss recorded for it. A step whose row count is there re-runs
     that tape with its ImageEncoder.BATCH and matching.LABELS leaves
-    rebound to this batch and its one-hot labels, after the batch and
-    label checks the recording ran; any other step records a tape and
-    stores it there. The re-run first checks its named leaves: this
-    batch, these labels, and the parameters, which Adam moved in place.
-    It then runs every op with floating-point flags raising and no per-op
-    check, since from finite operands no op goes non-finite without
-    raising one. A non-finite leaf or a raised flag re-runs the ops with
-    recording's check after each, so a divergence names the op a recorded
-    step would (Tape.rerun). A non-finite forward pass, or an update that
-    leaves a group non-finite, raises TrainingDivergedError at this step;
-    only then are the groups scanned one by one, to name the non-finite
-    ones.
+    rebound to this batch, after the batch check the recording ran, and
+    to its label column, which the loss node checks; any other step
+    records a tape and stores it there. The re-run first checks its named
+    leaves: this batch, these labels, and the parameters, which Adam moved
+    in place. It then runs every op with floating-point flags raising and
+    no per-op check, since from finite operands no op goes non-finite
+    without raising one. A non-finite leaf or a raised flag re-runs the
+    ops with recording's check after each, so a divergence names the op a
+    recorded step would (Tape.rerun). A non-finite forward pass, or an
+    update that leaves a group non-finite, raises TrainingDivergedError at
+    this step; only then are the groups scanned one by one, to name the
+    non-finite ones.
     """
     if len(batch_y) == 0:
         raise ValueError("train_step requires a non-empty batch")
@@ -438,7 +438,7 @@ def train_step(
         else:
             tape, loss_node = recorded
             tape.rerun({ImageEncoder.BATCH: ImageEncoder.checked_batch(batch_x),
-                        matching.LABELS: matching.one_hot_labels(batch_y, state.num_ranks)})
+                        matching.LABELS: matching.label_column(batch_y)})
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     loss_value = float(tape.value(loss_node)[0, 0])

@@ -1,7 +1,8 @@
 """Helpers shared by the tests. The package itself does not need them.
 
 `unfused_clip_kl` and `unfused_softmax_xent` are the oracle for the two
-fused loss ops: plain numpy, no tape, each returning (value, gradient).
+fused loss ops: plain numpy, no tape, over the one-hot rows of the labels
+the ops read as a column of rank indices, each returning (value, gradient).
 `finite_difference_check` is the central-difference gradient check.
 `encode_images` and `prototypes_of` read plain arrays off a throwaway
 tape: the package itself encodes and builds prototypes only inside the
@@ -151,7 +152,7 @@ def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, di
         e = f / norms
         protos = prompt_oracle(state)
         scores = e @ protos.T
-        loss, _ = unfused_clip_kl(scores, y, temperature)
+        loss, _ = unfused_clip_kl(scores, batch_y, temperature)
         mask = y.sum(axis=0, keepdims=True) > 0
         z = scores / temperature
         p_row = np.exp(z - z.max(axis=1, keepdims=True))
@@ -167,7 +168,7 @@ def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, di
     else:
         weights = params["head.weights"]
         logits = f @ weights.T + params["head.bias"]
-        loss, _ = unfused_softmax_xent(logits, y)
+        loss, _ = unfused_softmax_xent(logits, batch_y)
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         d_logits = (probs / probs.sum(axis=1, keepdims=True) - y) / rows
         grads["head.weights"] = d_logits.T @ f
@@ -235,11 +236,13 @@ def _kl_of_softmax(scores, targets, temperature, axis, weight):
     return value, p * (g - (g * p).sum(axis=axis, keepdims=True)) / temperature
 
 
-def unfused_clip_kl(scores, targets, temperature):
-    """(value, gradient) of the clip-kl loss, as the plain-numpy chain it
-    fuses: a row softmax and a column softmax, one KL per direction, and
-    their weighted sum. The probabilities are formed first and their log
-    taken after, not in the fused op's log-sum-exp form."""
+def unfused_clip_kl(scores, labels, temperature):
+    """(value, gradient) of the clip-kl loss at a 1-D sequence of rank
+    indices, as the plain-numpy chain it fuses: the labels' one-hot rows,
+    a row softmax and a column softmax, one KL per direction, and their
+    weighted sum. The probabilities are formed first and their log taken
+    after, not in the fused op's log-sum-exp form."""
+    targets = np.eye(scores.shape[1])[np.asarray(labels)]
     nonzero_cols = int((targets.sum(axis=0) > 0).sum())
     row_value, row_grad = _kl_of_softmax(scores, targets, temperature, 1, 0.5 / targets.shape[0])
     col_value, col_grad = _kl_of_softmax(
@@ -248,9 +251,10 @@ def unfused_clip_kl(scores, targets, temperature):
     return row_value + col_value, row_grad + col_grad
 
 
-def unfused_softmax_xent(logits, targets):
+def unfused_softmax_xent(logits, labels):
     """(value, gradient) of the softmax-xent loss: the mean row-wise KL of
-    the row softmax against the targets."""
+    the row softmax against the labels' one-hot rows."""
+    targets = np.eye(logits.shape[1])[np.asarray(labels)]
     return _kl_of_softmax(logits, targets, 1.0, 1, 1.0 / targets.shape[0])
 
 

@@ -34,16 +34,24 @@ def _scalarize(tape, node, rng):
     return tape.matmul(tape.matmul(u, node), v)
 
 
-def _clip_kl(tape, scores, targets, temperature, name=None):
-    """clip-kl of a scores node against targets and a temperature, each put
-    on the tape as a constant; the targets under `name`, if given."""
-    return tape.clip_kl(scores, tape.constant(targets, name), tape.constant([[temperature]]))
+def _column(labels):
+    """A sequence of rank indices as the B x 1 float64 column the fused
+    losses read."""
+    return np.asarray(labels, dtype=np.float64).reshape(-1, 1)
 
 
-def _softmax_xent(tape, logits, targets, name=None):
-    """softmax-xent of a logits node against targets put on the tape as a
-    constant, under `name` if given."""
-    return tape.softmax_xent(logits, tape.constant(targets, name))
+def _clip_kl(tape, scores, labels, temperature, name=None):
+    """clip-kl of a scores node against rank indices and a temperature,
+    each put on the tape as a constant; the label column under `name`, if
+    given."""
+    return tape.clip_kl(scores, tape.constant(_column(labels), name),
+                        tape.constant([[temperature]]))
+
+
+def _softmax_xent(tape, logits, labels, name=None):
+    """softmax-xent of a logits node against rank indices put on the tape
+    as a label column, under `name` if given."""
+    return tape.softmax_xent(logits, tape.constant(_column(labels), name))
 
 
 def _ops(tape):
@@ -92,26 +100,16 @@ class TestForwardValues:
         )
 
     def test_kl_of_identical_distributions_is_zero(self):
-        """softmax-xent against targets equal to the softmax of its logits:
-        zero loss and zero gradient, up to rounding."""
-        rng = np.random.default_rng(4)
-        logits = rng.normal(size=(3, 4))
+        """softmax-xent at logits whose softmax is the one-hot row of each
+        label (exp(-2000) underflows to 0): zero loss and zero gradient,
+        exactly."""
+        labels = [1, 0, 3]
+        logits = np.full((3, 4), -1000.0)
+        logits[np.arange(3), labels] = 1000.0
         tape = Tape()
-        s = tape.parameter(logits, "s")
-        loss = _softmax_xent(tape, s, diffcore.softmax(logits, axis=1))
-        assert abs(tape.value(loss)[0, 0]) < 1e-15
-        np.testing.assert_allclose(tape.backward(loss)["s"], 0.0, atol=1e-15)
-
-    def test_kl_zero_rows_contribute_nothing(self):
-        """An all-zero target row adds nothing to the KL sum and gets an
-        exact-zero gradient; it still counts in the mean over rows."""
-        p = np.array([[0.0, 0.0], [1.0, 0.0]])
-        q = np.array([[0.3, 0.7], [0.5, 0.5]])
-        tape = Tape()
-        s = tape.parameter(np.log(q), "s")
-        loss = _softmax_xent(tape, s, p)
-        assert tape.value(loss)[0, 0] == pytest.approx(np.log(2.0) / 2, abs=1e-15)
-        np.testing.assert_array_equal(tape.backward(loss)["s"][0], [0.0, 0.0])
+        loss = _softmax_xent(tape, tape.parameter(logits, "s"), labels)
+        assert tape.value(loss)[0, 0] == 0.0
+        np.testing.assert_array_equal(tape.backward(loss)["s"], 0.0)
 
     def test_fused_losses_stay_finite_where_the_softmax_underflows(self):
         """At t = 1e-4 the row softmax of [1, -1] is exp(-2e4) = 0 on the
@@ -119,13 +117,13 @@ class TestForwardValues:
         exact loss."""
         tape = Tape()
         s = tape.parameter([[1.0, -1.0]], "s")
-        loss = _clip_kl(tape, s, [[0.0, 1.0]], 1e-4)
+        loss = _clip_kl(tape, s, [1], 1e-4)
         assert tape.value(loss)[0, 0] == 1e4  # 0.5 * 2e4 + 0.5 * 0
         np.testing.assert_allclose(tape.backward(loss)["s"], [[5e3, -5e3]], rtol=1e-15)
 
         tape = Tape()
         logits = tape.parameter([[1000.0, -1000.0]], "logits")
-        loss = _softmax_xent(tape, logits, [[0.0, 1.0]])
+        loss = _softmax_xent(tape, logits, [1])
         assert tape.value(loss)[0, 0] == 2000.0
         np.testing.assert_array_equal(tape.backward(loss)["logits"], [[1.0, -1.0]])
 
@@ -163,7 +161,7 @@ class TestRecordContract:
         tape = Tape()
         a = tape.constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="temperature must be positive"):
-            _clip_kl(tape, a, np.eye(2), temperature)
+            _clip_kl(tape, a, [0, 1], temperature)
         assert _ops(tape) == []
 
     def test_all_listed_op_kinds_are_recordable(self):
@@ -226,19 +224,17 @@ class TestBackward:
         )
 
     def test_kl_of_softmax_gradient_matches_finite_differences(self):
-        """clip-kl of one-hot labels at t = 0.5, at logits peaked toward
+        """clip-kl of labels 0, 2, 1 at t = 0.5, at logits peaked toward
         the labels."""
-        labels = np.array([0, 2, 1])
-        y = np.zeros((3, 3))
-        y[np.arange(3), labels] = 1.0
-        logits = 2.0 * y
+        labels = [0, 2, 1]
+        logits = 2.0 * np.eye(3)[labels]
 
         def loss_of(p):
             tape = Tape()
-            return tape.value(_clip_kl(tape, tape.parameter(p, "p"), y, 0.5))[0, 0]
+            return tape.value(_clip_kl(tape, tape.parameter(p, "p"), labels, 0.5))[0, 0]
 
         tape = Tape()
-        loss = _clip_kl(tape, tape.parameter(logits, "p"), y, 0.5)
+        loss = _clip_kl(tape, tape.parameter(logits, "p"), labels, 0.5)
         analytic = tape.backward(loss)["p"]
         assert finite_difference_check(loss_of, logits, analytic, h=H) <= FD_TOL
 
@@ -336,7 +332,7 @@ class TestPrunedBackward:
         tape = Tape()
         x = tape.constant(rng.normal(size=(5, 3)))
         w = tape.parameter(rng.normal(size=(3, 2)), "w")
-        loss = _softmax_xent(tape, tape.matmul(x, w), np.full((5, 2), 0.5))
+        loss = _softmax_xent(tape, tape.matmul(x, w), [0, 1, 1, 0, 1])
         _, log = _count_backward_rules(monkeypatch)
         tape.backward(loss)
         wants = {kind: w for kind, w, _ in log}
@@ -453,15 +449,13 @@ class TestPrimitiveGradients:
         _fd_case("tanh", lambda t, n: t.tanh(n[0]), [(8, 8)], 21)
 
     def test_clip_kl(self):
-        # label 5 is empty: a zero column, left out of the column term
-        targets = np.eye(8)[[0, 2, 2, 7, 1, 3]]
-        _fd_case("clip-kl", lambda t, n: _clip_kl(t, n[0], targets, 0.7), [(6, 8)], 22)
+        # ranks 4, 5 and 6 are unlabelled: columns left out of the column term
+        labels = [0, 2, 2, 7, 1, 3]
+        _fd_case("clip-kl", lambda t, n: _clip_kl(t, n[0], labels, 0.7), [(6, 8)], 22)
 
     def test_softmax_xent(self):
-        rng = np.random.default_rng(23)
-        targets = rng.uniform(0.0, 1.0, size=(4, 5))
-        targets[0, :] = 0.0  # an all-zero target row must stay differentiable
-        _fd_case("softmax-xent", lambda t, n: _softmax_xent(t, n[0], targets), [(4, 5)], 24)
+        labels = [4, 0, 4, 2]  # a repeated rank, and ranks 1 and 3 unlabelled
+        _fd_case("softmax-xent", lambda t, n: _softmax_xent(t, n[0], labels), [(4, 5)], 24)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +473,15 @@ def _signed(rng, shape):
     return rng.uniform(0.25, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape)
 
 
-def _loss_targets(draw, rng):
-    """B x C targets for the fused losses: one-hot labels, one-hot labels
-    with B < C (so some label columns are empty), or soft non-negative
-    targets whose rows need not sum to 1, some of them all zero."""
-    kind = draw(st.sampled_from(["one-hot", "one-hot, B < C", "soft"]))
-    rows = draw(_dims)
-    cols = rows + draw(_dims) if kind == "one-hot, B < C" else draw(_dims)
-    if kind == "soft":
-        targets = rng.uniform(0.25, 1.0, size=(rows, cols)) * (rng.random((rows, cols)) < 0.6)
-        targets[0, 0] = 1.0  # no loss is defined on all-zero targets
-    else:
-        targets = np.zeros((rows, cols))
-        targets[np.arange(rows), rng.integers(0, cols, size=rows)] = 1.0
-    return targets
+def _loss_labels(draw, rng):
+    """(B rank indices, C) for the fused losses, each batch one of: B > C,
+    so some rank is repeated; B < C, so some rank is absent; or B = 1."""
+    kind = draw(st.sampled_from(["repeated", "absent", "one row"]))
+    cols = draw(_dims)
+    rows = {"repeated": cols + draw(_dims), "absent": cols, "one row": 1}[kind]
+    if kind == "absent":
+        cols += draw(_dims)
+    return rng.integers(0, cols, size=rows), cols
 
 
 @st.composite
@@ -513,15 +502,15 @@ def _op_cases(draw, kind):
         shapes = [(draw(_dims), cols) for _ in range(draw(st.integers(1, 3)))]
         build = lambda t, n: t.concat_rows(n)
     elif kind in ("clip-kl", "softmax-xent"):
-        targets = _loss_targets(draw, rng)
-        shapes = [targets.shape]
-        # A loss's build takes other targets of the same shape as y, and
-        # puts them on the tape as the constant named "y".
+        labels, ranks = _loss_labels(draw, rng)
+        shapes = [(len(labels), ranks)]
+        # A loss's build takes other labels of the same count as y, and
+        # puts them on the tape as the label column named "y".
         if kind == "clip-kl":
             temperature = draw(st.floats(0.5, 2.0))
-            build = lambda t, n, y=targets: _clip_kl(t, n[0], y, temperature, "y")
+            build = lambda t, n, y=labels: _clip_kl(t, n[0], y, temperature, "y")
         else:
-            build = lambda t, n, y=targets: _softmax_xent(t, n[0], y, "y")
+            build = lambda t, n, y=labels: _softmax_xent(t, n[0], y, "y")
     elif kind == "transpose":
         shapes = [(rows, cols)]
         build = lambda t, n: t.transpose(n[0])
@@ -728,7 +717,7 @@ class TestOpProperties:
     @given(data=st.data())
     def test_rerun_on_fresh_leaves_equals_a_fresh_recording_bitwise(self, kind, data):
         """A tape re-run on fresh leaf values (and, for a loss, fresh
-        one-hot targets, its leaf "y") holds bitwise the node values and
+        labels, its leaf "y") holds bitwise the node values and
         backward gradients of a tape recorded on them, after a sweep of the
         old."""
         build, values = data.draw(_op_cases(kind))
@@ -740,10 +729,9 @@ class TestOpProperties:
         fresh_build = build
         if kind in ("clip-kl", "softmax-xent"):
             rows, cols = values[0].shape
-            y = np.zeros((rows, cols))
-            y[np.arange(rows), rng.integers(0, cols, size=rows)] = 1.0
+            y = rng.integers(0, cols, size=rows)
             fresh_build = lambda t, n: build(t, n, y=y)
-            rebound["y"] = y
+            rebound["y"] = _column(y)
         tape, loss = _property_tape(build, values, sources, params, weight_seed)
         tape.backward(loss)
         tape.rerun(rebound)
@@ -819,8 +807,8 @@ class TestRerun:
         values and gradients of a recording, and the caller's numpy error
         settings are as they were."""
         rng = np.random.default_rng(3)
-        x0, x1, w, y = (rng.normal(size=shape) for shape in ((4, 3), (4, 3), (3, 5), (4, 5)))
-        y = np.abs(y)
+        x0, x1, w = (rng.normal(size=shape) for shape in ((4, 3), (4, 3), (3, 5)))
+        y = [4, 0, 2, 2]
 
         def record(x):
             tape = Tape()
@@ -881,14 +869,14 @@ class TestRerun:
     def test_leaves_and_params_not_listed_keep_their_recorded_values(self):
         tape = Tape()
         x = tape.constant(np.array([[1.0, 2.0]]), "x")
-        w = tape.parameter(np.array([[3.0], [4.0]]), "w")
+        w = tape.parameter(np.array([[3.0, 1.0], [4.0, 1.0]]), "w")
         scores = tape.matmul(x, w)
-        loss = _clip_kl(tape, scores, np.ones((1, 1)), 0.5, "y")
-        tape.rerun({"x": np.array([[5.0, 6.0]]), "y": np.full((1, 1), 2.0)})
-        assert tape.value(scores)[0, 0] == 5.0 * 3.0 + 6.0 * 4.0
+        loss = _clip_kl(tape, scores, [0], 0.5, "y")
+        tape.rerun({"x": np.array([[5.0, 6.0]]), "y": _column([1])})
+        np.testing.assert_array_equal(tape.value(scores), [[5.0 * 3.0 + 6.0 * 4.0, 11.0]])
         fresh = Tape()
         fresh_scores = fresh.constant(tape.value(scores))
-        fresh_loss = _clip_kl(fresh, fresh_scores, np.full((1, 1), 2.0), 0.5)
+        fresh_loss = _clip_kl(fresh, fresh_scores, [1], 0.5)
         np.testing.assert_array_equal(tape.value(loss), fresh.value(fresh_loss))
 
 
@@ -897,6 +885,15 @@ _finite = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
     elements=st.floats(-1e6, 1e6, allow_subnormal=False),
 )
+
+
+def _scores_and_labels(data):
+    """B x C scores and B labels, B in 1..40 and C in 1..6, so that most
+    batches repeat ranks and some leave ranks absent; the scores are
+    Gaussian with standard deviation 3, so the loss sums round."""
+    rows, cols = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return 3.0 * rng.normal(size=(rows, cols)), rng.integers(0, cols, size=rows)
 
 
 class TestForwardFormulas:
@@ -987,19 +984,57 @@ class TestForwardFormulas:
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_kl_equals_the_two_gather_formula(self, data):
-        """softmax-xent: the KL sum gathered on the targets' support, with
-        log-probabilities in log-sum-exp form, over the B rows."""
-        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5))
-        y = data.draw(hnp.arrays(np.float64, shape,
-                                 elements=st.floats(0.0, 1.0, allow_subnormal=False)))
-        x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-30.0, 30.0)))
-        shifted = x - x.max(axis=1, keepdims=True)
-        log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        """softmax-xent: the KL sum over the support of the labels' one-hot
+        rows Y, gathered as y * (log y - log q) with log-probabilities in
+        log-sum-exp form, over the B rows, and its gradient
+        (P * rowsum(Y) - Y) / B: the one-hot formulas, bitwise, though
+        the rule reads the labels alone."""
+        x, labels = _scores_and_labels(data)
+        rows, cols = x.shape
+        y = np.eye(cols)[labels]
+        log_q, q = diffcore._log_softmax(x, axis=1)
         s = y > 0
-        expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / shape[0])
+        expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / rows)
+        expected_grad = q * y.sum(axis=1, keepdims=True)
+        expected_grad -= y
+        expected_grad *= 1.0 * (1.0 / rows)
         tape = Tape()
-        out = _softmax_xent(tape, tape.constant(x), y)
-        assert tape.value(out)[0, 0] == expected
+        out = _softmax_xent(tape, tape.parameter(x, "x"), labels)
+        assert tape.value(out).tobytes() == np.array([[expected]]).tobytes()
+        assert tape.backward(out)["x"].tobytes() == expected_grad.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_clip_kl_equals_the_one_hot_formula_bitwise(self, data):
+        """clip-kl: the value and gradient of the labels' one-hot rows Y
+        and their column-normalized Yc, formed as B x C matrices and summed
+        over their support, equal the rule's, which reads Y and Yc at the
+        labels alone, bitwise; repeated and absent ranks included."""
+        x, labels = _scores_and_labels(data)
+        rows, cols = x.shape
+        t = data.draw(st.floats(0.05, 2.0))
+        y = np.eye(cols)[labels]
+        col_sums = y.sum(axis=0, keepdims=True)
+        mask = col_sums > 0
+        y_col = np.divide(y, col_sums, out=np.zeros_like(y), where=mask)
+        log_row, p_row = diffcore._log_softmax(x / t, axis=1)
+        log_col, p_col = diffcore._log_softmax(x / t, axis=0)
+        w_row, w_col = 0.5 / rows, 0.5 / int(np.count_nonzero(mask))
+
+        def kl(target, log_q):
+            s = target > 0
+            return float(np.sum(target[s] * (np.log(target[s]) - log_q[s])))
+
+        expected = w_row * kl(y, log_row) + w_col * kl(y_col, log_col)
+        row = p_row * y.sum(axis=1, keepdims=True)
+        row -= y
+        col = p_col * mask
+        col -= y_col
+        expected_grad = ((1.0 / t) * w_row) * row + ((1.0 / t) * w_col) * col
+        tape = Tape()
+        out = _clip_kl(tape, tape.parameter(x, "x"), labels, t)
+        assert tape.value(out).tobytes() == np.array([[expected]]).tobytes()
+        assert tape.backward(out)["x"].tobytes() == expected_grad.tobytes()
 
 
 class TestFusedLosses:
@@ -1012,21 +1047,21 @@ class TestFusedLosses:
     @given(data=st.data())
     def test_fused_loss_matches_the_unfused_chain(self, kind, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        targets = _loss_targets(data.draw, rng)
-        scores = _signed(rng, targets.shape)
+        labels, ranks = _loss_labels(data.draw, rng)
+        scores = _signed(rng, (len(labels), ranks))
         temperature = data.draw(st.floats(0.5, 2.0))
 
         def loss(point):
             tape = Tape()
             s = tape.parameter(point, "s")
             if kind == "clip-kl":
-                return tape, _clip_kl(tape, s, targets, temperature)
-            return tape, _softmax_xent(tape, s, targets)
+                return tape, _clip_kl(tape, s, labels, temperature)
+            return tape, _softmax_xent(tape, s, labels)
 
         if kind == "clip-kl":
-            ref_value, ref_grad = unfused_clip_kl(scores, targets, temperature)
+            ref_value, ref_grad = unfused_clip_kl(scores, labels, temperature)
         else:
-            ref_value, ref_grad = unfused_softmax_xent(scores, targets)
+            ref_value, ref_grad = unfused_softmax_xent(scores, labels)
         tape, node = loss(scores)
         assert _ops(tape) == [kind]
         assert abs(tape.value(node)[0, 0] - ref_value) <= 1e-12
@@ -1039,21 +1074,52 @@ class TestFusedLosses:
 
         assert finite_difference_check(f, scores, grad, h=H) <= FD_TOL
 
-    def test_bad_targets_or_temperature_are_rejected_before_recording(self):
+    def test_bad_labels_or_temperature_are_rejected_before_recording(self):
+        """A label node must be a B x 1 column, B > 0: one row per score
+        row, and not a one-hot matrix or a row of labels."""
         tape = Tape()
         s = tape.constant(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=r"clip-kl: incompatible shapes \(\(2, 3\), \(3, 2\)\)"):
-            _clip_kl(tape, s, np.zeros((3, 2)), 1.0)
-        with pytest.raises(ValueError, match="softmax-xent: targets must be finite and non-negative"):
-            _softmax_xent(tape, s, -np.ones((2, 3)))
-        with pytest.raises(ValueError, match="clip-kl: targets are all zero"):
-            _clip_kl(tape, s, np.zeros((2, 3)), 1.0)
+        with pytest.raises(ValueError, match=r"clip-kl: incompatible shapes \(\(2, 3\), \(3, 1\)\)"):
+            _clip_kl(tape, s, [0, 1, 2], 1.0)
+        one_hot = tape.constant(np.eye(3)[[0, 1]])
+        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(2, 3\), \(2, 3\)\)"):
+            tape.softmax_xent(s, one_hot)
+        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(2, 3\), \(1, 2\)\)"):
+            tape.softmax_xent(s, tape.constant([[0.0, 1.0]]))
+        empty = tape.constant(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(0, 3\), \(0, 1\)\)"):
+            _softmax_xent(tape, empty, [])
         with pytest.raises(ValueError, match="temperature must be positive"):
-            _clip_kl(tape, s, np.ones((2, 3)), 0.0)
-        y = tape.constant(np.ones((2, 3)))
+            _clip_kl(tape, s, [0, 1], 0.0)
+        y = tape.constant(_column([0, 1]))
         with pytest.raises(ValueError, match="size 1"):
             tape.clip_kl(s, y, tape.constant([[1.0, 1.0]]))
         assert _ops(tape) == []
+
+    @pytest.mark.parametrize("kind", ["clip-kl", "softmax-xent"])
+    @pytest.mark.parametrize("bad", [0.5, 2.9999, -1.0, 3.0, 1e300, np.nan, np.inf, -np.inf])
+    def test_a_label_that_is_not_a_rank_raises_naming_the_op_when_recorded_or_rerun(self, kind,
+                                                                                   bad):
+        """A label is an integer in [0, C). A fractional one is not
+        truncated to a rank: it raises ValueError naming the op, as a
+        negative, too large or non-finite one does, both when the tape is
+        recorded and when a re-run rebinds the labels."""
+        message = rf"^{kind}: labels must be integers in \[0, 3\)$"
+
+        def record(labels):
+            tape = Tape()
+            s = tape.parameter(np.zeros((2, 3)), "s")
+            if kind == "clip-kl":
+                _clip_kl(tape, s, labels, 1.0, "y")
+            else:
+                _softmax_xent(tape, s, labels, "y")
+            return tape
+
+        with pytest.raises(ValueError, match=message):
+            record([1.0, bad])
+        tape = record([1.0, 2.0])
+        with pytest.raises(ValueError, match=message):
+            tape.rerun({"y": _column([1.0, bad])})
 
 
 class TestFiniteDifferenceCheck:

@@ -10,7 +10,7 @@ from ordinalproto.matching import (
     baseline_logits,
     contrastive_loss,
     cross_entropy_loss,
-    one_hot_labels,
+    label_column,
     similarity,
 )
 
@@ -69,30 +69,33 @@ class TestSimilarity:
             _scores(np.ones((2, 3)), np.ones((2, 4)))
 
 
-class TestLabelMatrices:
-    def test_one_hot_rows(self):
-        y = one_hot_labels([1, 0, 2, 2], 4)
-        np.testing.assert_array_equal(y.sum(axis=1), np.ones(4))
-        np.testing.assert_array_equal(np.argmax(y, axis=1), [1, 0, 2, 2])
+class TestLabelColumns:
+    def test_a_label_column_holds_each_rank_index_as_a_float(self):
+        y = label_column([1, 0, 2, 2])
+        assert y.shape == (4, 1) and y.dtype == np.float64
+        np.testing.assert_array_equal(y.ravel(), [1.0, 0.0, 2.0, 2.0])
 
     def test_column_normalization_leaves_zero_columns(self):
-        y = one_hot_labels([0, 0, 2], 4)
-        ypp = column_normalized_labels(y)
+        ypp = column_normalized_labels(np.eye(4)[[0, 0, 2]])
         np.testing.assert_allclose(ypp[:, 0], [0.5, 0.5, 0.0])
         np.testing.assert_allclose(ypp[:, 2], [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(ypp[:, 1], 0.0)
         np.testing.assert_array_equal(ypp[:, 3], 0.0)
 
-    def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            one_hot_labels([0, 5], 3)
+    @pytest.mark.parametrize("labels", [[0, 5], [0.5, 1]], ids=["out-of-range", "fractional"])
+    def test_a_label_outside_the_ranks_is_rejected_by_either_loss(self, labels):
+        for build, op in ((lambda t, s: contrastive_loss(t, s, labels, 1.0), "clip-kl"),
+                          (lambda t, s: cross_entropy_loss(t, s, labels), "softmax-xent")):
+            tape = Tape()
+            with pytest.raises(ValueError, match=rf"^{op}: labels must be integers in \[0, 3\)$"):
+                build(tape, tape.constant(np.zeros((2, 3))))
 
 
 class TestContrastiveLoss:
     def _loss_value(self, images, protos, labels, temperature):
         tape = Tape()
         scores = similarity(tape, tape.constant(images), tape.constant(protos))
-        node = contrastive_loss(tape, scores, labels, protos.shape[0], temperature)
+        node = contrastive_loss(tape, scores, labels, temperature)
         return tape.value(node)[0, 0]
 
     def test_nonpositive_temperature_rejected(self):
@@ -146,7 +149,7 @@ class TestContrastiveLoss:
         images = tape.parameter(_unit_rows(3, 6, 13), "images")
         protos = tape.parameter(_unit_rows(4, 6, 14), "protos")
         scores = similarity(tape, images, protos)
-        grads = tape.backward(contrastive_loss(tape, scores, rng.integers(0, 4, size=3), 4, 0.07))
+        grads = tape.backward(contrastive_loss(tape, scores, rng.integers(0, 4, size=3), 0.07))
         assert np.abs(grads["images"]).max() > 0
         assert np.abs(grads["protos"]).max() > 0
 
@@ -183,19 +186,19 @@ class TestBaselineHead:
 
 
 class TestCrossEntropy:
-    def _ce(self, logits, labels, num_ranks):
+    def _ce(self, logits, labels):
         tape = Tape()
-        node = cross_entropy_loss(tape, tape.constant(logits), labels, num_ranks)
+        node = cross_entropy_loss(tape, tape.constant(logits), labels)
         return tape.value(node)[0, 0]
 
     def test_uniform_logits_give_log_c(self):
-        assert self._ce(np.zeros((3, 4)), [0, 1, 3], 4) == pytest.approx(np.log(4.0), abs=1e-12)
+        assert self._ce(np.zeros((3, 4)), [0, 1, 3]) == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_strongly_peaked_logits_give_near_zero_loss(self):
         labels = np.array([2, 0, 1])
         logits = np.zeros((3, 3))
         logits[np.arange(3), labels] = 20.0
-        assert self._ce(logits, labels, 3) < 1e-8
+        assert self._ce(logits, labels) < 1e-8
 
     def test_equals_mean_row_kl_against_one_hot(self):
         rng = np.random.default_rng(2)
@@ -205,4 +208,4 @@ class TestCrossEntropy:
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         manual = -np.mean(np.log(probs[np.arange(5), labels]))
-        assert self._ce(logits, labels, 4) == pytest.approx(manual, abs=1e-12)
+        assert self._ce(logits, labels) == pytest.approx(manual, abs=1e-12)

@@ -13,7 +13,8 @@ is better changes with the seed.
 - Well-ordered prototypes: OrdinalCLIP "can learn well-ordered, compact
   language prototypes" (abstract). Under the inverse-proportion kernel,
   training must raise its prototypes' ordinality above the untrained
-  model's and above trained CoOp's, at each seed."""
+  model's and above trained CoOp's, at each seed, for C = 20 ranks from
+  C' = 3 and 5 base ranks and for C = 100 from C' = 3."""
 
 import numpy as np
 import pytest
@@ -53,15 +54,31 @@ def test_ordinalclip_is_competitive_on_the_whole_training_split():
     assert means["ordinalclip"] <= min(means["coop"], means["baseline"]), means
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_training_orders_the_prototypes_under_the_inverse_proportion_kernel(seed):
+# Each regime's config, fixed before its first run: C = 20 from C' = 3 (the
+# default config's rank count) and from C' = 5, and C = 100 from C' = 3 at
+# the size the ranks-100 benchmark workload trains. Each key prefixes its
+# cases' ids; the C' = 3, C = 20 cases' ids are the bare seeds.
+ORDERING_REGIMES = {
+    "": {"num_base_ranks": 3},
+    "C20-base5-": {"num_base_ranks": 5},
+    "C100-base3-": {"num_ranks": 100, "num_base_ranks": 3, "per_rank": 8, "batch_size": 16,
+                    "epochs": 5},
+}
+
+
+@pytest.mark.parametrize("regime, seed", [
+    pytest.param(regime, seed, id=f"{regime}{seed}")
+    for regime in ORDERING_REGIMES for seed in (0, 1, 2)
+])
+def test_training_orders_the_prototypes_under_the_inverse_proportion_kernel(regime, seed):
     """Under the default linear kernel an untrained model's prototypes
     already score 1.0 (metrics.ordinality_score), so the score shows
     nothing learned there. Under the paper's inverse-proportion kernel it
-    starts below 1 and must rise with training, for C = 20 ranks from
-    C' = 3 base ranks, the seeds fixed before the first run."""
-    cfg = cli.load_config(None) | {"interpolation": "inverse-proportion", "num_base_ranks": 3}
+    starts below 1 and must rise with training, in each regime of
+    ORDERING_REGIMES, the seeds fixed before the first run."""
+    cfg = cli.load_config(None) | {"interpolation": "inverse-proportion"}
     assert cfg["num_ranks"] == 20
+    cfg |= ORDERING_REGIMES[regime]
     train_ds, test_ds = cli._prepare(cfg)
     untrained = cli._build_model(cfg, "ordinalclip", train_ds.num_ranks, train_ds.input_dim, seed)
     before = training.evaluate(untrained, test_ds, temperature=cfg["temperature"])[0].ordinality

@@ -311,6 +311,31 @@ class TestRerunTapes:
         assert counts[6] == counts[20] == (9, 9), counts
 
 
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_fractional_label_is_rejected_not_truncated(self, method):
+        """A label that is not an integer rank would train on another rank
+        if truncated. forward_loss, and a train_step that re-runs the tape
+        it recorded, raise ValueError naming the loss op instead, and the
+        rejected step moves no parameter."""
+        state = _model(method)
+        x, y = _batch()
+        bad = y.astype(np.float64)
+        bad[1] += 0.5
+        op = "softmax-xent" if method == training.BASELINE else "clip-kl"
+        message = rf"^{op}: labels must be integers in \[0, {NUM_RANKS}\)$"
+        with pytest.raises(ValueError, match=message):
+            training.forward_loss(state, x, bad, TEMPERATURE)
+        cfg = _fit_config()
+        adam = training.AdamState(state.trainable_parameters(), cfg, {})
+        state.params.update(adam.params)
+        rate, tapes = adam.mults * cfg.learning_rate, {}
+        training.train_step(state, x, y, cfg, adam, rate, tapes)
+        before = adam.values.copy()
+        with pytest.raises(ValueError, match=message):
+            training.train_step(state, x, bad, cfg, adam, rate, tapes)
+        np.testing.assert_array_equal(adam.values, before)
+
+
 class TestBackwardOnTheTrainingTape:
     @pytest.mark.parametrize("method, tune_rank, tune_ctx, num_context",
                              _with_no_context(GATE_CASES))
@@ -470,17 +495,18 @@ class TestGraphSize:
         latent_dim 64, input_dim 16, C' = 3): 100 pooling rows of 104
         entries (83,200 bytes), the 32 x 64 mixing projection (16,384),
         the 100 x 3 interpolation matrix (2,400), the 16 x 16 batch
-        (2,048), the 16 x 100 labels (12,800) and the temperature (8).
+        (2,048), the 16 x 1 label column (128) and the temperature (8).
         Reading each prompt off the table through a dense (m + 1) x (m + C)
         selection matrix, then pooling it with one shared row, held
-        449,680 bytes here."""
+        449,680 bytes here, and 16 x 100 one-hot labels 12,800 more than
+        the label column."""
         state = training.build_model(training.ORDINALCLIP, 100, PromptConfig(100))
         rng = np.random.default_rng(51)
         tape, _ = training.forward_loss(state, rng.normal(size=(16, 16)), np.arange(16) * 6,
                                         TEMPERATURE)
         constants = [node.value.nbytes for node in tape._nodes if node.op == "constant"]
         assert len(constants) == 105
-        assert sum(constants) == 116_840
+        assert sum(constants) == 104_168
 
 
 def _oracle_cases():
