@@ -31,8 +31,11 @@ whose rank labels 2, 5, 7 and 11 are remapped to 0..3;
 `distshift --grid 2:0.5,3:0.0` and the same grid typed with padding and
 an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; a
 baseline `train` at learning_rate = 1e300 (num_ranks 4, per_rank 4,
-epochs 1), whose evaluation diverges; and `fewshot` on configs/ranks.csv
-with `report`, a grid manifest of CSV data.
+epochs 1), whose evaluation diverges; `fewshot` on configs/ranks.csv
+with `report`, a grid manifest of CSV data; and four config errors, each
+of which exits 2 with one stderr line and writes no run directory:
+`train` at epochs = 0, at num_base_ranks = 30 and at prediction_rule =
+median, and `fewshot --shots 0`.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ def ranks_csv() -> str:
 
 DIVERGING = {"method": "baseline", "learning_rate": "1e300", "num_ranks": 4, "per_rank": 4,
              "epochs": 1}
+# Configs `train` must reject with exit 2, by name.
+CONFIG_ERRORS = {"epochs-0": {"epochs": 0}, "base-ranks-30": {"num_base_ranks": 30},
+                 "rule-median": {"prediction_rule": "median"}}
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -105,6 +111,11 @@ def commands() -> list[tuple[str, list[str]]]:
     out.append(("fewshot-csv", ["fewshot", "--config", "configs/ordinalclip-csv.cfg",
                                 "--out", "runs/fewshot-csv"]))
     out.append(("report-fewshot-csv", ["report", "runs/fewshot-csv"]))
+    for name in CONFIG_ERRORS:
+        out.append((f"train-{name}", ["train", "--config", f"configs/{name}.cfg",
+                                      "--out", f"runs/{name}"]))
+    out.append(("fewshot-shots-0", ["fewshot", "--shots", "0", "--config", "configs/c8.cfg",
+                                    "--out", "runs/fewshot-shots-0"]))
     return out
 
 
@@ -118,7 +129,8 @@ def main(argv: list[str]) -> int:
         return 2
     for sub in ("configs", "runs", "logs"):
         (out / sub).mkdir(parents=True)
-    all_configs = train_configs() | {"c8": C8, "baseline-1e300": DIVERGING}
+    all_configs = (train_configs() | {"c8": C8, "baseline-1e300": DIVERGING}
+                   | CONFIG_ERRORS)
     for name, cfg in all_configs.items():
         text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
         (out / "configs" / f"{name}.cfg").write_text(text)

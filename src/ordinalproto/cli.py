@@ -168,6 +168,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
+    """Reject a resolved config no command can run with. It runs at load
+    time, before any data loads, and is where TrainConfig's values are
+    checked; the dataset and model checks need the data, and run later."""
     if cfg["method"] not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg['method']!r}")
     if cfg["data_source"] not in ("synthetic", "csv"):
@@ -189,6 +192,10 @@ def _validate_config(cfg: dict) -> None:
     for key in ("seed", "data_seed", "encoder_seed"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    try:
+        _train_config(cfg, cfg["seed"]).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _format_value(value) -> str:
@@ -254,12 +261,9 @@ def _prompt_config(cfg: dict, num_ranks: int, **overrides) -> promptmod.PromptCo
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    """The TrainConfig keys, copied into it by name, with the cell's seed."""
-    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)} | {"seed": seed})
-    try:
-        return train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The TrainConfig keys, copied into it by name, with the cell's seed.
+    load_config has validated them."""
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)} | {"seed": seed})
 
 
 def _build_model(cfg: dict, method: str, num_ranks: int, input_dim: int, init_seed: int,
@@ -286,12 +290,12 @@ def _run_cell(cfg: dict, method: str, train_ds, test_ds, seed: int,
               **prompt_overrides):
     """Train one model and evaluate it; returns (report, prototypes, state,
     loss rows): evaluate's report and prototypes, the trained model, and
-    fit's (epoch, mean_loss, lr) rows, none for zeroshot."""
-    train_cfg = _train_config(cfg, seed)  # zeroshot too: it evaluates at its temperature
+    fit's (epoch, mean_loss, lr) rows, none for zeroshot. train_ds is a
+    non-empty train split or subsample of one."""
     state = _build_model(
         cfg, method, train_ds.num_ranks, train_ds.input_dim, seed, **prompt_overrides
     )
-    rows = training.fit(state, train_ds, train_cfg) if method != ZEROSHOT else []
+    rows = [] if method == ZEROSHOT else training.fit(state, train_ds, _train_config(cfg, seed))
     report, protos = training.evaluate(
         state, test_ds, rule=cfg["prediction_rule"], temperature=cfg["temperature"]
     )

@@ -55,10 +55,10 @@ class OrdinalDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "OrdinalDataset":
+        """The samples at `indices`, in fresh arrays: indexing with an
+        integer array copies."""
         indices = np.asarray(indices, dtype=np.int64)
-        return OrdinalDataset(
-            self.features[indices].copy(), self.labels[indices].copy(), self.num_ranks
-        )
+        return OrdinalDataset(self.features[indices], self.labels[indices], self.num_ranks)
 
 
 @dataclass

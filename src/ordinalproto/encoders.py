@@ -180,11 +180,14 @@ class ImageEncoder:
 
     @staticmethod
     def checked_batch(batch: np.ndarray) -> np.ndarray:
-        """The batch as float64, checked finite. Its shape is the tape's to
-        check: a constant must be 2-D, the first matmul rejects a width
-        other than input_dim, and a re-run rejects a shape other than the
-        recorded one."""
+        """The batch as float64, checked to have rows and be finite. Every
+        batch a tape records or re-runs passes here. The rest of its shape
+        is the tape's to check: a constant must be 2-D, the first matmul
+        rejects a width other than input_dim, and a re-run rejects a shape
+        other than the recorded one."""
         batch = np.asarray(batch, dtype=np.float64)
+        if batch.shape[:1] == (0,):
+            raise ValueError("image batch has no rows")
         if not np.isfinite(batch).all():
             raise ValueError("image batch contains non-finite values")
         return batch
@@ -209,10 +212,9 @@ class ImageEncoder:
 
 
 def write_blocks(path, magic: bytes, blocks) -> None:
+    """Write the blocks, in order, under `magic`. Callers pass matrices:
+    tape values, parameter groups, or the 1x1 num_ranks block."""
     blocks = [np.ascontiguousarray(block, dtype="<f8") for block in blocks]
-    for block in blocks:
-        if block.ndim != 2:
-            raise ValueError(f"a block must be a matrix, got shape {block.shape}")
     with open(path, "wb") as fh:
         fh.write(magic)
         for block in blocks:

@@ -24,16 +24,13 @@ def predict(scores: np.ndarray, rule: str = ARGMAX, temperature: float = 1.0) ->
     which also makes the rule invariant to temperature and to any strictly
     increasing per-row transform). expectation softmaxes each row at the
     given temperature, takes the probability-weighted mean rank, and
-    rounds half up.
+    rounds half up. Callers pass a B x C score table off the tape and a
+    temperature TrainConfig.validate accepted, or 1.0.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] < 1:
-        raise ValueError(f"scores must be a B x C matrix, got shape {scores.shape}")
     if rule == ARGMAX:
         return np.argmax(scores, axis=1)
     if rule == EXPECTATION:
-        if not temperature > 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
         probs = softmax(scores / temperature, axis=1)
         expect = probs @ np.arange(scores.shape[1], dtype=np.float64)
         return np.clip(np.floor(expect + 0.5).astype(np.int64), 0, scores.shape[1] - 1)
@@ -41,24 +38,18 @@ def predict(scores: np.ndarray, rule: str = ARGMAX, temperature: float = 1.0) ->
 
 
 def mae(predicted, truth) -> float:
-    """Mean absolute rank difference, ranks treated as integers."""
+    """Mean absolute rank difference, ranks treated as integers. Callers
+    pass one prediction per sample of a non-empty dataset."""
     predicted = np.asarray(predicted, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if predicted.size == 0:
-        raise ValueError("mae of an empty prediction set is undefined")
-    if predicted.shape != truth.shape:
-        raise ValueError(f"length mismatch: {predicted.shape} vs {truth.shape}")
     return float(np.mean(np.abs(predicted - truth)))
 
 
 def accuracy(predicted, truth) -> float:
-    """Fraction of exact rank matches."""
+    """Fraction of exact rank matches. Callers pass one prediction per
+    sample of a non-empty dataset."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
-    if predicted.size == 0:
-        raise ValueError("accuracy of an empty prediction set is undefined")
-    if predicted.shape != truth.shape:
-        raise ValueError(f"length mismatch: {predicted.shape} vs {truth.shape}")
     return float(np.mean(predicted == truth))
 
 
@@ -67,10 +58,9 @@ def prototype_similarity(prototypes: np.ndarray, temperature: float) -> np.ndarr
 
     Rows of the input are unit-norm prototypes; the output's global
     maximum is exactly 1. This is the similarity table the heatmaps show.
+    Callers pass a temperature TrainConfig.validate accepted.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     probs = softmax((prototypes @ prototypes.T) / temperature, axis=1)
     return probs / probs.max()
 

@@ -75,9 +75,9 @@ def build_interpolation_matrix(cfg: PromptConfig) -> np.ndarray:
     Distance of rank j to base slot k is |j - k (C-1)/(C'-1)|; a kernel
     turns distances into affinities (linear: 1 - w/(C-1); inverse
     proportion: 1/(w + epsilon)) and each row is normalized by its sum.
-    The result is constant for a run, never trained.
+    The result is constant for a run, never trained. Callers pass a
+    validated config (PromptConfig.validate), so C' >= 2.
     """
-    cfg.validate()
     c, cp = cfg.num_ranks, cfg.num_base_ranks
     j = np.arange(c, dtype=np.float64)[:, None]
     k = np.arange(cp, dtype=np.float64)[None, :]
@@ -119,28 +119,26 @@ def assemble_sequences(
 
 def template_token_ids(length: int, vocab_size: int) -> tuple[int, ...]:
     """Token ids of the fixed context template, drawn from the top of the
-    vocabulary so they stay clear of the low ids used for rank words."""
-    if length > vocab_size:
-        raise ValueError(f"template length {length} exceeds vocab size {vocab_size}")
+    vocabulary so they stay clear of the low ids used for rank words. The
+    length is at most vocab_size: training.build_model sizes the
+    vocabulary to at least num_ranks + num_context."""
     return tuple(vocab_size - 1 - i for i in range(length))
 
 
 def init_parameters(
-    cfg: PromptConfig, seed: int, token_table: np.ndarray | None = None
+    cfg: PromptConfig, seed: int, token_table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (context, base rank) matrices.
 
     Without init_ctx both groups are Gaussian(0, 0.02). With init_ctx the
     context rows are copied from the token table at the template ids
     (template_token_ids). The same seed always yields bitwise-identical
-    parameters.
+    parameters. Callers pass a validated config and a token table of
+    word_dim columns.
     """
-    cfg.validate()
     rng = np.random.default_rng(seed)
     ctx = rng.normal(0.0, INIT_SCALE, size=(cfg.num_context, cfg.word_dim))
     if cfg.init_ctx:
-        if token_table is None:
-            raise ValueError("init_ctx requires the encoder token table")
         ctx[:] = token_table[list(template_token_ids(cfg.num_context, token_table.shape[0]))]
     base = rng.normal(0.0, INIT_SCALE, size=(cfg.num_base_ranks, cfg.word_dim))
     return ctx, base

@@ -158,7 +158,9 @@ def build_model(
     for the rank words, and the context template
     (prompt.template_token_ids) takes the top num_context ids, so the two
     never overlap. The table is drawn last, row by row, so a larger
-    vocabulary leaves its first rows as they are.
+    vocabulary leaves its first rows as they are. A prompt method's caller
+    passes a prompt config for num_ranks ranks, which build_model then
+    validates; the baseline reads none.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {METHODS}")
@@ -175,12 +177,6 @@ def build_model(
             "head.bias": np.zeros((1, num_ranks)),
         }
         return ModelState(method=method, params=head | image, num_ranks=num_ranks)
-    if prompt_cfg is None:
-        raise ValueError(f"method {method!r} requires a prompt config")
-    if prompt_cfg.num_ranks != num_ranks:
-        raise ValueError(
-            f"prompt config num_ranks {prompt_cfg.num_ranks} != dataset num_ranks {num_ranks}"
-        )
     if method in (COOP, ZEROSHOT):
         # Free per-rank embeddings: carried in the base-rank slot with one
         # row per rank and no interpolation.
@@ -425,10 +421,9 @@ def train_step(
     recorded step would (Tape.rerun). A non-finite forward pass, or an
     update that leaves a group non-finite, raises TrainingDivergedError at
     this step; only then are the groups scanned one by one, to name the
-    non-finite ones.
+    non-finite ones. ImageEncoder.checked_batch, which every batch
+    passes, rejects an empty one.
     """
-    if len(batch_y) == 0:
-        raise ValueError("train_step requires a non-empty batch")
     recorded = tapes.get(len(batch_y))
     try:
         if recorded is None:
@@ -470,12 +465,10 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     Before the first step every trainable group moves into the flat
     vector of the fit's AdamState: state.params holds its views from then
     on, also after fit returns.
+
+    Callers pass a validated config (TrainConfig.validate) and a non-empty
+    training set, and never fit zeroshot, which is evaluated untrained.
     """
-    cfg.validate()
-    if len(train_ds) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    if state.method == ZEROSHOT:
-        raise ValueError("the zeroshot method is evaluated untrained; fit does not apply")
     rng = np.random.default_rng(cfg.seed)
     # last_layer_lr_mult scales the image encoder's last layer and the
     # baseline's head; AdamState skips a name it does not hold.

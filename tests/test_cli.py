@@ -112,6 +112,32 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "fewshot"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("epochs = 0", "epochs must be >= 1, got 0"),
+        ("method = zeroshot\ntemperature = 0", "temperature must be positive, got 0.0"),
+    ],
+    ids=["epochs-0", "zeroshot-temperature-0"],
+)
+def test_an_invalid_training_value_is_rejected_before_any_data_is_generated(
+    tmp_path, capsys, monkeypatch, command, line, message
+):
+    """The training values are checked as the config loads, so a bad one
+    is reported before the dataset is drawn, whatever the command."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was generated before the bad value was rejected")
+
+    monkeypatch.setattr(cli.datamod, "generate_synthetic", no_data)
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [

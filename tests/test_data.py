@@ -45,6 +45,9 @@ class TestTrainTestSplit:
         np.testing.assert_array_equal(np.sort(np.concatenate([train_ids, test_ids])), np.arange(len(ds)))
         assert len(train) == int(len(ds) * fraction)
         np.testing.assert_array_equal(train.labels, ds.labels[train_ids])
+        for part in (train, test):
+            assert not np.shares_memory(part.features, ds.features)
+            assert not np.shares_memory(part.labels, ds.labels)
 
     def test_fraction_outside_the_open_interval_is_rejected(self):
         with pytest.raises(ValueError, match="train fraction"):

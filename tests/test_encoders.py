@@ -315,7 +315,3 @@ class TestBlockFile:
         write_blocks(path, b"TEST1", self.BLOCKS)
         with pytest.raises(BlockFileError, match="header of block 3 truncated"):
             read_blocks(path, b"TEST1", len(self.BLOCKS) + 1)
-
-    def test_non_matrix_block_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="matrix"):
-            write_blocks(tmp_path / "blocks.bin", b"TEST1", [np.zeros(3)])

@@ -335,6 +335,26 @@ class TestRerunTapes:
             training.train_step(state, x, bad, cfg, adam, rate, tapes)
         np.testing.assert_array_equal(adam.values, before)
 
+    @pytest.mark.parametrize("entry", ["forward_loss", "train_step", "evaluate"])
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_an_empty_batch_is_rejected_with_one_message(self, method, entry):
+        """Every batch enters the tape through ImageEncoder.checked_batch,
+        which rejects one with no rows before the image encoder records an
+        op, for every method and entry point, an empty dataset's too."""
+        state = _model(method)
+        x, y = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        cfg = _fit_config()
+        adam = training.AdamState(state.trainable_parameters(), cfg, {})
+        state.params.update(adam.params)
+        calls = {
+            "forward_loss": lambda: training.forward_loss(state, x, y, TEMPERATURE),
+            "train_step": lambda: training.train_step(
+                state, x, y, cfg, adam, adam.mults * cfg.learning_rate, {}),
+            "evaluate": lambda: training.evaluate(state, data.OrdinalDataset(x, y, NUM_RANKS)),
+        }
+        with pytest.raises(ValueError, match="^image batch has no rows$"):
+            calls[entry]()
+
 
 class TestBackwardOnTheTrainingTape:
     @pytest.mark.parametrize("method, tune_rank, tune_ctx, num_context",
