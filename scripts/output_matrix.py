@@ -32,18 +32,33 @@ whose rank labels 2, 5, 7 and 11 are remapped to 0..3;
 an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; a
 baseline `train` at learning_rate = 1e300 (num_ranks 4, per_rank 4,
 epochs 1), whose evaluation diverges; `fewshot` on configs/ranks.csv
-with `report`, a grid manifest of CSV data; and four config errors, each
+with `report`, a grid manifest of CSV data; four config errors, each
 of which exits 2 with one stderr line and writes no run directory:
 `train` at epochs = 0, at num_base_ranks = 30 and at prediction_rule =
-median, and `fewshot --shots 0`.
+median, and `fewshot --shots 0`; and `report` of eight damaged copies
+of the default ordinalclip run, runs/damaged-<damage>, which pin what
+report prints, and how it exits, on each. Four leave the manifest as it
+is: a flipped byte in loss_trace.csv, an added file, a deleted
+metrics.csv and a [files] line without its digest. Four rebuild the
+damaged file's manifest entry, so that its checksum passes: a
+metrics.csv that is not UTF-8 text, one with CRLF line ends, a
+truncated prototypes.bin, and a prototypes.bin of numerical rank
+num_base_ranks + 1. The entries are rebuilt with the script's own
+FNV-1a, not the package's, so that the script runs unchanged on any
+checkout.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 METHODS = ("ordinalclip", "coop", "baseline", "zeroshot")
@@ -96,6 +111,63 @@ CONFIG_ERRORS = {"epochs-0": {"epochs": 0}, "base-ranks-30": {"num_base_ranks": 
                  "rule-median": {"prediction_rule": "median"}}
 
 
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a of a byte string, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def rewrite(run: Path, name: str, change, rebuild: bool = False) -> None:
+    """Replace a run file's bytes with change(bytes); with rebuild, then
+    rewrite its manifest entry to match, so that its checksum passes."""
+    path = run / name
+    blob = change(path.read_bytes())
+    path.write_bytes(blob)
+    if rebuild:
+        manifest = run / "manifest.txt"
+        manifest.write_text(re.sub(rf"(?m)^{re.escape(name)} .*$",
+                                   f"{name} {len(blob)} {fnv1a64(blob):016x}",
+                                   manifest.read_text()))
+
+
+def forged_prototypes(blob: bytes, rank: int) -> bytes:
+    """A prototype file of the shape of `blob` whose unit rows have
+    numerical rank `rank`, with a valid block checksum."""
+    rows, cols = struct.unpack_from("<2Q", blob, 5)
+    rng = np.random.default_rng(rank)
+    forged = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    payload = (forged / np.linalg.norm(forged, axis=1, keepdims=True)).astype("<f8").tobytes()
+    return blob[:21] + payload + struct.pack("<Q", fnv1a64(payload))
+
+
+def base_ranks(run: Path) -> int:
+    return int(re.search(r"(?m)^num_base_ranks = (\d+)$",
+                         (run / "manifest.txt").read_text()).group(1))
+
+
+# Damage done to a copy of runs/ordinalclip before `report` reads it, by
+# name. The last four rebuild the damaged file's manifest entry.
+DAMAGES = {
+    "loss-trace-byte": lambda run: rewrite(run, "loss_trace.csv",
+                                           lambda b: b[:20] + bytes([b[20] ^ 1]) + b[21:]),
+    "added-file": lambda run: (run / "extra.csv").write_text("rank\n"),
+    "deleted-metrics": lambda run: (run / "metrics.csv").unlink(),
+    "files-line-without-digest": lambda run: rewrite(
+        run, "manifest.txt", lambda b: re.sub(rb"(?m)^(metrics\.csv \d+) \w+$", rb"\1", b)),
+    "metrics-not-utf8": lambda run: rewrite(run, "metrics.csv", lambda b: b + b"\xff\xfe",
+                                            rebuild=True),
+    "metrics-crlf": lambda run: rewrite(run, "metrics.csv",
+                                        lambda b: b.replace(b"\n", b"\r\n"), rebuild=True),
+    "prototypes-truncated": lambda run: rewrite(run, "prototypes.bin", lambda b: b[:-100],
+                                                rebuild=True),
+    "prototypes-rank-above-base": lambda run: rewrite(
+        run, "prototypes.bin", lambda b: forged_prototypes(b, base_ranks(run) + 1),
+        rebuild=True),
+}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of every command, in the order they run."""
     out = []
@@ -116,6 +188,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                       "--out", f"runs/{name}"]))
     out.append(("fewshot-shots-0", ["fewshot", "--shots", "0", "--config", "configs/c8.cfg",
                                     "--out", "runs/fewshot-shots-0"]))
+    for damage in DAMAGES:
+        out.append((f"report-damaged-{damage}", ["report", f"runs/damaged-{damage}"]))
     return out
 
 
@@ -137,6 +211,9 @@ def main(argv: list[str]) -> int:
     (out / "configs" / "ranks.csv").write_text(ranks_csv())
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for index, (name, args) in enumerate(commands()):
+        if name.startswith("report-damaged-"):  # a damaged copy of runs/ordinalclip
+            shutil.copytree(out / "runs" / "ordinalclip", out / args[-1])
+            DAMAGES[name.removeprefix("report-damaged-")](out / args[-1])
         proc = subprocess.run([sys.executable, "-m", "ordinalproto.cli", *args], cwd=out,
                               env=env, capture_output=True)
         log = f"logs/{index:02d}-{name}"

@@ -23,6 +23,8 @@ through metrics.write_csv.
 
 Exit codes: 0 success, 1 verification failure or a diverged fit, 2 config
 error, which includes an --out that is not new or an empty directory.
+Commands return 0 or raise; `main` alone turns an error into its exit
+code, and its except clauses map each error class to its code.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from . import data as datamod
 from . import metrics as metricsmod
 from . import prompt as promptmod
 from . import training
-from .encoders import BlockFileError, export_prototypes, fnv1a64, import_prototypes
+from .encoders import BlockFileError, export_prototypes, fnv1a64, read_prototypes
 from .training import BASELINE, COOP, METHODS, ORDINALCLIP, ZEROSHOT, TrainConfig
 
 
@@ -361,16 +363,18 @@ MANIFEST_FORMAT = "# run manifest"
 _FILE_ENTRY = re.compile(r"(.+) ([0-9]{1,20}) ([0-9a-f]{16})")
 
 
-def _file_digests(out_dir: Path) -> dict[str, tuple[int, str]]:
-    """{name: (size, hex digest)} of every regular file in a run directory
-    but the manifest, in name order: what the manifest's [files] section
-    lists. A directory or link is not a regular file and has no entry."""
-    digests = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name != "manifest.txt" and path.is_file() and not path.is_symlink():
-            blob = path.read_bytes()
-            digests[path.name] = (len(blob), f"{fnv1a64(blob):016x}")
-    return digests
+def _run_files(out_dir: Path) -> dict[str, bytes]:
+    """{name: bytes} of every regular file in a run directory but the
+    manifest, in name order, each read once: what the manifest's [files]
+    section lists. A directory or link is not a regular file and has no
+    entry."""
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())
+            if path.name != "manifest.txt" and path.is_file() and not path.is_symlink()}
+
+
+def _file_digests(blobs: dict[str, bytes]) -> dict[str, tuple[int, str]]:
+    """{name: (size, hex FNV-1a digest)} of each file's bytes."""
+    return {name: (len(blob), f"{fnv1a64(blob):016x}") for name, blob in blobs.items()}
 
 
 def _write_manifest(out_dir: Path, cfg: dict, extra: dict | None = None) -> None:
@@ -379,7 +383,8 @@ def _write_manifest(out_dir: Path, cfg: dict, extra: dict | None = None) -> None
     keys = [(key, cfg[key]) for key in sorted(CONFIG_SCHEMA)] + sorted((extra or {}).items())
     lines = [MANIFEST_FORMAT, *(f"{key} = {_format_value(value)}" for key, value in keys),
              "[files]"]
-    lines += [f"{name} {size} {digest}" for name, (size, digest) in _file_digests(out_dir).items()]
+    digests = _file_digests(_run_files(out_dir))
+    lines += [f"{name} {size} {digest}" for name, (size, digest) in digests.items()]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -566,28 +571,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     checksum (a listed name that is a directory or link fails as not a
     regular file), every other entry but the manifest, a directory or link
     included, fails as unlisted, and then an ordinalclip run's prototypes
-    must pass _check_compact. The metrics are printed only from a
-    metrics.csv that matches its manifest entry and is UTF-8 text. Exit 1
-    names each failure on stderr."""
+    must pass _check_compact. Each file is read once, and the metrics it
+    prints and the prototypes it checks are the bytes that matched the
+    manifest; metrics.csv is printed only once it matches and decodes as
+    UTF-8 text. Returns 0, or raises VerificationError (one line per
+    failure) or BlockFileError, which main turns into exit 1."""
     out = Path(args.run_dir)
-    try:
-        config, files = _read_manifest(out)
-    except VerificationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    found = _file_digests(out)
+    config, files = _read_manifest(out)
+    blobs = _run_files(out)
+    found = _file_digests(blobs)
     print("# configuration")
     for key in sorted(config):
         print(f"{key} = {config[key]}")
-    metrics_path = out / "metrics.csv"
     if ("metrics.csv", *found.get("metrics.csv", ())) in files:
         try:
-            text = metrics_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            print(f"{metrics_path}: not UTF-8 text", file=sys.stderr)
-            return 1
+            text = blobs["metrics.csv"].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VerificationError(f"{out / 'metrics.csv'}: not UTF-8 text") from exc
         print("# metrics")
-        print(text.strip())
+        # The universal newlines of Path.read_text.
+        print(text.replace("\r\n", "\n").replace("\r", "\n").strip())
     print("# files")
     failures = []
     entries = {path.name for path in out.iterdir()} - {"manifest.txt"}
@@ -608,32 +611,24 @@ def cmd_report(args: argparse.Namespace) -> int:
         failures.append(f"unlisted file: {name}")
         print(f"{name}  NOT IN MANIFEST")
     if failures:
-        for failure in failures:
-            print(failure, file=sys.stderr)
-        return 1
+        raise VerificationError("\n".join(failures))
     if config.get("method") == ORDINALCLIP and "prototypes.bin" in found:
-        try:
-            _check_compact(out / "prototypes.bin", config)
-        except VerificationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        _check_compact(out / "prototypes.bin", blobs["prototypes.bin"], config)
     return 0
 
 
-def _check_compact(path: Path, config: dict) -> None:
-    """An ordinalclip run's prototypes have numerical rank at most the
-    manifest's num_base_ranks (metrics.numerical_rank); raises
-    VerificationError, in one line, when they do not or do not load. The
-    SVD runs only when metrics.rank_certified cannot vouch for the rank,
-    which it does for every trained run."""
+def _check_compact(path: Path, blob: bytes, config: dict) -> None:
+    """The prototypes of an ordinalclip run, read from `blob`, the bytes
+    of its prototypes.bin at `path`, have numerical rank at most the
+    manifest's num_base_ranks (metrics.numerical_rank). Raises
+    VerificationError, in one line, when they do not, and BlockFileError
+    when they do not load. The SVD runs only when metrics.rank_certified
+    cannot vouch for the rank, which it does for every trained run."""
     try:
         bound = int(config["num_base_ranks"])
     except (KeyError, ValueError) as exc:
         raise VerificationError(f"{path}: no integer num_base_ranks in the manifest") from exc
-    try:
-        protos = import_prototypes(path)
-    except BlockFileError as exc:
-        raise VerificationError(str(exc)) from exc
+    protos = read_prototypes(path, blob)
     if metricsmod.rank_certified(protos, bound):
         return
     rank = metricsmod.numerical_rank(protos)
@@ -707,6 +702,8 @@ def _check_out(raw: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run a command. Commands return 0 or raise; the except clauses are
+    the one table that maps each error class to its exit code."""
     args = build_parser().parse_args(argv)
     try:
         if "out" in args:  # checked before any command loads data
@@ -717,6 +714,9 @@ def main(argv=None) -> int:
         return 2
     except training.TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
+    except (VerificationError, BlockFileError) as exc:
+        print(exc, file=sys.stderr)
         return 1
 
 

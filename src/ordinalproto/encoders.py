@@ -71,7 +71,7 @@ def fnv1a64(data: bytes) -> int:
 
 class BlockFileError(ValueError):
     """A block file that does not read back: a bad magic, a truncated
-    header, payload or checksum, a checksum mismatch, or (import_prototypes)
+    header, payload or checksum, a checksum mismatch, or (read_prototypes)
     a non-finite entry or a zero row. The message starts with the file's
     path and says which."""
 
@@ -207,8 +207,10 @@ class ImageEncoder:
 # little-endian uint64 and its row-major little-endian float64 payload, then
 # a 64-bit FNV-1a checksum over the payloads in order. prototypes.bin is one
 # block, the C x latent_dim prototype matrix; checkpoint.bin holds a
-# model's parameter groups (training.save_state). A file that does not read
-# back raises BlockFileError, whose message says what is wrong.
+# model's parameter groups (training.save_state). The readers parse bytes
+# the caller has read, so `report` checks the very bytes it verified against
+# the manifest; the path only names the file in messages. A file that does
+# not read back raises BlockFileError, whose message says what is wrong.
 
 
 def write_blocks(path, magic: bytes, blocks) -> None:
@@ -223,11 +225,9 @@ def write_blocks(path, magic: bytes, blocks) -> None:
         fh.write(struct.pack("<Q", fnv1a64(b"".join(block.tobytes() for block in blocks))))
 
 
-def read_blocks(path, magic: bytes, count: int) -> list[np.ndarray]:
-    """The `count` blocks of a block file, after checking its magic, each
-    block's length and the checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]:
+    """The `count` blocks of the block file `path` whose bytes are `blob`,
+    after checking its magic, each block's length and the checksum."""
     if blob[: len(magic)] != magic:
         raise BlockFileError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
     offset = len(magic)
@@ -257,22 +257,24 @@ def export_prototypes(path, prototypes: np.ndarray) -> None:
     write_blocks(path, PROTOTYPE_MAGIC, [prototypes])
 
 
-def import_prototypes(path) -> np.ndarray:
-    """Load a prototype file, verifying structure and checksum.
-
-    Rows are re-normalized on load, except that rows already unit-norm
-    within 1e-9 are left untouched so that export/import of normalized
-    prototypes round-trips bitwise.
-    """
-    (matrix,) = read_blocks(path, PROTOTYPE_MAGIC, 1)
+def read_prototypes(path, blob: bytes) -> np.ndarray:
+    """The prototype matrix of the prototype file `path` whose bytes are
+    `blob`, as stored, after read_blocks' checks: every entry finite and
+    no row the zero vector. Every file the package writes holds unit-norm
+    rows (l2-normalize-rows output), and nothing re-normalizes them."""
+    (matrix,) = read_blocks(path, blob, PROTOTYPE_MAGIC, 1)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         row, col = bad[0]
         raise BlockFileError(f"{path}: non-finite prototype entry at row {row}, col {col}")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms = np.linalg.norm(matrix, axis=1)
     if (norms == 0).any():
-        row = int(np.flatnonzero(norms.ravel() == 0)[0])
+        row = int(np.flatnonzero(norms == 0)[0])
         raise BlockFileError(f"{path}: prototype row {row} is the zero vector")
-    off_unit = np.abs(norms - 1.0).ravel() > 1e-9
-    matrix[off_unit] /= norms[off_unit]
     return matrix
+
+
+def import_prototypes(path) -> np.ndarray:
+    """read_prototypes of the file at `path`, read once."""
+    with open(path, "rb") as fh:
+        return read_prototypes(path, fh.read())

@@ -86,8 +86,6 @@ def ordinality_score(prototypes: np.ndarray) -> float:
     trained.
     """
     prototypes = np.asarray(prototypes, dtype=np.float64)
-    if prototypes.shape[0] < 2:
-        raise ValueError("ordinality needs at least two prototypes")
     return ordinality_from_matrix(prototypes @ prototypes.T)
 
 

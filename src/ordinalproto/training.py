@@ -89,10 +89,13 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         # An epoch at or past `epochs` never starts, and is allowed: a
-        # config's default decay epoch may lie beyond a short fit.
-        for epoch in self.decay_epochs:
+        # config's default decay epoch may lie beyond a short fit. fit
+        # decays once per epoch listed, so a repeated entry would be lost.
+        for index, epoch in enumerate(self.decay_epochs):
             if epoch < 0:
                 raise ValueError(f"decay_epochs entries must be >= 0, got {epoch}")
+            if epoch in self.decay_epochs[:index]:
+                raise ValueError(f"decay_epochs lists epoch {epoch} twice")
         # Adam divides by sqrt(v) + adam_eps, which must stay positive.
         if not 0 < self.adam_eps < math.inf:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")

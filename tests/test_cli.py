@@ -12,10 +12,14 @@ commands: with one evaluation seed, a grid cell that keeps every training
 sample and the default prompt equals `train`.
 """
 
+import builtins
+import collections
+import io
 import os
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,8 +122,10 @@ def test_invalid_value_exits_with_config_error(tmp_path, capsys, line, needle):
     [
         ("epochs = 0", "epochs must be >= 1, got 0"),
         ("method = zeroshot\ntemperature = 0", "temperature must be positive, got 0.0"),
+        ("num_ranks = 4\nper_rank = 4\nepochs = 2\ndecay_epochs = 0,0",
+         "decay_epochs lists epoch 0 twice"),
     ],
-    ids=["epochs-0", "zeroshot-temperature-0"],
+    ids=["epochs-0", "zeroshot-temperature-0", "decay-epochs-0-0"],
 )
 def test_an_invalid_training_value_is_rejected_before_any_data_is_generated(
     tmp_path, capsys, monkeypatch, command, line, message
@@ -647,7 +653,8 @@ def _checkpoint(run_dir, state) -> dict:
     """The blocks of a run's checkpoint.bin by name, read with the magic and
     block names of state's model family."""
     magic, names = training._checkpoint_blocks(state)
-    return dict(zip(names, read_blocks(run_dir / "checkpoint.bin", magic, len(names))))
+    path = run_dir / "checkpoint.bin"
+    return dict(zip(names, read_blocks(path, path.read_bytes(), magic, len(names))))
 
 
 @pytest.mark.parametrize("name", ["ordinalclip", "coop", "baseline"])
@@ -804,6 +811,26 @@ def test_report_prints_metrics_only_once_they_verify(runs, tmp_path, capsys, dam
     assert err == expected.format(run_dir=run_dir)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_report_prints_metrics_with_universal_newlines(runs, tmp_path, capsys, newline):
+    """A metrics.csv whose lines end in CRLF or CR, under a rebuilt
+    manifest, prints under `# metrics` as the LF original does."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    assert cli.main(["report", str(run_dir)]) == 0
+    untouched = capsys.readouterr().out
+    path = run_dir / "metrics.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    _rebuild_manifest_entry(run_dir, "metrics.csv")
+    assert cli.main(["report", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+
+    def metrics_section(text):
+        return text[text.index("\n# metrics\n") : text.index("\n# files\n")]
+
+    assert metrics_section(out) == metrics_section(untouched)
+
+
 @pytest.mark.parametrize(
     "pattern, repl, needle",
     [
@@ -953,6 +980,42 @@ def test_report_names_the_file_of_a_non_finite_prototype(runs, tmp_path, capsys)
     _rebuild_manifest_entry(run_dir)
     assert cli.main(["report", str(run_dir)]) == 1
     assert capsys.readouterr().err == f"{path}: non-finite prototype entry at row 2, col 1\n"
+
+
+def test_report_prints_and_rank_checks_the_bytes_it_verified(runs, tmp_path, capsys,
+                                                              monkeypatch):
+    """report opens each file of a run once, so the metrics it prints and
+    the prototypes it rank-checks are the bytes that matched the manifest.
+    With every later open of metrics.csv or prototypes.bin diverted to
+    other bytes (a changed metric, and prototypes of rank C' + 1), report
+    of an untouched ordinalclip run prints, writes to stderr and exits as
+    it does without the diversion."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    assert cli.main(["report", str(run_dir)]) == 0
+    untouched = capsys.readouterr()
+    other = tmp_path / "other"
+    shutil.copytree(run_dir, other)
+    _tamper(other)
+    _forge_prototypes(other, int(cli._read_manifest(other)[0]["num_base_ranks"]) + 1)
+    opens = collections.Counter()
+    real_open = io.open
+
+    def diverting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == run_dir:
+            name = Path(file).name
+            opens[name] += 1
+            if opens[name] > 1 and name in ("metrics.csv", "prototypes.bin"):
+                file = other / name
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", diverting_open)
+    monkeypatch.setattr(builtins, "open", diverting_open)
+    code = cli.main(["report", str(run_dir)])
+    monkeypatch.undo()
+    assert (code, *capsys.readouterr()) == (0, *untouched)
+    assert set(opens.values()) == {1}
+    assert opens.keys() == {p.name for p in run_dir.iterdir()}
 
 
 def test_grid_commands_write_their_tables_and_headers(runs):

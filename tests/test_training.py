@@ -165,6 +165,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             training.TrainConfig(**overrides).validate()
 
+    @pytest.mark.parametrize("decay_epochs, epoch", [((0, 0), 0), ((3, 30, 3), 3)])
+    def test_a_repeated_decay_epoch_is_rejected(self, decay_epochs, epoch):
+        """fit decays once at a listed epoch however often it is listed,
+        so a repeated entry would be lost without a word."""
+        with pytest.raises(ValueError, match=f"^decay_epochs lists epoch {epoch} twice$"):
+            training.TrainConfig(decay_epochs=decay_epochs).validate()
+
     @pytest.mark.parametrize("overrides", [{"lr_decay_factor": 0.0},
                                            {"last_layer_lr_mult": 0.0}])
     def test_a_zero_factor_is_accepted(self, overrides):
@@ -803,7 +810,8 @@ class TestCheckpointFile:
         training.save_state(trained, tmp_path / "ckpt.bin")
         fresh = _model(method, init_seed=1)
         magic, names = training._checkpoint_blocks(fresh)
-        blocks = dict(zip(names, read_blocks(tmp_path / "ckpt.bin", magic, len(names)),
+        path = tmp_path / "ckpt.bin"
+        blocks = dict(zip(names, read_blocks(path, path.read_bytes(), magic, len(names)),
                           strict=True))
         np.testing.assert_array_equal(blocks.pop("num_ranks"), [[float(NUM_RANKS)]])
         for group, array in fresh.params.items():
@@ -819,10 +827,11 @@ class TestCheckpointFile:
         [(training.BASELINE, training.ORDINALCLIP), (training.ORDINALCLIP, training.BASELINE)],
     )
     def test_a_checkpoint_of_the_other_family_is_rejected(self, tmp_path, saved, target):
-        training.save_state(_model(saved), tmp_path / "ckpt.bin")
+        path = tmp_path / "ckpt.bin"
+        training.save_state(_model(saved), path)
         magic, names = training._checkpoint_blocks(_model(target))
         with pytest.raises(BlockFileError, match="bad magic"):
-            read_blocks(tmp_path / "ckpt.bin", magic, len(names))
+            read_blocks(path, path.read_bytes(), magic, len(names))
 
     @pytest.mark.parametrize(
         "method, magic, groups",
@@ -866,9 +875,9 @@ class TestCheckpointFile:
         state = _model(method)
         training.save_state(state, path)
         magic, blocks = training._checkpoint_blocks(state)
-        for array, expected in zip(read_blocks(path, magic, len(blocks)), blocks.values(),
-                                   strict=True):
+        for array, expected in zip(read_blocks(path, path.read_bytes(), magic, len(blocks)),
+                                   blocks.values(), strict=True):
             np.testing.assert_array_equal(array, expected)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(BlockFileError, match=message):
-            read_blocks(path, magic, len(blocks))
+            read_blocks(path, path.read_bytes(), magic, len(blocks))
