@@ -44,21 +44,18 @@ The tape does only the work a parameter gradient needs:
   leaves, the only values that can have changed, and then runs every op
   once with numpy's overflow, invalid and divide-by-zero flags set to
   raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
-  That is sound: every operand of the pass is then finite (an unnamed
-  constant is fixed and was checked when recorded), and from finite
-  operands an op makes a non-finite value only by raising one of those
-  flags. A non-finite leaf, or a raised flag, sends the re-run back to
+  That is sound: every operand of the pass is then finite, and from
+  finite operands an op makes a non-finite value only by raising one of
+  those flags. An unnamed constant is fixed, but recording's check of op
+  values does not cover it, since an op can make a finite value of a
+  non-finite operand: a BLAS that skips zero multipliers, as reference
+  DGEMV does, never forms 0 x inf. So each unnamed constant is checked
+  once, when it is recorded. A non-finite leaf, or a raised flag, sends the re-run back to
   the top with recording's check after every op, so it raises exactly
   where and what recording would; a flag raised on finite values costs
   that second pass and changes no value.
 
 None of this changes a forward value or a parameter gradient, bitwise.
-
-A one-row matmul whose left operand has zero entries multiplies only the
-rows of the right operand that its nonzero entries select, so its value
-depends on those rows alone, not on where they sit or what the others
-hold: a text-encoder pooling row pools a prompt to the same row at any
-rows of the token table.
 
 Every value an op reads is an input node, so a node's value is a function
 of its inputs' values alone, and a recorded tape can be run again:
@@ -137,7 +134,10 @@ class Tape:
 
     def constant(self, array, name: str | None = None) -> int:
         """A node that never receives a gradient; a named one can be rebound
-        by rerun, and an unnamed one is fixed."""
+        by rerun, and an unnamed one is fixed. An unnamed one is checked
+        for finiteness here, once: rerun's flag guard needs every operand
+        finite, and no op's value need show a non-finite constant (see
+        rerun)."""
         value = _as_matrix(array)
         if name is None and not all_finite(value):
             self._constants_finite = False
@@ -204,7 +204,12 @@ class Tape:
           (a product too large to trust them for checks its own value,
           see _SERIAL_PRODUCT). The leaves are checked because NaN
           passes through `dot` with no flag, and because a parameter may
-          have changed in place, as a training step's Adam views do.
+          have changed in place, as a training step's Adam views do. The
+          unnamed constants are checked too, because a recorded op may
+          have hidden a non-finite one: a BLAS that skips zero
+          multipliers, as reference DGEMV does, records a finite product
+          of an inf row that the re-run's multiplier then reads, and
+          inf times a finite nonzero raises no flag.
         - Otherwise, or when that pass raises FloatingPointError, the ops
           run again from the top with recording's finiteness check after
           each, which names the first op whose value is non-finite. A flag
@@ -342,14 +347,6 @@ def _fwd_matmul(vals):
     a, b = vals
     if a.shape[1] != b.shape[0]:
         raise _shape_err("matmul", (a.shape, b.shape))
-    if len(a) == 1:
-        # A one-row product with zeros in it reads only the rows of b that
-        # a's nonzero entries select, so its rounding depends on those rows
-        # alone, not on where in b they sit: a text-encoder pooling row
-        # pools a prompt to the same row at any table rows.
-        cols = a[0].nonzero()[0]
-        if len(cols) < a.shape[1]:
-            a, b = a.take(cols, axis=1), b.take(cols, axis=0)
     # ndarray.dot is the same BLAS product as @, bitwise, with less dispatch
     # on tiny operands; the backward rule below uses it for the same reason.
     value = a.dot(b)

@@ -128,9 +128,7 @@ class PseudoTextEncoder:
         mixed_projection), where row i of pooled is the position-weighted
         mean of prompt i's rows: one matmul of a constant pooling row, the
         prompt's normalized position weights placed at the rows it reads,
-        against the table. That product reads only the prompt's rows, so
-        a prompt pools the same at any table rows. A row the prompt
-        repeats adds its weights. The pooled rows are stacked, and one
+        against the table. A row the prompt repeats adds its weights. The pooled rows are stacked, and one
         matmul projects them all.
         Differentiable in the table only; encoder weights enter as
         constants. Each prompt reads 1 to max_len rows of the table, as

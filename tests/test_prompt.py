@@ -6,7 +6,6 @@ import pytest
 
 from conftest import sum_all
 from ordinalproto.diffcore import Tape
-from ordinalproto.encoders import PseudoTextEncoder
 from ordinalproto.prompt import (
     INVERSE_PROPORTION,
     LINEAR,
@@ -155,54 +154,6 @@ class TestAssembleSequences:
         tape = Tape()
         with pytest.raises(ValueError, match=r"concat-rows: incompatible shapes \[\(2, 3\), \(2, 4\)\]"):
             assemble_sequences(tape, tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 4))))
-
-    @pytest.mark.parametrize("num_ranks", (2, 6, 100))
-    @pytest.mark.parametrize("num_context", (0, 2, 4))
-    def test_encodes_as_the_selection_construction_did(self, num_context, num_ranks):
-        """Pooling each prompt straight off the token table gives the
-        prototypes, and the context and base rank gradients, of the
-        construction it replaced: rank j's sequence read off the table by
-        a matmul with rows [0..m-1, m+j] of the identity, then pooled by a
-        matmul with the one pooling row all prompts shared.
-
-        Bitwise at every m, on any BLAS: the selection product copies
-        table rows exactly, and a one-row matmul with zeros multiplies only
-        the rows its nonzero entries select, so both forms pool with the
-        same product of the same (m + 1)-row operands. Each backward
-        product has one term per entry, so it is exact too."""
-        rng = np.random.default_rng(num_context * 1000 + num_ranks)
-        encoder = PseudoTextEncoder.create(num_ranks)
-        word_dim, latent_dim = encoder.mixed_projection.shape
-        ctx = rng.normal(size=(num_context, word_dim))
-        base = rng.normal(size=(2, word_dim))
-        weights = build_interpolation_matrix(_cfg(num_ranks, 2))
-        readout = rng.normal(size=(latent_dim, 1))
-
-        def selection_then_pooling(tape, table, prompts):
-            identity = np.eye(tape.value(table).shape[0])
-            positions = encoder.position_weights[: num_context + 1]
-            pooling = tape.constant((positions / positions.sum())[None, :])
-            pooled = tape.concat_rows([
-                tape.matmul(pooling, tape.matmul(tape.constant(identity[rows]), table))
-                for rows in prompts
-            ])
-            mixed_projection = tape.constant(encoder.mixed_projection)
-            return tape.l2_normalize_rows(tape.matmul(pooled, mixed_projection))
-
-        def run(encode):
-            tape = Tape()
-            ranks = interpolate_rank_embeddings(tape, weights, tape.parameter(base, "base_ranks"))
-            table, prompts = assemble_sequences(tape, tape.parameter(ctx, "context"), ranks)
-            protos = encode(tape, table, prompts)
-            loss = sum_all(tape, tape.matmul(protos, tape.constant(readout)))
-            return tape.value(protos), tape.backward(loss)
-
-        old_protos, old_grads = run(selection_then_pooling)
-        new_protos, new_grads = run(encoder.encode)
-        assert new_protos.shape == (num_ranks, latent_dim)
-        np.testing.assert_array_equal(new_protos, old_protos)
-        for name in ("context", "base_ranks"):
-            np.testing.assert_array_equal(new_grads[name], old_grads[name])
 
 
 class TestInitParameters:
