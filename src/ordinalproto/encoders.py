@@ -71,7 +71,8 @@ def fnv1a64(data: bytes) -> int:
 
 class BlockFileError(ValueError):
     """A block file that does not read back: a bad magic, a truncated
-    header, payload or checksum, a checksum mismatch, or (read_prototypes)
+    header, payload or checksum, bytes after the checksum, a checksum
+    mismatch, or (read_prototypes)
     a non-finite entry or a zero row. The message starts with the file's
     path and says which."""
 
@@ -203,12 +204,13 @@ class ImageEncoder:
 # ---------------------------------------------------------------------------
 # block files: a magic, then for each block its rows and cols as
 # little-endian uint64 and its row-major little-endian float64 payload, then
-# a 64-bit FNV-1a checksum over the payloads in order. prototypes.bin is one
-# block, the C x latent_dim prototype matrix; checkpoint.bin holds a
-# model's parameter groups (training.save_state). The readers parse bytes
-# the caller has read, so `report` checks the very bytes it verified against
-# the manifest; the path only names the file in messages. A file that does
-# not read back raises BlockFileError, whose message says what is wrong.
+# a 64-bit FNV-1a checksum over the payloads in order, which ends the file.
+# prototypes.bin is one block, the C x latent_dim prototype matrix;
+# checkpoint.bin holds a model's parameter groups (training.save_state). The
+# readers parse bytes the caller has read, so `report` checks the very bytes
+# it verified against the manifest; the path only names the file in
+# messages. A file that does not read back raises BlockFileError, whose
+# message says what is wrong.
 
 
 def write_blocks(path, magic: bytes, blocks) -> None:
@@ -225,7 +227,8 @@ def write_blocks(path, magic: bytes, blocks) -> None:
 
 def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]:
     """The `count` blocks of the block file `path` whose bytes are `blob`,
-    after checking its magic, each block's length and the checksum."""
+    after checking its magic, each block's length, that the file ends at
+    the checksum, and the checksum."""
     if blob[: len(magic)] != magic:
         raise BlockFileError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
     offset = len(magic)
@@ -245,6 +248,8 @@ def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]
         blocks.append(np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy())
     if len(blob) < offset + 8:
         raise BlockFileError(f"{path}: checksum truncated")
+    if len(blob) > offset + 8:
+        raise BlockFileError(f"{path}: {len(blob) - offset - 8} bytes after the checksum")
     (stored,) = struct.unpack_from("<Q", blob, offset)
     if fnv1a64(b"".join(payloads)) != stored:
         raise BlockFileError(f"{path}: payload checksum mismatch")

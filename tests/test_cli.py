@@ -26,7 +26,7 @@ import pytest
 
 from conftest import encode_images, prototypes_of
 from ordinalproto import cli, data, encoders, metrics, prompt, training
-from ordinalproto.encoders import ImageEncoder, import_prototypes, read_blocks
+from ordinalproto.encoders import BlockFileError, ImageEncoder, import_prototypes, read_blocks
 
 TINY = {
     "num_ranks": 5,
@@ -980,6 +980,23 @@ def test_report_names_the_file_of_a_non_finite_prototype(runs, tmp_path, capsys)
     _rebuild_manifest_entry(run_dir)
     assert cli.main(["report", str(run_dir)]) == 1
     assert capsys.readouterr().err == f"{path}: non-finite prototype entry at row 2, col 1\n"
+
+
+def test_bytes_after_the_checksum_are_rejected(runs, tmp_path, capsys):
+    """16 bytes appended to a run's prototypes.bin are rejected in one
+    line, by import_prototypes and by report under a rebuilt manifest
+    entry, though the matrix they follow is unchanged."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(runs["ordinalclip"], run_dir)
+    path = run_dir / "prototypes.bin"
+    with open(path, "ab") as f:
+        f.write(bytes(range(16)))
+    message = f"{path}: 16 bytes after the checksum"
+    with pytest.raises(BlockFileError, match=f"^{re.escape(message)}$"):
+        import_prototypes(path)
+    _rebuild_manifest_entry(run_dir)
+    assert cli.main(["report", str(run_dir)]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_report_prints_and_rank_checks_the_bytes_it_verified(runs, tmp_path, capsys,
