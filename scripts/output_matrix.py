@@ -8,7 +8,8 @@ every path a command sees or prints is relative and the same in any
 checkout. OUT must be new or empty. Afterwards it holds:
 
     configs/<config>.cfg       the config files the commands read
-    configs/ranks.csv          the dataset the CSV run reads
+    configs/ranks.csv          the dataset the CSV runs read
+    configs/zeros.csv          and its copy with zero features
     runs/<run>/                every run directory the commands write
     logs/<nn>-<name>.stdout    each command's standard output,
     logs/<nn>-<name>.stderr    its standard error,
@@ -26,7 +27,11 @@ last_layer_lr_mult = 0.5 and with prediction_rule = expectation;
 ordinalclip and the baseline on 12 training rows in batches of 11 and 1
 (num_ranks 4, per_rank 4, batch_size 11, epochs 3), so every epoch ends
 in a one-row batch; ordinalclip on configs/ranks.csv (data_source = csv),
-whose rank labels 2, 5, 7 and 11 are remapped to 0..3;
+whose rank labels 2, 5, 7 and 11 are remapped to 0..3; ordinalclip and
+the baseline on configs/zeros.csv, ranks.csv with one feature of each row
+set to exact zero, on half its rows in the one-row run's batches, so every
+epoch ends in a one-row batch whose first image-layer product holds a
+zero;
 `sweep-interpolation --counts 2,3,5`, `ablation`, `fewshot`,
 `distshift --grid 2:0.5,3:0.0` and the same grid typed with padding and
 an empty cell at C = 8 (per_rank 12, epochs 8), each with `report`; a
@@ -90,6 +95,11 @@ def train_configs() -> dict[str, dict]:
         out[f"{method}-one-row"] = {"method": method, **ONE_ROW}
     out["ordinalclip-csv"] = {"method": "ordinalclip", "data_source": "csv",
                               "csv_path": "configs/ranks.csv"}
+    for method in ("ordinalclip", "baseline"):
+        out[f"{method}-zeros-one-row"] = {
+            "method": method, "data_source": "csv", "csv_path": "configs/zeros.csv",
+            "train_fraction": 0.5, "batch_size": ONE_ROW["batch_size"],
+            "epochs": ONE_ROW["epochs"]}
     return out
 
 
@@ -101,6 +111,18 @@ def ranks_csv() -> str:
         for i in range(6):
             row = [position + ((7 * i + 3 * k) % 11 - 5) / 10 + 0.05 for k in range(3)]
             lines.append(",".join([str(rank), *(f"{v:.2f}" for v in row)]))
+    return "\n".join(lines) + "\n"
+
+
+def zeros_csv() -> str:
+    """ranks_csv with feature i % 3 of its i-th row set to exact zero, so
+    every row holds a zero and none is all zero (an all-zero row exits 2)."""
+    header, *rows = ranks_csv().splitlines()
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        cells[1 + i % 3] = "0"
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -209,6 +231,7 @@ def main(argv: list[str]) -> int:
         text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
         (out / "configs" / f"{name}.cfg").write_text(text)
     (out / "configs" / "ranks.csv").write_text(ranks_csv())
+    (out / "configs" / "zeros.csv").write_text(zeros_csv())
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for index, (name, args) in enumerate(commands()):
         if name.startswith("report-damaged-"):  # a damaged copy of runs/ordinalclip
