@@ -46,12 +46,12 @@ The tape does only the work a parameter gradient needs:
   raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
   That is sound: every operand of the pass is then finite, and from
   finite operands an op makes a non-finite value only by raising one of
-  those flags. An unnamed constant is fixed, but recording's check of op
-  values does not cover it, since an op can make a finite value of a
-  non-finite operand: a BLAS that skips zero multipliers, as reference
-  DGEMV does, never forms 0 x inf. So each unnamed constant is checked
-  once, when it is recorded. A non-finite leaf, or a raised flag, sends the re-run back to
-  the top with recording's check after every op, so it raises exactly
+  those flags. Recording checks op values, not an unnamed constant, and
+  an op can make a finite value of a non-finite operand: a BLAS that
+  skips zero multipliers, as reference DGEMV does, never forms 0 x inf.
+  So each unnamed constant, which is fixed, is checked once, when it is
+  recorded. A non-finite leaf, or a raised flag, sends the re-run back
+  to the top with recording's check after every op, so it raises exactly
   where and what recording would; a flag raised on finite values costs
   that second pass and changes no value.
 
@@ -135,8 +135,8 @@ class Tape:
     def constant(self, array, name: str | None = None) -> int:
         """A node that never receives a gradient; a named one can be rebound
         by rerun, and an unnamed one is fixed. An unnamed one is checked
-        for finiteness here, once: rerun's flag guard needs every operand
-        finite, and no op's value need show a non-finite constant (see
+        for finiteness once, here, for rerun's flag guard: an op's
+        recorded value need not show that its operand is non-finite (see
         rerun)."""
         value = _as_matrix(array)
         if name is None and not all_finite(value):

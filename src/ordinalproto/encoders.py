@@ -72,9 +72,8 @@ def fnv1a64(data: bytes) -> int:
 class BlockFileError(ValueError):
     """A block file that does not read back: a bad magic, a truncated
     header, payload or checksum, bytes after the checksum, a checksum
-    mismatch, or (read_prototypes)
-    a non-finite entry or a zero row. The message starts with the file's
-    path and says which."""
+    mismatch, or (read_prototypes) a non-finite entry or a zero row. The
+    message starts with the file's path and says which."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -129,8 +128,8 @@ class PseudoTextEncoder:
         mixed_projection), where row i of pooled is the position-weighted
         mean of prompt i's rows: one matmul of a constant pooling row, the
         prompt's normalized position weights placed at the rows it reads,
-        against the table. A row the prompt repeats adds its weights. The pooled rows are stacked, and one
-        matmul projects them all.
+        against the table. A row the prompt repeats adds its weights. The
+        pooled rows are stacked, and one matmul projects them all.
         Differentiable in the table only; encoder weights enter as
         constants. Each prompt reads 1 to max_len rows of the table, as
         assemble_sequences builds them once training.build_model has checked
