@@ -854,6 +854,14 @@ class TestRerun:
             with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
                 tape.rerun({"x": bad})
 
+    @staticmethod
+    def _skipping_matmul(vals):
+        """A one-row product that skips a's zero multipliers, standing in
+        for a BLAS that does, as reference DGEMV does."""
+        a, b = vals
+        kept = a[0] != 0.0
+        return a[:, kept].dot(b[kept]), None
+
     def test_a_non_finite_unnamed_constant_makes_every_rerun_checked(self, monkeypatch):
         """A BLAS that skips zero multipliers, as reference DGEMV does,
         records a finite product of a fixed constant's inf row under a
@@ -861,16 +869,25 @@ class TestRerun:
         no flag (inf times a finite nonzero is exact), so such a tape
         re-runs through the checked loop. The patched product stands in
         for that BLAS."""
-
-        def skipping_matmul(vals):
-            a, b = vals
-            kept = a[0] != 0.0
-            return a[:, kept].dot(b[kept]), None
-
-        monkeypatch.setitem(diffcore._FORWARD, "matmul", skipping_matmul)
+        monkeypatch.setitem(diffcore._FORWARD, "matmul", self._skipping_matmul)
         tape = Tape()
         a = tape.parameter(np.array([[1.0, 0.0]]), "a")
         tape.matmul(a, tape.constant(np.array([[1.0, 2.0], [np.inf, 3.0]])))
+        with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
+            tape.rerun({"a": np.array([[1.0, 1.0]])})
+
+    @pytest.mark.parametrize("hidden", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_a_hidden_nan_or_minus_inf_constant_is_named_on_rerun(self, monkeypatch, hidden):
+        """The guard holds for every non-finite constant, not inf alone: a
+        quiet NaN propagates through a product with no flag, and -inf
+        plus a finite value is exact, so a NaN or -inf row hidden under a
+        zero multiplier at recording reaches the re-run's value unflagged
+        unless the re-run takes the checked loop."""
+        monkeypatch.setitem(diffcore._FORWARD, "matmul", self._skipping_matmul)
+        tape = Tape()
+        a = tape.parameter(np.array([[1.0, 0.0]]), "a")
+        tape.matmul(a, tape.constant(np.array([[1.0, 2.0], [hidden, 3.0]])))
+        np.testing.assert_array_equal(tape.value(len(tape) - 1), [[1.0, 2.0]])
         with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
             tape.rerun({"a": np.array([[1.0, 1.0]])})
 

@@ -302,3 +302,28 @@ class TestBlockFile:
         write_blocks(path, b"TEST1", self.BLOCKS)
         with pytest.raises(BlockFileError, match="header of block 3 truncated"):
             read_blocks(path, path.read_bytes(), b"TEST1", len(self.BLOCKS) + 1)
+
+    @pytest.mark.parametrize("extra", [b"\n", b"\x00" * 8, None],
+                             ids=["newline", "eight-zero-bytes", "checksum-again"])
+    def test_bytes_after_the_checksum_are_rejected(self, tmp_path, extra):
+        """The checksum ends the file: a newline, zero padding, or the
+        checksum written twice after it is named in one line, though
+        every block and the checksum before it read back."""
+        path = tmp_path / "blocks.bin"
+        write_blocks(path, b"TEST1", self.BLOCKS)
+        blob = path.read_bytes()
+        extra = blob[-8:] if extra is None else extra
+        message = f"{path}: {len(extra)} bytes after the checksum"
+        with pytest.raises(BlockFileError, match=f"^{re.escape(message)}$"):
+            read_blocks(path, blob + extra, b"TEST1", len(self.BLOCKS))
+
+    def test_a_block_the_reader_does_not_ask_for_is_rejected(self, tmp_path):
+        """A file holding one block more than the reader asks for is not
+        read as its first blocks: the reader takes the first 8 bytes of the
+        last block's header for the checksum, and the file's other 24 bytes
+        follow it."""
+        path = tmp_path / "blocks.bin"
+        write_blocks(path, b"TEST1", self.BLOCKS)
+        message = f"{path}: 24 bytes after the checksum"
+        with pytest.raises(BlockFileError, match=f"^{re.escape(message)}$"):
+            read_blocks(path, path.read_bytes(), b"TEST1", len(self.BLOCKS) - 1)
