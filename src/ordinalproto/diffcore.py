@@ -23,6 +23,14 @@ The tape does only the work a parameter gradient needs:
 - Cheap recording. `Tape.record` finds the forward rule with one dict
   lookup, checks each input index while gathering the input nodes, and
   stores no per-node metadata an op does not produce.
+- One schedule. `Tape.record` also appends each op to the tape's
+  schedule: its index, its node, its input nodes, and the position and
+  index of each input that wants a gradient. Both passes of `Tape.rerun`
+  and the reverse sweep of `Tape.backward` walk the schedule, so they
+  visit no leaf, look up no input by index, and touch no input that
+  wants no gradient. Each rule is still looked up by op kind when it
+  runs. Recording builds the schedule, so an op recorded after a re-run
+  is re-run and differentiated too.
 - Fused losses. The two training objectives are single op kinds with
   closed-form gradients; the tape has no softmax, KL or scale node.
   `clip-kl` is CLIP's symmetric image-text objective with KL in place of
@@ -30,9 +38,10 @@ The tape does only the work a parameter gradient needs:
   column of rank indices, not a one-hot matrix: a one-hot matrix's support
   in row-major order is [rows, labels], so a rule that gathers there adds
   the one-hot formula's terms in its order, and equals it bitwise. Both take
-  log-probabilities as `shifted - log(sum(exp(shifted)))`, which is
-  finite wherever the scores are, so no probability that underflows to
-  zero can make the loss undefined.
+  log-probabilities as `shifted - log(sum(exp(shifted)))`, at the labelled
+  entries only, which is finite wherever the scores are, so no probability
+  that underflows to zero can make the loss undefined. They keep the
+  exponentials and their sums; the backward rules form the probabilities.
 - Finiteness. Recording checks every value it records with one BLAS
   sum of squares, tested as a Python float with `math.isfinite`; the
   sum is non-finite whenever an entry is. Only a non-finite sum, from
@@ -97,14 +106,14 @@ class _Node:
 
     `wants[k]` is whether input k needs a gradient (a parameter reaches
     it); `needs_grad` is whether this node does. `meta` is whatever the
-    forward rule returned for its backward rule, or None.
+    forward rule returned for its backward rule, or None. An op node's
+    inputs are held by its entry in the tape's schedule.
     """
 
-    __slots__ = ("op", "inputs", "value", "meta", "wants", "needs_grad")
+    __slots__ = ("op", "value", "meta", "wants", "needs_grad")
 
-    def __init__(self, op, inputs, value, meta=None, wants=(), needs_grad=False):
+    def __init__(self, op, value, meta=None, wants=(), needs_grad=False):
         self.op = op
-        self.inputs = inputs
         self.value = value
         self.meta = meta
         self.wants = wants
@@ -121,6 +130,10 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        # One (index, node, input nodes, (position, input index) of each
+        # input that wants a gradient) per op, in recorded order: what
+        # rerun and backward walk.
+        self._schedule: list[tuple] = []
         self._params: dict[str, int] = {}
         # Every named leaf, parameter or constant, by name: what rerun rebinds.
         self._leaves: dict[str, int] = {}
@@ -141,11 +154,11 @@ class Tape:
         value = _as_matrix(array)
         if name is None and not all_finite(value):
             self._constants_finite = False
-        return self._append(_Node("constant", (), value), name)
+        return self._append(_Node("constant", value), name)
 
     def parameter(self, array, name: str) -> int:
         """A trainable leaf; its gradient appears in backward() under `name`."""
-        idx = self._append(_Node("parameter", (), _as_matrix(array), needs_grad=True), name)
+        idx = self._append(_Node("parameter", _as_matrix(array), needs_grad=True), name)
         self._params[name] = idx
         return idx
 
@@ -174,17 +187,18 @@ class Tape:
             raise ValueError(f"unknown op kind {op_kind!r}; valid kinds: {OP_KINDS}")
         nodes = self._nodes
         idx = len(nodes)
-        inputs = tuple(map(int, inputs))
-        in_nodes = []
-        for i in inputs:
+        in_nodes, wanted = [], []
+        for k, i in enumerate(map(int, inputs)):
             if not 0 <= i < idx:
                 raise ValueError(f"input node {i} not on tape")
             in_nodes.append(nodes[i])
+            if nodes[i].needs_grad:
+                wanted.append((k, i))
         value, meta = forward([n.value for n in in_nodes])
         _check_finite(value, op_kind)
-        wants = tuple([n.needs_grad for n in in_nodes])
-        needs_grad = True in wants
-        nodes.append(_Node(op_kind, inputs, value, meta, wants, needs_grad))
+        node = _Node(op_kind, value, meta, tuple([n.needs_grad for n in in_nodes]), bool(wanted))
+        nodes.append(node)
+        self._schedule.append((idx, node, tuple(in_nodes), tuple(wanted)))
         return idx
 
     def rerun(self, leaves: dict) -> None:
@@ -228,17 +242,14 @@ class Tape:
         if self._constants_finite and all(all_finite(nodes[i].value) for i in self._leaves.values()):
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    for node in nodes:
-                        if node.inputs:
-                            node.value, node.meta = _FORWARD[node.op](
-                                [nodes[i].value for i in node.inputs])
+                    for _, node, ins, _ in self._schedule:
+                        node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
                 return
             except FloatingPointError:
                 pass
-        for node in nodes:
-            if node.inputs:
-                node.value, node.meta = _FORWARD[node.op]([nodes[i].value for i in node.inputs])
-                _check_finite(node.value, node.op)
+        for _, node, ins, _ in self._schedule:
+            node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
+            _check_finite(node.value, node.op)
 
     # Convenience wrappers, one per primitive.
 
@@ -287,10 +298,11 @@ class Tape:
         """Gradients of a scalar loss w.r.t. every registered parameter.
 
         Parameters the loss does not reach get exact-zero gradients of the
-        parameter's shape. One walk down the node list from the loss runs
-        the rule of each op node that a parameter reaches and that holds
-        an adjoint, forming only the gradients its `wants` flags ask for;
-        adjoints accumulate in place (the module docstring says why).
+        parameter's shape. One walk down the schedule runs the rule of each
+        op node that a parameter reaches and that holds an adjoint, forming
+        only the gradients its `wants` flags ask for; adjoints accumulate
+        in place (the module docstring says why). `loss_node` may be any
+        1x1 node, not only the last op.
 
         Each gradient is written into `out[name]`, an array of the
         parameter's shape (a training step passes views of one flat
@@ -303,14 +315,16 @@ class Tape:
             raise ValueError(f"loss node must be 1x1, got shape {loss.value.shape}")
         adjoint: list[np.ndarray | None] = [None] * len(nodes)
         adjoint[loss_node] = np.ones((1, 1))
-        for idx in range(loss_node, -1, -1):
+        # An op after the loss node holds no adjoint: each adjoint flows to
+        # inputs, which precede their op.
+        for idx, node, ins, wanted in reversed(self._schedule):
             g = adjoint[idx]
-            node = nodes[idx]
-            if g is None or not (node.inputs and node.needs_grad):
+            if g is None or not wanted:
                 continue
-            in_vals = [nodes[i].value for i in node.inputs]
-            contribs = _BACKWARD[node.op](g, node.value, in_vals, node.meta, node.wants)
-            for inp, contrib in zip(node.inputs, contribs):
+            contribs = _BACKWARD[node.op](g, node.value, [n.value for n in ins], node.meta,
+                                          node.wants)
+            for k, inp in wanted:
+                contrib = contribs[k]
                 if contrib is None:
                     continue
                 if adjoint[inp] is None:
@@ -364,18 +378,19 @@ def _fwd_add(vals):
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax of a plain array along `axis`: the probabilities the fused
-    losses form, and the one softmax the package computes."""
-    return _log_softmax(x, axis)[1]
+    losses' backward rules form, and the one softmax the package computes."""
+    _, e, total = _exp_shifted(x, axis)
+    return e / total
 
 
-def _log_softmax(x, axis):
-    """(log softmax, softmax) along `axis`. The log is taken of the sum
-    only, so it is finite wherever x is, even where the softmax itself
-    underflows to zero; softmax returns the second."""
+def _exp_shifted(x, axis):
+    """(shifted, exp(shifted), its sum) along `axis`, shifted = x less its
+    max. The log-softmax is shifted - log(sum), the log taken of the sum
+    only, so it is finite wherever x is, even where the softmax e / sum
+    itself underflows to zero."""
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=axis, keepdims=True)
-    return shifted - np.log(total), e / total
+    return shifted, e, e.sum(axis=axis, keepdims=True)
 
 
 def _fwd_l2_normalize_rows(vals):
@@ -434,16 +449,20 @@ def _fwd_clip_kl(vals):
     mask = counts[None] > 0
     yc = 1.0 / counts[lab]
     z = s / t
-    log_row, p_row = _log_softmax(z, axis=1)
-    log_col, p_col = _log_softmax(z, axis=0)
+    shifted_row, e_row, sum_row = _exp_shifted(z, axis=1)
+    shifted_col, e_col, sum_col = _exp_shifted(z, axis=0)
+    # The log-probabilities at the labels alone: entry [i, lab[i]] of
+    # shifted - log(sum), bitwise.
+    log_row = shifted_row[rows, lab] - np.log(sum_row).ravel()
+    log_col = shifted_col[rows, lab] - np.log(sum_col).ravel()[lab]
     w_row = 0.5 / s.shape[0]
     w_col = 0.5 / np.count_nonzero(mask)
     # Each KL sum adds y * (log y - log q) at the labels, log 1 being 0.0.
     # Both weights are at most 1/2, so this sum of two finite Python floats
     # cannot overflow: Tape.rerun's flag guard needs no flag from it.
-    total = (w_row * float(np.sum(0.0 - log_row[rows, lab]))
-             + w_col * float(np.sum(yc * (np.log(yc) - log_col[rows, lab]))))
-    meta = (t, w_row, w_col, rows, lab, yc, mask, p_row, p_col)
+    total = (w_row * float(np.sum(0.0 - log_row))
+             + w_col * float(np.sum(yc * (np.log(yc) - log_col))))
+    meta = (t, w_row, w_col, rows, lab, yc, mask, e_row, sum_row, e_col, sum_col)
     return np.array([[total]]), meta
 
 
@@ -451,9 +470,10 @@ def _fwd_softmax_xent(vals):
     """See Tape.softmax_xent. Gradient: (P - Y) / B, Y the one-hot labels."""
     logits, labels = vals
     rows, lab = _check_labels("softmax-xent", logits, labels)
-    log_p, p = _log_softmax(logits, axis=1)
+    shifted, e, total = _exp_shifted(logits, axis=1)
+    log_p = shifted[rows, lab] - np.log(total).ravel()  # as in _fwd_clip_kl
     weight = 1.0 / logits.shape[0]
-    return np.array([[float(np.sum(0.0 - log_p[rows, lab])) * weight]]), (weight, rows, lab, p)
+    return np.array([[float(np.sum(0.0 - log_p)) * weight]]), (weight, rows, lab, e, total)
 
 
 def _fwd_concat_rows(vals):
@@ -517,18 +537,18 @@ def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
 
 
 def _bwd_clip_kl(g, out, ins, meta, wants):
-    t, w_row, w_col, rows, lab, yc, mask, p_row, p_col = meta
+    t, w_row, w_col, rows, lab, yc, mask, e_row, sum_row, e_col, sum_col = meta
     scale = g[0, 0] / t
-    row = p_row.copy()
+    row = e_row / sum_row
     row[rows, lab] -= 1.0
-    col = p_col * mask
+    col = e_col / sum_col * mask
     col[rows, lab] -= yc
     return ((scale * w_row) * row + (scale * w_col) * col, None, None)
 
 
 def _bwd_softmax_xent(g, out, ins, meta, wants):
-    weight, rows, lab, p = meta
-    grad = p.copy()
+    weight, rows, lab, e, total = meta
+    grad = e / total
     grad[rows, lab] -= 1.0
     grad *= g[0, 0] * weight
     return (grad, None)

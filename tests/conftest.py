@@ -187,17 +187,19 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
     leave without a gradient are a loss's targets and temperature, every
     input after its scores."""
     nodes = tape._nodes
+    index = {id(node): i for i, node in enumerate(nodes)}
+    inputs = {idx: [index[id(n)] for n in ins] for idx, _, ins, _ in tape._schedule}
     adjoint = [None] * len(nodes)
     adjoint[loss_node] = np.ones((1, 1))
     for idx in range(loss_node, -1, -1):
         g = adjoint[idx]
         node = nodes[idx]
-        if g is None or not node.inputs:
+        if g is None or idx not in inputs:
             continue
-        in_vals = [nodes[i].value for i in node.inputs]
-        wants = (True,) * len(node.inputs)
+        in_vals = [nodes[i].value for i in inputs[idx]]
+        wants = (True,) * len(in_vals)
         contribs = diffcore._BACKWARD[node.op](g, node.value, in_vals, node.meta, wants)
-        for k, (inp, contrib) in enumerate(zip(node.inputs, contribs)):
+        for k, (inp, contrib) in enumerate(zip(inputs[idx], contribs)):
             if contrib is None:
                 assert node.op in ("clip-kl", "softmax-xent") and k > 0, (node.op, k)
                 continue

@@ -54,9 +54,17 @@ def _softmax_xent(tape, logits, labels, name=None):
     return tape.softmax_xent(logits, tape.constant(_column(labels), name))
 
 
+def _log_softmax(x, axis):
+    """(log softmax, softmax) of x along `axis`, as a whole matrix each."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=axis, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
 def _ops(tape):
     """The op kinds on the tape, in recorded order; leaves are left out."""
-    return [node.op for node in tape._nodes if node.inputs]
+    return [node.op for _, node, _, _ in tape._schedule]
 
 
 class TestForwardValues:
@@ -687,13 +695,10 @@ class TestOpProperties:
         nodes = tape._nodes
         held = [n.value for n in nodes] + [m for n in nodes for m in _meta_arrays(n.meta)]
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-        for node in nodes:
-            if not node.inputs:
-                continue
+        for _, node, ins, _ in tape._schedule:
             rule = diffcore._BACKWARD[node.op]
             contribs = rule(rng.normal(size=node.value.shape), node.value,
-                            [nodes[i].value for i in node.inputs], node.meta,
-                            (True,) * len(node.inputs))
+                            [n.value for n in ins], node.meta, (True,) * len(ins))
             formed = [c for c in contribs if c is not None]
             for i, c in enumerate(formed):
                 assert not any(np.shares_memory(c, other) for other in formed[i + 1:]), node.op
@@ -891,6 +896,58 @@ class TestRerun:
         with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
             tape.rerun({"a": np.array([[1.0, 1.0]])})
 
+    @staticmethod
+    def _head(tape, x, w):
+        """tanh(x @ w) for a constant x named "x" and a parameter "w"."""
+        return tape.tanh(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
+
+    @staticmethod
+    def _tail(tape, h, v, labels):
+        """The cross-entropy of h @ v for a parameter "v"."""
+        return _softmax_xent(tape, tape.matmul(h, tape.parameter(v, "v")), labels)
+
+    def test_ops_recorded_after_a_rerun_are_rerun_and_differentiated(self):
+        """Recording, not the first re-run, schedules an op: a tape that
+        records more ops after a re-run re-runs them too, and backward
+        reaches their parameters, bitwise as a fresh recording."""
+        rng = np.random.default_rng(8)
+        x0, x1, x2 = (rng.normal(size=(4, 3)) for _ in range(3))
+        w, v = rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
+        labels = [5, 0, 2, 2]
+        tape = Tape()
+        h = self._head(tape, x0, w)
+        tape.rerun({"x": x1})
+        loss = self._tail(tape, h, v, labels)
+        tape.rerun({"x": x2})
+        fresh = Tape()
+        fresh_loss = self._tail(fresh, self._head(fresh, x2, w), v, labels)
+        assert len(tape) == len(fresh)
+        for i in range(len(tape)):
+            assert tape.value(i).tobytes() == fresh.value(i).tobytes(), i
+        grads, expected = tape.backward(loss), fresh.backward(fresh_loss)
+        assert grads.keys() == expected.keys() == {"w", "v"}
+        for name in grads:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+
+    def test_backward_from_a_loss_before_the_last_op_equals_a_tape_ending_there(self):
+        """Ops recorded after the loss node, here a second loss on the same
+        features, change none of its gradients."""
+        rng = np.random.default_rng(9)
+        x, w, v = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
+        labels = [1, 0, 4, 3]
+        tape = Tape()
+        h = self._head(tape, x, w)
+        loss = self._tail(tape, h, v, labels)
+        _softmax_xent(tape, tape.tanh(h), labels)
+        assert loss < len(tape) - 1
+        ending = Tape()
+        ending_loss = self._tail(ending, self._head(ending, x, w), v, labels)
+        assert ending_loss == len(ending) - 1
+        grads, expected = tape.backward(loss), ending.backward(ending_loss)
+        assert grads.keys() == expected.keys() == {"w", "v"}
+        for name in grads:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+
     def test_leaves_and_params_not_listed_keep_their_recorded_values(self):
         tape = Tape()
         x = tape.constant(np.array([[1.0, 2.0]]), "x")
@@ -992,7 +1049,7 @@ class TestForwardFormulas:
         x, labels = _scores_and_labels(data)
         rows, cols = x.shape
         y = np.eye(cols)[labels]
-        log_q, q = diffcore._log_softmax(x, axis=1)
+        log_q, q = _log_softmax(x, axis=1)
         s = y > 0
         expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / rows)
         expected_grad = q * y.sum(axis=1, keepdims=True)
@@ -1017,8 +1074,8 @@ class TestForwardFormulas:
         col_sums = y.sum(axis=0, keepdims=True)
         mask = col_sums > 0
         y_col = np.divide(y, col_sums, out=np.zeros_like(y), where=mask)
-        log_row, p_row = diffcore._log_softmax(x / t, axis=1)
-        log_col, p_col = diffcore._log_softmax(x / t, axis=0)
+        log_row, p_row = _log_softmax(x / t, axis=1)
+        log_col, p_col = _log_softmax(x / t, axis=0)
         w_row, w_col = 0.5 / rows, 0.5 / int(np.count_nonzero(mask))
 
         def kl(target, log_q):
