@@ -161,7 +161,8 @@ def forged_prototypes(blob: bytes, rank: int) -> bytes:
     rng = np.random.default_rng(rank)
     forged = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
     payload = (forged / np.linalg.norm(forged, axis=1, keepdims=True)).astype("<f8").tobytes()
-    return blob[:21] + payload + struct.pack("<Q", fnv1a64(payload))
+    body = blob[:21] + payload
+    return body + struct.pack("<Q", fnv1a64(body))
 
 
 def base_ranks(run: Path) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffcore import Tape
 
-PROTOTYPE_MAGIC = b"OPRO1"
+PROTOTYPE_MAGIC = b"OPRO2"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -203,7 +203,9 @@ class ImageEncoder:
 # ---------------------------------------------------------------------------
 # block files: a magic, then for each block its rows and cols as
 # little-endian uint64 and its row-major little-endian float64 payload, then
-# a 64-bit FNV-1a checksum over the payloads in order, which ends the file.
+# a 64-bit FNV-1a checksum over every byte before it (the magic, each header
+# and each payload), which ends the file. A header rewritten to another
+# shape of the same size fails the checksum.
 # prototypes.bin is one block, the C x latent_dim prototype matrix;
 # checkpoint.bin holds a model's parameter groups (training.save_state). The
 # readers parse bytes the caller has read, so `report` checks the very bytes
@@ -216,12 +218,10 @@ def write_blocks(path, magic: bytes, blocks) -> None:
     """Write the blocks, in order, under `magic`. Callers pass matrices:
     tape values, parameter groups, or the 1x1 num_ranks block."""
     blocks = [np.ascontiguousarray(block, dtype="<f8") for block in blocks]
+    body = magic + b"".join(struct.pack("<2Q", *block.shape) + block.tobytes()
+                            for block in blocks)
     with open(path, "wb") as fh:
-        fh.write(magic)
-        for block in blocks:
-            fh.write(struct.pack("<2Q", *block.shape))
-            fh.write(block.tobytes())
-        fh.write(struct.pack("<Q", fnv1a64(b"".join(block.tobytes() for block in blocks))))
+        fh.write(body + struct.pack("<Q", fnv1a64(body)))
 
 
 def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]:
@@ -231,7 +231,7 @@ def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]
     if blob[: len(magic)] != magic:
         raise BlockFileError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
     offset = len(magic)
-    payloads, blocks = [], []
+    blocks = []
     for index in range(count):
         if len(blob) < offset + 16:
             raise BlockFileError(f"{path}: header of block {index} truncated")
@@ -243,14 +243,13 @@ def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]
                 f"{path}: payload of block {index} truncated: header says {rows}x{cols}"
             )
         offset += len(payload)
-        payloads.append(payload)
         blocks.append(np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy())
     if len(blob) < offset + 8:
         raise BlockFileError(f"{path}: checksum truncated")
     if len(blob) > offset + 8:
         raise BlockFileError(f"{path}: {len(blob) - offset - 8} bytes after the checksum")
     (stored,) = struct.unpack_from("<Q", blob, offset)
-    if fnv1a64(b"".join(payloads)) != stored:
+    if fnv1a64(blob[:offset]) != stored:
         raise BlockFileError(f"{path}: payload checksum mismatch")
     return blocks
 

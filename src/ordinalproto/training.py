@@ -54,8 +54,8 @@ BASELINE = "baseline"
 ZEROSHOT = "zeroshot"
 METHODS = (ORDINALCLIP, COOP, BASELINE, ZEROSHOT)
 
-PROMPT_MAGIC = b"OPRM2"
-BASELINE_MAGIC = b"OPBH2"
+PROMPT_MAGIC = b"OPRM3"
+BASELINE_MAGIC = b"OPBH3"
 
 
 class TrainingDivergedError(RuntimeError):

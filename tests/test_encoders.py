@@ -210,7 +210,7 @@ class TestPrototypeFile:
         blob = bytearray(path.read_bytes())
         blob[:5] = b"WRONG"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BlockFileError, match="bad magic b'WRONG', expected b'OPRO1'"):
+        with pytest.raises(BlockFileError, match="bad magic b'WRONG', expected b'OPRO2'"):
             import_prototypes(path)
 
     def test_truncated_payload_names_declared_shape(self, tmp_path):
@@ -240,6 +240,29 @@ class TestPrototypeFile:
         with pytest.raises(BlockFileError, match="payload checksum mismatch"):
             import_prototypes(path)
 
+    def test_a_header_reshaped_to_the_same_size_fails_the_checksum(self, tmp_path):
+        """A 20 x 64 header rewritten to 40 x 32, with the payload and the
+        checksum as written, does not load as a 40 x 32 matrix: the
+        checksum covers the header."""
+        path = tmp_path / "protos.bin"
+        export_prototypes(path, self._unit_rows(20, 64, 8))
+        blob = path.read_bytes()
+        assert blob[5:21] == struct.pack("<2Q", 20, 64)
+        path.write_bytes(blob[:5] + struct.pack("<2Q", 40, 32) + blob[21:])
+        with pytest.raises(BlockFileError, match="payload checksum mismatch"):
+            import_prototypes(path)
+
+    def test_a_file_of_the_payload_only_checksum_fails_on_its_magic(self, tmp_path):
+        """The layout before the checksum covered the headers, under the
+        magic OPRO1 with FNV-1a over the payload alone, is not read."""
+        protos = self._unit_rows(2, 3, 9)
+        payload = protos.astype("<f8").tobytes()
+        path = tmp_path / "protos.bin"
+        path.write_bytes(b"OPRO1" + struct.pack("<2Q", 2, 3) + payload
+                         + struct.pack("<Q", fnv1a64(payload)))
+        with pytest.raises(BlockFileError, match="bad magic b'OPRO1', expected b'OPRO2'"):
+            import_prototypes(path)
+
     def test_zero_row_rejected(self, tmp_path):
         protos = self._unit_rows(3, 4, 6)
         protos[1] = 0.0
@@ -252,8 +275,8 @@ class TestPrototypeFile:
     def test_file_is_magic_shape_payload_checksum(self, tmp_path):
         protos = self._unit_rows(2, 3, 7)
         payload = b"".join(struct.pack("<d", v) for v in protos.ravel())
-        checksum = struct.pack("<Q", fnv1a64(payload))
-        expected = b"OPRO1" + struct.pack("<2Q", 2, 3) + payload + checksum
+        body = b"OPRO2" + struct.pack("<2Q", 2, 3) + payload
+        expected = body + struct.pack("<Q", fnv1a64(body))
         path = tmp_path / "protos.bin"
         export_prototypes(path, protos)
         assert path.read_bytes() == expected
@@ -291,11 +314,14 @@ class TestBlockFile:
         for got, want in zip(loaded, self.BLOCKS):
             np.testing.assert_array_equal(got, want)
 
-    def test_checksum_covers_every_payload_in_order(self, tmp_path):
+    def test_checksum_covers_every_byte_before_it(self, tmp_path):
+        """The magic, then each block's header and payload in order."""
         path = tmp_path / "blocks.bin"
         write_blocks(path, b"TEST1", self.BLOCKS)
-        payload = np.arange(6.0).tobytes() + np.array([-1.5]).tobytes()
-        assert path.read_bytes()[-8:] == struct.pack("<Q", fnv1a64(payload))
+        body = (b"TEST1" + struct.pack("<2Q", 2, 3) + np.arange(6.0).tobytes()
+                + struct.pack("<2Q", 0, 4) + struct.pack("<2Q", 1, 1)
+                + np.array([-1.5]).tobytes())
+        assert path.read_bytes() == body + struct.pack("<Q", fnv1a64(body))
 
     def test_a_block_the_file_does_not_hold_is_truncation(self, tmp_path):
         path = tmp_path / "blocks.bin"

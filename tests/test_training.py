@@ -836,22 +836,21 @@ class TestCheckpointFile:
     @pytest.mark.parametrize(
         "method, magic, groups",
         [
-            (training.ORDINALCLIP, b"OPRM2", ("context", "base_ranks")),
-            (training.COOP, b"OPRM2", ("context", "base_ranks")),
-            (training.BASELINE, b"OPBH2", ("head.weights", "head.bias")),
+            (training.ORDINALCLIP, b"OPRM3", ("context", "base_ranks")),
+            (training.COOP, b"OPRM3", ("context", "base_ranks")),
+            (training.BASELINE, b"OPBH3", ("head.weights", "head.bias")),
         ],
     )
     def test_file_is_magic_then_blocks_then_checksum(self, tmp_path, method, magic, groups):
         """The family magic, num_ranks as a 1x1 block, the family's groups,
-        the image encoder, then FNV-1a over the payloads."""
+        the image encoder, then FNV-1a over every byte before it."""
         state = _model(method)
         blocks = [np.array([[float(NUM_RANKS)]])]
         blocks += [state.params[name] for name in groups]
         blocks += [state.params[name] for name in ("image.w1", "image.b1", "image.w2", "image.b2")]
-        payloads = [b.astype("<f8").tobytes() for b in blocks]
-        expected = magic + b"".join(
-            struct.pack("<2Q", *b.shape) + payload for b, payload in zip(blocks, payloads)
-        ) + struct.pack("<Q", fnv1a64(b"".join(payloads)))
+        body = magic + b"".join(struct.pack("<2Q", *b.shape) + b.astype("<f8").tobytes()
+                                for b in blocks)
+        expected = body + struct.pack("<Q", fnv1a64(body))
         training.save_state(state, tmp_path / "ckpt.bin")
         assert (tmp_path / "ckpt.bin").read_bytes() == expected
 
