@@ -31,25 +31,17 @@ The tape does only the work a parameter gradient needs:
   wants no gradient. Each rule is still looked up by op kind when it
   runs. Recording builds the schedule, so an op recorded after a re-run
   is re-run and differentiated too.
-- Fused losses. The two training objectives are single op kinds with
-  closed-form gradients; the tape has no softmax, KL or scale node.
-  `clip-kl` is CLIP's symmetric image-text objective with KL in place of
-  cross-entropy; `softmax-xent` is the cross-entropy. Both read a B x 1
-  column of rank indices, not a one-hot matrix: a one-hot matrix's support
-  in row-major order is [rows, labels], so a rule that gathers there adds
-  the one-hot formula's terms in its order, and equals it bitwise. Both take
-  log-probabilities as `shifted - log(sum(exp(shifted)))`, at the labelled
-  entries only, which is finite wherever the scores are, so no probability
-  that underflows to zero can make the loss undefined. They keep the
-  exponentials and their sums; the backward rules form the probabilities.
+- A closed-form tail. The image encoder, the scores and the losses are
+  fixed numpy functions off the tape (encoders, matching), and a training
+  step differentiates them by hand. `Tape.backward` takes their adjoint
+  of the tape's last value as its seed, so the tape holds only the prompt
+  head, the graph the prompt methods learn.
 - Finiteness. Recording checks every value it records with one BLAS
   sum of squares, tested as a Python float with `math.isfinite`; the
   sum is non-finite whenever an entry is. Only a non-finite sum, from
   such an entry or from overflow on huge finite entries, pays for the
   full entrywise scan, so an op raises exactly when its value has a
-  non-finite entry. The fused losses check their scores the same way:
-  a non-finite score in a column no label reads can leave the loss
-  finite but make its gradient NaN. A re-run checks its named
+  non-finite entry. A re-run checks its named
   leaves, the only values that can have changed, and then runs every op
   once with numpy's overflow, invalid and divide-by-zero flags set to
   raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
@@ -62,7 +54,8 @@ The tape does only the work a parameter gradient needs:
   recorded. A non-finite leaf, or a raised flag, sends the re-run back
   to the top with recording's check after every op, so it raises exactly
   where and what recording would; a flag raised on finite values costs
-  that second pass and changes no value.
+  that second pass and changes no value. `guarded` gives code off the
+  tape, such as the closed-form tail, the same two passes.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
@@ -96,7 +89,9 @@ def all_finite(value: np.ndarray) -> bool:
     return math.isfinite(np.vdot(value, value)) or bool(np.isfinite(value).all())
 
 
-def _check_finite(value: np.ndarray, op: str) -> None:
+def check_finite(value: np.ndarray, op: str) -> None:
+    """Raise FloatingPointError naming `op` unless every entry of value is
+    finite: recording's check of each op value."""
     if not all_finite(value):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
@@ -180,7 +175,7 @@ class Tape:
         """Record one primitive, computing and storing its forward value.
 
         `inputs` is a sequence of node references, and the op reads nothing
-        else: a fixed operand, such as a loss's labels, is a constant.
+        else: a fixed operand, such as a pooling row, is a constant.
         """
         forward = _FORWARD.get(op_kind)
         if forward is None:
@@ -195,7 +190,7 @@ class Tape:
             if nodes[i].needs_grad:
                 wanted.append((k, i))
         value, meta = forward([n.value for n in in_nodes])
-        _check_finite(value, op_kind)
+        check_finite(value, op_kind)
         node = _Node(op_kind, value, meta, tuple([n.needs_grad for n in in_nodes]), bool(wanted))
         nodes.append(node)
         self._schedule.append((idx, node, tuple(in_nodes), tuple(wanted)))
@@ -229,6 +224,10 @@ class Tape:
           each, which names the first op whose value is non-finite. A flag
           raised on finite values costs only that second pass.
 
+        These are `guarded`'s two passes, written out here because a no-op
+        check call after each op of the first pass costs 0.7% of a C = 100
+        fit (two BLAS threads, in-process, 36 of 40 interleaved fits).
+
         A failed re-run leaves the tape part-updated. The graph is
         unchanged, so backward needs no change.
         """
@@ -249,16 +248,12 @@ class Tape:
                 pass
         for _, node, ins, _ in self._schedule:
             node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
-            _check_finite(node.value, node.op)
+            check_finite(node.value, node.op)
 
     # Convenience wrappers, one per primitive.
 
     def matmul(self, a: int, b: int) -> int:
         return self.record("matmul", (a, b))
-
-    def add(self, a: int, b: int) -> int:
-        """a + b for a 1 x k row b, broadcast over the rows of a."""
-        return self.record("add", (a, b))
 
     def l2_normalize_rows(self, a: int) -> int:
         return self.record("l2-normalize-rows", (a,))
@@ -266,35 +261,10 @@ class Tape:
     def concat_rows(self, nodes) -> int:
         return self.record("concat-rows", tuple(nodes))
 
-    def transpose(self, a: int) -> int:
-        return self.record("transpose", (a,))
-
-    def tanh(self, a: int) -> int:
-        return self.record("tanh", (a,))
-
-    def clip_kl(self, scores: int, labels: int, temperature: int) -> int:
-        """Symmetric KL loss of a B x C score table, a 1x1 node.
-
-        0.5/B * sum_i KL(Y_i || softmax_row(S/t)_i)
-          + 0.5/nz * sum_j KL(Yc_j || softmax_col(S/t)_j)
-
-        over the B rows and the nz labelled columns, where Y is the one-hot
-        matrix of the B x 1 `labels` node of rank indices, Yc is Y with each
-        labelled column scaled to sum 1, and t is the 1x1 `temperature`
-        node; only S gets a gradient.
-        """
-        return self.record("clip-kl", (scores, labels, temperature))
-
-    def softmax_xent(self, logits: int, labels: int) -> int:
-        """Mean over the B rows of -log softmax(L_i) at the row's label, for
-        a B x 1 `labels` node as in clip_kl, a 1x1 node: the cross-entropy.
-        Only the logits get a gradient."""
-        return self.record("softmax-xent", (logits, labels))
-
     # -- reverse sweep ----------------------------------------------------
 
-    def backward(self, loss_node: int, out: dict[str, np.ndarray] | None = None
-                 ) -> dict[str, np.ndarray]:
+    def backward(self, loss_node: int, out: dict[str, np.ndarray] | None = None,
+                 seed: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every registered parameter.
 
         Parameters the loss does not reach get exact-zero gradients of the
@@ -304,17 +274,25 @@ class Tape:
         in place (the module docstring says why). `loss_node` may be any
         1x1 node, not only the last op.
 
+        With `seed`, an array of the node's shape, `loss_node` may have any
+        shape: the gradients are those of <seed, value of loss_node>, the
+        loss a caller off the tape differentiates with adjoint `seed` of
+        that value. The seed becomes the node's adjoint, and the sweep may
+        add into it, so the caller passes an array it no longer needs.
+
         Each gradient is written into `out[name]`, an array of the
         parameter's shape (a training step passes views of one flat
         gradient vector), and `out` is returned. Without `out` the arrays
         are fresh, so the returned gradients are the caller's own.
         """
         nodes = self._nodes
-        loss = nodes[loss_node]
-        if loss.value.shape != (1, 1):
-            raise ValueError(f"loss node must be 1x1, got shape {loss.value.shape}")
+        shape = nodes[loss_node].value.shape
+        if seed is None and shape != (1, 1):
+            raise ValueError(f"loss node must be 1x1, got shape {shape}")
+        if seed is not None and seed.shape != shape:
+            raise ValueError(f"seed has shape {seed.shape}; the loss node has {shape}")
         adjoint: list[np.ndarray | None] = [None] * len(nodes)
-        adjoint[loss_node] = np.ones((1, 1))
+        adjoint[loss_node] = np.ones((1, 1)) if seed is None else seed
         # An op after the loss node holds no adjoint: each adjoint flows to
         # inputs, which precede their op.
         for idx, node, ins, wanted in reversed(self._schedule):
@@ -340,7 +318,8 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# forward rules: input values -> (value, meta)
+# forward rules: input values -> (value, meta), and the closed-form
+# functions off the tape that share them
 
 
 def _shape_err(op, shapes):
@@ -353,7 +332,7 @@ def _shape_err(op, shapes):
 # one-column product of 5.0e5 multiply-adds, or of a 115 x 115 x 115
 # product (1.5e6), raised no flag. A product of more multiply-adds than
 # this bound, several times below those, checks its own value, so no
-# product escapes Tape.rerun's flag guard.
+# product escapes the flag guard of Tape.rerun or `guarded`.
 _SERIAL_PRODUCT = 1 << 16
 
 
@@ -365,36 +344,28 @@ def _fwd_matmul(vals):
     # on tiny operands; the backward rule below uses it for the same reason.
     value = a.dot(b)
     if a.size * b.shape[1] > _SERIAL_PRODUCT:
-        _check_finite(value, "matmul")
+        check_finite(value, "matmul")
     return value, None
 
 
-def _fwd_add(vals):
-    a, b = vals
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as the matmul op computes it, its shape and large-product
+    checks included, for the closed-form code off the tape."""
+    return _fwd_matmul((a, b))[0]
+
+
+def add_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for a 1 x k row b, broadcast over the rows of a, added into a
+    in place: a bias, in closed-form code off the tape."""
     if b.shape != (1, a.shape[1]):
         raise _shape_err("add", (a.shape, b.shape))
-    return a + b, None
+    a += b
+    return a
 
 
-def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax of a plain array along `axis`: the probabilities the fused
-    losses' backward rules form, and the one softmax the package computes."""
-    _, e, total = _exp_shifted(x, axis)
-    return e / total
-
-
-def _exp_shifted(x, axis):
-    """(shifted, exp(shifted), its sum) along `axis`, shifted = x less its
-    max. The log-softmax is shifted - log(sum), the log taken of the sum
-    only, so it is finite wherever x is, even where the softmax e / sum
-    itself underflows to zero."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=axis, keepdims=True)
-
-
-def _fwd_l2_normalize_rows(vals):
-    (a,) = vals
+def l2_normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a with each row scaled to unit norm, the row norms): the value and
+    meta of the l2-normalize-rows op. A zero row raises ValueError."""
     # What np.linalg.norm(a, axis=1, keepdims=True) computes for real
     # input, without its dispatch. A row whose sum of squares overflows to
     # inf, or underflows to 0 without being zero, is redone below; the
@@ -402,7 +373,7 @@ def _fwd_l2_normalize_rows(vals):
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
     if norms.min() > 0.0 and norms.max() < np.inf:
-        return a / norms, {"norms": norms}
+        return a / norms, norms
     bad = np.flatnonzero((norms.ravel() == 0.0) | (norms.ravel() == np.inf))
     rows = a[bad]
     scale = np.abs(rows).max(axis=1, keepdims=True)
@@ -415,65 +386,18 @@ def _fwd_l2_normalize_rows(vals):
         norms[bad] = scale * unit_norms  # inf when the norm itself overflows
     out = a / norms
     out[bad] = rows / unit_norms
-    return out, {"norms": norms}
+    return out, norms
 
 
-def _check_labels(op, scores, labels):
-    """(rows, rank index per row) of B x C scores and a B x 1 label column
-    of integers in [0, C), after the scores' finiteness check."""
-    _check_finite(scores, op)
-    rows, ranks = scores.shape
-    if labels.shape != (rows, 1) or rows == 0:
-        raise _shape_err(op, (scores.shape, labels.shape))
-    lab = labels.ravel()
-    # NaN and +-inf fail the range test, so the cast sees only finite values.
-    if not ((lab >= 0.0).all() and (lab < ranks).all() and (lab == np.floor(lab)).all()):
-        raise ValueError(f"{op}: labels must be integers in [0, {ranks})")
-    return np.arange(rows), lab.astype(np.intp)
+def l2_normalize_rows_grad(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The gradient of l2_normalize_rows's input, for upstream gradient g,
+    output y and row norms `norms`: (g - rowsum(g * y) y) / norms."""
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (g - inner * y) / norms
 
 
-def _fwd_clip_kl(vals):
-    """See Tape.clip_kl. Gradient with respect to the scores S:
-
-        (0.5/(B t)) (P_row - Y) + (0.5/(nz t)) (P_col * mask - Yc)
-
-    where mask marks the labelled columns. Y and Yc (1 / the label's row
-    count) are nonzero only at [rows, lab], so the rules touch only those.
-    """
-    s, labels, temperature = vals
-    t = temperature.item()  # raises unless the node is 1x1
-    if not t > 0:
-        raise ValueError(f"softmax temperature must be positive, got {t}")
-    rows, lab = _check_labels("clip-kl", s, labels)
-    counts = np.bincount(lab, minlength=s.shape[1])
-    mask = counts[None] > 0
-    yc = 1.0 / counts[lab]
-    z = s / t
-    shifted_row, e_row, sum_row = _exp_shifted(z, axis=1)
-    shifted_col, e_col, sum_col = _exp_shifted(z, axis=0)
-    # The log-probabilities at the labels alone: entry [i, lab[i]] of
-    # shifted - log(sum), bitwise.
-    log_row = shifted_row[rows, lab] - np.log(sum_row).ravel()
-    log_col = shifted_col[rows, lab] - np.log(sum_col).ravel()[lab]
-    w_row = 0.5 / s.shape[0]
-    w_col = 0.5 / np.count_nonzero(mask)
-    # Each KL sum adds y * (log y - log q) at the labels, log 1 being 0.0.
-    # Both weights are at most 1/2, so this sum of two finite Python floats
-    # cannot overflow: Tape.rerun's flag guard needs no flag from it.
-    total = (w_row * float(np.sum(0.0 - log_row))
-             + w_col * float(np.sum(yc * (np.log(yc) - log_col))))
-    meta = (t, w_row, w_col, rows, lab, yc, mask, e_row, sum_row, e_col, sum_col)
-    return np.array([[total]]), meta
-
-
-def _fwd_softmax_xent(vals):
-    """See Tape.softmax_xent. Gradient: (P - Y) / B, Y the one-hot labels."""
-    logits, labels = vals
-    rows, lab = _check_labels("softmax-xent", logits, labels)
-    shifted, e, total = _exp_shifted(logits, axis=1)
-    log_p = shifted[rows, lab] - np.log(total).ravel()  # as in _fwd_clip_kl
-    weight = 1.0 / logits.shape[0]
-    return np.array([[float(np.sum(0.0 - log_p)) * weight]]), (weight, rows, lab, e, total)
+def _fwd_l2_normalize_rows(vals):
+    return l2_normalize_rows(vals[0])
 
 
 def _fwd_concat_rows(vals):
@@ -483,33 +407,44 @@ def _fwd_concat_rows(vals):
     return np.concatenate(vals), None
 
 
-def _fwd_transpose(vals):
-    return vals[0].T.copy(), None
-
-
-def _fwd_tanh(vals):
-    return np.tanh(vals[0]), None
-
-
 _FORWARD = {
     "matmul": _fwd_matmul,
-    "add": _fwd_add,
     "l2-normalize-rows": _fwd_l2_normalize_rows,
     "concat-rows": _fwd_concat_rows,
-    "transpose": _fwd_transpose,
-    "tanh": _fwd_tanh,
-    "clip-kl": _fwd_clip_kl,
-    "softmax-xent": _fwd_softmax_xent,
 }
 
-# Op kinds accepted by Tape.record. "tanh" and "transpose" extend the core
-# matrix set: the first for the image-encoder nonlinearity, the second so a
-# similarity of the form X @ Y.T is expressible. "clip-kl" and
-# "softmax-xent" are whole losses, each one node with a closed-form
-# gradient (see _fwd_clip_kl and _fwd_softmax_xent). Every kind is one the
-# model records; a test runs forward_loss for each method and checks that
-# the kinds it records are exactly these.
+# Op kinds accepted by Tape.record: the ones the prompt head records. A
+# test records the prompt head of each method and checks that the kinds it
+# records are exactly these.
 OP_KINDS = tuple(_FORWARD)
+
+
+def _unchecked(value, op) -> None:
+    pass
+
+
+def guarded(forward, operands_finite: bool):
+    """forward(check) under Tape.rerun's flag guard, for closed-form code
+    off the tape. `forward` calls check(value, op) after each step that
+    can make a non-finite value of finite operands, naming the op the
+    step computes.
+
+    If the caller vouches that every operand is finite, one pass runs
+    with numpy's overflow, invalid and divide-by-zero flags raising and a
+    check that checks nothing; a product past _SERIAL_PRODUCT still
+    checks its own value (matmul). Otherwise, or when that pass raises
+    FloatingPointError, forward runs again under the caller's settings
+    with recording's finiteness check, so it raises naming the first
+    non-finite step, as a tape recording them would. Returns what forward
+    returns.
+    """
+    if operands_finite:
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return forward(_unchecked)
+        except FloatingPointError:
+            pass
+    return forward(check_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +452,8 @@ OP_KINDS = tuple(_FORWARD)
 #   -> one gradient (or None) per input. wants[k] says whether input k
 #   needs one; a rule forms no gradient for an input that does not. A
 #   rule runs only for a node that needs a gradient, so a single-input
-#   rule's input always does. A loss gives its labels and temperature None.
-#   Returned gradients share no memory with each other or any tape value.
+#   rule's input always does. Returned gradients share no memory with each
+#   other or any tape value.
 
 
 def _bwd_matmul(g, out, ins, meta, wants):
@@ -526,32 +461,8 @@ def _bwd_matmul(g, out, ins, meta, wants):
     return (g.dot(b.T) if wants[0] else None, a.T.dot(g) if wants[1] else None)
 
 
-def _bwd_add(g, out, ins, meta, wants):
-    return (g if wants[0] else None, g.sum(axis=0, keepdims=True) if wants[1] else None)
-
-
 def _bwd_l2_normalize_rows(g, y, ins, meta, wants):
-    norms = meta["norms"]
-    inner = (g * y).sum(axis=1, keepdims=True)
-    return ((g - inner * y) / norms,)
-
-
-def _bwd_clip_kl(g, out, ins, meta, wants):
-    t, w_row, w_col, rows, lab, yc, mask, e_row, sum_row, e_col, sum_col = meta
-    scale = g[0, 0] / t
-    row = e_row / sum_row
-    row[rows, lab] -= 1.0
-    col = e_col / sum_col * mask
-    col[rows, lab] -= yc
-    return ((scale * w_row) * row + (scale * w_col) * col, None, None)
-
-
-def _bwd_softmax_xent(g, out, ins, meta, wants):
-    weight, rows, lab, e, total = meta
-    grad = e / total
-    grad[rows, lab] -= 1.0
-    grad *= g[0, 0] * weight
-    return (grad, None)
+    return (l2_normalize_rows_grad(g, y, meta),)
 
 
 def _bwd_concat_rows(g, out, ins, meta, wants):
@@ -562,21 +473,8 @@ def _bwd_concat_rows(g, out, ins, meta, wants):
     return tuple(grads)
 
 
-def _bwd_transpose(g, out, ins, meta, wants):
-    return (g.T.copy(),)
-
-
-def _bwd_tanh(g, y, ins, meta, wants):
-    return (g * (1.0 - y * y),)
-
-
 _BACKWARD = {
     "matmul": _bwd_matmul,
-    "add": _bwd_add,
     "l2-normalize-rows": _bwd_l2_normalize_rows,
     "concat-rows": _bwd_concat_rows,
-    "transpose": _bwd_transpose,
-    "tanh": _bwd_tanh,
-    "clip-kl": _bwd_clip_kl,
-    "softmax-xent": _bwd_softmax_xent,
 }

@@ -4,14 +4,15 @@ The text encoder is a small frozen stand-in for a pretrained language
 model: position-weighted mean pooling, a token-mixing matrix, and a
 projection into the joint latent space, followed by row normalization.
 It reads each prompt as a list of rows of a token table node and pools
-it with one matmul against the table. Its parameters are seeded once and
-never receive gradients; the table rows flowing through it do. The image
-encoder is a two-layer tanh network mapping raw feature vectors to
-features in the same latent space, and is always trainable; the scores
-graph (training._graph) normalizes them for the prompt methods. It holds
-no weights of its own: its four arrays live with the model's other
-parameter groups, under the tape names in ImageEncoder.NAMES, and encode
-reads them from that dict.
+it with one matmul against the table, on the tape. Its parameters are
+seeded once and never receive gradients; the table rows flowing through
+it do. The image encoder is a two-layer tanh network mapping raw feature
+vectors to features in the same latent space, and is always trainable;
+the scores graph (training._graph) normalizes them for the prompt
+methods. It is closed-form numpy off the tape, with its gradient written
+out by hand, and holds no weights of its own: its four arrays live with
+the model's other parameter groups, under the names in
+ImageEncoder.NAMES, and encode and backward read them from that dict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .diffcore import Tape
+from .diffcore import Tape, add_row, check_finite, matmul
 
 PROTOTYPE_MAGIC = b"OPRO2"
 
@@ -147,18 +148,16 @@ class PseudoTextEncoder:
 
 
 class ImageEncoder:
-    """Two affine layers with a tanh between.
+    """Two affine layers with a tanh between: A = X W1 + b1, H = tanh(A),
+    F = H W2 + b2.
 
     The encoder keeps no weights. create() returns its four arrays under
-    their tape names, NAMES, which the model stores with its other
-    parameter groups; encode() reads them from such a dict and registers
-    them as named tape parameters, so one reverse sweep yields their
-    gradients alongside the prompt ones.
+    their names, NAMES, which the model stores with its other parameter
+    groups; encode() and backward() read them from such a dict. Both
+    compute what the tape's ops did, in their order, bitwise.
     """
 
     NAMES = ("image.w1", "image.b1", "image.w2", "image.b2")
-    # Tape name of the batch constant, which Tape.rerun rebinds.
-    BATCH = "image.batch"
 
     @staticmethod
     def create(
@@ -178,26 +177,47 @@ class ImageEncoder:
 
     @staticmethod
     def checked_batch(batch: np.ndarray) -> np.ndarray:
-        """The batch as float64, checked to have rows and be finite. Every
-        batch a tape records or re-runs passes here. The rest of its shape
-        is the tape's to check: a constant must be 2-D, the first matmul
-        rejects a width other than input_dim, and a re-run rejects a shape
-        other than the recorded one."""
+        """The batch as float64, checked to have rows, be finite and be a
+        matrix. Every batch the encoder reads passes here. The first
+        matmul rejects a width other than input_dim."""
         batch = np.asarray(batch, dtype=np.float64)
         if batch.shape[:1] == (0,):
             raise ValueError("image batch has no rows")
         if not np.isfinite(batch).all():
             raise ValueError("image batch contains non-finite values")
+        if batch.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {batch.shape}")
         return batch
 
     @staticmethod
-    def encode(tape: Tape, params: dict[str, np.ndarray], batch: np.ndarray) -> int:
-        """Unnormalized feature node of the batch (the constant named
-        BATCH), with the weights params[name] for each name in NAMES."""
-        x = tape.constant(ImageEncoder.checked_batch(batch), ImageEncoder.BATCH)
-        w1, b1, w2, b2 = (tape.parameter(params[name], name) for name in ImageEncoder.NAMES)
-        hidden = tape.tanh(tape.add(tape.matmul(x, w1), b1))
-        return tape.add(tape.matmul(hidden, w2), b2)
+    def encode(params: dict[str, np.ndarray], batch: np.ndarray,
+               check=check_finite) -> tuple[np.ndarray, tuple]:
+        """(unnormalized features F, what backward reads) of the batch,
+        with the weights params[name] for each name in NAMES; check(value,
+        op) follows each product and bias (diffcore.guarded)."""
+        x = ImageEncoder.checked_batch(batch)
+        w1, b1, w2, b2 = (params[name] for name in ImageEncoder.NAMES)
+        a = matmul(x, w1)
+        check(a, "matmul")
+        check(add_row(a, b1), "add")
+        h = np.tanh(a, out=a)
+        features = matmul(h, w2)
+        check(features, "matmul")
+        check(add_row(features, b2), "add")
+        return features, (x, h)
+
+    @staticmethod
+    def backward(params: dict[str, np.ndarray], kept: tuple, d_features: np.ndarray,
+                 grads: dict[str, np.ndarray]) -> None:
+        """Write the gradient of each group in NAMES into grads[name], given
+        dL/dF and what encode kept: dW2 = H.T dF, db2 = colsum(dF),
+        dA = (dF W2.T) (1 - H^2), dW1 = X.T dA and db1 = colsum(dA)."""
+        x, h = kept
+        grads["image.b2"][...] = d_features.sum(axis=0, keepdims=True)
+        grads["image.w2"][...] = h.T.dot(d_features)
+        d_a = d_features.dot(params["image.w2"].T) * (1.0 - h * h)
+        grads["image.b1"][...] = d_a.sum(axis=0, keepdims=True)
+        grads["image.w1"][...] = x.T.dot(d_a)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +270,7 @@ def read_blocks(path, blob: bytes, magic: bytes, count: int) -> list[np.ndarray]
         raise BlockFileError(f"{path}: {len(blob) - offset - 8} bytes after the checksum")
     (stored,) = struct.unpack_from("<Q", blob, offset)
     if fnv1a64(blob[:offset]) != stored:
-        raise BlockFileError(f"{path}: payload checksum mismatch")
+        raise BlockFileError(f"{path}: checksum mismatch")
     return blocks
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import softmax
+from .matching import softmax
 
 ARGMAX = "argmax"
 EXPECTATION = "expectation"

@@ -13,9 +13,9 @@ possible:
 
 The image encoder trains in every method. build_model decides the rest
 of the method policy: it lists the prompt groups tune_rank / tune_ctx
-disable in ModelState.frozen. A frozen group enters the training tape
-as a constant, so backward neither computes nor returns its gradient,
-Adam never touches it, and it stays bitwise identical. One seed drives
+disable in ModelState.frozen. A frozen group enters the prompt tape as a
+constant, so backward neither computes nor returns its gradient, Adam
+never touches it, and it stays bitwise identical. One seed drives
 everything (init, shuffling), so identical configs reproduce identical
 parameters.
 
@@ -29,9 +29,15 @@ read the vector. Each step writes the gradients into the matching slices
 of one gradient vector, and Adam and the finiteness check then each run
 once over the whole vector. Frozen groups stay outside it.
 
-Fit and evaluate score through one graph, _graph: forward_loss appends
-the loss to it, and evaluate reads the scores and prototypes off it, so
-inference is the image encoder matched against the prototypes fit trained.
+A step's graph is split in two. The prompt head, the only graph the
+prompt methods learn through, lives on a tape (_prompt_nodes): one per
+fit, recorded by its first step and re-run by every later one. The tail,
+the image encoder, the scores and the loss, is closed-form numpy
+(_graph, then the loss), differentiated by hand in the tape's op order,
+bitwise; its adjoint of the prototypes seeds the tape's reverse sweep.
+The baseline has no prompt head and uses no tape. Fit and evaluate score
+through the same forward half, _graph, so inference is the image encoder
+matched against the prototypes fit trained.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import numpy as np
 
 from . import matching, prompt
 from .data import OrdinalDataset
-from .diffcore import Tape, all_finite
+from .diffcore import (Tape, all_finite, check_finite, guarded, l2_normalize_rows,
+                       l2_normalize_rows_grad)
 from .encoders import ImageEncoder, PseudoTextEncoder, write_blocks
 from .metrics import ARGMAX, MetricReport, metric_report, predict
 from .prompt import PromptConfig
@@ -55,6 +62,9 @@ ZEROSHOT = "zeroshot"
 METHODS = (ORDINALCLIP, COOP, BASELINE, ZEROSHOT)
 
 PROMPT_MAGIC = b"OPRM3"
+# The groups the prompt tape reads; every other group is the closed-form
+# tail's.
+PROMPT_GROUPS = ("context", "base_ranks")
 BASELINE_MAGIC = b"OPBH3"
 
 
@@ -114,11 +124,11 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """One model. `params` holds every parameter group under its tape name,
-    in checkpoint order: `context` and `base_ranks` for a prompt method,
-    `head.weights` and `head.bias` for the baseline, then the image
-    encoder's ImageEncoder.NAMES. `frozen` names the groups the tune gates
-    hold fixed (build_model sets it); they enter every tape as constants
+    """One model. `params` holds every parameter group under its name, in
+    checkpoint order: PROMPT_GROUPS for a prompt method, `head.weights`
+    and `head.bias` for the baseline, then the image encoder's
+    ImageEncoder.NAMES. `frozen` names the groups the tune gates hold
+    fixed (build_model sets it); they enter the prompt tape as constants
     and Adam never sees them. The frozen text encoder is set for the
     prompt methods only, the fixed interpolation matrix for ordinalclip
     only."""
@@ -238,29 +248,80 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     return state.text_encoder.encode(tape, table, prompts)
 
 
-def _graph(state: ModelState, tape: Tape, batch_x: np.ndarray) -> tuple[int, int]:
-    """(scores, prototype source) nodes on one batch: a prompt model's
-    image embeddings against its prototypes, or the baseline's logits and
-    its head-weights node."""
+def _prototypes(state: ModelState, tape: Tape) -> np.ndarray:
+    """A prompt model's prototypes off the prompt head: recorded on `tape`
+    when it is empty, and otherwise re-run there. The re-run rebinds no
+    leaf: the tape's parameter nodes are the groups themselves, which fit
+    makes views that Adam moves in place."""
+    if len(tape):
+        tape.rerun({})
+        return tape.value(len(tape) - 1)
+    return tape.value(_prompt_nodes(state, tape))
+
+
+def _graph(state: ModelState, prototypes: np.ndarray | None, batch_x: np.ndarray,
+           check=check_finite) -> tuple[np.ndarray, tuple]:
+    """(scores, what backward_loss reads) of one batch, the forward half fit
+    and evaluate share: a prompt model's normalized image features against
+    its prototypes, or the baseline's logits (prototypes None). check
+    follows each step that can go non-finite (diffcore.guarded)."""
+    features, image = ImageEncoder.encode(state.params, batch_x, check)
     if state.uses_prompts:
-        protos = _prompt_nodes(state, tape)
-        features = ImageEncoder.encode(tape, state.params, batch_x)
-        embeddings = tape.l2_normalize_rows(features)
-        return matching.similarity(tape, embeddings, protos), protos
-    features = ImageEncoder.encode(tape, state.params, batch_x)
-    w, b = (tape.parameter(state.params[name], name) for name in ("head.weights", "head.bias"))
-    return matching.baseline_logits(tape, w, b, features), w
+        embeddings, norms = l2_normalize_rows(features)
+        scores, prototypes_t = matching.similarity(embeddings, prototypes, check)
+        return scores, (image, embeddings, norms, prototypes_t)
+    params = state.params
+    logits, weights_t = matching.baseline_logits(params["head.weights"], params["head.bias"],
+                                                 features, check)
+    return logits, (image, features, weights_t)
 
 
-def forward_loss(
-    state: ModelState, batch_x: np.ndarray, batch_y: np.ndarray, temperature: float
-) -> tuple[Tape, int]:
-    """Build the full training graph for one batch; returns (tape, loss)."""
-    tape = Tape()
-    scores, _ = _graph(state, tape, batch_x)
-    if not state.uses_prompts:
-        return tape, matching.cross_entropy_loss(tape, scores, batch_y)
-    return tape, matching.contrastive_loss(tape, scores, batch_y, temperature)
+def forward_loss(state: ModelState, tape: Tape, batch_x: np.ndarray, batch_y: np.ndarray,
+                 temperature: float) -> tuple[float, tuple]:
+    """(loss, what backward_loss reads) of one batch.
+
+    A prompt model's prototypes come off `tape` (_prototypes); the
+    baseline leaves it empty. The tail, _graph and the loss, runs under
+    diffcore.guarded as a re-run does: its groups are checked finite
+    here, the batch in ImageEncoder.checked_batch and the labels in the
+    loss, so one pass with the floating-point flags raising checks no
+    value, and a raised flag runs the tail again with a check after each
+    step, naming the op a tape recording the tail would.
+    """
+    prototypes = _prototypes(state, tape) if state.uses_prompts else None
+    labels = matching.label_column(batch_y)
+
+    def tail(check):
+        scores, kept = _graph(state, prototypes, batch_x, check)
+        if state.uses_prompts:
+            return matching.contrastive_loss(scores, labels, temperature), kept
+        return matching.cross_entropy_loss(scores, labels), kept
+
+    finite = all(all_finite(value) for name, value in state.params.items()
+                 if name not in PROMPT_GROUPS)
+    (loss, loss_kept), kept = guarded(tail, finite)
+    return loss, (loss_kept, kept)
+
+
+def backward_loss(state: ModelState, tape: Tape, kept: tuple,
+                  grads: dict[str, np.ndarray]) -> None:
+    """Write the gradient of the loss forward_loss returned with `kept`,
+    in every trainable group, into grads[name]: the tail's by hand, in the
+    reverse of the tape's op order, then the prompt groups' by the prompt
+    tape's reverse sweep, seeded with the prototypes' adjoint."""
+    loss_kept, (image, *rest) = kept
+    if state.uses_prompts:
+        embeddings, norms, prototypes_t = rest
+        d_scores = matching.contrastive_loss_grad(loss_kept)
+        d_embeddings, d_prototypes = matching.similarity_grad(d_scores, embeddings, prototypes_t)
+        d_features = l2_normalize_rows_grad(d_embeddings, embeddings, norms)
+        tape.backward(len(tape) - 1, out=grads, seed=d_prototypes)
+    else:
+        features, weights_t = rest
+        d_logits = matching.cross_entropy_loss_grad(loss_kept)
+        d_features, grads["head.weights"][...], grads["head.bias"][...] = (
+            matching.baseline_logits_grad(d_logits, features, weights_t))
+    ImageEncoder.backward(state.params, image, d_features, grads)
 
 
 def evaluate(
@@ -271,26 +332,26 @@ def evaluate(
 ) -> tuple[MetricReport, np.ndarray]:
     """Predict a rank per sample from the _graph scores; returns the
     metrics and the unit-norm prototypes they were scored against. The
-    baseline has no language prototypes; its head weight rows, put through
-    l2-normalize-rows, play that role so its ordinality is measurable the
-    same way. The baseline predicts at temperature 1, the one its
-    cross-entropy loss trains at; a prompt method at the given one, which
-    its contrastive loss uses. A non-finite op raises TrainingDivergedError,
+    baseline has no language prototypes; its head weight rows, normalized
+    as l2-normalize-rows does, play that role so its ordinality is
+    measurable the same way. The baseline predicts at temperature 1, the
+    one its cross-entropy loss trains at; a prompt method at the given
+    one, which its contrastive loss uses. Every step is checked as a
+    recording checks it, and a non-finite one raises TrainingDivergedError,
     as in train_step.
     """
-    tape = Tape()
     # Overflow here is reported as divergence below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            scores, source = _graph(state, tape, ds.features)
+            prototypes = _prototypes(state, Tape()) if state.uses_prompts else None
+            scores, _ = _graph(state, prototypes, ds.features)
             if not state.uses_prompts:
-                source = tape.l2_normalize_rows(source)
+                prototypes, _ = l2_normalize_rows(state.params["head.weights"])
                 temperature = 1.0
         except FloatingPointError as exc:
             raise _diverged(state, f"in forward pass ({exc})") from exc
-    protos = tape.value(source)
-    predictions = predict(tape.value(scores), rule=rule, temperature=temperature)
-    return metric_report(predictions, ds.labels, protos, ds.num_ranks), protos
+    predictions = predict(scores, rule=rule, temperature=temperature)
+    return metric_report(predictions, ds.labels, prototypes, ds.num_ranks), prototypes
 
 
 # ---------------------------------------------------------------------------
@@ -403,49 +464,36 @@ def train_step(
     cfg: TrainConfig,
     adam: AdamState,
     rate: np.ndarray,
-    tapes: dict[int, tuple[Tape, int]],
+    tape: Tape,
 ) -> float:
     """One forward/backward/update at the per-element rate vector `rate`
     (AdamState.update); returns the batch loss value.
 
     The model's trainable groups are the views adam.params, as fit
-    arranges, so the tape's parameter nodes hold them and see each update
-    in place. `tapes` maps a batch row count to the (tape, loss node)
-    forward_loss recorded for it. A step whose row count is there re-runs
-    that tape with its ImageEncoder.BATCH and matching.LABELS leaves
-    rebound to this batch, after the batch check the recording ran, and
-    to its label column, which the loss node checks; any other step
-    records a tape and stores it there. The re-run first checks its named
-    leaves: this batch, these labels, and the parameters, which Adam moved
-    in place. It then runs every op with floating-point flags raising and
-    no per-op check, since from finite operands no op goes non-finite
-    without raising one. A non-finite leaf or a raised flag re-runs the
-    ops with recording's check after each, so a divergence names the op a
-    recorded step would (Tape.rerun). A non-finite forward pass, or an
+    arranges, so the prompt tape's parameter nodes hold them and see each
+    update in place. `tape` is the fit's prompt tape: the first step
+    records the prompt head on it, and every later step re-runs it
+    (forward_loss). The re-run checks its named leaves, the prompt groups
+    Adam moved in place, and runs every op with floating-point flags
+    raising and no per-op check, as the closed-form tail does. A
+    non-finite leaf or a raised flag runs the ops again with recording's
+    check after each, so a divergence names the op a recorded step would
+    (Tape.rerun, diffcore.guarded). A non-finite forward pass, or an
     update that leaves a group non-finite, raises TrainingDivergedError at
     this step; only then are the groups scanned one by one, to name the
     non-finite ones. ImageEncoder.checked_batch, which every batch
     passes, rejects an empty one.
     """
-    recorded = tapes.get(len(batch_y))
     try:
-        if recorded is None:
-            tape, loss_node = tapes[len(batch_y)] = forward_loss(
-                state, batch_x, batch_y, cfg.temperature
-            )
-        else:
-            tape, loss_node = recorded
-            tape.rerun({ImageEncoder.BATCH: ImageEncoder.checked_batch(batch_x),
-                        matching.LABELS: matching.label_column(batch_y)})
+        loss, kept = forward_loss(state, tape, batch_x, batch_y, cfg.temperature)
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
-    loss_value = float(tape.value(loss_node)[0, 0])
-    tape.backward(loss_node, out=adam.grads)
+    backward_loss(state, tape, kept, adam.grads)
     adam.update(rate)
     if not all_finite(adam.values):
         bad = [name for name, value in adam.params.items() if not all_finite(value)]
         raise _diverged(state, f"after Adam step {adam.step} in {', '.join(bad)}")
-    return loss_value
+    return loss
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -456,14 +504,12 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
 
     The learning rate is multiplied by the decay factor at the start of
     each epoch listed in decay_epochs (0-based), and each epoch's steps
-    take the rate vector adam.mults * lr. The graph of a step
-    depends only on its batch row count, so the first step of each row
-    count (the full batch, and the remainder when B does not divide n)
-    records its tape, and every later step of that row count re-runs it
-    (train_step); parameters and losses are bitwise those of recording
-    every step. A fit that goes non-finite raises TrainingDivergedError;
-    numpy's overflow and invalid warnings, which would only repeat that,
-    are off while it runs.
+    take the rate vector adam.mults * lr. The prompt head does not depend
+    on the batch, so the first step records it on the fit's one tape and
+    every later step re-runs that tape (train_step); parameters and
+    losses are bitwise those of recording every step. A fit that goes
+    non-finite raises TrainingDivergedError; numpy's overflow and invalid
+    warnings, which would only repeat that, are off while it runs.
 
     Before the first step every trainable group moves into the flat
     vector of the fit's AdamState: state.params holds its views from then
@@ -482,7 +528,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     rows = []
     lr = cfg.learning_rate
     n = len(train_ds)
-    tapes: dict[int, tuple[Tape, int]] = {}
+    tape = Tape()
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.lr_decay_factor
@@ -493,7 +539,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
             idx = perm[start : start + cfg.batch_size]
             losses.append(
                 train_step(
-                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate, tapes
+                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate, tape
                 )
             )
         mean_loss = float(np.mean(losses))

@@ -1,12 +1,13 @@
 """Helpers shared by the tests. The package itself does not need them.
 
 `unfused_clip_kl` and `unfused_softmax_xent` are the oracle for the two
-fused loss ops: plain numpy, no tape, over the one-hot rows of the labels
-the ops read as a column of rank indices, each returning (value, gradient).
+losses: plain numpy over the one-hot rows of the labels the losses read
+as a column of rank indices, each returning (value, gradient).
 `finite_difference_check` is the central-difference gradient check.
-`encode_images` and `prototypes_of` read plain arrays off a throwaway
-tape: the package itself encodes and builds prototypes only inside the
-scores graph of training. `prompt_oracle` is the prototypes' closed form
+`encode_images` and `prototypes_of` give the embeddings and prototypes
+the package otherwise forms only inside a training step or evaluate, and
+`loss_and_gradients` runs one step's forward_loss and backward_loss into
+fresh arrays. `prompt_oracle` is the prototypes' closed form
 in plain numpy, the oracle for the prompt graph, and
 `prompt_oracle_gradient` its hand-derived gradient in the two prompt
 groups. `forward_loss_oracle` extends both to the whole training loss:
@@ -17,7 +18,7 @@ package's chunked numpy hash."""
 import numpy as np
 
 from ordinalproto import diffcore, training
-from ordinalproto.diffcore import Tape
+from ordinalproto.diffcore import Tape, l2_normalize_rows
 from ordinalproto.encoders import ImageEncoder
 
 
@@ -51,22 +52,30 @@ def encode_text(encoder, sequences) -> np.ndarray:
 def encode_images(params, batch) -> tuple[np.ndarray, np.ndarray]:
     """(features, unit-norm embeddings) of a plain ndarray batch, with the
     image weights params[name] (ImageEncoder.NAMES)."""
-    tape = Tape()
-    features = ImageEncoder.encode(tape, params, batch)
-    embeddings = tape.l2_normalize_rows(features)
-    return tape.value(features).copy(), tape.value(embeddings).copy()
+    features, _ = ImageEncoder.encode(params, batch)
+    return features, l2_normalize_rows(features)[0]
 
 
 def prototypes_of(state) -> np.ndarray:
     """The unit-norm prototype rows evaluate scores against: the prompt
     graph's output, or the baseline's head weight rows put through
-    l2-normalize-rows."""
-    tape = Tape()
+    l2_normalize_rows."""
     if state.uses_prompts:
-        node = training._prompt_nodes(state, tape)
-    else:
-        node = tape.l2_normalize_rows(tape.constant(state.params["head.weights"]))
-    return tape.value(node).copy()
+        tape = Tape()
+        return tape.value(training._prompt_nodes(state, tape)).copy()
+    return l2_normalize_rows(state.params["head.weights"])[0]
+
+
+def loss_and_gradients(state, batch_x, batch_y, temperature, tape=None) -> tuple[float, dict]:
+    """(loss, {group: gradient}) of one training step on a batch, before
+    its Adam update: training.forward_loss on `tape` (a fresh one if None,
+    so the prompt head is recorded), then training.backward_loss into
+    fresh arrays, one per trainable group."""
+    tape = Tape() if tape is None else tape
+    loss, kept = training.forward_loss(state, tape, batch_x, batch_y, temperature)
+    grads = {name: np.empty_like(value) for name, value in state.trainable_parameters().items()}
+    training.backward_loss(state, tape, kept, grads)
+    return loss, grads
 
 
 def _pooling_row(state) -> np.ndarray:
@@ -124,18 +133,18 @@ def prompt_oracle_gradient(state, adjoint: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, dict]:
-    """(loss, {group: gradient}) of training.forward_loss, in plain numpy,
+    """(loss, {group: gradient}) of one training step, in plain numpy,
     derived by hand, no tape; every group of state.params gets a gradient,
     a frozen one too. The image encoder is A = X W1 + b1, H = tanh(A),
     F = H W2 + b2. With one-hot labels Y, B rows and t the temperature:
 
     prompt methods: E = F / |F| and P = prompt_oracle(state), row by row;
-    S = E P.T; the loss is clip-kl of S, and, by matching's docstring,
+    S = E P.T; the loss is the contrastive loss of S, and, by matching's docstring,
         dS = 0.5/(B t) (P_row - Y) + 0.5/(nz t) (P_col * mask - Yc)
         dE = dS P,  dP = dS.T E,  dF = (dE - rowsum(dE * E) E) / |F|
     and prompt_oracle_gradient(state, dP) gives d/d ctx and d/d base_ranks.
 
-    baseline: L = F Wh.T + bh; the loss is softmax-xent of L, and
+    baseline: L = F Wh.T + bh; the loss is the cross-entropy of L, and
         dL = (softmax(L) - Y) / B,  dWh = dL.T F,  dbh = colsum(dL),  dF = dL Wh
 
     then, for both, dW2 = H.T dF, db2 = colsum(dF), dA = (dF W2.T) (1 - H^2),
@@ -180,17 +189,15 @@ def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, di
     return float(loss), grads
 
 
-def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
+def reference_backward(tape: Tape, loss_node: int, seed=None) -> dict[str, np.ndarray]:
     """The unpruned reverse sweep: every node reached from the loss is
     visited, every input gradient is formed, and every adjoint starts as a
-    copy. Tape.backward must match it bitwise. The only inputs a rule may
-    leave without a gradient are a loss's targets and temperature, every
-    input after its scores."""
+    copy. Tape.backward, with the same seed, must match it bitwise."""
     nodes = tape._nodes
     index = {id(node): i for i, node in enumerate(nodes)}
     inputs = {idx: [index[id(n)] for n in ins] for idx, _, ins, _ in tape._schedule}
     adjoint = [None] * len(nodes)
-    adjoint[loss_node] = np.ones((1, 1))
+    adjoint[loss_node] = np.ones((1, 1)) if seed is None else seed.copy()
     for idx in range(loss_node, -1, -1):
         g = adjoint[idx]
         node = nodes[idx]
@@ -199,10 +206,8 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
         in_vals = [nodes[i].value for i in inputs[idx]]
         wants = (True,) * len(in_vals)
         contribs = diffcore._BACKWARD[node.op](g, node.value, in_vals, node.meta, wants)
-        for k, (inp, contrib) in enumerate(zip(inputs[idx], contribs)):
-            if contrib is None:
-                assert node.op in ("clip-kl", "softmax-xent") and k > 0, (node.op, k)
-                continue
+        for inp, contrib in zip(inputs[idx], contribs):
+            assert contrib is not None, node.op
             if adjoint[inp] is None:
                 adjoint[inp] = contrib.copy()
             else:
@@ -215,7 +220,7 @@ def reference_backward(tape: Tape, loss_node: int) -> dict[str, np.ndarray]:
 
 def column_normalized_labels(y: np.ndarray) -> np.ndarray:
     """Labels with every non-zero column scaled to sum 1; zero columns stay.
-    The Yc of the contrastive loss, which its tape node forms itself."""
+    The Yc of the contrastive loss, which the loss forms itself."""
     sums = y.sum(axis=0, keepdims=True)
     out = y.copy()
     nonzero = sums.ravel() > 0
@@ -239,11 +244,11 @@ def _kl_of_softmax(scores, targets, temperature, axis, weight):
 
 
 def unfused_clip_kl(scores, labels, temperature):
-    """(value, gradient) of the clip-kl loss at a 1-D sequence of rank
+    """(value, gradient) of the contrastive loss at a 1-D sequence of rank
     indices, as the plain-numpy chain it fuses: the labels' one-hot rows,
     a row softmax and a column softmax, one KL per direction, and their
     weighted sum. The probabilities are formed first and their log taken
-    after, not in the fused op's log-sum-exp form."""
+    after, not in the loss's log-sum-exp form."""
     targets = np.eye(scores.shape[1])[np.asarray(labels)]
     nonzero_cols = int((targets.sum(axis=0) > 0).sum())
     row_value, row_grad = _kl_of_softmax(scores, targets, temperature, 1, 0.5 / targets.shape[0])
@@ -254,7 +259,7 @@ def unfused_clip_kl(scores, labels, temperature):
 
 
 def unfused_softmax_xent(logits, labels):
-    """(value, gradient) of the softmax-xent loss: the mean row-wise KL of
+    """(value, gradient) of the cross-entropy loss: the mean row-wise KL of
     the row softmax against the labels' one-hot rows."""
     targets = np.eye(logits.shape[1])[np.asarray(labels)]
     return _kl_of_softmax(logits, targets, 1.0, 1, 1.0 / targets.shape[0])

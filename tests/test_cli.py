@@ -26,6 +26,7 @@ import pytest
 
 from conftest import encode_images, prototypes_of
 from ordinalproto import cli, data, encoders, metrics, prompt, training
+from ordinalproto.diffcore import Tape, guarded
 from ordinalproto.encoders import BlockFileError, ImageEncoder, import_prototypes, read_blocks
 
 TINY = {
@@ -445,9 +446,9 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
     tmp_path, capsys, monkeypatch, learning_rate
 ):
     """The baseline's first step sends its parameters to ~1e300 or ~1e160,
-    and its second, of the batch row count the first recorded, re-runs
-    that tape and overflows. The line, exit code and op are those of the
-    same fit with a fresh tape recorded every step."""
+    and its second overflows in the closed-form tail's guarded pass. The
+    line, exit code and op are those of the same fit recorded every step:
+    a fresh prompt tape each step, and the tail checked after every op."""
     config = _write_config(tmp_path / "run.cfg", method="baseline", learning_rate=learning_rate,
                            num_ranks=6, per_rank=8, epochs=3)
     train_step = training.train_step
@@ -457,13 +458,18 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
         steps.append(len(batch_y))
         return train_step(state, batch_x, batch_y, *args)
 
-    def recording(state, batch_x, batch_y, cfg, adam, lr, tapes):
-        return spied(state, batch_x, batch_y, cfg, adam, lr, {})
+    def recording(state, batch_x, batch_y, cfg, adam, lr, tape):
+        return spied(state, batch_x, batch_y, cfg, adam, lr, Tape())
+
+    def checked(forward, operands_finite):
+        return guarded(forward, operands_finite=False)
 
     errs = []
     for step in (spied, recording):
         steps.clear()
         monkeypatch.setattr(training, "train_step", step)
+        if step is recording:
+            monkeypatch.setattr(training, "guarded", checked)
         out = str(tmp_path / step.__name__)
         assert cli.main(["train", "--config", config, "--out", out]) == 1
         assert steps == [8, 8]

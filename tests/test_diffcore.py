@@ -1,6 +1,7 @@
-"""Tape primitives: forward values, exact adjoints, and the gradient
-checker itself. Every primitive's analytic gradient is compared against
-central finite differences on seeded inputs."""
+"""Tape primitives: forward values, exact adjoints, seeded sweeps, the
+flag guard, and the gradient checker itself. Every primitive's analytic
+gradient is compared against central finite differences on seeded
+inputs."""
 
 import warnings
 from collections import Counter
@@ -11,13 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (
-    finite_difference_check,
-    reference_backward,
-    sum_all,
-    unfused_clip_kl,
-    unfused_softmax_xent,
-)
+from conftest import finite_difference_check, reference_backward, sum_all
 from ordinalproto import diffcore
 from ordinalproto.diffcore import OP_KINDS, Tape
 
@@ -34,70 +29,18 @@ def _scalarize(tape, node, rng):
     return tape.matmul(tape.matmul(u, node), v)
 
 
-def _column(labels):
-    """A sequence of rank indices as the B x 1 float64 column the fused
-    losses read."""
-    return np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-
-
-def _clip_kl(tape, scores, labels, temperature, name=None):
-    """clip-kl of a scores node against rank indices and a temperature,
-    each put on the tape as a constant; the label column under `name`, if
-    given."""
-    return tape.clip_kl(scores, tape.constant(_column(labels), name),
-                        tape.constant([[temperature]]))
-
-
-def _softmax_xent(tape, logits, labels, name=None):
-    """softmax-xent of a logits node against rank indices put on the tape
-    as a label column, under `name` if given."""
-    return tape.softmax_xent(logits, tape.constant(_column(labels), name))
-
-
-def _log_softmax(x, axis):
-    """(log softmax, softmax) of x along `axis`, as a whole matrix each."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=axis, keepdims=True)
-    return shifted - np.log(total), e / total
-
-
 def _ops(tape):
     """The op kinds on the tape, in recorded order; leaves are left out."""
     return [node.op for _, node, _, _ in tape._schedule]
 
 
 class TestForwardValues:
-    def test_add_ones(self):
-        tape = Tape()
-        a = tape.constant(np.ones((2, 2)))
-        b = tape.constant(np.ones((1, 2)))
-        out = tape.record("add", (a, b))
-        np.testing.assert_array_equal(tape.value(out), np.full((2, 2), 2.0))
-
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(2, 5))
         tape = Tape()
         out = tape.matmul(tape.constant(np.eye(2)), tape.constant(m))
         np.testing.assert_array_equal(tape.value(out), m)
-
-    def test_row_softmax_direct_evaluation(self):
-        # softmax([0, ln 3]) = [1, 3] / 4
-        out = diffcore.softmax(np.array([[0.0, np.log(3.0)]]), axis=1)
-        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-15)
-
-    def test_row_softmax_rows_sum_to_one(self):
-        # cosine-scale inputs: the operating range of the similarity tables
-        rng = np.random.default_rng(1)
-        value = diffcore.softmax(rng.uniform(-1, 1, size=(6, 8)) / 0.07, axis=1)
-        np.testing.assert_allclose(value.sum(axis=1), 1.0, atol=1e-12)
-        assert (value > 0).all() and (value < 1).all()
-
-    def test_col_softmax_cols_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        value = diffcore.softmax(rng.normal(size=(6, 8)) / 0.5, axis=0)
-        np.testing.assert_allclose(value.sum(axis=0), 1.0, atol=1e-12)
 
     def test_l2_normalize_unit_rows(self):
         rng = np.random.default_rng(3)
@@ -106,35 +49,6 @@ class TestForwardValues:
         np.testing.assert_allclose(
             np.linalg.norm(tape.value(out), axis=1), 1.0, atol=1e-12
         )
-
-    def test_kl_of_identical_distributions_is_zero(self):
-        """softmax-xent at logits whose softmax is the one-hot row of each
-        label (exp(-2000) underflows to 0): zero loss and zero gradient,
-        exactly."""
-        labels = [1, 0, 3]
-        logits = np.full((3, 4), -1000.0)
-        logits[np.arange(3), labels] = 1000.0
-        tape = Tape()
-        loss = _softmax_xent(tape, tape.parameter(logits, "s"), labels)
-        assert tape.value(loss)[0, 0] == 0.0
-        np.testing.assert_array_equal(tape.backward(loss)["s"], 0.0)
-
-    def test_fused_losses_stay_finite_where_the_softmax_underflows(self):
-        """At t = 1e-4 the row softmax of [1, -1] is exp(-2e4) = 0 on the
-        label, where log(softmax) is -inf. The log-sum-exp form gives the
-        exact loss."""
-        tape = Tape()
-        s = tape.parameter([[1.0, -1.0]], "s")
-        loss = _clip_kl(tape, s, [1], 1e-4)
-        assert tape.value(loss)[0, 0] == 1e4  # 0.5 * 2e4 + 0.5 * 0
-        np.testing.assert_allclose(tape.backward(loss)["s"], [[5e3, -5e3]], rtol=1e-15)
-
-        tape = Tape()
-        logits = tape.parameter([[1000.0, -1000.0]], "logits")
-        loss = _softmax_xent(tape, logits, [1])
-        assert tape.value(loss)[0, 0] == 2000.0
-        np.testing.assert_array_equal(tape.backward(loss)["logits"], [[1.0, -1.0]])
-
 
 class TestRecordContract:
     def test_unknown_op_kind_rejected(self):
@@ -148,7 +62,7 @@ class TestRecordContract:
         tape = Tape()
         a = tape.constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match=rf"^input node {bad} not on tape$"):
-            tape.add(a, bad)
+            tape.matmul(a, bad)
         assert len(tape) == 1
 
     def test_shape_mismatch_reports_shapes(self):
@@ -164,18 +78,9 @@ class TestRecordContract:
         with pytest.raises(ValueError, match="row 1"):
             tape.l2_normalize_rows(a)
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
-    def test_nonpositive_temperature_rejected(self, temperature):
-        tape = Tape()
-        a = tape.constant(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            _clip_kl(tape, a, [0, 1], temperature)
-        assert _ops(tape) == []
-
     def test_all_listed_op_kinds_are_recordable(self):
         assert set(OP_KINDS) == set(diffcore._FORWARD) == set(diffcore._BACKWARD) == {
-            "matmul", "add", "l2-normalize-rows", "concat-rows", "transpose", "tanh",
-            "clip-kl", "softmax-xent",
+            "matmul", "l2-normalize-rows", "concat-rows",
         }
 
 
@@ -186,16 +91,6 @@ class TestBackward:
         p = tape.parameter(rng.normal(size=(2, 3)), "p")
         grads = tape.backward(sum_all(tape, p))
         np.testing.assert_array_equal(grads["p"], np.ones((2, 3)))
-
-    def test_half_squared_norm_gradient_equals_parameter(self):
-        """0.5 * p @ p.T for a row p: the two matmul operands each carry
-        half of the gradient p, one of them back through transpose."""
-        rng = np.random.default_rng(6)
-        value = rng.normal(size=(1, 9))
-        tape = Tape()
-        p = tape.parameter(value, "p")
-        loss = tape.matmul(tape.constant([[0.5]]), tape.matmul(p, tape.transpose(p)))
-        np.testing.assert_allclose(tape.backward(loss)["p"], value, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
@@ -220,31 +115,60 @@ class TestBackward:
             tape = Tape()
             p = tape.parameter(value, "p")
             loss_a = sum_all(tape, tape.matmul(p, p))
-            loss_b = sum_all(tape, tape.tanh(p))
+            loss_b = sum_all(tape, tape.l2_normalize_rows(p))
             if which == "a":
                 return tape.backward(loss_a)["p"]
             if which == "b":
                 return tape.backward(loss_b)["p"]
-            return tape.backward(tape.add(loss_a, loss_b))["p"]
+            both = tape.concat_rows([loss_a, loss_b])
+            return tape.backward(tape.matmul(tape.constant(np.ones((1, 2))), both))["p"]
 
         np.testing.assert_allclose(
             grads_of("sum"), grads_of("a") + grads_of("b"), atol=1e-12
         )
 
-    def test_kl_of_softmax_gradient_matches_finite_differences(self):
-        """clip-kl of labels 0, 2, 1 at t = 0.5, at logits peaked toward
-        the labels."""
-        labels = [0, 2, 1]
-        logits = 2.0 * np.eye(3)[labels]
+class TestSeededBackward:
+    """backward(node, seed=G) gives the gradients of <G, value of node>,
+    the loss code off the tape differentiates, for a node of any shape."""
 
-        def loss_of(p):
-            tape = Tape()
-            return tape.value(_clip_kl(tape, tape.parameter(p, "p"), labels, 0.5))[0, 0]
+    @staticmethod
+    def _graph(tape, p, q):
+        """normalize(concat(p, q) @ w) for parameters p, q and a constant w."""
+        w = tape.constant(np.random.default_rng(60).normal(size=(4, 5)))
+        return tape.l2_normalize_rows(tape.matmul(tape.concat_rows([p, q]), w))
 
+    def test_a_seed_gives_the_gradients_of_its_inner_product_with_the_node(self):
+        """The seeded sweep equals the unpruned one from the same seed
+        bitwise, and the sweep of the 1x1 node u @ (G * out) @ 1 written on
+        the tape within 1e-15, and central differences."""
+        rng = np.random.default_rng(61)
+        p0, q0 = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+        seed = rng.normal(size=(5, 5))
         tape = Tape()
-        loss = _clip_kl(tape, tape.parameter(logits, "p"), labels, 0.5)
-        analytic = tape.backward(loss)["p"]
-        assert finite_difference_check(loss_of, logits, analytic, h=H) <= FD_TOL
+        out = self._graph(tape, tape.parameter(p0, "p"), tape.parameter(q0, "q"))
+        grads = tape.backward(out, seed=seed.copy())
+        expected = reference_backward(tape, out, seed)
+        for name in "pq":
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+        rows = [tape.matmul(tape.matmul(tape.constant(np.eye(5)[i:i + 1]), out),
+                            tape.constant(seed[i:i + 1].T)) for i in range(5)]
+        inner = tape.matmul(tape.constant(np.ones((1, 5))), tape.concat_rows(rows))
+        unseeded = tape.backward(inner)
+        for name in "pq":
+            np.testing.assert_allclose(grads[name], unseeded[name], rtol=0, atol=1e-15)
+
+        def f(point):
+            t = Tape()
+            value = t.value(self._graph(t, t.constant(point), t.constant(q0)))
+            return float((seed * value).sum())
+
+        assert finite_difference_check(f, p0, grads["p"], h=H) <= FD_TOL
+
+    def test_a_seed_of_another_shape_is_rejected(self):
+        tape = Tape()
+        out = tape.l2_normalize_rows(tape.parameter(np.ones((2, 3)), "p"))
+        with pytest.raises(ValueError, match=r"^seed has shape \(3, 2\); the loss node has \(2, 3\)$"):
+            tape.backward(out, seed=np.ones((3, 2)))
 
 
 class TestFiniteCheck:
@@ -254,16 +178,16 @@ class TestFiniteCheck:
     def test_non_finite_output_names_the_op(self, row):
         tape = Tape()
         a = tape.constant([row])
-        message = "non-finite values produced by op 'transpose'"
+        message = "non-finite values produced by op 'concat-rows'"
         with pytest.raises(FloatingPointError, match=message):
-            tape.transpose(a)
+            tape.concat_rows([a])
 
     def test_single_nan_in_a_large_value_is_caught(self):
         values = np.ones((16, 16))
         values[11, 5] = np.nan
         tape = Tape()
-        with pytest.raises(FloatingPointError, match="'add'"):
-            tape.add(tape.constant(values), tape.constant(np.ones((1, 16))))
+        with pytest.raises(FloatingPointError, match="'concat-rows'"):
+            tape.concat_rows([tape.constant(np.ones((1, 16))), tape.constant(values)])
 
     def test_l2_normalize_rows_whose_sum_of_squares_overflows_or_underflows(self):
         """Rows whose sum of squares overflows to inf or underflows to 0 are
@@ -292,8 +216,8 @@ class TestFiniteCheck:
         tape = Tape()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = tape.transpose(tape.constant([[1e308, 1e308]]))
-        np.testing.assert_array_equal(tape.value(out), [[1e308], [1e308]])
+            out = tape.concat_rows([tape.constant([[1e308, 1e308]])])
+        np.testing.assert_array_equal(tape.value(out), [[1e308, 1e308]])
 
 
 def _count_backward_rules(monkeypatch):
@@ -317,18 +241,18 @@ class TestPrunedBackward:
         rng = np.random.default_rng(30)
         tape = Tape()
         p = tape.parameter(rng.normal(size=(3, 4)), "p")
-        frozen = tape.tanh(tape.transpose(tape.constant(rng.normal(size=(4, 1)))))
-        loss = sum_all(tape, tape.add(p, frozen))
+        frozen = tape.l2_normalize_rows(tape.concat_rows([tape.constant(rng.normal(size=(1, 4)))]))
+        loss = sum_all(tape, tape.concat_rows([p, frozen]))
         calls, log = _count_backward_rules(monkeypatch)
         tape.backward(loss)
-        assert calls == {"matmul": 2, "add": 1}
+        assert calls == {"matmul": 2, "concat-rows": 1}
         for kind, wants, contribs in log:
             assert [c is not None for c in contribs] == list(wants), kind
 
     def test_loss_no_parameter_reaches_runs_no_rule(self, monkeypatch):
         tape = Tape()
         p = tape.parameter(np.ones((2, 2)), "p")
-        loss = sum_all(tape, tape.tanh(tape.constant(np.ones((2, 2)))))
+        loss = sum_all(tape, tape.l2_normalize_rows(tape.constant(np.ones((2, 2)))))
         calls, _ = _count_backward_rules(monkeypatch)
         grads = tape.backward(loss)
         assert not calls
@@ -340,28 +264,29 @@ class TestPrunedBackward:
         tape = Tape()
         x = tape.constant(rng.normal(size=(5, 3)))
         w = tape.parameter(rng.normal(size=(3, 2)), "w")
-        loss = _softmax_xent(tape, tape.matmul(x, w), [0, 1, 1, 0, 1])
+        loss = _scalarize(tape, tape.matmul(x, w), rng)
         _, log = _count_backward_rules(monkeypatch)
         tape.backward(loss)
-        wants = {kind: w for kind, w, _ in log}
-        assert wants == {"matmul": (False, True), "softmax-xent": (True, False)}
+        assert [(kind, wants) for kind, wants, _ in log] == [
+            ("matmul", (True, False)), ("matmul", (False, True)), ("matmul", (False, True))]
 
     def test_aliased_adjoints_match_the_unpruned_sweep_bitwise(self):
-        """add hands its upstream buffer to its first input as is, and
-        concat-rows hands each input a view of its own. p borrows a slice
-        of the concat's buffer through two adds, q the next slice, and p
-        then takes a second contribution from tanh. The gradients equal
-        the unpruned sweep's bitwise and share no memory."""
+        """concat-rows hands each input a view of its own upstream buffer.
+        p borrows a slice of the outer concat's buffer through an inner
+        concat, a the next rows, q the next slice, and p then takes a
+        second contribution from l2-normalize-rows, added into that view
+        in place. The gradients equal the unpruned sweep's bitwise and
+        share no memory."""
         rng = np.random.default_rng(32)
         tape = Tape()
         p, q = (tape.parameter(rng.normal(size=(3, 3)), n) for n in "pq")
-        a, b = (tape.parameter(rng.normal(size=(1, 3)), n) for n in "ab")
-        r = tape.tanh(p)
-        total = tape.concat_rows([tape.add(tape.add(p, a), b), q, r])
+        a = tape.parameter(rng.normal(size=(1, 3)), "a")
+        r = tape.l2_normalize_rows(p)
+        total = tape.concat_rows([tape.concat_rows([p, a]), q, r])
         loss = _scalarize(tape, total, rng)
         grads = tape.backward(loss)
         expected = reference_backward(tape, loss)
-        for name in "pqab":
+        for name in "pqa":
             np.testing.assert_array_equal(grads[name], expected[name])
         arrays = list(grads.values())
         for i, x in enumerate(arrays):
@@ -412,35 +337,6 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         _fd_case("matmul", lambda t, n: t.matmul(n[0], n[1]), [(4, 8), (8, 3)], 10)
 
-    def test_add_rejects_a_multi_row_second_operand_naming_both_shapes(self):
-        tape = Tape()
-        a, b = tape.constant(np.ones((5, 6))), tape.constant(np.ones((5, 6)))
-        shapes = r"\(\(5, 6\), \(5, 6\)\)"
-        with pytest.raises(ValueError, match=rf"^add: incompatible shapes {shapes}$"):
-            tape.add(a, b)
-        assert len(tape) == 2
-
-    def test_one_row_add_equals_the_same_shape_sum_bitwise(self):
-        """A 1 x k first operand takes the row form. Its value, a + b, and
-        its gradients are bitwise those of the same-shape sum, the
-        upstream gradient g for each input. The one exception is a -0.0
-        entry of g: the bias row's one-term column sum starts from +0.0, so
-        that entry reads +0.0, which compares equal."""
-        rng = np.random.default_rng(11)
-        a, b, g = (rng.normal(size=(1, 6)) for _ in range(3))
-        g[0, :2] = 0.0, -0.0
-        tape = Tape()
-        out = tape.add(tape.parameter(a, "a"), tape.parameter(b, "b"))
-        assert tape.value(out).tobytes() == (a + b).tobytes()
-        grad_a, grad_b = diffcore._BACKWARD["add"](g, tape.value(out), [a, b], None, (True, True))
-        assert grad_a.tobytes() == g.tobytes()
-        assert grad_b.shape == g.shape and grad_b[0, 2:].tobytes() == g[0, 2:].tobytes()
-        assert grad_b[0, :2].tobytes() == np.zeros(2).tobytes()
-        np.testing.assert_array_equal(grad_b, g)
-
-    def test_add_broadcast_bias(self):
-        _fd_case("add-bias", lambda t, n: t.add(n[0], n[1]), [(7, 4), (1, 4)], 12)
-
     def test_l2_normalize_rows(self):
         _fd_case("l2-normalize", lambda t, n: t.l2_normalize_rows(n[0]), [(6, 8)], 16)
 
@@ -449,22 +345,6 @@ class TestPrimitiveGradients:
             "concat", lambda t, n: t.concat_rows([n[0], n[1], n[2]]),
             [(2, 5), (3, 5), (1, 5)], 18,
         )
-
-    def test_transpose(self):
-        _fd_case("transpose", lambda t, n: t.transpose(n[0]), [(3, 7)], 20)
-
-    def test_tanh(self):
-        _fd_case("tanh", lambda t, n: t.tanh(n[0]), [(8, 8)], 21)
-
-    def test_clip_kl(self):
-        # ranks 4, 5 and 6 are unlabelled: columns left out of the column term
-        labels = [0, 2, 2, 7, 1, 3]
-        _fd_case("clip-kl", lambda t, n: _clip_kl(t, n[0], labels, 0.7), [(6, 8)], 22)
-
-    def test_softmax_xent(self):
-        labels = [4, 0, 4, 2]  # a repeated rank, and ranks 1 and 3 unlabelled
-        _fd_case("softmax-xent", lambda t, n: _softmax_xent(t, n[0], labels), [(4, 5)], 24)
-
 
 # ---------------------------------------------------------------------------
 # property tests: every op kind over random small shapes and input roles.
@@ -481,17 +361,6 @@ def _signed(rng, shape):
     return rng.uniform(0.25, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape)
 
 
-def _loss_labels(draw, rng):
-    """(B rank indices, C) for the fused losses, each batch one of: B > C,
-    so some rank is repeated; B < C, so some rank is absent; or B = 1."""
-    kind = draw(st.sampled_from(["repeated", "absent", "one row"]))
-    cols = draw(_dims)
-    rows = {"repeated": cols + draw(_dims), "absent": cols, "one row": 1}[kind]
-    if kind == "absent":
-        cols += draw(_dims)
-    return rng.integers(0, cols, size=rows), cols
-
-
 @st.composite
 def _op_cases(draw, kind):
     """(build, input values) for one op kind; build(tape, nodes) -> node."""
@@ -500,31 +369,12 @@ def _op_cases(draw, kind):
     if kind == "matmul":
         shapes = [(rows, cols), (cols, draw(_dims))]
         build = lambda t, n: t.matmul(*n)
-    elif kind == "add":
-        shapes = [(rows, cols), (1, cols)]
-        build = lambda t, n: t.add(*n)
     elif kind == "l2-normalize-rows":
         shapes = [(rows, cols)]
         build = lambda t, n: t.l2_normalize_rows(n[0])
     elif kind == "concat-rows":
         shapes = [(draw(_dims), cols) for _ in range(draw(st.integers(1, 3)))]
         build = lambda t, n: t.concat_rows(n)
-    elif kind in ("clip-kl", "softmax-xent"):
-        labels, ranks = _loss_labels(draw, rng)
-        shapes = [(len(labels), ranks)]
-        # A loss's build takes other labels of the same count as y, and
-        # puts them on the tape as the label column named "y".
-        if kind == "clip-kl":
-            temperature = draw(st.floats(0.5, 2.0))
-            build = lambda t, n, y=labels: _clip_kl(t, n[0], y, temperature, "y")
-        else:
-            build = lambda t, n, y=labels: _softmax_xent(t, n[0], y, "y")
-    elif kind == "transpose":
-        shapes = [(rows, cols)]
-        build = lambda t, n: t.transpose(n[0])
-    elif kind == "tanh":
-        shapes = [(rows, cols)]
-        build = lambda t, n: t.tanh(n[0])
     else:
         raise AssertionError(f"no property case for op kind {kind!r}")
     return build, [_signed(rng, shape) for shape in shapes]
@@ -549,10 +399,9 @@ def _leaf_name(i, params):
 
 
 def _meta_arrays(meta):
-    """The arrays a forward rule left in its node's meta: None, a dict or
-    a tuple."""
-    items = meta.values() if isinstance(meta, dict) else meta or ()
-    return [m for m in items if isinstance(m, np.ndarray)]
+    """The arrays a forward rule left in its node's meta: None, or
+    l2-normalize-rows's array of row norms."""
+    return [] if meta is None else [meta]
 
 
 def _property_tape(build, values, sources, params, weight_seed):
@@ -604,7 +453,7 @@ def _guarded_rerun_case(kind, data):
     hi = data.draw(st.integers(lo, 308))
     tape, loss = _reduced_tape(build, values, sources, params)
     fresh = {name: _spanning(rng, tape.value(i).shape, lo, hi)
-             for name, i in tape._leaves.items() if name != "y"}
+             for name, i in tape._leaves.items()}
     moved = [fresh.get(_leaf_name(i, params)) for i in range(len(values))]
     # fit's setting, under which overflow and invalid do not warn; the
     # guarded pass sets its own.
@@ -721,26 +570,19 @@ class TestOpProperties:
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_rerun_on_fresh_leaves_equals_a_fresh_recording_bitwise(self, kind, data):
-        """A tape re-run on fresh leaf values (and, for a loss, fresh
-        labels, its leaf "y") holds bitwise the node values and
-        backward gradients of a tape recorded on them, after a sweep of the
-        old."""
+        """A tape re-run on fresh leaf values holds bitwise the node values
+        and backward gradients of a tape recorded on them, after a sweep of
+        the old."""
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
         weight_seed = data.draw(st.integers(0, 99))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         fresh = [_signed(rng, v.shape) for v in values]
         rebound = {_leaf_name(i, params): fresh[i] for i in sorted(set(sources))}
-        fresh_build = build
-        if kind in ("clip-kl", "softmax-xent"):
-            rows, cols = values[0].shape
-            y = rng.integers(0, cols, size=rows)
-            fresh_build = lambda t, n: build(t, n, y=y)
-            rebound["y"] = _column(y)
         tape, loss = _property_tape(build, values, sources, params, weight_seed)
         tape.backward(loss)
         tape.rerun(rebound)
-        expected, expected_loss = _property_tape(fresh_build, fresh, sources, params, weight_seed)
+        expected, expected_loss = _property_tape(build, fresh, sources, params, weight_seed)
         assert len(tape) == len(expected)
         for i in range(len(tape)):
             np.testing.assert_array_equal(tape.value(i), expected.value(i))
@@ -796,12 +638,13 @@ class TestRerun:
     def test_a_parameter_set_to_nan_in_place_raises_at_the_first_op_that_reads_it(self):
         """A parameter that is a view into a flat vector, as Adam's are,
         goes NaN in place, and the re-run rebinds no leaf. NaN passes
-        through matmul and tanh with no floating-point flag, so only the
-        check of every named leaf sends the re-run to the checked loop."""
+        through matmul and concat-rows with no floating-point flag, so only
+        the check of every named leaf sends the re-run to the checked
+        loop."""
         flat = np.linspace(0.5, 1.0, 6)
         tape = Tape()
-        x = tape.tanh(tape.constant(np.ones((2, 3)), "x"))
-        tape.tanh(tape.matmul(x, tape.parameter(flat.reshape(3, 2), "w")))
+        x = tape.concat_rows([tape.constant(np.ones((2, 3)), "x")])
+        tape.concat_rows([tape.matmul(x, tape.parameter(flat.reshape(3, 2), "w"))])
         flat[4] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite values produced by op 'matmul'"):
             tape.rerun({})
@@ -813,23 +656,22 @@ class TestRerun:
         settings are as they were."""
         rng = np.random.default_rng(3)
         x0, x1, w = (rng.normal(size=shape) for shape in ((4, 3), (4, 3), (3, 5)))
-        y = [4, 0, 2, 2]
 
         def record(x):
             tape = Tape()
-            h = tape.tanh(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
-            return tape, _softmax_xent(tape, h, y)
+            h = tape.l2_normalize_rows(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
+            return tape, sum_all(tape, tape.concat_rows([h]))
 
         expected, expected_loss = record(x1)
         tape, loss = record(x0)
-        tanh, calls = diffcore._FORWARD["tanh"], []
+        concat, calls = diffcore._FORWARD["concat-rows"], []
 
-        def flagging_tanh(vals):
+        def flagging_concat(vals):
             calls.append(len(calls))
             np.multiply(np.full(2, 1e300), 1e300)  # overflows; thrown away
-            return tanh(vals)
+            return concat(vals)
 
-        monkeypatch.setitem(diffcore._FORWARD, "tanh", flagging_tanh)
+        monkeypatch.setitem(diffcore._FORWARD, "concat-rows", flagging_concat)
         with np.errstate(over="ignore", invalid="ignore"):
             caller = np.geterr()
             tape.rerun({"x": x1})
@@ -844,7 +686,7 @@ class TestRerun:
         """A BLAS may compute part of a large product on another thread,
         whose floating-point flags numpy never sees; with OpenBLAS on two
         threads, this product overflowing in its last entry alone raises
-        none. tanh then maps the overflow to a finite 1, so only the
+        none, and the guarded pass checks no op's value, so only the
         product's check of its own value names it."""
         n = 128
         assert n**3 > diffcore._SERIAL_PRODUCT
@@ -852,7 +694,7 @@ class TestRerun:
         w[:, -1] = 1e154
         tape = Tape()
         x = tape.constant(np.full((n, n), 0.01), "x")
-        tape.tanh(tape.matmul(x, tape.parameter(w, "w")))
+        tape.matmul(x, tape.parameter(w, "w"))
         bad = np.full((n, n), 0.01)
         bad[-1] = 1e154
         with np.errstate(over="ignore"):
@@ -898,13 +740,13 @@ class TestRerun:
 
     @staticmethod
     def _head(tape, x, w):
-        """tanh(x @ w) for a constant x named "x" and a parameter "w"."""
-        return tape.tanh(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
+        """normalize(x @ w) for a constant x named "x" and a parameter "w"."""
+        return tape.l2_normalize_rows(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
 
     @staticmethod
-    def _tail(tape, h, v, labels):
-        """The cross-entropy of h @ v for a parameter "v"."""
-        return _softmax_xent(tape, tape.matmul(h, tape.parameter(v, "v")), labels)
+    def _tail(tape, h, v):
+        """The sum of the entries of h @ v for a parameter "v"."""
+        return sum_all(tape, tape.matmul(h, tape.parameter(v, "v")))
 
     def test_ops_recorded_after_a_rerun_are_rerun_and_differentiated(self):
         """Recording, not the first re-run, schedules an op: a tape that
@@ -913,14 +755,13 @@ class TestRerun:
         rng = np.random.default_rng(8)
         x0, x1, x2 = (rng.normal(size=(4, 3)) for _ in range(3))
         w, v = rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
-        labels = [5, 0, 2, 2]
         tape = Tape()
         h = self._head(tape, x0, w)
         tape.rerun({"x": x1})
-        loss = self._tail(tape, h, v, labels)
+        loss = self._tail(tape, h, v)
         tape.rerun({"x": x2})
         fresh = Tape()
-        fresh_loss = self._tail(fresh, self._head(fresh, x2, w), v, labels)
+        fresh_loss = self._tail(fresh, self._head(fresh, x2, w), v)
         assert len(tape) == len(fresh)
         for i in range(len(tape)):
             assert tape.value(i).tobytes() == fresh.value(i).tobytes(), i
@@ -934,14 +775,13 @@ class TestRerun:
         features, change none of its gradients."""
         rng = np.random.default_rng(9)
         x, w, v = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
-        labels = [1, 0, 4, 3]
         tape = Tape()
         h = self._head(tape, x, w)
-        loss = self._tail(tape, h, v, labels)
-        _softmax_xent(tape, tape.tanh(h), labels)
+        loss = self._tail(tape, h, v)
+        sum_all(tape, tape.l2_normalize_rows(h))
         assert loss < len(tape) - 1
         ending = Tape()
-        ending_loss = self._tail(ending, self._head(ending, x, w), v, labels)
+        ending_loss = self._tail(ending, self._head(ending, x, w), v)
         assert ending_loss == len(ending) - 1
         grads, expected = tape.backward(loss), ending.backward(ending_loss)
         assert grads.keys() == expected.keys() == {"w", "v"}
@@ -953,13 +793,52 @@ class TestRerun:
         x = tape.constant(np.array([[1.0, 2.0]]), "x")
         w = tape.parameter(np.array([[3.0, 1.0], [4.0, 1.0]]), "w")
         scores = tape.matmul(x, w)
-        loss = _clip_kl(tape, scores, [0], 0.5, "y")
-        tape.rerun({"x": np.array([[5.0, 6.0]]), "y": _column([1])})
+        loss = tape.matmul(scores, tape.constant(np.array([[2.0], [0.5]]), "v"))
+        tape.rerun({"x": np.array([[5.0, 6.0]])})
         np.testing.assert_array_equal(tape.value(scores), [[5.0 * 3.0 + 6.0 * 4.0, 11.0]])
-        fresh = Tape()
-        fresh_scores = fresh.constant(tape.value(scores))
-        fresh_loss = _clip_kl(fresh, fresh_scores, [1], 0.5)
-        np.testing.assert_array_equal(tape.value(loss), fresh.value(fresh_loss))
+        np.testing.assert_array_equal(tape.value(loss), [[39.0 * 2.0 + 11.0 * 0.5]])
+
+
+class TestGuarded:
+    """diffcore.guarded, the flag guard of closed-form code off the tape."""
+
+    def test_finite_operands_take_one_pass_that_checks_nothing(self):
+        checks = []
+
+        def forward(check):
+            checks.append(check)
+            check(np.array([[np.nan]]), "matmul")  # the guarded pass checks nothing
+            return "value"
+
+        assert diffcore.guarded(forward, True) == "value"
+        assert len(checks) == 1
+
+    def test_a_raised_flag_runs_the_checked_pass_under_the_callers_settings(self):
+        """A flag raised on finite values costs a second, checked pass and
+        changes nothing: its result is returned, and the caller's numpy
+        error settings are as they were."""
+        passes = []
+
+        def forward(check):
+            passes.append(np.geterr()["over"])
+            product = np.multiply(np.full(2, 1e300), 1e300)  # overflows
+            check(np.ones((1, 1)), "matmul")
+            return product
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            caller = np.geterr()
+            np.testing.assert_array_equal(diffcore.guarded(forward, True), [np.inf, np.inf])
+            assert np.geterr() == caller
+        assert passes == ["raise", "ignore"]
+
+    def test_operands_not_vouched_finite_are_checked_at_the_first_non_finite_step(self):
+        def forward(check):
+            a = np.array([[1.0, np.nan]])
+            check(a, "add")
+            raise AssertionError("the check should have raised")
+
+        with pytest.raises(FloatingPointError, match="^non-finite values produced by op 'add'$"):
+            diffcore.guarded(forward, operands_finite=False)
 
 
 _finite = hnp.arrays(
@@ -967,15 +846,6 @@ _finite = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
     elements=st.floats(-1e6, 1e6, allow_subnormal=False),
 )
-
-
-def _scores_and_labels(data):
-    """B x C scores and B labels, B in 1..40 and C in 1..6, so that most
-    batches repeat ranks and some leave ranks absent; the scores are
-    Gaussian with standard deviation 3, so the loss sums round."""
-    rows, cols = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    return 3.0 * rng.normal(size=(rows, cols)), rng.integers(0, cols, size=rows)
 
 
 class TestForwardFormulas:
@@ -1037,147 +907,6 @@ class TestForwardFormulas:
         tape = Tape()
         out = tape.concat_rows([tape.constant(p) for p in parts])
         np.testing.assert_array_equal(tape.value(out), np.vstack(parts))
-
-    @PROPERTY_SETTINGS
-    @given(data=st.data())
-    def test_kl_equals_the_two_gather_formula(self, data):
-        """softmax-xent: the KL sum over the support of the labels' one-hot
-        rows Y, gathered as y * (log y - log q) with log-probabilities in
-        log-sum-exp form, over the B rows, and its gradient
-        (P * rowsum(Y) - Y) / B: the one-hot formulas, bitwise, though
-        the rule reads the labels alone."""
-        x, labels = _scores_and_labels(data)
-        rows, cols = x.shape
-        y = np.eye(cols)[labels]
-        log_q, q = _log_softmax(x, axis=1)
-        s = y > 0
-        expected = float(np.sum(y[s] * (np.log(y[s]) - log_q[s]))) * (1.0 / rows)
-        expected_grad = q * y.sum(axis=1, keepdims=True)
-        expected_grad -= y
-        expected_grad *= 1.0 * (1.0 / rows)
-        tape = Tape()
-        out = _softmax_xent(tape, tape.parameter(x, "x"), labels)
-        assert tape.value(out).tobytes() == np.array([[expected]]).tobytes()
-        assert tape.backward(out)["x"].tobytes() == expected_grad.tobytes()
-
-    @PROPERTY_SETTINGS
-    @given(data=st.data())
-    def test_clip_kl_equals_the_one_hot_formula_bitwise(self, data):
-        """clip-kl: the value and gradient of the labels' one-hot rows Y
-        and their column-normalized Yc, formed as B x C matrices and summed
-        over their support, equal the rule's, which reads Y and Yc at the
-        labels alone, bitwise; repeated and absent ranks included."""
-        x, labels = _scores_and_labels(data)
-        rows, cols = x.shape
-        t = data.draw(st.floats(0.05, 2.0))
-        y = np.eye(cols)[labels]
-        col_sums = y.sum(axis=0, keepdims=True)
-        mask = col_sums > 0
-        y_col = np.divide(y, col_sums, out=np.zeros_like(y), where=mask)
-        log_row, p_row = _log_softmax(x / t, axis=1)
-        log_col, p_col = _log_softmax(x / t, axis=0)
-        w_row, w_col = 0.5 / rows, 0.5 / int(np.count_nonzero(mask))
-
-        def kl(target, log_q):
-            s = target > 0
-            return float(np.sum(target[s] * (np.log(target[s]) - log_q[s])))
-
-        expected = w_row * kl(y, log_row) + w_col * kl(y_col, log_col)
-        row = p_row * y.sum(axis=1, keepdims=True)
-        row -= y
-        col = p_col * mask
-        col -= y_col
-        expected_grad = ((1.0 / t) * w_row) * row + ((1.0 / t) * w_col) * col
-        tape = Tape()
-        out = _clip_kl(tape, tape.parameter(x, "x"), labels, t)
-        assert tape.value(out).tobytes() == np.array([[expected]]).tobytes()
-        assert tape.backward(out)["x"].tobytes() == expected_grad.tobytes()
-
-
-class TestFusedLosses:
-    """clip-kl and softmax-xent against the plain-numpy chains they fuse
-    (tests/conftest.py): value and gradient within 1e-12, and the
-    closed-form gradient against central differences."""
-
-    @pytest.mark.parametrize("kind", ["clip-kl", "softmax-xent"])
-    @PROPERTY_SETTINGS
-    @given(data=st.data())
-    def test_fused_loss_matches_the_unfused_chain(self, kind, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        labels, ranks = _loss_labels(data.draw, rng)
-        scores = _signed(rng, (len(labels), ranks))
-        temperature = data.draw(st.floats(0.5, 2.0))
-
-        def loss(point):
-            tape = Tape()
-            s = tape.parameter(point, "s")
-            if kind == "clip-kl":
-                return tape, _clip_kl(tape, s, labels, temperature)
-            return tape, _softmax_xent(tape, s, labels)
-
-        if kind == "clip-kl":
-            ref_value, ref_grad = unfused_clip_kl(scores, labels, temperature)
-        else:
-            ref_value, ref_grad = unfused_softmax_xent(scores, labels)
-        tape, node = loss(scores)
-        assert _ops(tape) == [kind]
-        assert abs(tape.value(node)[0, 0] - ref_value) <= 1e-12
-        grad = tape.backward(node)["s"]
-        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
-
-        def f(point):
-            t, n = loss(point)
-            return t.value(n)[0, 0]
-
-        assert finite_difference_check(f, scores, grad, h=H) <= FD_TOL
-
-    def test_bad_labels_or_temperature_are_rejected_before_recording(self):
-        """A label node must be a B x 1 column, B > 0: one row per score
-        row, and not a one-hot matrix or a row of labels."""
-        tape = Tape()
-        s = tape.constant(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=r"clip-kl: incompatible shapes \(\(2, 3\), \(3, 1\)\)"):
-            _clip_kl(tape, s, [0, 1, 2], 1.0)
-        one_hot = tape.constant(np.eye(3)[[0, 1]])
-        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(2, 3\), \(2, 3\)\)"):
-            tape.softmax_xent(s, one_hot)
-        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(2, 3\), \(1, 2\)\)"):
-            tape.softmax_xent(s, tape.constant([[0.0, 1.0]]))
-        empty = tape.constant(np.zeros((0, 3)))
-        with pytest.raises(ValueError, match=r"softmax-xent: incompatible shapes \(\(0, 3\), \(0, 1\)\)"):
-            _softmax_xent(tape, empty, [])
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            _clip_kl(tape, s, [0, 1], 0.0)
-        y = tape.constant(_column([0, 1]))
-        with pytest.raises(ValueError, match="size 1"):
-            tape.clip_kl(s, y, tape.constant([[1.0, 1.0]]))
-        assert _ops(tape) == []
-
-    @pytest.mark.parametrize("kind", ["clip-kl", "softmax-xent"])
-    @pytest.mark.parametrize("bad", [0.5, 2.9999, -1.0, 3.0, 1e300, np.nan, np.inf, -np.inf])
-    def test_a_label_that_is_not_a_rank_raises_naming_the_op_when_recorded_or_rerun(self, kind,
-                                                                                   bad):
-        """A label is an integer in [0, C). A fractional one is not
-        truncated to a rank: it raises ValueError naming the op, as a
-        negative, too large or non-finite one does, both when the tape is
-        recorded and when a re-run rebinds the labels."""
-        message = rf"^{kind}: labels must be integers in \[0, 3\)$"
-
-        def record(labels):
-            tape = Tape()
-            s = tape.parameter(np.zeros((2, 3)), "s")
-            if kind == "clip-kl":
-                _clip_kl(tape, s, labels, 1.0, "y")
-            else:
-                _softmax_xent(tape, s, labels, "y")
-            return tape
-
-        with pytest.raises(ValueError, match=message):
-            record([1.0, bad])
-        tape = record([1.0, 2.0])
-        with pytest.raises(ValueError, match=message):
-            tape.rerun({"y": _column([1.0, bad])})
-
 
 class TestFiniteDifferenceCheck:
     def test_sum_of_squares_closed_form(self):

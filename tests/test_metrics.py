@@ -4,7 +4,7 @@ rank, and the CSV/PGM heatmap exports."""
 import numpy as np
 import pytest
 
-from ordinalproto.diffcore import softmax
+from ordinalproto.matching import softmax
 from ordinalproto.metrics import (
     accuracy,
     export_heatmap,
@@ -181,7 +181,7 @@ class TestPrototypeSimilarity:
 @pytest.mark.parametrize("c", [2, 20, 100])
 def test_softmax_rules_equal_the_inline_formulas_bitwise(c):
     """predict's expectation rule and prototype_similarity take their row
-    softmax from diffcore.softmax; both equal the shift, exp and
+    softmax from matching.softmax; both equal the shift, exp and
     normalize written out here, bit for bit."""
 
     def row_softmax(scores):

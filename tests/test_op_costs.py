@@ -1,5 +1,5 @@
-"""scripts/op_costs.py: one line per op kind the model records, on a
-tiny config, in well under a second."""
+"""scripts/op_costs.py: one line per op kind the prompt tape records and
+one for the closed-form tail, on a tiny config, in well under a second."""
 
 import importlib.util
 from pathlib import Path
@@ -30,7 +30,8 @@ def test_prints_one_line_per_recorded_op_kind(tmp_path, capsys, method):
     assert lines[0].split()[:2] == ["op", "kind"]
     assert lines[-1].startswith("outside the rules: ")
     rows = [line.split() for line in lines[1:-1]]
-    assert sorted(row[0] for row in rows) == sorted(recorded)
+    assert sorted(row[0] for row in rows) == sorted(recorded | {"tail"})
+    assert bool(recorded) == (method != "baseline")
     for kind, calls, fwd, bwd in rows:
         assert int(calls) >= 1 and float(fwd) >= 0.0 and float(bwd) >= 0.0, kind
 

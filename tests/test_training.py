@@ -1,12 +1,13 @@
-"""Model training: seeded determinism, the tune gates, fit's re-run tapes
-against a fresh recording every step, the pruned reverse sweep against the
-unpruned reference, finite differences and the closed-form oracle through
-the whole loss, the rank and order of the prototypes, the flat Adam step
-against a textbook per-group one, and the checkpoint file."""
+"""Model training: seeded determinism, the tune gates, fit's re-run prompt
+tape against a fresh recording every step, the closed-form tail's flag
+guard against a checked pass, the seeded reverse sweep of the prompt tape
+against the unpruned reference, finite differences and the closed-form
+oracle through the whole loss, the rank and order of the prototypes, the
+flat Adam step against a textbook per-group one, and the checkpoint
+file."""
 
 import re
 import struct
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,19 +18,21 @@ from hypothesis import strategies as st
 from conftest import (
     finite_difference_check,
     forward_loss_oracle,
+    loss_and_gradients,
     prompt_oracle,
     prompt_oracle_gradient,
     prototypes_of,
     reference_backward,
 )
-from ordinalproto import data, diffcore, prompt, training
+from ordinalproto import data, diffcore, matching, prompt, training
 from ordinalproto.diffcore import OP_KINDS, Tape
-from ordinalproto.encoders import BlockFileError, ImageEncoder, fnv1a64, read_blocks
+from ordinalproto.encoders import BlockFileError, fnv1a64, read_blocks
 from ordinalproto.metrics import mae, ordinality_score, predict
 from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
 NUM_RANKS = 5
 TEMPERATURE = 0.07
+PROMPT_GROUPS = training.PROMPT_GROUPS
 PROMPT_METHODS = (training.ORDINALCLIP, training.COOP)
 GATES = ((True, True), (False, True), (True, False), (False, False))
 # Every (method, tune_rank, tune_ctx): the baseline has no tune gates.
@@ -123,8 +126,8 @@ def _last_layer_mults(state, mult):
 
 def _eager_fit(state, ds, cfg):
     """fit as a plain loop over the model's own groups, with no flat
-    vector: a fresh tape every step, backward, a TextbookAdam step, then
-    the finiteness check. Its loss trace rows."""
+    vector: a fresh prompt tape every step, backward, a TextbookAdam step,
+    then the finiteness check. Its loss trace rows."""
     rng = np.random.default_rng(cfg.seed)
     params = state.trainable_parameters()
     adam = TextbookAdam(params, cfg, _last_layer_mults(state, cfg.last_layer_lr_mult))
@@ -136,11 +139,10 @@ def _eager_fit(state, ds, cfg):
         losses = []
         for start in range(0, len(ds), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            tape, loss = training.forward_loss(
-                state, ds.features[idx], ds.labels[idx], cfg.temperature
-            )
-            losses.append(float(tape.value(loss)[0, 0]))
-            adam.update(params, tape.backward(loss), lr)
+            loss, grads = loss_and_gradients(state, ds.features[idx], ds.labels[idx],
+                                             cfg.temperature)
+            losses.append(loss)
+            adam.update(params, grads, lr)
             assert all(np.isfinite(value).all() for value in params.values())
         rows.append((epoch, float(np.mean(losses)), lr))
     return rows
@@ -226,14 +228,13 @@ class TestFit:
         """A NaN in one entry of one gradient makes that group, and no
         other, non-finite after the Adam step; the error names it alone."""
         for name in _model(method).trainable_parameters():
-            backward = Tape.backward
+            backward = training.backward_loss
 
-            def poisoned(self, loss_node, out=None, _name=name):
-                grads = backward(self, loss_node, out)
+            def poisoned(state, tape, kept, grads, _name=name):
+                backward(state, tape, kept, grads)
                 grads[_name][0, -1] = np.nan
-                return grads
 
-            monkeypatch.setattr(Tape, "backward", poisoned)
+            monkeypatch.setattr(training, "backward_loss", poisoned)
             with pytest.raises(training.TrainingDivergedError,
                                match=rf"after Adam step 1 in {re.escape(name)}; "):
                 _fit(_model(method))
@@ -242,12 +243,15 @@ class TestFit:
     @pytest.mark.parametrize("method", PROMPT_METHODS)
     @pytest.mark.parametrize("tune_rank, tune_ctx", GATES)
     def test_gated_groups_are_absent_from_backward(self, method, tune_rank, tune_ctx):
+        """The prompt tape holds a gated group as a constant: its seeded
+        sweep returns the trainable prompt groups alone."""
         state = _model(method, tune_rank, tune_ctx)
-        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
-        grads = tape.backward(loss)
+        tape = Tape()
+        training.forward_loss(state, tape, *_batch(), TEMPERATURE)
+        grads = tape.backward(len(tape) - 1, seed=np.ones((NUM_RANKS, 6)))
         assert ("base_ranks" in grads) == tune_rank
         assert ("context" in grads) == tune_ctx
-        assert grads.keys() == state.trainable_parameters().keys()
+        assert grads.keys() == state.trainable_parameters().keys() & set(PROMPT_GROUPS)
 
 
 class TestRerunTapes:
@@ -276,29 +280,36 @@ class TestRerunTapes:
         for name in after:
             np.testing.assert_array_equal(after[name], expected[name])
 
-    @pytest.mark.parametrize(
-        "batch_size, recorded", [(16, {16: 1, 8: 1}), (8, {8: 1}), (64, {40: 1})]
-    )
+    @pytest.mark.parametrize("batch_size", [16, 8, 64])
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_forward_loss_runs_once_per_batch_row_count(
-        self, monkeypatch, method, batch_size, recorded
-    ):
-        calls = Counter()
-        forward_loss = training.forward_loss
+    def test_the_prompt_head_is_recorded_once_per_fit(self, monkeypatch, method, batch_size):
+        """Whatever the batch row counts, a prompt model's fit records its
+        prompt head once, inside its first step, and the baseline's none."""
+        calls = []
+        prompt_nodes, train_step = training._prompt_nodes, training.train_step
 
-        def counted(state, batch_x, batch_y, temperature):
-            calls[len(batch_y)] += 1
-            return forward_loss(state, batch_x, batch_y, temperature)
+        def counted(state, tape):
+            calls.append(steps[0])
+            return prompt_nodes(state, tape)
 
-        monkeypatch.setattr(training, "forward_loss", counted)
+        def stepped(*args):
+            steps[0] += 1
+            return train_step(*args)
+
+        steps = [0]
+        monkeypatch.setattr(training, "_prompt_nodes", counted)
+        monkeypatch.setattr(training, "train_step", stepped)
         training.fit(_model(method), _dataset(), _fit_config(batch_size=batch_size))
-        assert calls == recorded
+        assert steps[0] == 3 * -(-40 // batch_size)
+        assert calls == ([] if method == training.BASELINE else [1])
 
 
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_a_rerun_checks_its_named_leaves_and_no_op_value(self, monkeypatch, method):
-        """A step's re-run makes one finiteness check per named leaf and
-        the loss's check of its scores, at any C: none per op."""
+    def test_a_rerun_step_checks_its_leaves_and_no_op_value(self, monkeypatch, method):
+        """A re-run step's forward pass makes one finiteness check per
+        parameter group, the prompt tape's leaves and the tail's, and the
+        loss's check of its scores, at any C: none per op. Each method
+        has six groups."""
         all_finite, checks = diffcore.all_finite, []
 
         def counted(value):
@@ -306,24 +317,58 @@ class TestRerunTapes:
             return all_finite(value)
 
         monkeypatch.setattr(diffcore, "all_finite", counted)
+        monkeypatch.setattr(training, "all_finite", counted)
         rng = np.random.default_rng(52)
         counts = {}
         for num_ranks in (6, 20):
             labels = np.arange(16) % num_ranks
-            tape, _ = training.forward_loss(_model(method, num_ranks=num_ranks),
-                                            rng.normal(size=(16, 4)), labels, TEMPERATURE)
+            state, tape = _model(method, num_ranks=num_ranks), Tape()
+            training.forward_loss(state, tape, rng.normal(size=(16, 4)), labels, TEMPERATURE)
             checks.clear()
-            tape.rerun({ImageEncoder.BATCH: rng.normal(size=(16, 4))})
-            counts[num_ranks] = (len(checks), len(tape._leaves) + 1)
-        assert counts[6] == counts[20] == (9, 9), counts
+            training.forward_loss(state, tape, rng.normal(size=(16, 4)), labels, TEMPERATURE)
+            counts[num_ranks] = len(checks)
+        assert counts[6] == counts[20] == 7, counts
+
+    @pytest.mark.parametrize("op, groups", [
+        ("matmul", {"image.w1": 1e308}),
+        ("add", {"image.w1": 0.4e308, "image.b1": 1e308}),
+        ("matmul", {"image.w1": 0.0, "image.b1": 1.0, "image.w2": 1e308}),
+    ], ids=["first-product", "first-bias", "second-product"])
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_non_finite_tail_op_on_a_rerun_step_names_the_op_of_a_first_step(
+        self, method, op, groups
+    ):
+        """The groups are set in place, as Adam moves them, so that one op
+        of the image encoder overflows on a batch of ones. A re-run step
+        raises the TrainingDivergedError of a first step on a fresh tape,
+        word for word, and names that op."""
+        x, y = np.ones((8, 4)), np.arange(8) % NUM_RANKS
+        errors = []
+        for rerun in (True, False):
+            state = _model(method)
+            cfg = _fit_config()
+            adam = training.AdamState(state.trainable_parameters(), cfg, {})
+            state.params.update(adam.params)
+            rate, tape = adam.mults * 0.0, Tape()
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rerun:
+                    training.train_step(state, x, y, cfg, adam, rate, tape)
+                for name, value in groups.items():
+                    state.params[name][...] = value
+                with pytest.raises(training.TrainingDivergedError) as raised:
+                    training.train_step(state, x, y, cfg, adam, rate, tape)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("non-finite values in forward pass "
+                                    f"(non-finite values produced by op '{op}'); ")
 
 
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
     def test_a_fractional_label_is_rejected_not_truncated(self, method):
         """A label that is not an integer rank would train on another rank
-        if truncated. forward_loss, and a train_step that re-runs the tape
-        it recorded, raise ValueError naming the loss op instead, and the
-        rejected step moves no parameter."""
+        if truncated. forward_loss, and a train_step that re-runs the prompt
+        tape a first step recorded, raise ValueError naming the loss instead,
+        and the rejected step moves no parameter."""
         state = _model(method)
         x, y = _batch()
         bad = y.astype(np.float64)
@@ -331,46 +376,106 @@ class TestRerunTapes:
         op = "softmax-xent" if method == training.BASELINE else "clip-kl"
         message = rf"^{op}: labels must be integers in \[0, {NUM_RANKS}\)$"
         with pytest.raises(ValueError, match=message):
-            training.forward_loss(state, x, bad, TEMPERATURE)
+            training.forward_loss(state, Tape(), x, bad, TEMPERATURE)
         cfg = _fit_config()
         adam = training.AdamState(state.trainable_parameters(), cfg, {})
         state.params.update(adam.params)
-        rate, tapes = adam.mults * cfg.learning_rate, {}
-        training.train_step(state, x, y, cfg, adam, rate, tapes)
+        rate, tape = adam.mults * cfg.learning_rate, Tape()
+        training.train_step(state, x, y, cfg, adam, rate, tape)
         before = adam.values.copy()
         with pytest.raises(ValueError, match=message):
-            training.train_step(state, x, bad, cfg, adam, rate, tapes)
+            training.train_step(state, x, bad, cfg, adam, rate, tape)
         np.testing.assert_array_equal(adam.values, before)
 
     @pytest.mark.parametrize("entry", ["forward_loss", "train_step", "evaluate"])
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
     def test_an_empty_batch_is_rejected_with_one_message(self, method, entry):
-        """Every batch enters the tape through ImageEncoder.checked_batch,
-        which rejects one with no rows before the image encoder records an
-        op, for every method and entry point, an empty dataset's too."""
+        """Every batch enters the image encoder through
+        ImageEncoder.checked_batch, which rejects one with no rows before
+        the encoder computes anything, for every method and entry point, an
+        empty dataset's too."""
         state = _model(method)
         x, y = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
         cfg = _fit_config()
         adam = training.AdamState(state.trainable_parameters(), cfg, {})
         state.params.update(adam.params)
         calls = {
-            "forward_loss": lambda: training.forward_loss(state, x, y, TEMPERATURE),
+            "forward_loss": lambda: training.forward_loss(state, Tape(), x, y, TEMPERATURE),
             "train_step": lambda: training.train_step(
-                state, x, y, cfg, adam, adam.mults * cfg.learning_rate, {}),
+                state, x, y, cfg, adam, adam.mults * cfg.learning_rate, Tape()),
             "evaluate": lambda: training.evaluate(state, data.OrdinalDataset(x, y, NUM_RANKS)),
         }
         with pytest.raises(ValueError, match="^image batch has no rows$"):
             calls[entry]()
 
 
+def _spanning(rng, shape, lo, hi):
+    """Finite values whose entries are signed U(0.25, 1.5) draws times
+    10**e, e drawn per entry from lo..hi: down into the subnormals at lo =
+    -320, up to 1.5e308 at hi = 308."""
+    signed = rng.uniform(0.25, 1.5, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+    return signed * 10.0 ** rng.integers(lo, hi + 1, size=shape)
+
+
+class TestGuardedTail:
+    """forward_loss runs the closed-form tail under diffcore.guarded: one
+    pass with the floating-point flags raising and no value checked. On
+    finite groups and batches spanning the float64 range it either raises
+    what a pass checking every step raises, word for word, or gives its
+    loss bitwise; the draws reach both."""
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_the_guarded_tail_equals_a_checked_one_from_subnormals_to_1e308(self, method):
+        outcomes = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(data=st.data())
+        def case(data):
+            state = _model(method)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            lo = data.draw(st.integers(-320, 308))
+            hi = data.draw(st.integers(lo, 308))
+            for name in set(state.params) - set(PROMPT_GROUPS):
+                state.params[name] = _spanning(rng, state.params[name].shape, lo, hi)
+            x = _spanning(rng, (6, 4), lo, hi)
+            y = rng.integers(0, NUM_RANKS, size=6)
+            prototypes = prototypes_of(state) if state.uses_prompts else None
+            labels = matching.label_column(y)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    scores, _ = training._graph(state, prototypes, x)
+                    if state.uses_prompts:
+                        expected, _ = matching.contrastive_loss(scores, labels, TEMPERATURE)
+                    else:
+                        expected, _ = matching.cross_entropy_loss(scores, labels)
+                except (FloatingPointError, ValueError) as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        training.forward_loss(state, Tape(), x, y, TEMPERATURE)
+                    assert str(raised.value) == str(exc)
+                    outcomes.append("raised")
+                    return
+                loss, _ = training.forward_loss(state, Tape(), x, y, TEMPERATURE)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+            outcomes.append("equal")
+
+        case()
+        assert set(outcomes) == {"raised", "equal"}, outcomes
+
+
 class TestBackwardOnTheTrainingTape:
     @pytest.mark.parametrize("method, tune_rank, tune_ctx, num_context",
-                             _with_no_context(GATE_CASES))
+                             _with_no_context(GATE_CASES[:-1]))
     def test_matches_the_unpruned_sweep_bitwise(self, method, tune_rank, tune_ctx, num_context):
+        """The prompt tape's sweep, seeded with the prototypes' adjoint a
+        training step hands it, equals the unpruned sweep's bitwise."""
         state = _model(method, tune_rank, tune_ctx, num_context)
-        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
-        grads = tape.backward(loss)
-        expected = reference_backward(tape, loss)
+        tape = Tape()
+        _, (loss_kept, (_, embeddings, _, prototypes_t)) = training.forward_loss(
+            state, tape, *_batch(), TEMPERATURE)
+        d_scores = matching.contrastive_loss_grad(loss_kept)
+        _, seed = matching.similarity_grad(d_scores, embeddings, prototypes_t)
+        expected = reference_backward(tape, len(tape) - 1, seed)
+        grads = tape.backward(len(tape) - 1, seed=seed)
         assert grads.keys() == expected.keys()
         for name in grads:
             np.testing.assert_array_equal(grads[name], expected[name])
@@ -378,9 +483,13 @@ class TestBackwardOnTheTrainingTape:
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
     def test_two_backward_calls_return_equal_unshared_arrays(self, method):
         state = _model(method)
-        tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
-        first = tape.backward(loss)
-        second = tape.backward(loss)
+        tape = Tape()
+        _, kept = training.forward_loss(state, tape, *_batch(), TEMPERATURE)
+        first, second = ({name: np.empty_like(value)
+                          for name, value in state.trainable_parameters().items()}
+                         for _ in range(2))
+        training.backward_loss(state, tape, kept, first)
+        training.backward_loss(state, tape, kept, second)
         live = state.trainable_parameters()
         assert first.keys() == second.keys() == live.keys()
         arrays = list(first.values()) + list(second.values()) + list(live.values())
@@ -401,12 +510,10 @@ class TestWholeLossFiniteDifferences:
 
         def loss_at(value):
             state.params[name][...] = value
-            tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
-            return tape.value(loss)[0, 0]
+            return training.forward_loss(state, Tape(), batch_x, batch_y, TEMPERATURE)[0]
 
         point = state.trainable_parameters()[name].copy()
-        tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
-        analytic = tape.backward(loss)[name]
+        analytic = loss_and_gradients(state, batch_x, batch_y, TEMPERATURE)[1][name]
         assert np.abs(analytic).max() > 0
         assert finite_difference_check(loss_at, point, analytic, h=1e-5) <= 1e-4
 
@@ -415,7 +522,7 @@ class TestWholeLossFiniteDifferences:
     def test_gradient_matches_finite_differences(self, method, name):
         self._check(method, name)
 
-    @pytest.mark.parametrize("name", ["head.weights", "head.bias", "image.w1"])
+    @pytest.mark.parametrize("name", ["head.weights", "head.bias", "image.w1", "image.b2"])
     def test_baseline_gradient_matches_finite_differences(self, name):
         self._check(training.BASELINE, name)
 
@@ -444,7 +551,7 @@ class TestCompactPrototypes:
         state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
                                      max_len=5, vocab_size=8, init_seed=seed % 1000)
         rng = np.random.default_rng(seed)
-        for name in ("context", "base_ranks"):
+        for name in PROMPT_GROUPS:
             group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
         singular = np.linalg.svd(prototypes_of(state), compute_uv=False)
@@ -477,34 +584,34 @@ class TestWellOrderedPrototypes:
         state = training.build_model(training.ORDINALCLIP, num_ranks, cfg, latent_dim=16,
                                      max_len=5, vocab_size=8, init_seed=seed % 1000)
         rng = np.random.default_rng(seed)
-        for name in ("context", "base_ranks"):
+        for name in PROMPT_GROUPS:
             group = state.params[name]
             group[...] = rng.normal(0.0, scale, group.shape)
         assert ordinality_score(prototypes_of(state)) == 1.0
 
 
 class TestGraphSize:
-    """Nodes forward_loss puts on the tape. A prompt model records two
-    per rank, the rank's pooling row and its matmul on the token table
-    (PseudoTextEncoder.encode), plus the one concat that builds the table
-    (prompt.assemble_sequences). Everything else, each loss with its
-    labels constant (and, for the contrastive loss, its temperature
-    constant) and the one folded mixing-projection matmul over all pooled
-    rows included, is one fixed set of nodes, so no count depends on the
-    batch size, nor on the number of context rows: a 0-row context is a
-    leaf and is concatenated like any other."""
+    """Nodes forward_loss puts on the prompt tape, the prompt head alone.
+    A prompt model records two per rank, the rank's pooling row and its
+    matmul on the token table (PseudoTextEncoder.encode), plus the one
+    concat that builds the table (prompt.assemble_sequences). Everything
+    else, the one folded mixing-projection matmul over all pooled rows
+    included, is one fixed set of nodes, so no count depends on the batch,
+    which the tape never sees, nor on the number of context rows: a 0-row
+    context is a leaf and is concatenated like any other. The baseline
+    records nothing."""
 
     @pytest.mark.parametrize(
         "method, num_ranks, expected, num_context",
         [
-            pytest.param(training.ORDINALCLIP, 6, 37, 2, id="ordinalclip-6-37"),
-            pytest.param(training.ORDINALCLIP, 20, 65, 2, id="ordinalclip-20-65"),
-            pytest.param(training.COOP, 6, 35, 2, id="coop-6-35"),
-            pytest.param(training.COOP, 20, 63, 2, id="coop-20-63"),
-            pytest.param(training.BASELINE, 6, 17, 2, id="baseline-6-17"),
-            pytest.param(training.BASELINE, 20, 17, 2, id="baseline-20-17"),
-            pytest.param(training.ORDINALCLIP, 6, 37, 0, id="ordinalclip-6-37-no-context"),
-            pytest.param(training.COOP, 6, 35, 0, id="coop-6-35-no-context"),
+            pytest.param(training.ORDINALCLIP, 6, 21, 2, id="ordinalclip-6-21"),
+            pytest.param(training.ORDINALCLIP, 20, 49, 2, id="ordinalclip-20-49"),
+            pytest.param(training.COOP, 6, 19, 2, id="coop-6-19"),
+            pytest.param(training.COOP, 20, 47, 2, id="coop-20-47"),
+            pytest.param(training.BASELINE, 6, 0, 2, id="baseline-6-0"),
+            pytest.param(training.BASELINE, 20, 0, 2, id="baseline-20-0"),
+            pytest.param(training.ORDINALCLIP, 6, 21, 0, id="ordinalclip-6-21-no-context"),
+            pytest.param(training.COOP, 6, 19, 0, id="coop-6-19-no-context"),
         ],
     )
     def test_node_count_is_fixed_and_independent_of_the_batch(self, method, num_ranks, expected,
@@ -513,27 +620,27 @@ class TestGraphSize:
         rng = np.random.default_rng(50)
         for batch in (4, 16):
             labels = np.arange(batch) % num_ranks
-            tape, _ = training.forward_loss(state, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
+            tape = Tape()
+            training.forward_loss(state, tape, rng.normal(size=(batch, 4)), labels, TEMPERATURE)
             assert len(tape) == expected, f"batch {batch}"
 
     def test_constants_of_a_ranks_100_tape_take_their_pinned_bytes(self):
-        """The constant values one recorded ordinalclip tape holds at C =
-        100, m = 4 and B = 16 with the default dimensions (word_dim 32,
-        latent_dim 64, input_dim 16, C' = 3): 100 pooling rows of 104
-        entries (83,200 bytes), the 32 x 64 mixing projection (16,384),
-        the 100 x 3 interpolation matrix (2,400), the 16 x 16 batch
-        (2,048), the 16 x 1 label column (128) and the temperature (8).
-        Reading each prompt off the table through a dense (m + 1) x (m + C)
-        selection matrix, then pooling it with one shared row, held
-        449,680 bytes here, and 16 x 100 one-hot labels 12,800 more than
-        the label column."""
+        """The constant values one recorded ordinalclip prompt tape holds at
+        C = 100 and m = 4 with the default dimensions (word_dim 32,
+        latent_dim 64, C' = 3): 100 pooling rows of 104 entries (83,200
+        bytes), the 32 x 64 mixing projection (16,384) and the 100 x 3
+        interpolation matrix (2,400). Reading each prompt off the table
+        through a dense (m + 1) x (m + C) selection matrix, then pooling it
+        with one shared row, held 449,680 bytes here. The batch, its labels
+        and the temperature are the closed-form tail's, off the tape."""
         state = training.build_model(training.ORDINALCLIP, 100, PromptConfig(100))
         rng = np.random.default_rng(51)
-        tape, _ = training.forward_loss(state, rng.normal(size=(16, 16)), np.arange(16) * 6,
-                                        TEMPERATURE)
+        tape = Tape()
+        training.forward_loss(state, tape, rng.normal(size=(16, 16)), np.arange(16) * 6,
+                              TEMPERATURE)
         constants = [node.value.nbytes for node in tape._nodes if node.op == "constant"]
-        assert len(constants) == 105
-        assert sum(constants) == 104_168
+        assert len(constants) == 102
+        assert sum(constants) == 101_984
 
 
 def _oracle_cases():
@@ -562,7 +669,7 @@ def test_prototypes_match_the_closed_form_prompt_oracle(method, num_ranks, num_b
     state = training.build_model(method, num_ranks, cfg)
     np.testing.assert_allclose(prototypes_of(state), prompt_oracle(state), rtol=0, atol=1e-12)
     rng = np.random.default_rng(num_ranks * 10 + num_context)
-    for name in ("context", "base_ranks"):
+    for name in PROMPT_GROUPS:
         state.params[name] = rng.normal(size=state.params[name].shape)
     np.testing.assert_allclose(prototypes_of(state), prompt_oracle(state), rtol=0, atol=1e-12)
 
@@ -587,21 +694,53 @@ def test_prompt_gradients_match_the_closed_form_oracle(method, num_ranks, num_ba
     """The tape's gradients of <G, prototypes> in the context and base rank
     groups, for a seeded random G, equal conftest.prompt_oracle_gradient
     within 1e-12 of each gradient's largest entry, with both groups set to
-    seeded random values."""
+    seeded random values: both the sweep from the 1x1 node <G, prototypes>
+    written on the tape and the sweep seeded with G, a training step's."""
     cfg = PromptConfig(num_ranks, num_base_ranks=num_base, num_context=num_context,
                        interpolation=kernel)
     state = training.build_model(method, num_ranks, cfg)
     rng = np.random.default_rng(num_ranks * 10 + num_context)
-    for name in ("context", "base_ranks"):
+    for name in PROMPT_GROUPS:
         state.params[name] = rng.normal(size=state.params[name].shape)
     adjoint = rng.normal(size=(num_ranks, state.text_encoder.mixed_projection.shape[1]))
     tape = Tape()
-    grads = tape.backward(_inner_product(tape, training._prompt_nodes(state, tape), adjoint))
+    prototypes = training._prompt_nodes(state, tape)
+    seeded = tape.backward(prototypes, seed=adjoint.copy())
+    grads = tape.backward(_inner_product(tape, prototypes, adjoint))
     expected = prompt_oracle_gradient(state, adjoint)
-    for name, oracle in zip(("context", "base_ranks"), expected):
-        assert grads[name].shape == oracle.shape
-        error = np.abs(grads[name] - oracle).max(initial=0.0)
-        assert error <= 1e-12 * np.abs(oracle).max(initial=0.0), name
+    for name, oracle in zip(PROMPT_GROUPS, expected):
+        bound = 1e-12 * np.abs(oracle).max(initial=0.0)
+        for found in (grads[name], seeded[name]):
+            assert found.shape == oracle.shape
+            assert np.abs(found - oracle).max(initial=0.0) <= bound, name
+
+
+@pytest.mark.parametrize("method, num_context", [(training.ORDINALCLIP, 2),
+                                                 (training.ORDINALCLIP, 0), (training.COOP, 2)])
+def test_the_seeded_prompt_sweep_matches_finite_differences_and_the_oracle(method, num_context):
+    """Tape.backward(prototypes, seed=G), as a training step runs it,
+    gives the gradients of <G, prototypes> in both prompt groups: within
+    1e-4 of central differences of that inner product, and within 1e-12
+    of conftest.prompt_oracle_gradient."""
+    state = _model(method, num_context=num_context)
+    rng = np.random.default_rng(53)
+    for name in PROMPT_GROUPS:
+        state.params[name][...] = rng.normal(size=state.params[name].shape)
+    seed = rng.normal(size=(NUM_RANKS, 6))
+    tape = Tape()
+    grads = tape.backward(training._prompt_nodes(state, tape), seed=seed.copy())
+    for name, oracle in zip(PROMPT_GROUPS, prompt_oracle_gradient(state, seed)):
+        np.testing.assert_allclose(grads[name], oracle, rtol=0,
+                                   atol=1e-12 * np.abs(oracle).max(initial=1.0))
+        point = state.params[name].copy()
+
+        def inner(value, name=name):
+            state.params[name][...] = value
+            return float((seed * prototypes_of(state)).sum())
+
+        if point.size:
+            assert finite_difference_check(inner, point, grads[name], h=1e-5) <= 1e-4, name
+        state.params[name][...] = point
 
 
 def _whole_loss_cases():
@@ -621,7 +760,7 @@ def _whole_loss_cases():
                          _whole_loss_cases())
 def test_whole_loss_gradients_match_the_closed_form_oracle(method, num_ranks, num_context,
                                                            tune_rank, tune_ctx, batch):
-    """forward_loss's value, and the tape's gradient in every trainable
+    """forward_loss's value, and backward_loss's gradient in every trainable
     group, equal conftest.forward_loss_oracle within 1e-12 of the loss and
     of each gradient's largest entry, at the model's default dimensions,
     with every group moved off its initial value by seeded noise."""
@@ -636,17 +775,16 @@ def test_whole_loss_gradients_match_the_closed_form_oracle(method, num_ranks, nu
 def _check_whole_loss_oracle(state, batch, seed):
     """Move every group of state off its value by seeded noise, draw a
     batch of `batch` rows and labels, and hold forward_loss's value and
-    the tape's gradient in every trainable group to forward_loss_oracle,
+    backward_loss's gradient in every trainable group to forward_loss_oracle,
     within 1e-12 of the loss and of each gradient's largest entry."""
     rng = np.random.default_rng(seed)
     for name, value in state.params.items():
         state.params[name] = value + 0.1 * rng.normal(size=value.shape)
     batch_x = rng.normal(size=(batch, 16))
     batch_y = rng.integers(0, state.num_ranks, size=batch)
-    tape, loss = training.forward_loss(state, batch_x, batch_y, TEMPERATURE)
-    grads = tape.backward(loss)
+    loss, grads = loss_and_gradients(state, batch_x, batch_y, TEMPERATURE)
     value, expected = forward_loss_oracle(state, batch_x, batch_y, TEMPERATURE)
-    assert abs(tape.value(loss)[0, 0] - value) <= 1e-12 * abs(value)
+    assert abs(loss - value) <= 1e-12 * abs(value)
     assert grads.keys() == state.trainable_parameters().keys()
     for name, grad in grads.items():
         assert grad.shape == expected[name].shape
@@ -707,7 +845,8 @@ def test_template_ids_stay_clear_of_the_rank_ids_in_a_small_vocabulary(method):
 
 def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
     """The op kinds forward_loss records over the three trained methods are
-    exactly diffcore.OP_KINDS: a kind no model records is dead code."""
+    exactly diffcore.OP_KINDS: a kind no model records is dead code. The
+    prompt head records them all; the baseline records none."""
     recorded = set()
     record = Tape.record
 
@@ -717,33 +856,39 @@ def test_the_model_records_every_op_kind_and_no_other(monkeypatch):
 
     monkeypatch.setattr(Tape, "record", spy)
     for method in PROMPT_METHODS + (training.BASELINE,):
-        training.forward_loss(_model(method), *_batch(), TEMPERATURE)
-    assert recorded == set(OP_KINDS)
+        training.forward_loss(_model(method), Tape(), *_batch(), TEMPERATURE)
+    assert recorded == set(OP_KINDS) == {"matmul", "concat-rows", "l2-normalize-rows"}
 
 
 @pytest.mark.parametrize("method", training.METHODS)
-def test_evaluate_records_the_training_graph(monkeypatch, method):
-    """evaluate scores through the graph fit trains: the ops it records,
-    kind and inputs, are those forward_loss records before its loss node,
-    then, for the baseline only, one l2-normalize-rows of the head
-    weights, whose rows stand in for its prototypes."""
-    ops = []
-    record = Tape.record
+def test_evaluate_scores_through_the_training_graph(monkeypatch, method):
+    """evaluate scores through the graph fit trains: it records the prompt
+    head forward_loss records, op for op, and passes the same prototypes
+    to the same forward half, _graph, as forward_loss does."""
+    ops, graphs = [], []
+    record, graph = Tape.record, training._graph
 
     def spy(self, op_kind, inputs):
         ops.append((op_kind, tuple(map(int, inputs))))
         return record(self, op_kind, inputs)
 
+    def graph_spy(state, prototypes, *args):
+        graphs.append(None if prototypes is None else prototypes.copy())
+        return graph(state, prototypes, *args)
+
     monkeypatch.setattr(Tape, "record", spy)
+    monkeypatch.setattr(training, "_graph", graph_spy)
     state = _model(method)
-    tape, loss = training.forward_loss(state, *_batch(), TEMPERATURE)
-    assert loss == len(tape) - 1
-    expected = ops[:-1]
-    if method == training.BASELINE:
-        expected.append(("l2-normalize-rows", (tape._params["head.weights"],)))
-    ops.clear()
+    training.forward_loss(state, Tape(), *_batch(), TEMPERATURE)
+    expected, ops[:] = list(ops), []
     training.evaluate(state, _dataset())
     assert ops == expected
+    assert bool(expected) == state.uses_prompts
+    assert len(graphs) == 2
+    if method == training.BASELINE:
+        assert graphs == [None, None]
+    else:
+        assert graphs[0].tobytes() == graphs[1].tobytes()
 
 
 def test_the_baseline_expectation_reads_its_logits_at_temperature_1():
@@ -753,10 +898,8 @@ def test_the_baseline_expectation_reads_its_logits_at_temperature_1():
     state = _model(training.BASELINE)
     ds = _dataset()
     training.fit(state, ds, training.TrainConfig(epochs=20, batch_size=16, learning_rate=0.01))
-    tape = Tape()
-    logits, _ = training._graph(state, tape, ds.features)
-    at = {t: mae(predict(tape.value(logits), "expectation", t), ds.labels)
-          for t in (1.0, TEMPERATURE)}
+    logits, _ = training._graph(state, None, ds.features)
+    at = {t: mae(predict(logits, "expectation", t), ds.labels) for t in (1.0, TEMPERATURE)}
     assert at[1.0] != at[TEMPERATURE]
     report, _ = training.evaluate(state, ds, rule="expectation", temperature=TEMPERATURE)
     assert report.mae == at[1.0]
@@ -862,7 +1005,7 @@ class TestCheckpointFile:
             (lambda blob: blob[:-1], "checksum truncated"),
             (lambda blob: blob[:40], "header of block 1 truncated"),
             (lambda blob: blob[:60] + bytes([blob[60] ^ 1]) + blob[61:],
-             "payload checksum mismatch"),
+             r": checksum mismatch$"),
         ],
         ids=["bad-magic", "no-checksum", "cut-checksum", "cut-payload", "flipped-payload-byte"],
     )
