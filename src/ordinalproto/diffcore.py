@@ -54,8 +54,8 @@ The tape does only the work a parameter gradient needs:
   recorded. A non-finite leaf, or a raised flag, sends the re-run back
   to the top with recording's check after every op, so it raises exactly
   where and what recording would; a flag raised on finite values costs
-  that second pass and changes no value. `guarded` gives code off the
-  tape, such as the closed-form tail, the same two passes.
+  that second pass and changes no value. `guarded` runs the two passes,
+  for a re-run and for code off the tape such as the closed-form tail.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
@@ -89,9 +89,10 @@ def all_finite(value: np.ndarray) -> bool:
     return math.isfinite(np.vdot(value, value)) or bool(np.isfinite(value).all())
 
 
-def check_finite(value: np.ndarray, op: str) -> None:
-    """Raise FloatingPointError naming `op` unless every entry of value is
-    finite: recording's check of each op value."""
+def check_finite(value, op: str) -> None:
+    """Raise FloatingPointError naming `op` unless every entry of value, an
+    array or a loss's float, is finite: recording's check of each op
+    value."""
     if not all_finite(value):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
 
@@ -224,9 +225,7 @@ class Tape:
           each, which names the first op whose value is non-finite. A flag
           raised on finite values costs only that second pass.
 
-        These are `guarded`'s two passes, written out here because a no-op
-        check call after each op of the first pass costs 0.7% of a C = 100
-        fit (two BLAS threads, in-process, 36 of 40 interleaved fits).
+        These are `guarded`'s two passes.
 
         A failed re-run leaves the tape part-updated. The graph is
         unchanged, so backward needs no change.
@@ -238,17 +237,14 @@ class Tape:
                 raise ValueError(f"leaf {name!r} has shape {value.shape}; "
                                  f"the tape recorded {node.value.shape}")
             node.value = value
-        if self._constants_finite and all(all_finite(nodes[i].value) for i in self._leaves.values()):
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    for _, node, ins, _ in self._schedule:
-                        node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
-                return
-            except FloatingPointError:
-                pass
-        for _, node, ins, _ in self._schedule:
-            node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
-            check_finite(node.value, node.op)
+
+        def forward(check):
+            for _, node, ins, _ in self._schedule:
+                node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
+                check(node.value, node.op)
+
+        guarded(forward, self._constants_finite
+                and all(all_finite(nodes[i].value) for i in self._leaves.values()))
 
     # Convenience wrappers, one per primitive.
 
@@ -424,10 +420,10 @@ def _unchecked(value, op) -> None:
 
 
 def guarded(forward, operands_finite: bool):
-    """forward(check) under Tape.rerun's flag guard, for closed-form code
-    off the tape. `forward` calls check(value, op) after each step that
-    can make a non-finite value of finite operands, naming the op the
-    step computes.
+    """forward(check) under the flag guard: Tape.rerun's passes, and those
+    of closed-form code off the tape. `forward` calls check(value, op)
+    after each step that can make a non-finite value of finite operands,
+    naming the op the step computes.
 
     If the caller vouches that every operand is finite, one pass runs
     with numpy's overflow, invalid and divide-by-zero flags raising and a

@@ -16,13 +16,13 @@ with gradient (softmax(L) - Y)/B.
 
 Every function here is plain numpy, off the tape. A forward function
 returns its value and what its `_grad` partner reads; the partner returns
-the gradients. The score functions call check(value, op) after each
-step that can go non-finite, under the name of the tape op that used to
-compute it (diffcore.guarded). Both losses read a B x 1 column of rank
-indices (label_column), at the labelled entries only: a one-hot matrix's
-support in row-major order is [rows, labels], so gathering there adds the
-one-hot formula's terms in its order, and gives the formulas above
-bitwise. Both take log-probabilities as `shifted - log(sum(exp(shifted)))`,
+the gradients. The score functions and the losses call check(value, op)
+after each step that can go non-finite, under the name of the tape op
+that used to compute it (diffcore.guarded). Both losses read a B x 1
+column of rank indices (label_column), at the labelled entries only: a
+one-hot matrix's support in row-major order is [rows, labels], so
+gathering there adds the one-hot formula's terms in its order, and gives
+the formulas above bitwise. Both take log-probabilities as `shifted - log(sum(exp(shifted)))`,
 at the labelled entries only, which is finite wherever the scores are, so
 no probability that underflows to zero can make the loss undefined; the
 gradients form the probabilities.
@@ -100,11 +100,13 @@ def _check_labels(op, scores, labels):
     return np.arange(rows), lab.astype(np.intp)
 
 
-def contrastive_loss(scores: np.ndarray, labels: np.ndarray,
-                     temperature: float) -> tuple[float, tuple]:
+def contrastive_loss(scores: np.ndarray, labels: np.ndarray, temperature: float,
+                     check=check_finite) -> tuple[float, tuple]:
     """(loss, what contrastive_loss_grad reads): the bidirectional KL of
     a score table against a label column (module docstring), at a
-    positive temperature.
+    positive temperature. check follows the loss: finite scores can
+    still give an infinite one, where z = scores / t spans more than the
+    float64 range and a labelled entry's shift overflows.
 
     The column average runs over the non-zero label columns only; a batch
     smaller than the rank count always leaves some columns empty and an
@@ -133,6 +135,7 @@ def contrastive_loss(scores: np.ndarray, labels: np.ndarray,
     # cannot overflow: the flag guard needs no flag from it.
     total = (w_row * float(np.sum(0.0 - log_row))
              + w_col * float(np.sum(yc * (np.log(yc) - log_col))))
+    check(total, "clip-kl")
     return total, (t, w_row, w_col, rows, lab, yc, mask, e_row, sum_row, e_col, sum_col)
 
 
@@ -168,9 +171,12 @@ def baseline_logits_grad(d_logits: np.ndarray, features: np.ndarray, weights_t: 
     return d_logits.dot(weights_t.T), d_weights, d_logits.sum(axis=0, keepdims=True)
 
 
-def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, tuple]:
+def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray,
+                       check=check_finite) -> tuple[float, tuple]:
     """(loss, what cross_entropy_loss_grad reads): the mean negative log
-    softmax probability at the labelled rank of a label column.
+    softmax probability at the labelled rank of a label column. check
+    follows the loss, as in contrastive_loss: logits spanning more than
+    the float64 range give an infinite one.
 
     Identical to the mean row-wise KL against the one-hot labels, since
     one-hot labels carry zero entropy. Errors name the op "softmax-xent".
@@ -179,7 +185,9 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, t
     shifted, e, total = _exp_shifted(logits, axis=1)
     log_p = shifted[rows, lab] - np.log(total).ravel()  # as in contrastive_loss
     weight = 1.0 / logits.shape[0]
-    return float(np.sum(0.0 - log_p)) * weight, (weight, rows, lab, e, total)
+    loss = float(np.sum(0.0 - log_p)) * weight
+    check(loss, "softmax-xent")
+    return loss, (weight, rows, lab, e, total)
 
 
 def cross_entropy_loss_grad(kept: tuple) -> np.ndarray:

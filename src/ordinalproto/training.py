@@ -276,17 +276,25 @@ def _graph(state: ModelState, prototypes: np.ndarray | None, batch_x: np.ndarray
     return logits, (image, features, weights_t)
 
 
+def _tail_finite(state: ModelState) -> bool:
+    """Whether every group the closed-form tail reads is finite."""
+    return all(all_finite(value) for name, value in state.params.items()
+               if name not in PROMPT_GROUPS)
+
+
 def forward_loss(state: ModelState, tape: Tape, batch_x: np.ndarray, batch_y: np.ndarray,
-                 temperature: float) -> tuple[float, tuple]:
+                 temperature: float, tail_finite: bool | None = None) -> tuple[float, tuple]:
     """(loss, what backward_loss reads) of one batch.
 
     A prompt model's prototypes come off `tape` (_prototypes); the
     baseline leaves it empty. The tail, _graph and the loss, runs under
     diffcore.guarded as a re-run does: its groups are checked finite
-    here, the batch in ImageEncoder.checked_batch and the labels in the
-    loss, so one pass with the floating-point flags raising checks no
+    here, unless the caller passes tail_finite, which it knows (fit); the
+    batch is checked in ImageEncoder.checked_batch and the labels in the
+    loss. So one pass with the floating-point flags raising checks no
     value, and a raised flag runs the tail again with a check after each
-    step, naming the op a tape recording the tail would.
+    step and after the loss, naming the op a tape recording the tail
+    would.
     """
     prototypes = _prototypes(state, tape) if state.uses_prompts else None
     labels = matching.label_column(batch_y)
@@ -294,12 +302,12 @@ def forward_loss(state: ModelState, tape: Tape, batch_x: np.ndarray, batch_y: np
     def tail(check):
         scores, kept = _graph(state, prototypes, batch_x, check)
         if state.uses_prompts:
-            return matching.contrastive_loss(scores, labels, temperature), kept
-        return matching.cross_entropy_loss(scores, labels), kept
+            return matching.contrastive_loss(scores, labels, temperature, check), kept
+        return matching.cross_entropy_loss(scores, labels, check), kept
 
-    finite = all(all_finite(value) for name, value in state.params.items()
-                 if name not in PROMPT_GROUPS)
-    (loss, loss_kept), kept = guarded(tail, finite)
+    if tail_finite is None:
+        tail_finite = _tail_finite(state)
+    (loss, loss_kept), kept = guarded(tail, tail_finite)
     return loss, (loss_kept, kept)
 
 
@@ -465,9 +473,12 @@ def train_step(
     adam: AdamState,
     rate: np.ndarray,
     tape: Tape,
+    tail_finite: bool | None = None,
 ) -> float:
     """One forward/backward/update at the per-element rate vector `rate`
-    (AdamState.update); returns the batch loss value.
+    (AdamState.update); returns the batch loss value. tail_finite, when
+    given, is whether every group the closed-form tail reads is finite
+    (forward_loss).
 
     The model's trainable groups are the views adam.params, as fit
     arranges, so the prompt tape's parameter nodes hold them and see each
@@ -485,7 +496,7 @@ def train_step(
     passes, rejects an empty one.
     """
     try:
-        loss, kept = forward_loss(state, tape, batch_x, batch_y, cfg.temperature)
+        loss, kept = forward_loss(state, tape, batch_x, batch_y, cfg.temperature, tail_finite)
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     backward_loss(state, tape, kept, adam.grads)
@@ -513,7 +524,10 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
 
     Before the first step every trainable group moves into the flat
     vector of the fit's AdamState: state.params holds its views from then
-    on, also after fit returns.
+    on, also after fit returns. The tail's groups are checked finite once,
+    there: they are trainable, so from then on each step's post-Adam check
+    of the whole vector proves them finite for the next (train_step's
+    tail_finite).
 
     Callers pass a validated config (TrainConfig.validate) and a non-empty
     training set, and never fit zeroshot, which is evaluated untrained.
@@ -525,6 +539,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     adam = AdamState(state.trainable_parameters(), cfg,
                      dict.fromkeys(last_layer, cfg.last_layer_lr_mult))
     state.params.update(adam.params)
+    tail_finite = _tail_finite(state)
     rows = []
     lr = cfg.learning_rate
     n = len(train_ds)
@@ -538,9 +553,8 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             losses.append(
-                train_step(
-                    state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate, tape
-                )
+                train_step(state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate,
+                           tape, tail_finite)
             )
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):

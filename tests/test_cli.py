@@ -458,8 +458,8 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
         steps.append(len(batch_y))
         return train_step(state, batch_x, batch_y, *args)
 
-    def recording(state, batch_x, batch_y, cfg, adam, lr, tape):
-        return spied(state, batch_x, batch_y, cfg, adam, lr, Tape())
+    def recording(state, batch_x, batch_y, cfg, adam, lr, tape, *rest):
+        return spied(state, batch_x, batch_y, cfg, adam, lr, Tape(), *rest)
 
     def checked(forward, operands_finite):
         return guarded(forward, operands_finite=False)

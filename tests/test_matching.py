@@ -216,6 +216,18 @@ class TestLabelColumns:
         with pytest.raises(FloatingPointError, match=f"^non-finite values produced by op '{kind}'$"):
             _loss(kind, scores, [0, 1])
 
+    @pytest.mark.parametrize("kind", LOSSES)
+    def test_a_loss_that_overflows_on_finite_scores_raises_naming_the_loss(self, kind):
+        """Scores 3e308 apart shift the lower one to -inf, so the loss at
+        that label is infinite, and the loss raises as a tape recording
+        it did. At the other label the loss is 0, and finite."""
+        scores = np.array([[1.5e308, -1.5e308]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=f"^non-finite values produced by op '{kind}'$"):
+                _loss(kind, scores, [1])
+            assert _loss(kind, scores, [0])[0] == 0.0
+
 
 class TestContrastiveLoss:
     def _loss_value(self, images, protos, labels, temperature):

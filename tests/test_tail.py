@@ -137,10 +137,10 @@ def _steps(draw, kind):
     y = label_column(labels)
     if kind == "clip-kl":
         temperature = draw(st.floats(0.5, 2.0))
-        forward = lambda ops, check: contrastive_loss(ops["scores"], y, temperature)
+        forward = lambda ops, check: contrastive_loss(ops["scores"], y, temperature, check)
         grad = contrastive_loss_grad
     else:
-        forward = lambda ops, check: cross_entropy_loss(ops["scores"], y)
+        forward = lambda ops, check: cross_entropy_loss(ops["scores"], y, check)
         grad = cross_entropy_loss_grad
     return _Step(
         {"scores": _signed(rng, (len(labels), ranks))}, ("scores",), forward,
@@ -228,9 +228,10 @@ class TestTailStepProperties:
         """On finite operands spanning the float64 range, diffcore.guarded
         either raises what a pass checking every step raises, word for
         word, or returns its value bitwise. The draws reach a pass that
-        raises no flag, and one whose flag re-runs the step: for a step
-        that checks a product or a bias that re-run raises; a loss, which
-        no check follows, returns its value."""
+        raises no flag, and one whose flag re-runs the step and raises.
+        A loss that overflows at a label raises naming the loss; one whose
+        only overflow is in an entry no label reads re-runs and returns
+        the finite loss (fixed scores, as the draws need not reach it)."""
         outcomes = Counter()
 
         @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -238,31 +239,55 @@ class TestTailStepProperties:
         def case(data):
             step = data.draw(_steps(kind))
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-            # The second choices put every entry within a few decades of
-            # the largest double, where a loss can overflow on its own.
-            lo = data.draw(st.integers(-320, 308) | st.integers(300, 308))
+            # The last two bands put every entry within a few decades of
+            # the largest double, or in its decade, where a loss can
+            # overflow on its own.
+            band = data.draw(st.sampled_from([(-320, 308), (300, 308), (308, 308)]))
+            lo = data.draw(st.integers(*band))
             hi = data.draw(st.integers(lo, 308) | st.just(308))
             operands = {name: _spanning(rng, v.shape, lo, hi) for name, v in step.operands.items()}
-            passes = []
-
-            def forward(check):
-                passes.append(check)
-                return step.forward(operands, check)
-
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                try:
-                    expected, _ = forward(check_finite)
-                except FloatingPointError as exc:
-                    with pytest.raises(FloatingPointError) as raised:
-                        guarded(forward, True)
-                    assert str(raised.value) == str(exc)
-                    outcomes["raised"] += 1
-                    return
-                passes.clear()
-                value, _ = guarded(forward, True)
-            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
-            outcomes["one pass" if len(passes) == 1 else "re-run"] += 1
+            outcomes[_guarded_outcome(lambda check: step.forward(operands, check))] += 1
 
         case()
-        flagged = "re-run" if kind in ("clip-kl", "softmax-xent") else "raised"
-        assert outcomes.keys() == {"one pass", flagged}, outcomes
+        flagged = {"raised"}
+        if kind in LOSSES:
+            scores = np.array([[1.5e308, -1.5e308]])
+            for label, expected in ((1, "raised"), (0, "re-run")):
+                outcome = _guarded_outcome(
+                    lambda check: LOSSES[kind](scores, label_column([label]), check))
+                assert outcome == expected, label
+                outcomes[outcome] += 1
+            flagged.add("re-run")
+        assert outcomes.keys() == {"one pass"} | flagged, outcomes
+
+
+# Each loss at temperature 1, on (scores, label column, check).
+LOSSES = {
+    "clip-kl": lambda scores, labels, check: contrastive_loss(scores, labels, 1.0, check),
+    "softmax-xent": cross_entropy_loss,
+}
+
+
+def _guarded_outcome(forward):
+    """How diffcore.guarded(forward, True) ends, after checking it against
+    forward(check_finite): it raises what that raises ("raised"), or
+    returns its value bitwise after one pass ("one pass") or two
+    ("re-run")."""
+    passes = []
+
+    def counted(check):
+        passes.append(check)
+        return forward(check)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            expected, _ = counted(check_finite)
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError) as raised:
+                guarded(counted, True)
+            assert str(raised.value) == str(exc)
+            return "raised"
+        passes.clear()
+        value, _ = guarded(counted, True)
+    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+    return "one pass" if len(passes) == 1 else "re-run"

@@ -240,6 +240,37 @@ class TestFit:
                 _fit(_model(method))
             monkeypatch.undo()
 
+    def test_a_loss_that_overflows_on_finite_logits_raises_at_its_step_naming_the_loss(self):
+        """Head biases of +-1e308 put the logits of alternate ranks 2e308
+        apart, past the float64 range, so the first step's loss is
+        infinite at the lower ranks' labels though every logit is finite.
+        The fit raises at that step, naming the loss, as a recording of
+        the loss did; it does not step Adam and fail at the epoch's end."""
+        state = _model(training.BASELINE)
+        state.params["head.bias"][...] = 1e308 * (-1.0) ** np.arange(NUM_RANKS)
+        with pytest.raises(training.TrainingDivergedError) as raised:
+            _fit(state)
+        assert str(raised.value).startswith(
+            "non-finite values in forward pass (non-finite values produced by op "
+            "'softmax-xent'); ")
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_fit_checks_the_tail_groups_once(self, monkeypatch, method):
+        """fit checks the groups the closed-form tail reads before its first
+        step, and its steps then rely on the post-Adam check of the whole
+        vector; a direct forward_loss checks them itself."""
+        tail_finite, calls = training._tail_finite, []
+
+        def counted(state):
+            calls.append(state.method)
+            return tail_finite(state)
+
+        monkeypatch.setattr(training, "_tail_finite", counted)
+        _fit(_model(method))
+        assert calls == [method]
+        training.forward_loss(_model(method), Tape(), *_batch(), TEMPERATURE)
+        assert calls == [method] * 2
+
     @pytest.mark.parametrize("method", PROMPT_METHODS)
     @pytest.mark.parametrize("tune_rank, tune_ctx", GATES)
     def test_gated_groups_are_absent_from_backward(self, method, tune_rank, tune_ctx):
