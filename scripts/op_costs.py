@@ -72,10 +72,10 @@ def _timed(function, key, seconds, calls=None):
 def _step(state, tape, batch, grads, seconds):
     """One re-run step, its forward_loss and backward_loss times added to
     seconds["forward"] and seconds["backward"]. No step moves a group, and
-    first_step's forward_loss checked the tail's finite, so each passes
-    tail_finite, as a fit's steps do."""
+    first_step's forward_loss checked every group finite, so each passes
+    groups_finite, as a fit's steps do."""
     start = time.perf_counter()
-    _, kept = training.forward_loss(state, tape, *batch, tail_finite=True)
+    _, kept = training.forward_loss(state, tape, *batch, groups_finite=True)
     middle = time.perf_counter()
     training.backward_loss(state, tape, kept, grads)
     seconds["forward"] += middle - start

@@ -3,8 +3,8 @@
 Everything is a 2-D matrix (scalars are 1x1). A :class:`Tape` records
 primitive operations in topological order as they are evaluated; forward
 values are computed eagerly and kept on the tape. :meth:`Tape.backward`
-walks the record once, in reverse, and returns gradients of a scalar loss
-for every named parameter.
+walks the record once, in reverse, from the last node, whose adjoint the
+caller seeds, and returns the gradient of every named parameter.
 
 The tape does only the work a parameter gradient needs:
 
@@ -41,30 +41,34 @@ The tape does only the work a parameter gradient needs:
   sum is non-finite whenever an entry is. Only a non-finite sum, from
   such an entry or from overflow on huge finite entries, pays for the
   full entrywise scan, so an op raises exactly when its value has a
-  non-finite entry. A re-run checks its named
-  leaves, the only values that can have changed, and then runs every op
-  once with numpy's overflow, invalid and divide-by-zero flags set to
-  raise, checking no op's value but a large product's (_SERIAL_PRODUCT).
-  That is sound: every operand of the pass is then finite, and from
-  finite operands an op makes a non-finite value only by raising one of
-  those flags. Recording checks op values, not an unnamed constant, and
-  an op can make a finite value of a non-finite operand: a BLAS that
-  skips zero multipliers, as reference DGEMV does, never forms 0 x inf.
-  So each unnamed constant, which is fixed, is checked once, when it is
-  recorded. A non-finite leaf, or a raised flag, sends the re-run back
-  to the top with recording's check after every op, so it raises exactly
-  where and what recording would; a flag raised on finite values costs
-  that second pass and changes no value. `guarded` runs the two passes,
-  for a re-run and for code off the tape such as the closed-form tail.
+  non-finite entry. A re-run checks no value of its own: its caller
+  vouches that every parameter is finite (a fit checks its groups once,
+  and each Adam step's check proves them finite for the next), and it
+  runs every op once with numpy's overflow, invalid and divide-by-zero
+  flags set to raise, checking no op's value but a large product's
+  (_SERIAL_PRODUCT). That is sound: every operand of the pass is then
+  finite, and from finite operands an op makes a non-finite value only
+  by raising one of those flags. Recording checks op values, not a
+  constant, and an op can make a finite value of a non-finite operand:
+  a BLAS that skips zero multipliers, as reference DGEMV does, never
+  forms 0 x inf. So each constant, which is fixed, is checked once, when
+  it is recorded. No vouch, a non-finite constant, or a raised flag
+  sends the re-run back to the top with recording's check after every
+  op, so it raises exactly where and what recording would; a flag raised
+  on finite values costs that second pass and changes no value.
+  `guarded` runs the two passes, for a re-run and for code off the tape
+  such as the closed-form tail.
 
 None of this changes a forward value or a parameter gradient, bitwise.
 
 Every value an op reads is an input node, so a node's value is a function
 of its inputs' values alone, and a recorded tape can be run again:
-`Tape.rerun` rebinds named leaves and re-evaluates every op in place, in
-recorded order, giving bitwise the values and gradients of a tape recorded
-on the new values. A tape is single-threaded; distinct tapes share no
-mutable state and may live on distinct threads.
+`Tape.rerun` re-evaluates every op in place, in recorded order, on the
+leaves' current values, giving bitwise the values and gradients of a tape
+recorded on them. A parameter changes by writing its array in place, as
+a training step's Adam views do; a constant never changes. A tape is
+single-threaded; distinct tapes share no mutable state and may live on
+distinct threads.
 """
 
 from __future__ import annotations
@@ -131,9 +135,7 @@ class Tape:
         # rerun and backward walk.
         self._schedule: list[tuple] = []
         self._params: dict[str, int] = {}
-        # Every named leaf, parameter or constant, by name: what rerun rebinds.
-        self._leaves: dict[str, int] = {}
-        # Whether every unnamed constant is finite: rerun's flag guard needs it.
+        # Whether every constant is finite: rerun's flag guard needs it.
         self._constants_finite = True
 
     def __len__(self) -> int:
@@ -141,34 +143,26 @@ class Tape:
 
     # -- leaves ----------------------------------------------------------
 
-    def constant(self, array, name: str | None = None) -> int:
-        """A node that never receives a gradient; a named one can be rebound
-        by rerun, and an unnamed one is fixed. An unnamed one is checked
-        for finiteness once, here, for rerun's flag guard: an op's
-        recorded value need not show that its operand is non-finite (see
-        rerun)."""
+    def constant(self, array) -> int:
+        """A fixed node that never receives a gradient. It is checked for
+        finiteness once, here, for rerun's flag guard: an op's recorded
+        value need not show that its operand is non-finite (see rerun)."""
         value = _as_matrix(array)
-        if name is None and not all_finite(value):
+        if not all_finite(value):
             self._constants_finite = False
-        return self._append(_Node("constant", value), name)
+        self._nodes.append(_Node("constant", value))
+        return len(self._nodes) - 1
 
     def parameter(self, array, name: str) -> int:
         """A trainable leaf; its gradient appears in backward() under `name`."""
-        idx = self._append(_Node("parameter", _as_matrix(array), needs_grad=True), name)
-        self._params[name] = idx
-        return idx
+        if name in self._params:
+            raise ValueError(f"parameter {name!r} registered twice on this tape")
+        self._params[name] = len(self._nodes)
+        self._nodes.append(_Node("parameter", _as_matrix(array), needs_grad=True))
+        return self._params[name]
 
     def value(self, node: int) -> np.ndarray:
         return self._nodes[node].value
-
-    def _append(self, node: _Node, name: str | None) -> int:
-        idx = len(self._nodes)
-        if name is not None:
-            if name in self._leaves:
-                raise ValueError(f"leaf {name!r} registered twice on this tape")
-            self._leaves[name] = idx
-        self._nodes.append(node)
-        return idx
 
     # -- recording -------------------------------------------------------
 
@@ -197,29 +191,27 @@ class Tape:
         self._schedule.append((idx, node, tuple(in_nodes), tuple(wanted)))
         return idx
 
-    def rerun(self, leaves: dict) -> None:
-        """Evaluate the recorded ops again, in place, on new leaf values.
+    def rerun(self, params_finite: bool) -> None:
+        """Evaluate the recorded ops again, in place, on the leaves' current
+        values: each parameter array as the caller last wrote it in place,
+        each constant as recorded. Each op reruns the forward rule of
+        `record`, in recorded order, on its inputs' values, which are all
+        it reads, and the re-run ends with the values, or raises the error,
+        of a recording on these leaves:
 
-        `leaves` maps leaf names (parameters, named constants) to values of
-        the recorded shapes; every other leaf keeps its value. Each op
-        reruns the forward rule of `record`, in recorded order, on its
-        inputs' values, which are all it reads, and the re-run ends with
-        the values, or raises the error, of a recording on these leaves:
-
-        - If every named leaf is finite, and every unnamed constant was
-          when recorded, one pass runs the rules with numpy's overflow,
-          invalid and divide-by-zero flags raising, and checks no value.
-          Its operands are all finite, and from finite operands an op
-          makes a non-finite value only by raising one of those flags
-          (a product too large to trust them for checks its own value,
-          see _SERIAL_PRODUCT). The leaves are checked because NaN
-          passes through `dot` with no flag, and because a parameter may
-          have changed in place, as a training step's Adam views do. The
-          unnamed constants are checked too, because a recorded op may
-          have hidden a non-finite one: a BLAS that skips zero
-          multipliers, as reference DGEMV does, records a finite product
-          of an inf row that the re-run's multiplier then reads, and
-          inf times a finite nonzero raises no flag.
+        - If the caller vouches that every parameter is finite
+          (`params_finite`), and every constant was when recorded, one pass
+          runs the rules with numpy's overflow, invalid and divide-by-zero
+          flags raising, and checks no value. Its operands are all finite,
+          and from finite operands an op makes a non-finite value only by
+          raising one of those flags (a product too large to trust them
+          for checks its own value, see _SERIAL_PRODUCT). The vouch is
+          needed because NaN passes through `dot` with no flag. The
+          constants are checked too, because a recorded op may have hidden
+          a non-finite one: a BLAS that skips zero multipliers, as
+          reference DGEMV does, records a finite product of an inf row
+          that the re-run's multiplier then reads, and inf times a finite
+          nonzero raises no flag.
         - Otherwise, or when that pass raises FloatingPointError, the ops
           run again from the top with recording's finiteness check after
           each, which names the first op whose value is non-finite. A flag
@@ -230,21 +222,12 @@ class Tape:
         A failed re-run leaves the tape part-updated. The graph is
         unchanged, so backward needs no change.
         """
-        nodes = self._nodes
-        for name, array in leaves.items():
-            node, value = nodes[self._leaves[name]], _as_matrix(array)
-            if value.shape != node.value.shape:
-                raise ValueError(f"leaf {name!r} has shape {value.shape}; "
-                                 f"the tape recorded {node.value.shape}")
-            node.value = value
-
         def forward(check):
             for _, node, ins, _ in self._schedule:
                 node.value, node.meta = _FORWARD[node.op]([n.value for n in ins])
                 check(node.value, node.op)
 
-        guarded(forward, self._constants_finite
-                and all(all_finite(nodes[i].value) for i in self._leaves.values()))
+        guarded(forward, params_finite and self._constants_finite)
 
     # Convenience wrappers, one per primitive.
 
@@ -259,22 +242,19 @@ class Tape:
 
     # -- reverse sweep ----------------------------------------------------
 
-    def backward(self, loss_node: int, out: dict[str, np.ndarray] | None = None,
-                 seed: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every registered parameter.
+    def backward(self, seed: np.ndarray,
+                 out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Gradients of <seed, value of the last node> w.r.t. every
+        registered parameter: the loss a caller off the tape differentiates
+        with adjoint `seed` of the tape's last value, an array of its
+        shape. The seed becomes that node's adjoint, and the sweep may add
+        into it, so the caller passes an array it no longer needs.
 
-        Parameters the loss does not reach get exact-zero gradients of the
+        Parameters the sweep does not reach get exact-zero gradients of the
         parameter's shape. One walk down the schedule runs the rule of each
         op node that a parameter reaches and that holds an adjoint, forming
         only the gradients its `wants` flags ask for; adjoints accumulate
-        in place (the module docstring says why). `loss_node` may be any
-        1x1 node, not only the last op.
-
-        With `seed`, an array of the node's shape, `loss_node` may have any
-        shape: the gradients are those of <seed, value of loss_node>, the
-        loss a caller off the tape differentiates with adjoint `seed` of
-        that value. The seed becomes the node's adjoint, and the sweep may
-        add into it, so the caller passes an array it no longer needs.
+        in place (the module docstring says why).
 
         Each gradient is written into `out[name]`, an array of the
         parameter's shape (a training step passes views of one flat
@@ -282,15 +262,11 @@ class Tape:
         are fresh, so the returned gradients are the caller's own.
         """
         nodes = self._nodes
-        shape = nodes[loss_node].value.shape
-        if seed is None and shape != (1, 1):
-            raise ValueError(f"loss node must be 1x1, got shape {shape}")
-        if seed is not None and seed.shape != shape:
-            raise ValueError(f"seed has shape {seed.shape}; the loss node has {shape}")
+        shape = nodes[-1].value.shape
+        if seed.shape != shape:
+            raise ValueError(f"seed has shape {seed.shape}; the last node has {shape}")
         adjoint: list[np.ndarray | None] = [None] * len(nodes)
-        adjoint[loss_node] = np.ones((1, 1)) if seed is None else seed
-        # An op after the loss node holds no adjoint: each adjoint flows to
-        # inputs, which precede their op.
+        adjoint[-1] = seed
         for idx, node, ins, wanted in reversed(self._schedule):
             g = adjoint[idx]
             if g is None or not wanted:

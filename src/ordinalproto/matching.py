@@ -38,9 +38,12 @@ from .diffcore import add_row, check_finite, matmul
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax of an array along `axis`: the probabilities the losses'
-    gradients form, and the one softmax the package computes."""
-    _, e, total = _exp_shifted(x, axis)
+    """Softmax of an array along `axis`, for the metrics. An entry whose
+    shift by the max overflows to -inf has probability exactly 0, as its
+    exp is, so the overflow is not reported. The losses call _exp_shifted
+    themselves, under the flag guard, where it raises."""
+    with np.errstate(over="ignore"):
+        _, e, total = _exp_shifted(x, axis)
     return e / total
 
 

@@ -35,6 +35,9 @@ fit, recorded by its first step and re-run by every later one. The tail,
 the image encoder, the scores and the loss, is closed-form numpy
 (_graph, then the loss), differentiated by hand in the tape's op order,
 bitwise; its adjoint of the prototypes seeds the tape's reverse sweep.
+A re-run of the tape and the tail both run under diffcore.guarded on
+one vouch that every group is finite, which fit checks once, before its
+first step.
 The baseline has no prompt head and uses no tape. Fit and evaluate score
 through the same forward half, _graph, so inference is the image encoder
 matched against the prototypes fit trained.
@@ -62,9 +65,6 @@ ZEROSHOT = "zeroshot"
 METHODS = (ORDINALCLIP, COOP, BASELINE, ZEROSHOT)
 
 PROMPT_MAGIC = b"OPRM3"
-# The groups the prompt tape reads; every other group is the closed-form
-# tail's.
-PROMPT_GROUPS = ("context", "base_ranks")
 BASELINE_MAGIC = b"OPBH3"
 
 
@@ -125,13 +125,15 @@ class TrainConfig:
 @dataclass
 class ModelState:
     """One model. `params` holds every parameter group under its name, in
-    checkpoint order: PROMPT_GROUPS for a prompt method, `head.weights`
-    and `head.bias` for the baseline, then the image encoder's
-    ImageEncoder.NAMES. `frozen` names the groups the tune gates hold
-    fixed (build_model sets it); they enter the prompt tape as constants
-    and Adam never sees them. The frozen text encoder is set for the
-    prompt methods only, the fixed interpolation matrix for ordinalclip
-    only."""
+    checkpoint order: `context` and `base_ranks` for a prompt method,
+    `head.weights` and `head.bias` for the baseline, then the image
+    encoder's ImageEncoder.NAMES. A trainable prompt group is a parameter
+    of the prompt tape, which re-runs on it as it is written in place
+    (fit makes it a view that Adam moves). `frozen` names the groups the
+    tune gates hold fixed (build_model sets it); they enter the prompt
+    tape as constants and Adam never sees them. The frozen text encoder
+    is set for the prompt methods only, the fixed interpolation matrix
+    for ordinalclip only."""
 
     method: str
     params: dict[str, np.ndarray]
@@ -248,13 +250,14 @@ def _prompt_nodes(state: ModelState, tape: Tape) -> int:
     return state.text_encoder.encode(tape, table, prompts)
 
 
-def _prototypes(state: ModelState, tape: Tape) -> np.ndarray:
+def _prototypes(state: ModelState, tape: Tape, groups_finite: bool) -> np.ndarray:
     """A prompt model's prototypes off the prompt head: recorded on `tape`
-    when it is empty, and otherwise re-run there. The re-run rebinds no
-    leaf: the tape's parameter nodes are the groups themselves, which fit
-    makes views that Adam moves in place."""
+    when it is empty, and otherwise re-run there on the groups as they
+    now are, groups_finite vouching for them (Tape.rerun). The tape's
+    parameter nodes are the groups themselves, which fit makes views that
+    Adam moves in place."""
     if len(tape):
-        tape.rerun({})
+        tape.rerun(groups_finite)
         return tape.value(len(tape) - 1)
     return tape.value(_prompt_nodes(state, tape))
 
@@ -276,27 +279,28 @@ def _graph(state: ModelState, prototypes: np.ndarray | None, batch_x: np.ndarray
     return logits, (image, features, weights_t)
 
 
-def _tail_finite(state: ModelState) -> bool:
-    """Whether every group the closed-form tail reads is finite."""
-    return all(all_finite(value) for name, value in state.params.items()
-               if name not in PROMPT_GROUPS)
+def _groups_finite(state: ModelState) -> bool:
+    """Whether every parameter group of the model is finite."""
+    return all(all_finite(value) for value in state.params.values())
 
 
 def forward_loss(state: ModelState, tape: Tape, batch_x: np.ndarray, batch_y: np.ndarray,
-                 temperature: float, tail_finite: bool | None = None) -> tuple[float, tuple]:
+                 temperature: float, groups_finite: bool | None = None) -> tuple[float, tuple]:
     """(loss, what backward_loss reads) of one batch.
 
     A prompt model's prototypes come off `tape` (_prototypes); the
-    baseline leaves it empty. The tail, _graph and the loss, runs under
-    diffcore.guarded as a re-run does: its groups are checked finite
-    here, unless the caller passes tail_finite, which it knows (fit); the
-    batch is checked in ImageEncoder.checked_batch and the labels in the
-    loss. So one pass with the floating-point flags raising checks no
-    value, and a raised flag runs the tail again with a check after each
-    step and after the loss, naming the op a tape recording the tail
-    would.
+    baseline leaves it empty. A re-run of the prompt tape and the tail,
+    _graph and the loss, both run under diffcore.guarded, on one vouch
+    that every group is finite: groups_finite, which a caller that knows
+    it passes (fit), or else a check of every group here. The batch is
+    checked in ImageEncoder.checked_batch and the labels in the loss. So
+    one pass with the floating-point flags raising checks no value, and a
+    raised flag runs the pass again with a check after each step and
+    after the loss, naming the op a recording would.
     """
-    prototypes = _prototypes(state, tape) if state.uses_prompts else None
+    if groups_finite is None:
+        groups_finite = _groups_finite(state)
+    prototypes = _prototypes(state, tape, groups_finite) if state.uses_prompts else None
     labels = matching.label_column(batch_y)
 
     def tail(check):
@@ -305,9 +309,7 @@ def forward_loss(state: ModelState, tape: Tape, batch_x: np.ndarray, batch_y: np
             return matching.contrastive_loss(scores, labels, temperature, check), kept
         return matching.cross_entropy_loss(scores, labels, check), kept
 
-    if tail_finite is None:
-        tail_finite = _tail_finite(state)
-    (loss, loss_kept), kept = guarded(tail, tail_finite)
+    (loss, loss_kept), kept = guarded(tail, groups_finite)
     return loss, (loss_kept, kept)
 
 
@@ -323,7 +325,7 @@ def backward_loss(state: ModelState, tape: Tape, kept: tuple,
         d_scores = matching.contrastive_loss_grad(loss_kept)
         d_embeddings, d_prototypes = matching.similarity_grad(d_scores, embeddings, prototypes_t)
         d_features = l2_normalize_rows_grad(d_embeddings, embeddings, norms)
-        tape.backward(len(tape) - 1, out=grads, seed=d_prototypes)
+        tape.backward(d_prototypes, grads)
     else:
         features, weights_t = rest
         d_logits = matching.cross_entropy_loss_grad(loss_kept)
@@ -351,7 +353,8 @@ def evaluate(
     # Overflow here is reported as divergence below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            prototypes = _prototypes(state, Tape()) if state.uses_prompts else None
+            tape = Tape()
+            prototypes = tape.value(_prompt_nodes(state, tape)) if state.uses_prompts else None
             scores, _ = _graph(state, prototypes, ds.features)
             if not state.uses_prompts:
                 prototypes, _ = l2_normalize_rows(state.params["head.weights"])
@@ -373,7 +376,7 @@ class AdamState:
     C-contiguous float64 vector. `params` maps each group name to a view
     of its slice, shaped like the group, and `grads` to a view of the same
     slice of the gradient vector `grad`, which the caller fills before
-    each update (Tape.backward(out=grads)). `lr_mults` maps a group name
+    each update (Tape.backward(seed, grads)). `lr_mults` maps a group name
     to a multiplier of its learning rate, 1.0 for a group it omits; a
     name of no given group is ignored. `mults` holds them one per
     element, so the rate vector mults * lr that an update takes gives
@@ -473,30 +476,28 @@ def train_step(
     adam: AdamState,
     rate: np.ndarray,
     tape: Tape,
-    tail_finite: bool | None = None,
+    groups_finite: bool | None = None,
 ) -> float:
     """One forward/backward/update at the per-element rate vector `rate`
-    (AdamState.update); returns the batch loss value. tail_finite, when
-    given, is whether every group the closed-form tail reads is finite
-    (forward_loss).
+    (AdamState.update); returns the batch loss value. groups_finite, when
+    given, is whether every parameter group is finite (forward_loss).
 
     The model's trainable groups are the views adam.params, as fit
     arranges, so the prompt tape's parameter nodes hold them and see each
     update in place. `tape` is the fit's prompt tape: the first step
     records the prompt head on it, and every later step re-runs it
-    (forward_loss). The re-run checks its named leaves, the prompt groups
-    Adam moved in place, and runs every op with floating-point flags
-    raising and no per-op check, as the closed-form tail does. A
-    non-finite leaf or a raised flag runs the ops again with recording's
-    check after each, so a divergence names the op a recorded step would
-    (Tape.rerun, diffcore.guarded). A non-finite forward pass, or an
-    update that leaves a group non-finite, raises TrainingDivergedError at
-    this step; only then are the groups scanned one by one, to name the
-    non-finite ones. ImageEncoder.checked_batch, which every batch
+    (forward_loss). On the vouch the re-run checks no value and runs
+    every op with floating-point flags raising and no per-op check, as
+    the closed-form tail does. No vouch or a raised flag runs the ops
+    again with recording's check after each, so a divergence names the
+    op a recorded step would (Tape.rerun, diffcore.guarded). A non-finite
+    forward pass, or an update that leaves a group non-finite, raises
+    TrainingDivergedError at this step; only then are the groups scanned
+    one by one, to name the non-finite ones. ImageEncoder.checked_batch, which every batch
     passes, rejects an empty one.
     """
     try:
-        loss, kept = forward_loss(state, tape, batch_x, batch_y, cfg.temperature, tail_finite)
+        loss, kept = forward_loss(state, tape, batch_x, batch_y, cfg.temperature, groups_finite)
     except FloatingPointError as exc:
         raise _diverged(state, f"in forward pass ({exc})") from exc
     backward_loss(state, tape, kept, adam.grads)
@@ -524,10 +525,11 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
 
     Before the first step every trainable group moves into the flat
     vector of the fit's AdamState: state.params holds its views from then
-    on, also after fit returns. The tail's groups are checked finite once,
-    there: they are trainable, so from then on each step's post-Adam check
-    of the whole vector proves them finite for the next (train_step's
-    tail_finite).
+    on, also after fit returns. Every group is checked finite once, there:
+    a frozen group never changes, and from then on each step's post-Adam
+    check of the whole vector proves the trainable ones finite for the
+    next. That one vouch serves both halves of every step, the prompt
+    tape's re-run and the closed-form tail (train_step's groups_finite).
 
     Callers pass a validated config (TrainConfig.validate) and a non-empty
     training set, and never fit zeroshot, which is evaluated untrained.
@@ -539,7 +541,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
     adam = AdamState(state.trainable_parameters(), cfg,
                      dict.fromkeys(last_layer, cfg.last_layer_lr_mult))
     state.params.update(adam.params)
-    tail_finite = _tail_finite(state)
+    groups_finite = _groups_finite(state)
     rows = []
     lr = cfg.learning_rate
     n = len(train_ds)
@@ -554,7 +556,7 @@ def fit(state: ModelState, train_ds: OrdinalDataset,
             idx = perm[start : start + cfg.batch_size]
             losses.append(
                 train_step(state, train_ds.features[idx], train_ds.labels[idx], cfg, adam, rate,
-                           tape, tail_finite)
+                           tape, groups_finite)
             )
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):

@@ -189,16 +189,17 @@ def forward_loss_oracle(state, batch_x, batch_y, temperature) -> tuple[float, di
     return float(loss), grads
 
 
-def reference_backward(tape: Tape, loss_node: int, seed=None) -> dict[str, np.ndarray]:
-    """The unpruned reverse sweep: every node reached from the loss is
-    visited, every input gradient is formed, and every adjoint starts as a
-    copy. Tape.backward, with the same seed, must match it bitwise."""
+def reference_backward(tape: Tape, seed: np.ndarray) -> dict[str, np.ndarray]:
+    """The unpruned reverse sweep from the last node, seeded with `seed`:
+    every node reached from it is visited, every input gradient is
+    formed, and every adjoint starts as a copy. Tape.backward, with the
+    same seed, must match it bitwise."""
     nodes = tape._nodes
     index = {id(node): i for i, node in enumerate(nodes)}
     inputs = {idx: [index[id(n)] for n in ins] for idx, _, ins, _ in tape._schedule}
     adjoint = [None] * len(nodes)
-    adjoint[loss_node] = np.ones((1, 1)) if seed is None else seed.copy()
-    for idx in range(loss_node, -1, -1):
+    adjoint[-1] = seed.copy()
+    for idx in range(len(nodes) - 1, -1, -1):
         g = adjoint[idx]
         node = nodes[idx]
         if g is None or idx not in inputs:

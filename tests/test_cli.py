@@ -481,6 +481,17 @@ def test_a_fit_that_diverges_on_a_rerun_step_reports_as_a_recorded_one(
     assert rerun_err.count("\n") == 1 and "Traceback" not in rerun_err
 
 
+def test_a_baseline_at_a_tiny_temperature_trains_with_no_warning(tmp_path, capsys):
+    """temperature = 1e-308 passes validation. The baseline trains at
+    temperature 1, and its prototype similarity table softmaxes its head
+    rows' cosines at 1e-308: the shift of a negative row entry by the row
+    max overflows to -inf, probability exactly 0. The run exits 0 and
+    writes nothing to stderr."""
+    config = _write_config(tmp_path / "run.cfg", method="baseline", temperature="1e-308")
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # 0, the smallest subnormal, a subnormal whose reciprocal overflows, and
 # a value near the float64 maximum.
 EXTREME_FLOATS = ("0.0", "5e-324", "1e-310", "1.7e308")

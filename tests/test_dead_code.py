@@ -3,8 +3,9 @@ is used by the package or by the benchmark harness, every attribute a
 package method stores on `self` is read by either outside that method,
 every name a package module assigns at top level is read by either
 outside that assignment, every name a package module imports is used in
-that module (a re-export does not count as a use), and every exception
-class the package defines is caught by name somewhere in either."""
+that module (a re-export does not count as a use), every exception
+class the package defines is caught by name somewhere in either, and
+every parameter with a default is passed by some call in either."""
 
 import ast
 import builtins
@@ -207,3 +208,70 @@ def test_every_exception_class_is_caught_somewhere():
     uncaught = [f"{module}:{line} {name}" for module, line, name in _exception_classes()
                 if name not in caught]
     assert uncaught == []
+
+
+def _defaulted_parameters(tree):
+    """(function, name, position or None, line) of every parameter with a
+    default of every function or method in a module. The position counts
+    the parameters a call passes positionally, so a method's `self` or a
+    classmethod's `cls` is not counted, and is None for a keyword-only
+    parameter. A class's __init__ is reported under the class name, the
+    name its callers call."""
+    classes = {id(child): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for child in node.body}
+    methods = {id(child) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for child in node.body if isinstance(child, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = classes[id(node)] if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        if id(node) in methods and not static:
+            positional = positional[1:]
+        for param in positional[len(positional) - len(node.args.defaults):]:
+            yield name, param.arg, positional.index(param), param.lineno
+        for param, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, param.arg, None, param.lineno
+
+
+def _calls():
+    """Every call of the package and the benchmark harness, by the name it
+    calls (`f(...)` or `x.f(...)`): (positional count, or None when one
+    is starred, keywords passed, whether one is `**`)."""
+    calls = {}
+    for root in USERS:
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls.setdefault(name, []).append((
+                    None if starred else len(node.args),
+                    {kw.arg for kw in node.keywords if kw.arg is not None},
+                    any(kw.arg is None for kw in node.keywords),
+                ))
+    return calls
+
+
+def test_every_parameter_with_a_default_is_passed_by_some_call():
+    """A parameter with a default that no call of the package or the
+    benchmark harness passes, by position, by keyword, through `*` or
+    through `**`, is an option no caller takes: its default is the only
+    value, and the parameter can go. A call is matched to a definition by
+    the name it calls. A test is not a caller."""
+    calls = _calls()
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, name, position, line in _defaulted_parameters(
+                ast.parse(path.read_text(), str(path))):
+            if not any(
+                double_star or name in keywords
+                or (position is not None and (count is None or count > position))
+                for count, keywords, double_star in calls.get(function, [])
+            ):
+                unpassed.append(f"{path.name}:{line} {function}({name})")
+    assert unpassed == []

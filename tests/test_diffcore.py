@@ -29,6 +29,13 @@ def _scalarize(tape, node, rng):
     return tape.matmul(tape.matmul(u, node), v)
 
 
+def _sweep(tape, loss):
+    """tape.backward from the 1x1 node `loss`, the tape's last: the
+    gradients of the loss."""
+    assert loss == len(tape) - 1
+    return tape.backward(np.ones((1, 1)))
+
+
 def _ops(tape):
     """The op kinds on the tape, in recorded order; leaves are left out."""
     return [node.op for _, node, _, _ in tape._schedule]
@@ -89,46 +96,37 @@ class TestBackward:
         rng = np.random.default_rng(5)
         tape = Tape()
         p = tape.parameter(rng.normal(size=(2, 3)), "p")
-        grads = tape.backward(sum_all(tape, p))
+        grads = _sweep(tape, sum_all(tape, p))
         np.testing.assert_array_equal(grads["p"], np.ones((2, 3)))
-
-    def test_non_scalar_loss_rejected(self):
-        tape = Tape()
-        p = tape.parameter(np.ones((2, 2)), "p")
-        with pytest.raises(ValueError, match="1x1"):
-            tape.backward(p)
 
     def test_unreached_parameter_gets_zero_gradient(self):
         tape = Tape()
         p = tape.parameter(np.ones((2, 2)), "used")
         q = tape.parameter(np.ones((3, 4)), "unused")
-        grads = tape.backward(sum_all(tape, p))
+        grads = _sweep(tape, sum_all(tape, p))
         np.testing.assert_array_equal(grads["unused"], np.zeros((3, 4)))
         assert grads["unused"].shape == tape.value(q).shape
 
     def test_backward_is_linear_in_the_loss(self):
-        """grad(a + b) == grad(a) + grad(b) entrywise within 1e-12."""
+        """grad(a + b) == grad(a) + grad(b) entrywise within 1e-12: the two
+        losses are stacked in the last node, and each seed picks one or
+        both."""
         rng = np.random.default_rng(7)
-        value = rng.normal(size=(4, 4))
+        tape = Tape()
+        p = tape.parameter(rng.normal(size=(4, 4)), "p")
+        loss_a = sum_all(tape, tape.matmul(p, p))
+        loss_b = sum_all(tape, tape.l2_normalize_rows(p))
+        tape.concat_rows([loss_a, loss_b])
 
-        def grads_of(which):
-            tape = Tape()
-            p = tape.parameter(value, "p")
-            loss_a = sum_all(tape, tape.matmul(p, p))
-            loss_b = sum_all(tape, tape.l2_normalize_rows(p))
-            if which == "a":
-                return tape.backward(loss_a)["p"]
-            if which == "b":
-                return tape.backward(loss_b)["p"]
-            both = tape.concat_rows([loss_a, loss_b])
-            return tape.backward(tape.matmul(tape.constant(np.ones((1, 2))), both))["p"]
+        def grads_of(a, b):
+            return tape.backward(np.array([[a], [b]]))["p"]
 
         np.testing.assert_allclose(
-            grads_of("sum"), grads_of("a") + grads_of("b"), atol=1e-12
+            grads_of(1.0, 1.0), grads_of(1.0, 0.0) + grads_of(0.0, 1.0), atol=1e-12
         )
 
 class TestSeededBackward:
-    """backward(node, seed=G) gives the gradients of <G, value of node>,
+    """backward(G) gives the gradients of <G, value of the last node>,
     the loss code off the tape differentiates, for a node of any shape."""
 
     @staticmethod
@@ -146,14 +144,15 @@ class TestSeededBackward:
         seed = rng.normal(size=(5, 5))
         tape = Tape()
         out = self._graph(tape, tape.parameter(p0, "p"), tape.parameter(q0, "q"))
-        grads = tape.backward(out, seed=seed.copy())
-        expected = reference_backward(tape, out, seed)
+        assert out == len(tape) - 1
+        grads = tape.backward(seed.copy())
+        expected = reference_backward(tape, seed)
         for name in "pq":
             assert grads[name].tobytes() == expected[name].tobytes(), name
         rows = [tape.matmul(tape.matmul(tape.constant(np.eye(5)[i:i + 1]), out),
                             tape.constant(seed[i:i + 1].T)) for i in range(5)]
         inner = tape.matmul(tape.constant(np.ones((1, 5))), tape.concat_rows(rows))
-        unseeded = tape.backward(inner)
+        unseeded = _sweep(tape, inner)
         for name in "pq":
             np.testing.assert_allclose(grads[name], unseeded[name], rtol=0, atol=1e-15)
 
@@ -166,9 +165,9 @@ class TestSeededBackward:
 
     def test_a_seed_of_another_shape_is_rejected(self):
         tape = Tape()
-        out = tape.l2_normalize_rows(tape.parameter(np.ones((2, 3)), "p"))
-        with pytest.raises(ValueError, match=r"^seed has shape \(3, 2\); the loss node has \(2, 3\)$"):
-            tape.backward(out, seed=np.ones((3, 2)))
+        tape.l2_normalize_rows(tape.parameter(np.ones((2, 3)), "p"))
+        with pytest.raises(ValueError, match=r"^seed has shape \(3, 2\); the last node has \(2, 3\)$"):
+            tape.backward(np.ones((3, 2)))
 
 
 class TestFiniteCheck:
@@ -199,7 +198,7 @@ class TestFiniteCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = tape.l2_normalize_rows(p)
-            grads = tape.backward(_scalarize(tape, out, np.random.default_rng(0)))
+            grads = _sweep(tape, _scalarize(tape, out, np.random.default_rng(0)))
         half = np.sqrt(0.5)
         np.testing.assert_allclose(tape.value(out), [[half, half], [0.6, 0.8], [half, -half],
                                                      [half, half]], rtol=1e-15)
@@ -244,7 +243,7 @@ class TestPrunedBackward:
         frozen = tape.l2_normalize_rows(tape.concat_rows([tape.constant(rng.normal(size=(1, 4)))]))
         loss = sum_all(tape, tape.concat_rows([p, frozen]))
         calls, log = _count_backward_rules(monkeypatch)
-        tape.backward(loss)
+        _sweep(tape, loss)
         assert calls == {"matmul": 2, "concat-rows": 1}
         for kind, wants, contribs in log:
             assert [c is not None for c in contribs] == list(wants), kind
@@ -254,7 +253,7 @@ class TestPrunedBackward:
         p = tape.parameter(np.ones((2, 2)), "p")
         loss = sum_all(tape, tape.l2_normalize_rows(tape.constant(np.ones((2, 2)))))
         calls, _ = _count_backward_rules(monkeypatch)
-        grads = tape.backward(loss)
+        grads = _sweep(tape, loss)
         assert not calls
         np.testing.assert_array_equal(grads["p"], np.zeros((2, 2)))
         assert not np.shares_memory(grads["p"], tape.value(p))
@@ -266,7 +265,7 @@ class TestPrunedBackward:
         w = tape.parameter(rng.normal(size=(3, 2)), "w")
         loss = _scalarize(tape, tape.matmul(x, w), rng)
         _, log = _count_backward_rules(monkeypatch)
-        tape.backward(loss)
+        _sweep(tape, loss)
         assert [(kind, wants) for kind, wants, _ in log] == [
             ("matmul", (True, False)), ("matmul", (False, True)), ("matmul", (False, True))]
 
@@ -284,8 +283,8 @@ class TestPrunedBackward:
         r = tape.l2_normalize_rows(p)
         total = tape.concat_rows([tape.concat_rows([p, a]), q, r])
         loss = _scalarize(tape, total, rng)
-        grads = tape.backward(loss)
-        expected = reference_backward(tape, loss)
+        grads = _sweep(tape, loss)
+        expected = reference_backward(tape, np.ones((1, 1)))
         for name in "pqa":
             np.testing.assert_array_equal(grads[name], expected[name])
         arrays = list(grads.values())
@@ -296,7 +295,7 @@ class TestPrunedBackward:
     def test_gradient_of_a_parameter_loss_is_a_fresh_array(self):
         tape = Tape()
         p = tape.parameter(np.array([[2.0]]), "p")
-        grads = tape.backward(p)
+        grads = _sweep(tape, p)
         np.testing.assert_array_equal(grads["p"], [[1.0]])
         assert not np.shares_memory(grads["p"], tape.value(p))
 
@@ -320,7 +319,7 @@ def _fd_case(name, build, shapes, seed):
             return tape, reduced
 
         tape, loss = assemble(values[target])
-        analytic = tape.backward(loss)["p"]
+        analytic = _sweep(tape, loss)["p"]
 
         def f(p):
             t, l = assemble(p)
@@ -394,26 +393,33 @@ def _wiring(draw, values):
     return sources, params
 
 
-def _leaf_name(i, params):
-    return f"p{i}" if i in params else f"c{i}"
-
-
 def _meta_arrays(meta):
     """The arrays a forward rule left in its node's meta: None, or
     l2-normalize-rows's array of row norms."""
     return [] if meta is None else [meta]
 
 
-def _property_tape(build, values, sources, params, weight_seed):
-    """Leaf i is parameter p{i} or constant c{i}; the op output is reduced
-    to a 1x1 loss through fixed positive weights."""
+def _property_tape(build, values, sources, params):
+    """Leaf i is parameter p{i}, holding the array values[i] itself, or a
+    constant; the tape ends at the op's output."""
     tape = Tape()
-    leaf = {
-        i: (tape.parameter if i in params else tape.constant)(values[i], _leaf_name(i, params))
-        for i in sorted(set(sources))
-    }
-    out = build(tape, [leaf[i] for i in sources])
-    return tape, _scalarize(tape, out, np.random.default_rng(weight_seed))
+    leaf = {i: tape.parameter(values[i], f"p{i}") if i in params else tape.constant(values[i])
+            for i in sorted(set(sources))}
+    build(tape, [leaf[i] for i in sources])
+    return tape
+
+
+def _seed(tape, weight_seed):
+    """Fixed positive weights W of the last node's shape, drawn from
+    U(0.5, 1.5): the seed of the loss <W, output>."""
+    shape = tape.value(len(tape) - 1).shape
+    return np.random.default_rng(weight_seed).uniform(0.5, 1.5, shape)
+
+
+def _vouch(arrays):
+    """Whether every array is finite: the vouch forward_loss computes over
+    the groups when its caller gives none."""
+    return all(diffcore.all_finite(a) for a in arrays)
 
 
 def _spanning(rng, shape, lo, hi):
@@ -423,54 +429,54 @@ def _spanning(rng, shape, lo, hi):
     return _signed(rng, shape) * 10.0 ** rng.integers(lo, hi + 1, size=shape)
 
 
-def _reduced_tape(build, values, sources, params, weights=None):
-    """_property_tape with the reduction weights u and v as the constants
-    named "u" and "v", so that a re-run rebinds them too; without
-    `weights` they are drawn from U(0.5, 1.5)."""
-    tape = Tape()
-    leaf = {
-        i: (tape.parameter if i in params else tape.constant)(values[i], _leaf_name(i, params))
-        for i in sorted(set(sources))
-    }
-    out = build(tape, [leaf[i] for i in sources])
-    if weights is None:
-        rng = np.random.default_rng(0)
-        rows, cols = tape.value(out).shape
-        weights = rng.uniform(0.5, 1.5, (1, rows)), rng.uniform(0.5, 1.5, (cols, 1))
-    u, v = (tape.constant(w, name) for w, name in zip(weights, "uv"))
-    return tape, tape.matmul(tape.matmul(u, out), v)
+def _reduced(tape, u, v):
+    """Append the 1x1 node u @ X @ v of the tape's last node X, for
+    parameters "u" and "v" holding the arrays u and v themselves, so that
+    a re-run can overflow after any op kind; returns the tape."""
+    out = len(tape) - 1
+    tape.matmul(tape.matmul(tape.parameter(u, "u"), out), tape.parameter(v, "v"))
+    return tape
 
 
 def _guarded_rerun_case(kind, data):
-    """Re-run a tape on leaves drawn by _spanning, the reduction weights
-    included, and compare it with a recording on them: "raised" if both
-    raise the same FloatingPointError, "equal" if the values and
-    gradients are bitwise the recording's."""
+    """Write values drawn by _spanning into every parameter in place, the
+    reduction weights u and v included, re-run the tape, and compare it
+    with a recording on them: "raised" if both raise the same
+    FloatingPointError, "equal" if the values and gradients are bitwise
+    the recording's. A constant is fixed, so it holds its drawn value
+    from the start, and every parameter is first recorded at 1e-300 times
+    a _signed value, whose products with the constants cannot overflow."""
     build, values = data.draw(_op_cases(kind))
     sources, params = _wiring(data.draw, values)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lo = data.draw(st.integers(-320, 308))
     hi = data.draw(st.integers(lo, 308))
-    tape, loss = _reduced_tape(build, values, sources, params)
-    fresh = {name: _spanning(rng, tape.value(i).shape, lo, hi)
-             for name, i in tape._leaves.items()}
-    moved = [fresh.get(_leaf_name(i, params)) for i in range(len(values))]
+    moved = [_spanning(rng, v.shape, lo, hi) for v in values]
+    held = [v * 1e-300 if i in params else moved[i] for i, v in enumerate(values)]
+    tape = _property_tape(build, held, sources, params)
+    rows, cols = tape.value(len(tape) - 1).shape
+    weights = [np.full((1, rows), 1e-300), np.full((cols, 1), 1e-300)]
+    _reduced(tape, *weights)
+    moved_weights = [_spanning(rng, w.shape, lo, hi) for w in weights]
+    for i in params:
+        held[i][...] = moved[i]
+    for w, moved_w in zip(weights, moved_weights):
+        w[...] = moved_w
     # fit's setting, under which overflow and invalid do not warn; the
     # guarded pass sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            expected, expected_loss = _reduced_tape(build, moved, sources, params,
-                                                    (fresh["u"], fresh["v"]))
+            expected = _reduced(_property_tape(build, moved, sources, params), *moved_weights)
         except FloatingPointError as exc:
             with pytest.raises(FloatingPointError) as raised:
-                tape.rerun(fresh)
+                tape.rerun(_vouch(held + weights))
             assert str(raised.value) == str(exc)
             return "raised"
-        tape.rerun(fresh)
+        tape.rerun(_vouch(held + weights))
         assert len(tape) == len(expected)
         for i in range(len(tape)):
             np.testing.assert_array_equal(tape.value(i), expected.value(i))
-        grads, want = tape.backward(loss), expected.backward(expected_loss)
+        grads, want = tape.backward(_seed(tape, 0)), expected.backward(_seed(expected, 0))
     assert grads.keys() == want.keys()
     for name in grads:
         np.testing.assert_array_equal(grads[name], want[name])
@@ -484,9 +490,10 @@ class TestOpProperties:
     def test_backward_matches_the_unpruned_sweep_bitwise(self, kind, data):
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
-        tape, loss = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
-        grads = tape.backward(loss)
-        expected = reference_backward(tape, loss)
+        weight_seed = data.draw(st.integers(0, 99))
+        tape = _property_tape(build, values, sources, params)
+        grads = tape.backward(_seed(tape, weight_seed))
+        expected = reference_backward(tape, _seed(tape, weight_seed))
         assert grads.keys() == expected.keys()
         for name in grads:
             np.testing.assert_array_equal(grads[name], expected[name])
@@ -496,16 +503,16 @@ class TestOpProperties:
     def test_backward_agrees_with_finite_differences(self, kind, data):
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
-        weight_seed = data.draw(st.integers(0, 99))
-        tape, loss = _property_tape(build, values, sources, params, weight_seed)
-        grads = tape.backward(loss)
+        tape = _property_tape(build, values, sources, params)
+        weights = _seed(tape, data.draw(st.integers(0, 99)))
+        grads = tape.backward(weights.copy())
         for target in params:
 
             def f(point, target=target):
                 moved = list(values)
                 moved[target] = point
-                t, l = _property_tape(build, moved, sources, params, weight_seed)
-                return t.value(l)[0, 0]
+                t = _property_tape(build, moved, sources, params)
+                return float((weights * t.value(len(t) - 1)).sum())
 
             err = finite_difference_check(f, values[target], grads[f"p{target}"], h=H)
             assert err <= FD_TOL, f"input {target}: relative error {err}"
@@ -518,10 +525,11 @@ class TestOpProperties:
         gradient or with any tape value."""
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
-        tape, loss = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
+        weight_seed = data.draw(st.integers(0, 99))
+        tape = _property_tape(build, values, sources, params)
         recorded = [tape.value(i).copy() for i in range(len(tape))]
-        grads = tape.backward(loss)
-        again = tape.backward(loss)
+        grads = tape.backward(_seed(tape, weight_seed))
+        again = tape.backward(_seed(tape, weight_seed))
         for name in grads:
             np.testing.assert_array_equal(again[name], grads[name])
         for i, value in enumerate(recorded):
@@ -540,7 +548,7 @@ class TestOpProperties:
         or meta array. They may view the upstream gradient."""
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
-        tape, _ = _property_tape(build, values, sources, params, data.draw(st.integers(0, 99)))
+        tape = _property_tape(build, values, sources, params)
         nodes = tape._nodes
         held = [n.value for n in nodes] + [m for n in nodes for m in _meta_arrays(n.meta)]
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
@@ -570,23 +578,26 @@ class TestOpProperties:
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_rerun_on_fresh_leaves_equals_a_fresh_recording_bitwise(self, kind, data):
-        """A tape re-run on fresh leaf values holds bitwise the node values
-        and backward gradients of a tape recorded on them, after a sweep of
-        the old."""
+        """A tape re-run after fresh values are written into its parameter
+        arrays in place, as Adam writes a fit's groups, holds bitwise the
+        node values and seeded gradients of a tape recorded on them, after
+        a sweep of the old; its constants keep their values."""
         build, values = data.draw(_op_cases(kind))
         sources, params = _wiring(data.draw, values)
         weight_seed = data.draw(st.integers(0, 99))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        fresh = [_signed(rng, v.shape) for v in values]
-        rebound = {_leaf_name(i, params): fresh[i] for i in sorted(set(sources))}
-        tape, loss = _property_tape(build, values, sources, params, weight_seed)
-        tape.backward(loss)
-        tape.rerun(rebound)
-        expected, expected_loss = _property_tape(build, fresh, sources, params, weight_seed)
+        fresh = [_signed(rng, v.shape) if i in params else v for i, v in enumerate(values)]
+        tape = _property_tape(build, values, sources, params)
+        tape.backward(_seed(tape, weight_seed))
+        for i in params:
+            values[i][...] = fresh[i]
+        tape.rerun(_vouch(values))
+        expected = _property_tape(build, fresh, sources, params)
         assert len(tape) == len(expected)
         for i in range(len(tape)):
             np.testing.assert_array_equal(tape.value(i), expected.value(i))
-        grads, want = tape.backward(loss), expected.backward(expected_loss)
+        grads = tape.backward(_seed(tape, weight_seed))
+        want = expected.backward(_seed(expected, weight_seed))
         assert grads.keys() == want.keys()
         for name in grads:
             np.testing.assert_array_equal(grads[name], want[name])
@@ -594,15 +605,16 @@ class TestOpProperties:
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_a_nan_leaf_on_rerun_raises_naming_the_op(self, kind, data):
+        """A NaN written into a parameter in place: the vouch computed over
+        the parameters fails, and the checked re-run names the op."""
         build, values = data.draw(_op_cases(kind))
         tape = Tape()
-        build(tape, [tape.constant(v, f"c{i}") for i, v in enumerate(values)])
+        build(tape, [tape.parameter(v, f"p{i}") for i, v in enumerate(values)])
         which = data.draw(st.integers(0, len(values) - 1))
         rows, cols = values[which].shape
-        bad = values[which].copy()
-        bad[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = np.nan
+        values[which][data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = np.nan
         with pytest.raises(FloatingPointError, match=f"non-finite values produced by op '{kind}'"):
-            tape.rerun({f"c{which}": bad})
+            tape.rerun(_vouch(values))
 
     def test_a_guarded_rerun_equals_a_checked_recording_from_subnormals_to_1e308(self, kind):
         """A re-run on finite leaves whose magnitudes span the float64
@@ -620,34 +632,25 @@ class TestOpProperties:
 
 
 class TestRerun:
-    def test_a_leaf_of_another_shape_is_rejected(self):
+    def test_a_parameter_name_registered_twice_is_rejected(self):
         tape = Tape()
-        tape.matmul(tape.constant(np.ones((2, 3)), "x"), tape.parameter(np.ones((3, 1)), "w"))
-        recorded = r"leaf 'x' has shape \(4, 3\); the tape recorded \(2, 3\)"
-        with pytest.raises(ValueError, match=recorded):
-            tape.rerun({"x": np.ones((4, 3))})
-        with pytest.raises(ValueError, match="leaf 'w' has shape"):
-            tape.rerun({"w": np.ones((3, 2))})
-
-    def test_a_leaf_name_registered_twice_is_rejected(self):
-        tape = Tape()
-        tape.constant(np.ones((1, 1)), "x")
-        with pytest.raises(ValueError, match="leaf 'x' registered twice"):
+        tape.parameter(np.ones((1, 1)), "x")
+        with pytest.raises(ValueError, match="^parameter 'x' registered twice on this tape$"):
             tape.parameter(np.ones((1, 1)), "x")
 
     def test_a_parameter_set_to_nan_in_place_raises_at_the_first_op_that_reads_it(self):
         """A parameter that is a view into a flat vector, as Adam's are,
-        goes NaN in place, and the re-run rebinds no leaf. NaN passes
-        through matmul and concat-rows with no floating-point flag, so only
-        the check of every named leaf sends the re-run to the checked
-        loop."""
+        goes NaN in place. NaN passes through matmul and concat-rows with
+        no floating-point flag, so only the vouch, computed over the
+        parameters as forward_loss computes it over the groups, sends the
+        re-run to the checked loop."""
         flat = np.linspace(0.5, 1.0, 6)
         tape = Tape()
-        x = tape.concat_rows([tape.constant(np.ones((2, 3)), "x")])
+        x = tape.concat_rows([tape.constant(np.ones((2, 3)))])
         tape.concat_rows([tape.matmul(x, tape.parameter(flat.reshape(3, 2), "w"))])
         flat[4] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite values produced by op 'matmul'"):
-            tape.rerun({})
+            tape.rerun(_vouch([flat]))
 
     def test_a_flag_raised_on_finite_values_changes_nothing(self, monkeypatch):
         """A rule that raises an overflow flag on a product it throws away
@@ -659,11 +662,12 @@ class TestRerun:
 
         def record(x):
             tape = Tape()
-            h = tape.l2_normalize_rows(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
-            return tape, sum_all(tape, tape.concat_rows([h]))
+            h = tape.l2_normalize_rows(tape.matmul(tape.parameter(x, "x"), tape.parameter(w, "w")))
+            tape.concat_rows([h])
+            return tape
 
-        expected, expected_loss = record(x1)
-        tape, loss = record(x0)
+        expected = record(x1)
+        tape = record(x0)
         concat, calls = diffcore._FORWARD["concat-rows"], []
 
         def flagging_concat(vals):
@@ -672,15 +676,17 @@ class TestRerun:
             return concat(vals)
 
         monkeypatch.setitem(diffcore._FORWARD, "concat-rows", flagging_concat)
+        x0[...] = x1
         with np.errstate(over="ignore", invalid="ignore"):
             caller = np.geterr()
-            tape.rerun({"x": x1})
+            tape.rerun(True)
             assert np.geterr() == caller
         assert len(calls) == 2  # the guarded pass, then the checked one
         for i in range(len(tape)):
             np.testing.assert_array_equal(tape.value(i), expected.value(i))
-        np.testing.assert_array_equal(tape.backward(loss)["w"],
-                                      expected.backward(expected_loss)["w"])
+        grads, want = tape.backward(np.ones((4, 5))), expected.backward(np.ones((4, 5)))
+        for name in "xw":
+            np.testing.assert_array_equal(grads[name], want[name])
 
     def test_an_overflow_in_a_product_too_large_to_trust_its_flags_raises(self):
         """A BLAS may compute part of a large product on another thread,
@@ -692,14 +698,13 @@ class TestRerun:
         assert n**3 > diffcore._SERIAL_PRODUCT
         w = np.full((n, n), 0.01)
         w[:, -1] = 1e154
+        x = np.full((n, n), 0.01)
         tape = Tape()
-        x = tape.constant(np.full((n, n), 0.01), "x")
-        tape.matmul(x, tape.parameter(w, "w"))
-        bad = np.full((n, n), 0.01)
-        bad[-1] = 1e154
+        tape.matmul(tape.parameter(x, "x"), tape.parameter(w, "w"))
+        x[-1] = 1e154
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
-                tape.rerun({"x": bad})
+                tape.rerun(_vouch([x, w]))
 
     @staticmethod
     def _skipping_matmul(vals):
@@ -709,19 +714,20 @@ class TestRerun:
         kept = a[0] != 0.0
         return a[:, kept].dot(b[kept]), None
 
-    def test_a_non_finite_unnamed_constant_makes_every_rerun_checked(self, monkeypatch):
+    def test_a_non_finite_constant_makes_every_rerun_checked(self, monkeypatch):
         """A BLAS that skips zero multipliers, as reference DGEMV does,
         records a finite product of a fixed constant's inf row under a
         zero entry of a. A re-run whose a is nonzero there makes inf with
         no flag (inf times a finite nonzero is exact), so such a tape
-        re-runs through the checked loop. The patched product stands in
-        for that BLAS."""
+        re-runs through the checked loop, though its caller vouches for
+        every parameter. The patched product stands in for that BLAS."""
         monkeypatch.setitem(diffcore._FORWARD, "matmul", self._skipping_matmul)
+        a = np.array([[1.0, 0.0]])
         tape = Tape()
-        a = tape.parameter(np.array([[1.0, 0.0]]), "a")
-        tape.matmul(a, tape.constant(np.array([[1.0, 2.0], [np.inf, 3.0]])))
+        tape.matmul(tape.parameter(a, "a"), tape.constant(np.array([[1.0, 2.0], [np.inf, 3.0]])))
+        a[...] = 1.0
         with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
-            tape.rerun({"a": np.array([[1.0, 1.0]])})
+            tape.rerun(_vouch([a]))
 
     @pytest.mark.parametrize("hidden", [np.nan, -np.inf], ids=["nan", "-inf"])
     def test_a_hidden_nan_or_minus_inf_constant_is_named_on_rerun(self, monkeypatch, hidden):
@@ -731,70 +737,59 @@ class TestRerun:
         zero multiplier at recording reaches the re-run's value unflagged
         unless the re-run takes the checked loop."""
         monkeypatch.setitem(diffcore._FORWARD, "matmul", self._skipping_matmul)
+        a = np.array([[1.0, 0.0]])
         tape = Tape()
-        a = tape.parameter(np.array([[1.0, 0.0]]), "a")
-        tape.matmul(a, tape.constant(np.array([[1.0, 2.0], [hidden, 3.0]])))
+        tape.matmul(tape.parameter(a, "a"), tape.constant(np.array([[1.0, 2.0], [hidden, 3.0]])))
         np.testing.assert_array_equal(tape.value(len(tape) - 1), [[1.0, 2.0]])
+        a[...] = 1.0
         with pytest.raises(FloatingPointError, match="produced by op 'matmul'"):
-            tape.rerun({"a": np.array([[1.0, 1.0]])})
+            tape.rerun(_vouch([a]))
 
     @staticmethod
     def _head(tape, x, w):
-        """normalize(x @ w) for a constant x named "x" and a parameter "w"."""
-        return tape.l2_normalize_rows(tape.matmul(tape.constant(x, "x"), tape.parameter(w, "w")))
+        """normalize(x @ w) for parameters "x" and "w"."""
+        return tape.l2_normalize_rows(tape.matmul(tape.parameter(x, "x"), tape.parameter(w, "w")))
 
     @staticmethod
     def _tail(tape, h, v):
-        """The sum of the entries of h @ v for a parameter "v"."""
-        return sum_all(tape, tape.matmul(h, tape.parameter(v, "v")))
+        """h @ v for a parameter "v"."""
+        return tape.matmul(h, tape.parameter(v, "v"))
 
     def test_ops_recorded_after_a_rerun_are_rerun_and_differentiated(self):
         """Recording, not the first re-run, schedules an op: a tape that
         records more ops after a re-run re-runs them too, and backward
         reaches their parameters, bitwise as a fresh recording."""
         rng = np.random.default_rng(8)
-        x0, x1, x2 = (rng.normal(size=(4, 3)) for _ in range(3))
+        x, x1, x2 = (rng.normal(size=(4, 3)) for _ in range(3))
         w, v = rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
+        seed = rng.normal(size=(4, 6))
         tape = Tape()
-        h = self._head(tape, x0, w)
-        tape.rerun({"x": x1})
-        loss = self._tail(tape, h, v)
-        tape.rerun({"x": x2})
+        h = self._head(tape, x, w)
+        x[...] = x1
+        tape.rerun(True)
+        self._tail(tape, h, v)
+        x[...] = x2
+        tape.rerun(True)
         fresh = Tape()
-        fresh_loss = self._tail(fresh, self._head(fresh, x2, w), v)
+        self._tail(fresh, self._head(fresh, x2, w), v)
         assert len(tape) == len(fresh)
         for i in range(len(tape)):
             assert tape.value(i).tobytes() == fresh.value(i).tobytes(), i
-        grads, expected = tape.backward(loss), fresh.backward(fresh_loss)
-        assert grads.keys() == expected.keys() == {"w", "v"}
+        grads, expected = tape.backward(seed.copy()), fresh.backward(seed.copy())
+        assert grads.keys() == expected.keys() == {"x", "w", "v"}
         for name in grads:
             assert grads[name].tobytes() == expected[name].tobytes(), name
 
-    def test_backward_from_a_loss_before_the_last_op_equals_a_tape_ending_there(self):
-        """Ops recorded after the loss node, here a second loss on the same
-        features, change none of its gradients."""
-        rng = np.random.default_rng(9)
-        x, w, v = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(5, 6))
+    def test_leaves_not_written_keep_their_recorded_values(self):
+        """Only x is written in place; w, a parameter, and the constant
+        keep their recorded values."""
+        x = np.array([[1.0, 2.0]])
         tape = Tape()
-        h = self._head(tape, x, w)
-        loss = self._tail(tape, h, v)
-        sum_all(tape, tape.l2_normalize_rows(h))
-        assert loss < len(tape) - 1
-        ending = Tape()
-        ending_loss = self._tail(ending, self._head(ending, x, w), v)
-        assert ending_loss == len(ending) - 1
-        grads, expected = tape.backward(loss), ending.backward(ending_loss)
-        assert grads.keys() == expected.keys() == {"w", "v"}
-        for name in grads:
-            assert grads[name].tobytes() == expected[name].tobytes(), name
-
-    def test_leaves_and_params_not_listed_keep_their_recorded_values(self):
-        tape = Tape()
-        x = tape.constant(np.array([[1.0, 2.0]]), "x")
         w = tape.parameter(np.array([[3.0, 1.0], [4.0, 1.0]]), "w")
-        scores = tape.matmul(x, w)
-        loss = tape.matmul(scores, tape.constant(np.array([[2.0], [0.5]]), "v"))
-        tape.rerun({"x": np.array([[5.0, 6.0]])})
+        scores = tape.matmul(tape.parameter(x, "x"), w)
+        loss = tape.matmul(scores, tape.constant(np.array([[2.0], [0.5]])))
+        x[...] = [[5.0, 6.0]]
+        tape.rerun(True)
         np.testing.assert_array_equal(tape.value(scores), [[5.0 * 3.0 + 6.0 * 4.0, 11.0]])
         np.testing.assert_array_equal(tape.value(loss), [[39.0 * 2.0 + 11.0 * 0.5]])
 
@@ -870,8 +865,8 @@ class TestForwardFormulas:
         outer-product and similarity shapes, each operand C-contiguous or
         a transposed view. Every product takes the same dense path: a
         one-row a with exact zeros, the shape of a text-encoder pooling
-        row, equals a @ b too. The product's adjoint under the loss
-        u @ (a @ b) @ v is g = u.T @ v.T."""
+        row, equals a @ b too. The sweep is seeded with the product's
+        adjoint under the loss u @ (a @ b) @ v, g = u.T @ v.T."""
         m, k, n = shape or data.draw(st.tuples(*[st.integers(1, 8)] * 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
@@ -882,11 +877,10 @@ class TestForwardFormulas:
         if zeros:
             a[0, rng.permutation(k)[: rng.integers(1, k + 1)]] = 0.0
         u, v = rng.normal(size=(1, m)), rng.normal(size=(n, 1))
+        g = u.T @ v.T
         tape = Tape()
         product = tape.matmul(tape.parameter(a, "a"), tape.parameter(b, "b"))
-        grads = tape.backward(tape.matmul(tape.matmul(tape.constant(u), product),
-                                          tape.constant(v)))
-        g = u.T @ v.T
+        grads = tape.backward(g.copy())
         np.testing.assert_array_equal(tape.value(product), a @ b)
         np.testing.assert_array_equal(grads["a"], g @ b.T)
         np.testing.assert_array_equal(grads["b"], a.T @ g)

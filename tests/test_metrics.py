@@ -52,6 +52,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="prediction rule"):
             predict(np.ones((1, 2)), rule="median")
 
+    def test_expectation_at_a_tiny_temperature_warns_of_no_overflow(self):
+        """At temperature 1e-308 the scores are +-1e308, and each row's
+        shift by its max overflows to -inf, an entry of probability
+        exactly 0. That is no error, so no warning escapes."""
+        scores = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_array_equal(predict(scores, "expectation", 1e-308), [0, 1])
+
 
 class TestErrorMetrics:
     def test_mae_zero_on_equal(self):
@@ -176,6 +183,13 @@ class TestPrototypeSimilarity:
         table = prototype_similarity(protos, 0.07)
         assert table.max() == 1.0
         assert table.shape == (8, 8)
+
+    def test_a_tiny_temperature_warns_of_no_overflow(self):
+        """Opposite prototypes at temperature 1e-308 score +-1e308; the
+        shift of -1e308 by the row max overflows to -inf, probability
+        exactly 0, and no warning escapes."""
+        table = prototype_similarity(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1e-308)
+        np.testing.assert_array_equal(table, np.eye(2))
 
 
 @pytest.mark.parametrize("c", [2, 20, 100])

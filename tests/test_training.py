@@ -32,7 +32,7 @@ from ordinalproto.prompt import INTERPOLATION_KINDS, LINEAR, PromptConfig
 
 NUM_RANKS = 5
 TEMPERATURE = 0.07
-PROMPT_GROUPS = training.PROMPT_GROUPS
+PROMPT_GROUPS = ("context", "base_ranks")
 PROMPT_METHODS = (training.ORDINALCLIP, training.COOP)
 GATES = ((True, True), (False, True), (True, False), (False, False))
 # Every (method, tune_rank, tune_ctx): the baseline has no tune gates.
@@ -255,17 +255,17 @@ class TestFit:
             "'softmax-xent'); ")
 
     @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_fit_checks_the_tail_groups_once(self, monkeypatch, method):
-        """fit checks the groups the closed-form tail reads before its first
-        step, and its steps then rely on the post-Adam check of the whole
-        vector; a direct forward_loss checks them itself."""
-        tail_finite, calls = training._tail_finite, []
+    def test_fit_checks_the_groups_once(self, monkeypatch, method):
+        """fit checks every group before its first step, and its steps then
+        rely on the post-Adam check of the whole vector; a direct
+        forward_loss checks them itself."""
+        groups_finite, calls = training._groups_finite, []
 
         def counted(state):
             calls.append(state.method)
-            return tail_finite(state)
+            return groups_finite(state)
 
-        monkeypatch.setattr(training, "_tail_finite", counted)
+        monkeypatch.setattr(training, "_groups_finite", counted)
         _fit(_model(method))
         assert calls == [method]
         training.forward_loss(_model(method), Tape(), *_batch(), TEMPERATURE)
@@ -279,7 +279,7 @@ class TestFit:
         state = _model(method, tune_rank, tune_ctx)
         tape = Tape()
         training.forward_loss(state, tape, *_batch(), TEMPERATURE)
-        grads = tape.backward(len(tape) - 1, seed=np.ones((NUM_RANKS, 6)))
+        grads = tape.backward(np.ones((NUM_RANKS, 6)))
         assert ("base_ranks" in grads) == tune_rank
         assert ("context" in grads) == tune_ctx
         assert grads.keys() == state.trainable_parameters().keys() & set(PROMPT_GROUPS)
@@ -335,12 +335,10 @@ class TestRerunTapes:
         assert calls == ([] if method == training.BASELINE else [1])
 
 
-    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
-    def test_a_rerun_step_checks_its_leaves_and_no_op_value(self, monkeypatch, method):
-        """A re-run step's forward pass makes one finiteness check per
-        parameter group, the prompt tape's leaves and the tail's, and the
-        loss's check of its scores, at any C: none per op. Each method
-        has six groups."""
+    @staticmethod
+    def _rerun_checks(monkeypatch, method, groups_finite):
+        """{C: shapes of the values all_finite checks in a re-run step's
+        forward_loss, called with groups_finite}, at C = 6 and 20."""
         all_finite, checks = diffcore.all_finite, []
 
         def counted(value):
@@ -350,15 +348,52 @@ class TestRerunTapes:
         monkeypatch.setattr(diffcore, "all_finite", counted)
         monkeypatch.setattr(training, "all_finite", counted)
         rng = np.random.default_rng(52)
-        counts = {}
+        shapes = {}
         for num_ranks in (6, 20):
             labels = np.arange(16) % num_ranks
             state, tape = _model(method, num_ranks=num_ranks), Tape()
             training.forward_loss(state, tape, rng.normal(size=(16, 4)), labels, TEMPERATURE)
             checks.clear()
-            training.forward_loss(state, tape, rng.normal(size=(16, 4)), labels, TEMPERATURE)
-            counts[num_ranks] = len(checks)
+            training.forward_loss(state, tape, rng.normal(size=(16, 4)), labels, TEMPERATURE,
+                                  groups_finite)
+            shapes[num_ranks] = list(checks)
+        return shapes
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_rerun_step_checks_its_leaves_and_no_op_value(self, monkeypatch, method):
+        """A re-run step's forward pass with no vouch makes one finiteness
+        check per parameter group, the vouch both halves then share, and
+        the loss's check of its scores, at any C: none per op. Each method
+        has six groups."""
+        counts = {c: len(shapes) for c, shapes in
+                  self._rerun_checks(monkeypatch, method, None).items()}
         assert counts[6] == counts[20] == 7, counts
+
+    @pytest.mark.parametrize("method", PROMPT_METHODS + (training.BASELINE,))
+    def test_a_vouched_rerun_step_checks_only_the_scores(self, monkeypatch, method):
+        """With fit's vouch passed, a re-run step's forward pass checks the
+        loss's B x C scores and nothing else: no leaf, no op."""
+        shapes = self._rerun_checks(monkeypatch, method, True)
+        assert shapes == {6: [(16, 6)], 20: [(16, 20)]}, shapes
+
+    @pytest.mark.parametrize("method, group, op", [
+        (training.ORDINALCLIP, "context", "concat-rows"),
+        (training.ORDINALCLIP, "base_ranks", "matmul"),
+        (training.COOP, "context", "concat-rows"),
+        (training.COOP, "base_ranks", "concat-rows"),
+    ])
+    def test_a_prompt_group_gone_nan_in_place_raises_on_a_direct_rerun(self, method, group,
+                                                                      op):
+        """A direct forward_loss, which passes no vouch, on a recorded tape
+        whose prompt group went NaN in place raises, naming the first op
+        that reads the group: the interpolation's matmul for ordinalclip's
+        base ranks, and otherwise the token table's concat."""
+        state, tape = _model(method), Tape()
+        training.forward_loss(state, tape, *_batch(), TEMPERATURE)
+        state.params[group][0, -1] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite values produced by op '{op}'$"):
+            training.forward_loss(state, tape, *_batch(), TEMPERATURE)
 
     @pytest.mark.parametrize("op, groups", [
         ("matmul", {"image.w1": 1e308}),
@@ -505,8 +540,8 @@ class TestBackwardOnTheTrainingTape:
             state, tape, *_batch(), TEMPERATURE)
         d_scores = matching.contrastive_loss_grad(loss_kept)
         _, seed = matching.similarity_grad(d_scores, embeddings, prototypes_t)
-        expected = reference_backward(tape, len(tape) - 1, seed)
-        grads = tape.backward(len(tape) - 1, seed=seed)
+        expected = reference_backward(tape, seed)
+        grads = tape.backward(seed)
         assert grads.keys() == expected.keys()
         for name in grads:
             np.testing.assert_array_equal(grads[name], expected[name])
@@ -736,8 +771,9 @@ def test_prompt_gradients_match_the_closed_form_oracle(method, num_ranks, num_ba
     adjoint = rng.normal(size=(num_ranks, state.text_encoder.mixed_projection.shape[1]))
     tape = Tape()
     prototypes = training._prompt_nodes(state, tape)
-    seeded = tape.backward(prototypes, seed=adjoint.copy())
-    grads = tape.backward(_inner_product(tape, prototypes, adjoint))
+    seeded = tape.backward(adjoint.copy())
+    _inner_product(tape, prototypes, adjoint)
+    grads = tape.backward(np.ones((1, 1)))
     expected = prompt_oracle_gradient(state, adjoint)
     for name, oracle in zip(PROMPT_GROUPS, expected):
         bound = 1e-12 * np.abs(oracle).max(initial=0.0)
@@ -749,7 +785,7 @@ def test_prompt_gradients_match_the_closed_form_oracle(method, num_ranks, num_ba
 @pytest.mark.parametrize("method, num_context", [(training.ORDINALCLIP, 2),
                                                  (training.ORDINALCLIP, 0), (training.COOP, 2)])
 def test_the_seeded_prompt_sweep_matches_finite_differences_and_the_oracle(method, num_context):
-    """Tape.backward(prototypes, seed=G), as a training step runs it,
+    """Tape.backward(G) from the prototypes, as a training step runs it,
     gives the gradients of <G, prototypes> in both prompt groups: within
     1e-4 of central differences of that inner product, and within 1e-12
     of conftest.prompt_oracle_gradient."""
@@ -759,7 +795,8 @@ def test_the_seeded_prompt_sweep_matches_finite_differences_and_the_oracle(metho
         state.params[name][...] = rng.normal(size=state.params[name].shape)
     seed = rng.normal(size=(NUM_RANKS, 6))
     tape = Tape()
-    grads = tape.backward(training._prompt_nodes(state, tape), seed=seed.copy())
+    training._prompt_nodes(state, tape)
+    grads = tape.backward(seed.copy())
     for name, oracle in zip(PROMPT_GROUPS, prompt_oracle_gradient(state, seed)):
         np.testing.assert_allclose(grads[name], oracle, rtol=0,
                                    atol=1e-12 * np.abs(oracle).max(initial=1.0))
